@@ -9,8 +9,7 @@ the closed-form dimension profile and writes a pass/fail report, and
 All outputs are plain text or SVG, written atomically (temp file then
 rename), and byte-identical across reruns with the same seed and
 budgets.  Exit codes: 0 success or all rows pass, 1 usage error,
-2 computation error, 3 verification failure.  The environment variable
-KLEINIAN_DIM_THREADS caps sweep parallelism in the estimators.
+2 computation error, 3 verification failure.
 """
 
 import argparse
@@ -418,15 +417,17 @@ def cmd_dimension(args) -> int:
 
 
 def _deepest_cusp_points(cusps, family):
-    """Finite cusp points as planar coordinates, deepest family ball first."""
+    """(family ball size, cusp, boundary point as a d-length array) for
+    each finite cusp, deepest family ball first."""
     rows = []
     for c in cusps.cusps:
         if c.point.is_infinity:
             continue
-        p = complex(c.point.coords[0], c.point.coords[1])
-        i = int(np.argmin(np.abs(family.bases - p)))
-        size = float(family.sizes[i]) if abs(family.bases[i] - p) < 1e-8 else 0.0
-        rows.append((size, c, p))
+        # family bases are complex, with zero imaginary part when d=1
+        z = complex(*c.point.coords)
+        i = int(np.argmin(np.abs(family.bases - z)))
+        size = float(family.sizes[i]) if abs(family.bases[i] - z) < 1e-8 else 0.0
+        rows.append((size, c, np.array(c.point.coords)))
     rows.sort(key=lambda t: -t[0])
     return rows
 
@@ -507,7 +508,7 @@ def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
             )
         extras = None
         if cusp_rows:
-            extras = np.array([[p.real, p.imag] for _, _, p in cusp_rows])
+            extras = np.array([p for _, _, p in cusp_rows])
         upper, lower = ps.regularity_exponents(
             mu,
             radii=np.geomspace(r_top, r_bot, 3),
@@ -537,7 +538,7 @@ def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
     def cusp_point_of_rank(rank):
         for _, c, p in cusp_rows:
             if c.rank == rank:
-                return np.array([p.real, p.imag])
+                return p
         return None
 
     try:
@@ -710,6 +711,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_float(text: str) -> float:
+    """Argument type for scales and budgets: a number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="builtin name or JSON config path")
     p.add_argument("--out", help="output file path")
@@ -718,9 +730,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--budget-words", type=int, help="orbit enumeration element budget"
     )
     p.add_argument(
-        "--budget-dist", type=float, help="orbit enumeration distance budget"
+        "--budget-dist", type=_positive_float, help="orbit enumeration distance budget"
     )
-    p.add_argument("--resolution", type=float, help="target sampling resolution")
+    p.add_argument(
+        "--resolution", type=_positive_float, help="target sampling resolution"
+    )
     p.add_argument("--scales", help="scale window R_MIN:R_MAX:COUNT")
     p.add_argument(
         "--tolerance",
@@ -735,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kleindim",
         description=__doc__.split("\n\n")[0],
-        epilog="KLEINIAN_DIM_THREADS caps estimator parallelism.",
     )
     sub = parser.add_subparsers(dest="command")
 

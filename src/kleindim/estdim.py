@@ -18,6 +18,14 @@ least-squares slope of log N against log(R / r) across the inner
 scales, which cancels the window's multiplicative constant (a ball
 that is nearly full at one scale no longer reads as inflated
 dimension).
+
+The window sweep computes each ball's covering counts without sorting
+the ball.  The grid offsets of ``covering_count`` depend on the scale
+alone, so every (radius, ratio, offset) grid labels the cells of the
+whole cloud once; a ball's count is then the number of distinct labels
+among its points, found by one scatter and one gather.  The points of
+a centre's largest ball are sorted by squared distance once, and each
+smaller ball is a prefix of that order.
 """
 
 from __future__ import annotations
@@ -38,18 +46,6 @@ HALFSPACE = "halfspace"
 MIN_SCALE_FACTOR = 2.0
 # number of deterministic grid offsets tried per covering count
 GRID_OFFSETS = 3
-
-
-def worker_count() -> int:
-    """Thread budget for sweep parallelism, capped by KLEINIAN_DIM_THREADS."""
-    n = os.cpu_count() or 1
-    env = os.environ.get("KLEINIAN_DIM_THREADS")
-    if env:
-        try:
-            n = min(n, max(1, int(env)))
-        except ValueError:
-            pass
-    return n
 
 
 @dataclass
@@ -165,6 +161,15 @@ def _cell_ids(coords: np.ndarray, r: float, offset: np.ndarray) -> np.ndarray:
     return np.unique(rows, axis=0, return_inverse=True)[1]
 
 
+def _grid_offsets(r: float, k: int, offsets: int = GRID_OFFSETS) -> list:
+    """The grid offsets tried at scale r in k columns: zero, then
+    deterministic uniform shifts, so they depend on r and k alone."""
+    rng = np.random.default_rng(12345)
+    return [
+        np.zeros(k) if i == 0 else rng.uniform(0.0, r, k) for i in range(max(1, offsets))
+    ]
+
+
 def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) -> int:
     """Number of r-grid cells hit, minimized over a few grid offsets.
 
@@ -173,13 +178,10 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
     """
     if len(coords) == 0:
         return 0
-    rng = np.random.default_rng(12345)
-    best = None
-    for i in range(max(1, offsets)):
-        off = np.zeros(coords.shape[1]) if i == 0 else rng.uniform(0.0, r, coords.shape[1])
-        n = len(np.unique(_cell_ids(coords, r, off)))
-        best = n if best is None else min(best, n)
-    return int(best)
+    return min(
+        len(np.unique(_cell_ids(coords, r, off)))
+        for off in _grid_offsets(r, coords.shape[1], offsets)
+    )
 
 
 def _scale_window(cloud: PointCloud, scales: Optional[Sequence[float]], n_scales: int):
@@ -241,6 +243,16 @@ def box_dimension(
 # ---------------------------------------------------------------------------
 
 
+def _sq_dists(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances from ``center`` to the points whose coordinates
+    are the rows of ``cols``, summed in coordinate order: the rounding of
+    np.linalg.norm and of cKDTree's ball membership test."""
+    d2 = (cols[0] - center[0]) ** 2
+    for col, x in zip(cols[1:], center[1:]):
+        d2 += (col - x) ** 2
+    return d2
+
+
 def _farthest_point_sample(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Indices of a k-point farthest-point subsample (2-approx net)."""
     n = len(coords)
@@ -251,14 +263,14 @@ def _farthest_point_sample(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
         pool = rng.choice(n, size=50_000, replace=False)
     else:
         pool = np.arange(n)
-    pts = coords[pool]
+    cols = np.ascontiguousarray(coords[pool].T)
     k = min(k, len(pool))
     chosen = [int(rng.integers(len(pool)))]
-    dist = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+    dist = np.sqrt(_sq_dists(cols, cols[:, chosen[0]]))
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
+        np.minimum(dist, np.sqrt(_sq_dists(cols, cols[:, nxt])), out=dist)
     return pool[np.asarray(chosen)]
 
 
@@ -281,12 +293,17 @@ def _window_slopes(
     A window only contributes when every requested inner scale sits
     above the resolution floor; mixing windows fitted over different
     scale sets would make the extrema incomparable.
+
+    The counts equal ``covering_count`` on each ball's points; the
+    module docstring says how they are computed without it.
     """
     coords = cloud.coords
     floor = MIN_SCALE_FACTOR * cloud.resolution
     ratios = sorted(float(q) for q in ratios)
     if not ratios or ratios[0] <= 1.0:
         raise ValueError("every ratio must exceed 1")
+    if len(ratios) > 1 and ratios[0] == ratios[-1]:
+        raise ValueError("several ratios must not all be equal")
     if radii is None:
         top = cloud.extent() / 4.0
         lo = floor * ratios[-1]
@@ -294,47 +311,81 @@ def _window_slopes(
             radii = [top]
         else:
             radii = np.geomspace(top, lo, 8)
-    centers_idx = _farthest_point_sample(coords, n_centers, seed)
-    centers = coords[centers_idx]
-    tree = cKDTree(coords)
-    log_q = np.log(ratios)
-    out = []
-    for R in radii:
-        R = float(R)
-        scales = [R / q for q in ratios]
-        if scales[-1] < floor * (1.0 - 1e-9):
-            continue
-        hits = tree.query_ball_point(centers, R)
-        for ci, idx in enumerate(hits):
-            if not idx:
-                continue
-            ball = coords[idx]
-            counts = [covering_count(ball, r) for r in scales]
-            if len(ratios) == 1:
-                slope = math.log(counts[0]) / log_q[0]
-                witness = {
-                    "center": centers[ci].tolist(),
-                    "R": R,
-                    "r": scales[0],
-                    "count": counts[0],
-                    "ball_points": len(idx),
-                }
-            else:
-                slope = float(linregress(log_q, np.log(counts)).slope)
-                witness = {
-                    "center": centers[ci].tolist(),
-                    "R": R,
-                    "scales": scales,
-                    "counts": counts,
-                    "ball_points": len(idx),
-                }
-            out.append((slope, witness))
-    if not out:
+    radii = [float(R) for R in radii]
+    radii = [R for R in radii if R / ratios[-1] >= floor * (1.0 - 1e-9)]
+    centers = coords[_farthest_point_sample(coords, n_centers, seed)]
+    if not radii or len(centers) == 0:
         raise ValueError(
             "no sample window resolves every requested ratio above twice "
             "the resolution; supply coarser radii or smaller ratios"
         )
-    return out
+    # per radius, per ratio, per grid offset: a dense cell label per point
+    grids = {
+        R: [
+            [
+                np.unique(_cell_ids(coords, R / q, off), return_inverse=True)[1]
+                for off in _grid_offsets(R / q, coords.shape[1])
+            ]
+            for q in ratios
+        ]
+        for R in radii
+    }
+    stamp = np.empty(len(coords), dtype=np.intp)
+    steps = np.arange(len(coords))
+
+    def distinct(labels: np.ndarray) -> int:
+        # exactly one write to each label survives, whatever order the
+        # repeated writes land in, so the survivors count the labels
+        stamp[labels] = steps[: len(labels)]
+        return int(np.count_nonzero(stamp[labels] == steps[: len(labels)]))
+
+    cols = np.ascontiguousarray(coords.T)
+    log_q = np.log(ratios)
+    sq_radii = np.array([R * R for R in radii])
+    windows = [[] for _ in radii]
+    for center in centers:
+        d2 = _sq_dists(cols, center)
+        near = np.flatnonzero(d2 <= sq_radii.max())
+        order = np.argsort(d2[near])
+        near = near[order]
+        # every ball holds its centre, so no prefix is empty
+        ends = np.searchsorted(d2[near], sq_radii, side="right")
+        for R, m, out in zip(radii, ends.tolist(), windows):
+            ball = near[:m]
+            counts = [
+                min(distinct(labels[ball]) for labels in per_offset)
+                for per_offset in grids[R]
+            ]
+            scales = [R / q for q in ratios]
+            if len(ratios) == 1:
+                slope = math.log(counts[0]) / log_q[0]
+                witness = {
+                    "center": center.tolist(),
+                    "R": R,
+                    "r": scales[0],
+                    "count": counts[0],
+                    "ball_points": m,
+                }
+            else:
+                slope = _lstsq_slope(log_q, np.log(counts))
+                witness = {
+                    "center": center.tolist(),
+                    "R": R,
+                    "scales": scales,
+                    "counts": counts,
+                    "ball_points": m,
+                }
+            out.append((slope, witness))
+    return [w for out in windows for w in out]
+
+
+def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x, rounded exactly as scipy's
+    ``linregress`` rounds it: mean cross product over mean square."""
+    n = len(x)
+    xc = x - np.mean(x)
+    yc = y - np.mean(y)
+    return float((np.dot(xc, yc) * (1.0 / n)) / (np.dot(xc, xc) * (1.0 / n)))
 
 
 def assouad_dimension(

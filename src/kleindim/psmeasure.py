@@ -97,7 +97,8 @@ class EmpiricalMeasure:
             raise ValueError("resolution must be positive")
         total = float(self.weights.sum())
         self.weights = self.weights / total
-        assert abs(float(self.weights.sum()) - 1.0) <= 1e-12
+        if not abs(float(self.weights.sum()) - 1.0) <= 1e-12:
+            raise ValueError("atom weights do not normalise to 1")
 
     @property
     def n(self) -> int:

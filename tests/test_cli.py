@@ -240,6 +240,22 @@ class TestExitCodes:
         assert code == 1
         assert "k_max/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--resolution", "0"],
+            ["--resolution", "-1"],
+            ["--resolution", "nan"],
+            ["--budget-dist", "0"],
+            ["--budget-dist", "-2.5"],
+            ["--budget-dist", "far"],
+        ],
+    )
+    def test_nonpositive_scales_and_budgets(self, flags, capsys):
+        for command in ("generate", "verify"):
+            assert cli.main([command, "schottky", *flags]) == 1
+            assert flags[0] in capsys.readouterr().err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kleindim"], capture_output=True, text=True
@@ -389,6 +405,17 @@ class TestVerify:
         text = open(out).read()
         assert "box," in text
         assert text.endswith("overall=fail\n")
+
+    def test_rank_one_cusp_on_a_line(self, tmp_path):
+        # d=1 cusp points have one coordinate; the regularity and local
+        # dimension probes at the cusp used to index a second one
+        out = str(tmp_path / "report.txt")
+        code = cli.main(["verify", "parabolic_cusp_fuchsian", "--out", out])
+        assert code in (2, 3)
+        text = open(out).read()
+        assert "profile=delta:" in text and ",k_min:1,k_max:1,d:1," in text
+        assert "inf_lower_loc," in text
+        assert text.startswith("# kleindim") and "\noverall=" in text
 
     def test_starved_budget_reports_errors(self, tmp_path):
         out = str(tmp_path / "report.txt")

@@ -9,10 +9,14 @@ just within a tolerance band.  (The ternary set would alias: 3^-a is
 inexact, points sit exactly on cell walls, and floor(p/r) flips.)
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.stats import linregress
 
 from kleindim import estdim as ed
 from kleindim import group as gr
@@ -270,12 +274,103 @@ class TestPoincareExponent:
         assert 1.0 < est.value < 1.6
 
 
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("KLEINIAN_DIM_THREADS", "1")
-        assert ed.worker_count() == 1
-        monkeypatch.setenv("KLEINIAN_DIM_THREADS", "not-a-number")
-        assert ed.worker_count() >= 1
+def window_slopes_oracle(cloud, radii, ratios, n_centers, seed):
+    """The window sweep as a per-ball loop: a KD-tree query per radius,
+    ``covering_count`` per ball and scale, scipy's fit per window, and
+    centres from a norm-based farthest-point sample."""
+    coords = cloud.coords
+    floor = ed.MIN_SCALE_FACTOR * cloud.resolution
+    ratios = sorted(float(q) for q in ratios)
+    if radii is None:
+        top = cloud.extent() / 4.0
+        lo = floor * ratios[-1]
+        radii = [top] if top <= lo else np.geomspace(top, lo, 8)
+    # clouds here stay below the 50k points where the sample subsamples
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(len(coords)))]
+    dist = np.linalg.norm(coords - coords[chosen[0]], axis=1)
+    for _ in range(min(n_centers, len(coords)) - 1):
+        chosen.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, np.linalg.norm(coords - coords[chosen[-1]], axis=1))
+    centers = coords[chosen]
+    tree = cKDTree(coords)
+    log_q = np.log(ratios)
+    out = []
+    for R in radii:
+        R = float(R)
+        scales = [R / q for q in ratios]
+        if scales[-1] < floor * (1.0 - 1e-9):
+            continue
+        for ci, idx in enumerate(tree.query_ball_point(centers, R)):
+            counts = [ed.covering_count(coords[idx], r) for r in scales]
+            witness = {"center": centers[ci].tolist(), "R": R}
+            if len(ratios) == 1:
+                slope = math.log(counts[0]) / log_q[0]
+                witness.update(r=scales[0], count=counts[0])
+            else:
+                slope = float(linregress(log_q, np.log(counts)).slope)
+                witness.update(scales=scales, counts=counts)
+            witness["ball_points"] = len(idx)
+            out.append((slope, witness))
+    return out
+
+
+def random_cloud(seed: int, n: int, d: int) -> ed.PointCloud:
+    rng = np.random.default_rng(seed)
+    # a clustered sample, so balls of one radius hold very different counts
+    coords = rng.random((n, d)) ** 3
+    return ed.PointCloud(coords=coords, model=ed.HALFSPACE, d=d, resolution=1e-3)
+
+
+def lattice_cloud(side: int) -> ed.PointCloud:
+    # integer points: many lie exactly at the integer radii swept below
+    # (3-4-5 and 5-12-13 triangles, axis neighbours), where a ball's
+    # boundary decides membership
+    xs = np.arange(float(side))
+    gx, gy = np.meshgrid(xs, xs)
+    return ed.PointCloud(
+        coords=np.column_stack([gx.ravel(), gy.ravel()]),
+        model=ed.HALFSPACE,
+        d=2,
+        resolution=0.01,
+    )
+
+
+class TestWindowSweep:
+    @pytest.mark.parametrize(
+        "cloud, radii, ratios",
+        [
+            (cantor_cloud(9), None, (16.0,)),
+            (cantor_cloud(9), None, (4.0, 8.0, 16.0)),
+            (random_cloud(1, 600, 1), None, (8.0, 64.0)),
+            (random_cloud(2, 900, 2), None, (8.0, 64.0)),
+            (random_cloud(3, 900, 2), None, (5.0,)),
+            # 0.001 and 0.01 sit below the floor at ratio 64 and are skipped
+            (random_cloud(4, 700, 2), [0.4, 0.001, 0.2, 0.2, 0.01, 0.15], (8.0, 64.0)),
+            (lattice_cloud(30), [13.0, 5.0, 10.0, 2.0, 1.0], (2.0, 4.0)),
+            (lattice_cloud(30), [5.0, 13.0], (8.0,)),
+        ],
+    )
+    def test_matches_per_ball_oracle(self, cloud, radii, ratios):
+        for seed in (0, 7):
+            got = ed._window_slopes(cloud, radii, ratios, 40, seed)
+            want = window_slopes_oracle(cloud, radii, ratios, 40, seed)
+            assert got == want
+            assert repr(got) == repr(want)
+
+    def test_identical_ratios_raise(self):
+        with pytest.raises(ValueError):
+            ed.assouad_dimension(cantor_cloud(9), ratios=(8.0, 8.0))
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_lstsq_slope_matches_linregress(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = np.log(np.sort(rng.uniform(1.01, 5000.0, n)))
+        y = np.log(rng.integers(1, 10_000, n).astype(float))
+        if x[0] == x[-1]:
+            return
+        assert ed._lstsq_slope(x, y) == linregress(x, y).slope
 
 
 class TestIntegrationWithSampling:
