@@ -16,22 +16,10 @@ import math
 import numpy as np
 from scipy.stats import linregress
 
-import kleindim.estdim as ed
 import kleindim.group as gr
 import kleindim.hypgeom as hg
 import kleindim.psmeasure as ps
-
-
-def deepest_cusp(cusps, family):
-    best, best_size = None, 0.0
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        p = complex(c.point.coords[0], c.point.coords[1])
-        i = int(np.argmin(np.abs(family.bases - p)))
-        if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
-            best, best_size = c, float(family.sizes[i])
-    return best, best_size
+from kleindim.pipeline import Pipeline
 
 
 def main() -> None:
@@ -45,17 +33,14 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    g = gr.builtin_group(args.group)
-    orbit = gr.enumerate_orbit(g, args.dist, slack=1.5, max_elements=4_000_000)
-    delta = float(ed.poincare_exponent(orbit).value)
-    cusps = gr.find_cusps(orbit)
+    p = Pipeline(gr.builtin_group(args.group), args.dist, band=args.band)
+    delta, cusps = p.delta, p.cusps
     if not cusps.has_cusps:
         raise SystemExit(f"group {args.group!r} has no cusps to diagnose")
-    family = gr.standard_horoballs(orbit, cusps)
-    measure = ps.patterson_measure(g, orbit=orbit, band=args.band)
+    family, measure = p.family, p.measure
     ctx = ps.GMFContext(delta=delta, family=family)
 
-    cusp, size = deepest_cusp(cusps, family)
+    size, cusp, _ = p.cusp_points[0]
     print(f"group={args.group} delta={delta:.4f} "
           f"deepest cusp at {cusp.point.coords} rank={cusp.rank} size={size:.4f}")
 
@@ -88,7 +73,7 @@ def main() -> None:
 
     print(f"\ndeep-excursion witnesses (exponent target {cusps.k_max}):")
     for n in args.ns:
-        z, t, T = ps.ureg_witness(g, cusp, n, family)
+        z, t, T = ps.ureg_witness(p.group, cusp, n, family)
         zz = np.array(z.coords)
         m_t = ps.ball_mass(measure, zz, math.exp(-t))
         m_T = ps.ball_mass(measure, zz, math.exp(-T))

@@ -13,7 +13,6 @@ Usage:
 """
 
 import argparse
-import math
 import time
 from dataclasses import dataclass
 
@@ -23,13 +22,12 @@ import kleindim.estdim as ed
 import kleindim.group as gr
 import kleindim.predict as predict
 import kleindim.psmeasure as ps
+from kleindim.pipeline import Pipeline
 
 
 @dataclass
 class SurveyConfig:
     dist: float = 11.0
-    slack: float = 1.5
-    max_elements: int = 4_000_000
     resolution: float = 1e-3
     band: float = 3.5
     n_centers: int = 192
@@ -76,21 +74,18 @@ def main() -> None:
         if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
 
-    g = gr.builtin_group("apollonian")
+    p = Pipeline(
+        gr.builtin_group("apollonian"), cfg.dist, resolution=cfg.resolution, band=cfg.band
+    )
 
     t0 = time.perf_counter()
-    orbit = gr.enumerate_orbit(g, cfg.dist, slack=cfg.slack, max_elements=cfg.max_elements)
-    fit = ed.poincare_exponent(orbit)
-    delta = float(fit.value)
+    orbit, fit, delta = p.orbit, p.fit, p.delta
     print(f"orbit: n={orbit.n} t_valid={orbit.t_valid:.2f} "
           f"truncated={orbit.truncated} ({time.perf_counter() - t0:.1f}s)")
     print(f"growth exponent: {delta:.6f}  "
           f"(annulus check {fit.diagnostics.get('annulus', float('nan')):.4f})")
 
-    cusps = gr.find_cusps(orbit)
-    family = gr.standard_horoballs(orbit, cusps)
-    cloud = gr.sample_limit_set(g, target_resolution=cfg.resolution, orbit=orbit)
-    measure = ps.patterson_measure(g, orbit=orbit, band=cfg.band)
+    cusps, family, cloud, measure = p.cusps, p.family, p.cloud, p.measure
     ctx = ps.GMFContext(delta=delta, family=family)
     print(f"cusps: k_min={cusps.k_min} k_max={cusps.k_max} "
           f"family={family.n} horoballs; cloud n={cloud.n}; "
@@ -110,9 +105,7 @@ def main() -> None:
     ).value
     row("lower", lo, pred.dim_L)
 
-    extras = np.array(
-        [c.point.coords for c in cusps.cusps if not c.point.is_infinity], dtype=float
-    )
+    extras = np.array([point for _, _, point in p.cusp_points])
     upper, _ = ps.regularity_exponents(
         measure, radii=np.geomspace(0.6, 0.4, 3), ratios=cfg.upper_ratios,
         n_centers=cfg.n_centers, min_atoms=128, extra_centers=extras,
@@ -125,15 +118,7 @@ def main() -> None:
     row("lower regularity", lower.value, pred.lower_reg)
 
     # local dimension at the deepest cusp, then at typical atoms
-    best, best_size = None, 0.0
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        p = complex(c.point.coords[0], c.point.coords[1])
-        i = int(np.argmin(np.abs(family.bases - p)))
-        if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
-            best, best_size = c, float(family.sizes[i])
-    pt = np.array([best.point.coords[0], best.point.coords[1]])
+    _, best, pt = p.cusp_points[0]
     parabolic = ps.local_dimension(measure, pt, t_window=cfg.cusp_window).slope
     row("cusp local dim", parabolic, 2.0 * delta - best.rank)
 

@@ -7,14 +7,17 @@ The package is organised around five layers:
   horoballs, shadows and boundary projections;
 - :mod:`kleindim.group` -- group presentations, orbit enumeration, cusp
   detection and invariant horoball families;
-- :mod:`kleindim.estdim` -- point-cloud estimators for box, Assouad, lower
-  and regularity dimensions, plus the orbital growth exponent;
+- :mod:`kleindim.estdim` -- point-cloud estimators for box, Assouad and
+  lower dimensions, plus the orbital growth exponent;
 - :mod:`kleindim.psmeasure` -- empirical conformal densities on the limit
-  set and local scaling diagnostics against the global measure formula;
+  set, their regularity dimensions and local scaling diagnostics against
+  the global measure formula;
 - :mod:`kleindim.predict` -- exact dimension predictions from the critical
   exponent and cusp rank data, with consistency checks.
 
-The command line front end lives in :mod:`kleindim.cli`.
+:mod:`kleindim.pipeline` builds the orbit, growth fit, cusps, horoball
+family, cloud and measure of one group on demand.  The command line
+front end lives in :mod:`kleindim.cli`.
 """
 
 from .hypgeom import (
@@ -49,7 +52,6 @@ from .group import (
     standard_horoballs,
 )
 from .estdim import (
-    CloudSummary,
     DimensionEstimate,
     PointCloud,
     assouad_dimension,
@@ -65,6 +67,7 @@ from .psmeasure import (
     patterson_measure,
     regularity_exponents,
 )
+from .pipeline import Pipeline
 from .predict import (
     DimensionReport,
     GroupProfile,
@@ -103,7 +106,6 @@ __all__ = [
     "find_cusps",
     "sample_limit_set",
     "standard_horoballs",
-    "CloudSummary",
     "DimensionEstimate",
     "PointCloud",
     "assouad_dimension",
@@ -116,6 +118,7 @@ __all__ = [
     "gmf_value",
     "local_dimension",
     "patterson_measure",
+    "Pipeline",
     "DimensionReport",
     "GroupProfile",
     "classify_corollaries",

@@ -24,9 +24,11 @@ import numpy as np
 
 from . import estdim as ed
 from . import group as gr
-from . import hypgeom as hg
 from . import predict
 from . import psmeasure as ps
+from .pipeline import Pipeline
+# perfbench/op.py finds the deepest cusp through this name
+from .pipeline import deepest_cusp_points as _deepest_cusp_points
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,7 +84,7 @@ def write_cloud(path: str, cloud: ed.PointCloud) -> None:
     lines = [
         "# kleindim-cloud",
         "# model,d,resolution",
-        f"# {cloud.model},{cloud.d},{cloud.resolution!r}",
+        f"# halfspace,{cloud.d},{cloud.resolution!r}",
         f"# truncated={cloud.meta.get('orbit_truncated', False)} "
         f"n={len(cloud.coords)}",
     ]
@@ -101,10 +103,11 @@ def read_cloud(path: str) -> ed.PointCloud:
             model, d, resolution = fh.readline().lstrip("# ").strip().split(",")
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
+    if model != "halfspace":
+        raise UsageError(f"{path}: model {model!r} is not halfspace")
     coords = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     return ed.PointCloud(
         coords=coords,
-        model=model,
         d=int(d),
         resolution=float(resolution),
         meta={"source": path},
@@ -363,11 +366,9 @@ def _resolve_config(args) -> str:
     return spec
 
 
-def cmd_generate(args) -> int:
-    g = load_group(_resolve_config(args))
+def _sample_cloud(g: gr.GroupPresentation, args) -> ed.PointCloud:
+    """Sample ``g`` within the budgets given on the command line."""
     resolution = args.resolution or DEFAULT_RESOLUTION
-    if args.budget_words is not None and args.budget_words <= 0:
-        raise ComputeError("empty limit sample")
     kwargs = {}
     if args.budget_words:
         kwargs["max_elements"] = args.budget_words
@@ -378,12 +379,18 @@ def cmd_generate(args) -> int:
     cloud = gr.sample_limit_set(g, target_resolution=resolution / 2.0, **kwargs)
     if len(cloud.coords) == 0:
         raise ComputeError("empty limit sample")
+    return cloud
+
+
+def cmd_generate(args) -> int:
+    g = load_group(_resolve_config(args))
+    cloud = _sample_cloud(g, args)
     out = args.out or f"{g.name or 'group'}_cloud.csv"
     write_cloud(out, cloud)
-    print(f"wrote {out}: {len(cloud.coords)} points, model={cloud.model}, d={cloud.d}")
+    print(f"wrote {out}: {len(cloud.coords)} points, model=halfspace, d={cloud.d}")
     print(
         f"achieved resolution {cloud.resolution:.6g} "
-        f"(requested {resolution:.6g}), "
+        f"(requested {args.resolution or DEFAULT_RESOLUTION:.6g}), "
         f"orbit_truncated={cloud.meta.get('orbit_truncated', False)}"
     )
     return EXIT_OK
@@ -416,31 +423,15 @@ def cmd_dimension(args) -> int:
     return EXIT_OK
 
 
-def _deepest_cusp_points(cusps, family):
-    """(family ball size, cusp, boundary point as a d-length array) for
-    each finite cusp, deepest family ball first."""
-    rows = []
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        # family bases are complex, with zero imaginary part when d=1
-        z = complex(*c.point.coords)
-        i = int(np.argmin(np.abs(family.bases - z)))
-        size = float(family.sizes[i]) if abs(family.bases[i] - z) < 1e-8 else 0.0
-        rows.append((size, c, np.array(c.point.coords)))
-    rows.sort(key=lambda t: -t[0])
-    return rows
-
-
-def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
-    cusps = gr.find_cusps(orbit)
+def _verify_geometrically_finite(p, tol, seed, report):
+    cloud, delta_hat, cusps = p.cloud, p.delta, p.cusps
     if cusps.has_cusps:
         profile = predict.GroupProfile(
-            delta=delta_hat, k_min=cusps.k_min, k_max=cusps.k_max, d=g.d
+            delta=delta_hat, k_min=cusps.k_min, k_max=cusps.k_max, d=p.group.d
         )
     else:
         profile = predict.GroupProfile(
-            delta=delta_hat, k_min=0, k_max=0, d=g.d, parabolic_free=True
+            delta=delta_hat, k_min=0, k_max=0, d=p.group.d, parabolic_free=True
         )
     report.profile = profile
     predicted = predict.predict_dims(profile)
@@ -476,24 +467,22 @@ def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
     # measure stages: deep-band empirical measure, regularity sweep in
     # the window the finite budget actually supports, local dimensions
     try:
-        mu = ps.patterson_measure(g, orbit=orbit, band=VERIFY_BAND)
+        mu = p.measure
     except ValueError as e:
         for name in ("upper_reg", "lower_reg", "sup_upper_loc", "inf_lower_loc"):
             report.rows.append(_error_row(name, e))
         return
 
-    family = None
     cusp_rows = []
     wall_t = None
     if cusps.has_cusps:
         try:
-            family = gr.standard_horoballs(orbit, cusps)
-            cusp_rows = _deepest_cusp_points(cusps, family)
+            cusp_rows = p.cusp_points
         except gr.CuspDetectionError as e:
             report.rows.append(_error_row("horoballs", e))
         # below e^-wall_t the truncated orbit undersupplies the cusp
         # neighbourhoods and mass ratios there read too steep
-        wall_t = (orbit.t_valid - VERIFY_BAND) / 2.0
+        wall_t = (p.orbit.t_valid - p.band) / 2.0
 
     try:
         r_floor = 2.0 * mu.resolution
@@ -508,7 +497,7 @@ def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
             )
         extras = None
         if cusp_rows:
-            extras = np.array([p for _, _, p in cusp_rows])
+            extras = np.array([point for _, _, point in cusp_rows])
         upper, lower = ps.regularity_exponents(
             mu,
             radii=np.geomspace(r_top, r_bot, 3),
@@ -536,9 +525,9 @@ def _verify_geometrically_finite(g, orbit, delta_hat, cloud, tol, seed, report):
         return ps.local_dimension(mu, point, t_window=window).slope
 
     def cusp_point_of_rank(rank):
-        for _, c, p in cusp_rows:
+        for _, c, point in cusp_rows:
             if c.rank == rank:
-                return p
+                return point
         return None
 
     try:
@@ -611,7 +600,9 @@ def cmd_verify(args) -> int:
     budget_words = args.budget_words or DEFAULT_BUDGET_WORDS
     resolution = args.resolution or DEFAULT_RESOLUTION
 
-    g, conj = gr.bounded_model(g0)
+    p = Pipeline(
+        g0, budget_dist, words=budget_words, resolution=resolution, band=VERIFY_BAND
+    )
     report = VerificationReport(
         group=g0.name or "custom",
         environment={
@@ -624,29 +615,22 @@ def cmd_verify(args) -> int:
     )
 
     try:
-        if g.metadata.get("geometrically_finite", True):
-            orbit = gr.enumerate_orbit(
-                g, budget_dist, slack=1.5, max_elements=budget_words
-            )
-            fit = ed.poincare_exponent(orbit)
-            delta_hat = float(fit.value)
+        if p.group.metadata.get("geometrically_finite", True):
+            delta_hat = p.delta
             report.environment["delta_hat"] = f"{delta_hat:.12g}"
-            report.environment["n_orbit"] = orbit.n
-            known = g.metadata.get("known_delta")
+            report.environment["n_orbit"] = p.orbit.n
+            known = p.group.metadata.get("known_delta")
             if known is not None:
                 report.rows.append(
                     ReportRow("poincare", float(known), delta_hat, tol["poincare"])
                 )
-            cloud = gr.sample_limit_set(g, resolution, orbit=orbit)
-            _verify_geometrically_finite(
-                g, orbit, delta_hat, cloud, tol, seed, report
-            )
+            _verify_geometrically_finite(p, tol, seed, report)
         else:
             # no growth fit here: infinitely generated groups reach the
             # word budget long before the distance horizon, so the
             # orbit-count curve has no stable exponential window
-            cloud = gr.sample_limit_set(g, resolution, max_elements=budget_words)
-            _verify_geometrically_infinite(g, cloud, tol, seed, report)
+            cloud = gr.sample_limit_set(p.group, resolution, max_elements=budget_words)
+            _verify_geometrically_infinite(p.group, cloud, tol, seed, report)
     except (ValueError, gr.CuspDetectionError) as e:
         report.rows.append(_error_row("pipeline", e))
 
@@ -685,15 +669,7 @@ def cmd_plot(args) -> int:
         return EXIT_OK
     if args.gasket:
         g = load_group(args.gasket)
-        resolution = args.resolution or DEFAULT_RESOLUTION
-        kwargs = {}
-        if args.budget_words:
-            kwargs["max_elements"] = args.budget_words
-        if args.budget_dist:
-            kwargs["max_dist"] = args.budget_dist
-        cloud = gr.sample_limit_set(g, target_resolution=resolution / 2.0, **kwargs)
-        if len(cloud.coords) == 0:
-            raise ComputeError("empty limit sample")
+        cloud = _sample_cloud(g, args)
         out = args.out or f"{g.name or 'group'}_limit.svg"
         _atomic_write(out, scatter_svg(cloud))
         print(f"wrote {out} ({len(cloud.coords)} points)")
@@ -722,12 +698,23 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Argument type for element budgets: an integer above zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="builtin name or JSON config path")
     p.add_argument("--out", help="output file path")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--budget-words", type=int, help="orbit enumeration element budget"
+        "--budget-words", type=_positive_int, help="orbit enumeration element budget"
     )
     p.add_argument(
         "--budget-dist", type=_positive_float, help="orbit enumeration distance budget"

@@ -31,16 +31,11 @@ smaller ball is a prefix of that order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.stats import linregress
-
-BALL = "ball"
-HALFSPACE = "halfspace"
 
 # estimators ignore scales below this multiple of the sampling resolution
 MIN_SCALE_FACTOR = 2.0
@@ -53,27 +48,22 @@ class PointCloud:
     """Finite sample of a boundary set.
 
     ``coords`` has one row per point: d columns of planar coordinates in
-    the halfspace model, d+1 columns of unit-sphere coordinates in the
-    ball model.  ``resolution`` is the scale down to which the sample is
-    trusted to resolve the underlying set.
+    the halfspace model.  ``resolution`` is the scale down to which the
+    sample is trusted to resolve the underlying set.
     """
 
     coords: np.ndarray
-    model: str
     d: int
     resolution: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if self.model not in (BALL, HALFSPACE):
-            raise ValueError(f"unknown model {self.model!r}")
         if self.d not in (1, 2):
             raise ValueError("boundary dimension must be 1 or 2")
-        expected = self.d if self.model == HALFSPACE else self.d + 1
-        if self.coords.shape[1] != expected:
+        if self.coords.shape[1] != self.d:
             raise ValueError(
-                f"{self.model} cloud with d={self.d} needs {expected} columns, "
+                f"cloud with d={self.d} needs {self.d} columns, "
                 f"got {self.coords.shape[1]}"
             )
         if not (self.resolution > 0):
@@ -89,45 +79,6 @@ class PointCloud:
             return 0.0
         span = self.coords.max(axis=0) - self.coords.min(axis=0)
         return float(np.linalg.norm(span))
-
-    def save(self, path: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        header = f"kleindim-cloud model={self.model} d={self.d} resolution={self.resolution!r}"
-        np.savetxt(tmp, self.coords, header=header, fmt="%.17g")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "PointCloud":
-        with open(path) as fh:
-            first = fh.readline()
-        if "kleindim-cloud" not in first:
-            raise ValueError(f"{path} is not a kleindim point cloud file")
-        fields = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
-        coords = np.loadtxt(path, ndmin=2)
-        return cls(
-            coords=coords,
-            model=fields["model"],
-            d=int(fields["d"]),
-            resolution=float(fields["resolution"]),
-            meta={"source": path},
-        )
-
-
-@dataclass(frozen=True)
-class CloudSummary:
-    n_points: int
-    extent: float
-    resolution: float
-    nn_median: float
-
-
-def summarize(cloud: PointCloud) -> CloudSummary:
-    nn = math.nan
-    if cloud.n >= 2:
-        tree = cKDTree(cloud.coords)
-        dd, _ = tree.query(cloud.coords, k=2)
-        nn = float(np.median(dd[:, 1]))
-    return CloudSummary(cloud.n, cloud.extent(), cloud.resolution, nn)
 
 
 @dataclass(frozen=True)

@@ -1185,7 +1185,6 @@ def sample_limit_set(
 
     return PointCloud(
         coords=coords,
-        model="halfspace",
         d=group.d,
         resolution=resolution,
         meta={
@@ -1243,7 +1242,6 @@ def _apollonian() -> GroupPresentation:
             "k_min": 1,
             "k_max": 1,
             "geometrically_finite": True,
-            "bounded_limit_set": True,
         },
     )
 
@@ -1270,7 +1268,6 @@ def _schottky(n_pairs: int = 2, separation: float = 3.0, radius: float = 1.0) ->
         metadata={
             "geometrically_finite": True,
             "parabolic_free": True,
-            "bounded_limit_set": True,
         },
     )
 
@@ -1292,7 +1289,6 @@ def _parabolic_cusp_fuchsian() -> GroupPresentation:
             "k_max": 1,
             "gap_point": 1.0,
             "geometrically_finite": True,
-            "bounded_limit_set": False,
         },
     )
 
@@ -1315,7 +1311,6 @@ def _rank2_cusp() -> GroupPresentation:
             "k_max": 2,
             "gap_point": 0.5,
             "geometrically_finite": True,
-            "bounded_limit_set": False,
         },
     )
 
@@ -1369,7 +1364,6 @@ def _infinite_fuchsian(
             "parabolic_free": True,
             "fixed_point_sampling": True,
             "resolution_floor": min_gap / 4.0,
-            "bounded_limit_set": True,
             "alpha": alpha,
             "beta": beta,
             "n_circles": n_circles,

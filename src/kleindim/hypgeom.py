@@ -520,11 +520,6 @@ def _boundary_fixed_points(g: MobiusMap, d: int) -> tuple[BoundaryPoint, ...]:
     return tuple(out)
 
 
-def conjugate(g: MobiusMap, h: MobiusMap) -> MobiusMap:
-    """h g h^-1."""
-    return h.compose(g).compose(h.inverse())
-
-
 # ---------------------------------------------------------------------------
 # horoballs
 # ---------------------------------------------------------------------------

@@ -104,14 +104,6 @@ class EmpiricalMeasure:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def atoms(self):
-        """The (boundary point, weight) view of the atom list."""
-        out = []
-        for row, wt in zip(self.coords, self.weights):
-            out.append((hg.BoundaryPoint(hg.HALFSPACE, tuple(row)), float(wt)))
-        return out
-
     def extent(self) -> float:
         span = self.coords.max(axis=0) - self.coords.min(axis=0)
         return float(np.linalg.norm(span))
@@ -120,7 +112,6 @@ class EmpiricalMeasure:
         """The atom positions as a point cloud, for the set estimators."""
         return PointCloud(
             coords=self.coords.copy(),
-            model=hg.HALFSPACE,
             d=self.d,
             resolution=self.resolution,
             meta=dict(self.provenance),
@@ -130,34 +121,6 @@ class EmpiricalMeasure:
         if self._tree is None:
             self._tree = cKDTree(self.coords)
         return self._tree
-
-    def save(self, path: str) -> None:
-        import os
-
-        tmp = f"{path}.tmp.{os.getpid()}"
-        header = (
-            f"kleindim-measure model=halfspace d={self.d} "
-            f"atom_count={self.n} resolution={self.resolution!r}"
-        )
-        table = np.column_stack([self.coords, self.weights])
-        np.savetxt(tmp, table, header=header, fmt="%.17g")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "EmpiricalMeasure":
-        with open(path) as fh:
-            first = fh.readline()
-        if "kleindim-measure" not in first:
-            raise ValueError(f"{path} is not a kleindim measure file")
-        fields = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
-        table = np.loadtxt(path, ndmin=2)
-        return cls(
-            coords=table[:, :-1],
-            weights=table[:, -1],
-            d=int(fields["d"]),
-            resolution=float(fields["resolution"]),
-            provenance={"source": path},
-        )
 
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
@@ -584,14 +547,6 @@ def regularity_exponents(
         value=best_lo[0], direction="lower", witness=best_lo[1], window=window
     )
     return upper, lower
-
-
-def upper_regularity(measure: EmpiricalMeasure, **kw) -> RegularityEstimate:
-    return regularity_exponents(measure, **kw)[0]
-
-
-def lower_regularity(measure: EmpiricalMeasure, **kw) -> RegularityEstimate:
-    return regularity_exponents(measure, **kw)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import kleindim.group as gr
 import kleindim.hypgeom as hg
 import kleindim.predict as predict
 import kleindim.psmeasure as ps
+from kleindim.pipeline import Pipeline
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -41,49 +42,22 @@ def report(label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def deep():
     """Deep gasket pipeline: orbit to distance 11, family, banded measure."""
-    g = gr.builtin_group("apollonian")
+    p = Pipeline(gr.builtin_group("apollonian"), 11.0)
     t0 = time.perf_counter()
-    orbit = gr.enumerate_orbit(g, 11.0, slack=1.5, max_elements=4_000_000)
-    delta = float(ed.poincare_exponent(orbit).value)
+    delta = p.delta
     growth_seconds = time.perf_counter() - t0
-    cusps = gr.find_cusps(orbit)
-    family = gr.standard_horoballs(orbit, cusps)
-    cloud = gr.sample_limit_set(g, target_resolution=1e-3, orbit=orbit)
-    measure = ps.patterson_measure(g, orbit=orbit, band=3.5)
-    ctx = ps.GMFContext(delta=delta, family=family)
     return SimpleNamespace(
-        g=g,
-        orbit=orbit,
+        g=p.group,
+        orbit=p.orbit,
         delta=delta,
         growth_seconds=growth_seconds,
-        cusps=cusps,
-        family=family,
-        cloud=cloud,
-        measure=measure,
-        ctx=ctx,
+        cusps=p.cusps,
+        family=p.family,
+        cusp_points=p.cusp_points,
+        cloud=p.cloud,
+        measure=p.measure,
+        ctx=ps.GMFContext(delta=delta, family=p.family),
     )
-
-
-def deepest_cusp(cusps, family):
-    """The finite cusp whose family horoball is largest."""
-    best, best_size = None, 0.0
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        p = complex(c.point.coords[0], c.point.coords[1])
-        i = int(np.argmin(np.abs(family.bases - p)))
-        if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
-            best, best_size = c, float(family.sizes[i])
-    return best, best_size
-
-
-def finite_cusp_points(cusps) -> np.ndarray:
-    rows = [
-        [c.point.coords[0], c.point.coords[1]]
-        for c in cusps.cusps
-        if not c.point.is_infinity
-    ]
-    return np.asarray(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +151,7 @@ def test_criterion_02_growth_exponent(deep):
 def test_criterion_03_gasket_dimension_suite(deep):
     hi = ed.assouad_dimension(deep.cloud).value
     lo = ed.lower_dimension(deep.cloud, ratios=(4.0, 8.0, 16.0)).value
-    extras = finite_cusp_points(deep.cusps)
+    extras = np.array([point for _, _, point in deep.cusp_points])
     upper, _ = ps.regularity_exponents(
         deep.measure,
         radii=np.geomspace(0.6, 0.4, 3),
@@ -215,8 +189,7 @@ def test_criterion_03_gasket_dimension_suite(deep):
 
 
 def test_criterion_04_local_dimensions(deep):
-    cusp, _ = deepest_cusp(deep.cusps, deep.family)
-    p = np.array([cusp.point.coords[0], cusp.point.coords[1]])
+    _, cusp, p = deep.cusp_points[0]
     parabolic = ps.local_dimension(deep.measure, p, t_window=(1.0, 3.5)).slope
     target_p = 2.0 * deep.delta - cusp.rank
 
@@ -370,7 +343,7 @@ def test_criterion_06a_depth_dichotomies():
 
 
 def test_criterion_06b_squeeze_slope(deep):
-    cusp, size = deepest_cusp(deep.cusps, deep.family)
+    size, cusp, _ = deep.cusp_points[0]
     H = hg.Horoball(cusp.point, size, cusp.rank)
     rows = ps.squeeze_mass_check(deep.ctx, deep.measure, H)
     slope = float(
@@ -424,7 +397,6 @@ def thirds_cloud(depth: int) -> ed.PointCloud:
     mids = np.sort(lefts) + 0.5 * 3.0 ** -depth
     return ed.PointCloud(
         coords=mids[:, None],
-        model=ed.HALFSPACE,
         d=1,
         resolution=0.5 * 3.0 ** -depth,
     )
@@ -456,7 +428,6 @@ def test_criterion_07_oracle_estimators():
     gx, gy = np.meshgrid(xs, xs)
     lattice = ed.PointCloud(
         coords=np.column_stack([gx.ravel(), gy.ravel()]),
-        model=ed.HALFSPACE,
         d=2,
         resolution=1.0 / 512.0,
     )
@@ -512,7 +483,7 @@ def test_criterion_08_infinite_group_example():
 
 
 def test_criterion_09_excursion_witness(deep):
-    cusp, _ = deepest_cusp(deep.cusps, deep.family)
+    cusp = deep.cusp_points[0][1]
     spans = []
     for n in range(11, 21):
         _, t, T = ps.ureg_witness(deep.g, cusp, n, deep.family)

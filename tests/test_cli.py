@@ -28,7 +28,6 @@ def cantor_cloud(depth: int) -> ed.PointCloud:
         pts = np.concatenate([pts, pts + 3.0 * 4.0 ** -a])
     return ed.PointCloud(
         coords=np.sort(pts)[:, None],
-        model=ed.HALFSPACE,
         d=1,
         resolution=0.5 * 4.0 ** -depth,
     )
@@ -117,14 +116,13 @@ class TestCloudIO:
         rng = np.random.default_rng(3)
         cloud = ed.PointCloud(
             coords=rng.standard_normal((40, 2)),
-            model=ed.HALFSPACE,
             d=2,
             resolution=1.25e-3,
         )
         path = str(tmp_path / "cloud.csv")
         cli.write_cloud(path, cloud)
+        assert open(path).readlines()[2] == "# halfspace,2,0.00125\n"
         back = cli.read_cloud(path)
-        assert back.model == cloud.model
         assert back.d == cloud.d
         assert back.resolution == cloud.resolution
         assert np.array_equal(back.coords, cloud.coords)
@@ -134,6 +132,13 @@ class TestCloudIO:
         path.write_text("x,y\n0.1,0.2\n")
         with pytest.raises(cli.UsageError, match="not a kleindim cloud"):
             cli.read_cloud(str(path))
+
+    def test_rejects_other_model(self, tmp_path):
+        path = tmp_path / "ball.csv"
+        path.write_text("# kleindim-cloud\n# model,d,resolution\n# ball,2,0.01\n0,0,1\n")
+        with pytest.raises(cli.UsageError, match="not halfspace"):
+            cli.read_cloud(str(path))
+        assert cli.main(["dimension", str(path)]) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.UsageError, match="cannot read"):
@@ -145,8 +150,7 @@ class TestCloudIO:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
         cloud = ed.PointCloud(
-            coords=rng.uniform(-10, 10, size=(n, 3)),
-            model=ed.BALL,
+            coords=rng.uniform(-10, 10, size=(n, 2)),
             d=2,
             resolution=float(rng.uniform(1e-6, 1e-2)),
         )
@@ -249,6 +253,8 @@ class TestExitCodes:
             ["--budget-dist", "0"],
             ["--budget-dist", "-2.5"],
             ["--budget-dist", "far"],
+            ["--budget-words", "0"],
+            ["--budget-words", "-3"],
         ],
     )
     def test_nonpositive_scales_and_budgets(self, flags, capsys):
@@ -308,8 +314,8 @@ class TestGenerate:
 
     def test_zero_word_budget(self, capsys):
         code = cli.main(["generate", "schottky", "--budget-words", "0"])
-        assert code == 2
-        assert "empty limit sample" in capsys.readouterr().err
+        assert code == 1
+        assert "must be positive" in capsys.readouterr().err
 
 
 class TestDimension:
@@ -352,7 +358,6 @@ class TestDimension:
             path,
             ed.PointCloud(
                 coords=np.array([[0.25, 0.75]]),
-                model=ed.HALFSPACE,
                 d=2,
                 resolution=1e-3,
             ),

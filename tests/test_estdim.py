@@ -35,7 +35,6 @@ def cantor_cloud(depth: int) -> ed.PointCloud:
         pts = np.concatenate([pts, pts + 3.0 * 4.0 ** -a])
     return ed.PointCloud(
         coords=np.sort(pts)[:, None],
-        model=ed.HALFSPACE,
         d=1,
         resolution=0.5 * 4.0 ** -depth,
     )
@@ -46,7 +45,6 @@ def grid_cloud(side: int) -> ed.PointCloud:
     gx, gy = np.meshgrid(xs, xs)
     return ed.PointCloud(
         coords=np.column_stack([gx.ravel(), gy.ravel()]),
-        model=ed.HALFSPACE,
         d=2,
         resolution=1e-4,
     )
@@ -56,60 +54,20 @@ class TestPointCloud:
     def test_validation(self):
         good = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            ed.PointCloud(coords=good, model="klein", d=2, resolution=0.1)
+            ed.PointCloud(coords=good, d=3, resolution=0.1)
         with pytest.raises(ValueError):
-            ed.PointCloud(coords=good, model=ed.HALFSPACE, d=3, resolution=0.1)
+            ed.PointCloud(coords=good, d=1, resolution=0.1)
         with pytest.raises(ValueError):
-            ed.PointCloud(coords=good, model=ed.HALFSPACE, d=1, resolution=0.1)
-        with pytest.raises(ValueError):
-            ed.PointCloud(coords=good, model=ed.BALL, d=2, resolution=0.1)
-        with pytest.raises(ValueError):
-            ed.PointCloud(coords=good, model=ed.HALFSPACE, d=2, resolution=0.0)
+            ed.PointCloud(coords=good, d=2, resolution=0.0)
 
     def test_extent_is_bbox_diagonal(self):
         c = ed.PointCloud(
             coords=np.array([[0.0, 0.0], [3.0, 4.0]]),
-            model=ed.HALFSPACE,
             d=2,
             resolution=0.1,
         )
         assert c.extent() == pytest.approx(5.0)
         assert c.n == 2
-
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        c = ed.PointCloud(
-            coords=rng.normal(size=(40, 2)),
-            model=ed.HALFSPACE,
-            d=2,
-            resolution=0.015625,
-        )
-        path = str(tmp_path / "cloud.txt")
-        c.save(path)
-        back = ed.PointCloud.load(path)
-        assert back.model == c.model
-        assert back.d == c.d
-        assert back.resolution == c.resolution
-        np.testing.assert_array_equal(back.coords, c.coords)
-        assert back.meta["source"] == path
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.txt"
-        path.write_text("# some other table\n0 1\n")
-        with pytest.raises(ValueError):
-            ed.PointCloud.load(str(path))
-
-    def test_summarize(self):
-        c = ed.PointCloud(
-            coords=np.array([[0.0], [1.0], [3.0]]),
-            model=ed.HALFSPACE,
-            d=1,
-            resolution=0.1,
-        )
-        s = ed.summarize(c)
-        assert s.n_points == 3
-        assert s.extent == pytest.approx(3.0)
-        assert s.nn_median == pytest.approx(1.0)
 
     def test_dimension_estimate_floats(self):
         est = ed.DimensionEstimate(value=1.25, method="box")
@@ -164,7 +122,6 @@ class TestBoxDimension:
     def test_interval_and_square(self):
         line = ed.PointCloud(
             coords=np.linspace(0.0, 1.0, 4001)[:, None],
-            model=ed.HALFSPACE,
             d=1,
             resolution=1e-4,
         )
@@ -181,7 +138,6 @@ class TestBoxDimension:
     def test_needs_enough_scales(self):
         coarse = ed.PointCloud(
             coords=np.linspace(0.0, 1.0, 30)[:, None],
-            model=ed.HALFSPACE,
             d=1,
             resolution=0.2,
         )
@@ -226,7 +182,6 @@ class TestTwoScaleDimensions:
     def test_no_admissible_scales_raises(self):
         cloud = ed.PointCloud(
             coords=np.linspace(0.0, 1.0, 50)[:, None],
-            model=ed.HALFSPACE,
             d=1,
             resolution=0.2,
         )
@@ -239,7 +194,6 @@ class TestTwoScaleDimensions:
         rng = np.random.default_rng(seed)
         cloud = ed.PointCloud(
             coords=rng.random((int(rng.integers(30, 120)), 2)),
-            model=ed.HALFSPACE,
             d=2,
             resolution=1e-3,
         )
@@ -319,7 +273,7 @@ def random_cloud(seed: int, n: int, d: int) -> ed.PointCloud:
     rng = np.random.default_rng(seed)
     # a clustered sample, so balls of one radius hold very different counts
     coords = rng.random((n, d)) ** 3
-    return ed.PointCloud(coords=coords, model=ed.HALFSPACE, d=d, resolution=1e-3)
+    return ed.PointCloud(coords=coords, d=d, resolution=1e-3)
 
 
 def lattice_cloud(side: int) -> ed.PointCloud:
@@ -330,7 +284,6 @@ def lattice_cloud(side: int) -> ed.PointCloud:
     gx, gy = np.meshgrid(xs, xs)
     return ed.PointCloud(
         coords=np.column_stack([gx.ravel(), gy.ravel()]),
-        model=ed.HALFSPACE,
         d=2,
         resolution=0.01,
     )

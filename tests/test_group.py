@@ -328,7 +328,6 @@ class TestSampling:
         g = gr.builtin_group("apollonian")
         cloud = gr.sample_limit_set(g, target_resolution=0.05)
         assert cloud.d == 2
-        assert cloud.model == "halfspace"
         assert cloud.resolution == 0.05
         # a 0.05-net of the gasket needs on the order of 20^1.3 points
         assert cloud.n > 30

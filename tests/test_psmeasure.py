@@ -130,30 +130,6 @@ class TestEmpiricalMeasure:
         assert cloud.resolution == mu.resolution
         assert np.array_equal(cloud.coords, mu.coords)
 
-    def test_atoms_view(self):
-        mu = grid_measure(4)
-        atoms = mu.atoms
-        assert len(atoms) == 4
-        pt, wt = atoms[0]
-        assert isinstance(pt, hg.BoundaryPoint)
-        assert wt == pytest.approx(0.25)
-
-    def test_save_load_round_trip(self, tmp_path):
-        mu = cantor_measure(6)
-        path = str(tmp_path / "cantor.measure")
-        mu.save(path)
-        back = ps.EmpiricalMeasure.load(path)
-        assert back.d == mu.d
-        assert back.resolution == mu.resolution
-        assert np.allclose(back.coords, mu.coords, rtol=0, atol=0)
-        assert np.allclose(back.weights, mu.weights, rtol=1e-15)
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("# some other table\n0 1\n")
-        with pytest.raises(ValueError, match="not a kleindim measure"):
-            ps.EmpiricalMeasure.load(str(path))
-
     @settings(max_examples=25)
     @given(st.integers(0, 10_000))
     def test_normalization_ignores_weight_scale(self, seed):
