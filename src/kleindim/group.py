@@ -9,8 +9,8 @@ the element list is believed exhaustive.
 
 On top of the enumeration sit parabolic/cusp detection with rank
 computation, construction of a disjoint invariant horoball family (one
-reference horoball per detected cusp orbit, shrunk by a dyadic factor
-until disjoint), and limit set sampling by radial projection.
+reference horoball per detected cusp orbit, shrunk by the dyadic factor
+that makes it disjoint), and limit set sampling by radial projection.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ NONDISCRETE_RADIUS = 0.5
 DEFAULT_SLACK = 2.5
 # rows of the frontier expanded per vectorized chunk
 EXPAND_CHUNK = 200_000
+# rows of a chunk multiplied at a time, so the products' temporaries
+# stay in cache
+PRODUCT_BLOCK = 1024
+# the dyadic squeeze of a horoball family stops at theta = 2^-MAX_SHRINK_STEPS
+MAX_SHRINK_STEPS = 40
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -204,6 +209,35 @@ class OrbitData:
         return proj, finite
 
 
+def _products(chunk: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Every product ``chunk[f] @ gens[k]``, in (frontier, letter) row order.
+
+    Bit for bit what ``np.einsum("fij,kjl->fkil", chunk, gens)`` returns,
+    signed zeros, infinities and NaNs included: each entry is einsum's
+    sum, from zero, of two complex products written out on the real and
+    imaginary planes.  Rows are multiplied one cache-sized block at a
+    time, straight into the output.
+    """
+    k = len(gens)
+    # row j of every generator, flattened over (letter, column)
+    g0r, g0i = gens.real[:, 0].reshape(1, 1, -1), gens.imag[:, 0].reshape(1, 1, -1)
+    g1r, g1i = gens.real[:, 1].reshape(1, 1, -1), gens.imag[:, 1].reshape(1, 1, -1)
+    out = np.empty((len(chunk), k, 2, 2), dtype=complex)
+    for s in range(0, len(chunk), PRODUCT_BLOCK):
+        block = chunk[s : s + PRODUCT_BLOCK]
+        a0r, a0i = block.real[:, :, 0, None], block.imag[:, :, 0, None]
+        a1r, a1i = block.real[:, :, 1, None], block.imag[:, :, 1, None]
+        # "+ 0.0" turns a first product of -0.0 into +0.0, as einsum's
+        # zero-started sum does
+        re = ((a0r * g0r - a0i * g0i) + 0.0) + (a1r * g1r - a1i * g1i)
+        im = ((a0r * g0i + a0i * g0r) + 0.0) + (a1r * g1i + a1i * g1r)
+        # (row, i, letter, l) -> (row, letter, i, l)
+        dst = out[s : s + PRODUCT_BLOCK]
+        dst.real = re.reshape(len(block), 2, k, 2).transpose(0, 2, 1, 3)
+        dst.imag = im.reshape(len(block), 2, k, 2).transpose(0, 2, 1, 3)
+    return out.reshape(-1, 2, 2)
+
+
 def _generator_stack(group: GroupPresentation) -> np.ndarray:
     mats = []
     for g in group.generators:
@@ -305,7 +339,7 @@ def enumerate_orbit(
                 break
             chunk = frontier[start : start + EXPAND_CHUNK]
             chunk_last = frontier_last[start : start + EXPAND_CHUNK]
-            cand = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
+            cand = _products(chunk, gens)
             letters = np.tile(np.arange(n_letters, dtype=np.uint8), len(chunk))
             parents = np.repeat(np.arange(len(chunk)), n_letters)
             ok = letters != (np.repeat(chunk_last, n_letters) ^ 1)
@@ -842,13 +876,57 @@ def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFi
     return uf
 
 
+def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[float]) -> float:
+    """The dyadic squeeze theta = 2^-m of a raw horoball family.
+
+    m is the smallest exponent that makes the squeezed members pairwise
+    disjoint (overlap ratio at most 1 + 1e-6) and keeps the base point at
+    height 1 strictly outside all of them.  A squeeze by theta = 2^-m
+    scales every pairwise overlap ratio by exactly theta^2 and every base
+    ratio by exactly theta, so one overlap scan of the raw family decides
+    every candidate m: m is read off in closed form, and the loop only
+    absorbs the rounding of the logarithms.
+    """
+    worst = _max_overlap_ratio(bases, sizes, inf_height)
+    # the enumeration base at height 1 must stay strictly outside every
+    # member, else rays have no horoball-free start and escape depths
+    # lose their normalization; a finite ball swallows it exactly when
+    # its diameter exceeds 1 + |base|^2
+    finite_ratio = float((sizes / (1.0 + np.abs(bases) ** 2)).max()) if len(sizes) else 0.0
+    base_ratio = finite_ratio
+    if inf_height is not None:
+        base_ratio = max(base_ratio, 1.0 / inf_height)
+    if not math.isfinite(worst):
+        m = MAX_SHRINK_STEPS + 1  # two members share a base point
+    else:
+        m = 0
+        if worst > 1.0 + 1e-6:
+            m = math.ceil(math.log(worst) / math.log(4.0))
+        if base_ratio > 1.0 - 1e-6:
+            m = max(m, 1, math.ceil(math.log2(base_ratio / (1.0 - 1e-6))))
+    while m <= MAX_SHRINK_STEPS:
+        theta = 2.0**-m
+        ok = worst * theta * theta <= 1.0 + 1e-6
+        ok &= finite_ratio * theta <= 1.0 - 1e-6
+        if inf_height is not None:
+            ok &= inf_height / theta >= 1.0 + 1e-6
+        if ok:
+            break
+        m += 1
+    if m > MAX_SHRINK_STEPS:
+        raise CuspDetectionError(
+            f"family needs theta below 2^-{MAX_SHRINK_STEPS}; "
+            "the input looks degenerate"
+        )
+    return theta
+
+
 def standard_horoballs(
     orbit: OrbitData,
     cusps: Optional[CuspSummary] = None,
     *,
     dedup_grid: float = 1e-9,
     size_rel_tol: float = 1e-6,
-    max_shrink_steps: int = 40,
 ) -> HoroballFamily:
     """Invariant disjoint horoball family from enumerated group elements.
 
@@ -857,7 +935,11 @@ def standard_horoballs(
     If two references turn out to generate horoballs at the same base
     point with different sizes, that proves the two detected orbits are
     really one; the later reference is dropped and construction restarts.
-    Finally the family is squeezed by a dyadic theta until disjoint.
+    Finally every member is shrunk by one dyadic theta = 2^-m, with m read
+    in closed form off a single overlap scan of the unsqueezed family: the
+    smallest m that makes the members pairwise disjoint and keeps the base
+    point at height 1 outside all of them.  A second scan of the squeezed
+    family guards the result.
     """
     if cusps is None:
         cusps = find_cusps(orbit)
@@ -949,35 +1031,7 @@ def standard_horoballs(
             inf_rank = int(inf_h[0][1])
         break
 
-    worst = _max_overlap_ratio(bases, sizes, inf_height)
-    # the enumeration base at height 1 must stay strictly outside every
-    # member, else rays have no horoball-free start and escape depths
-    # lose their normalization; a finite ball swallows it exactly when
-    # its diameter exceeds 1 + |base|^2
-    base_ratio = float((sizes / (1.0 + np.abs(bases) ** 2)).max()) if len(sizes) else 0.0
-    if inf_height is not None:
-        base_ratio = max(base_ratio, 1.0 / inf_height)
-    m = 0
-    if worst > 1.0 + 1e-6:
-        m = math.ceil(math.log(worst) / math.log(4.0))
-    if base_ratio > 1.0 - 1e-6:
-        m = max(m, 1, math.ceil(math.log2(base_ratio / (1.0 - 1e-6))))
-    while m <= max_shrink_steps:
-        theta = 2.0**-m if m else 1.0
-        ih = None if inf_height is None else inf_height / theta
-        ok = _max_overlap_ratio(bases, sizes * theta, ih) <= 1.0 + 1e-6
-        if len(sizes):
-            ok &= float((sizes * theta / (1.0 + np.abs(bases) ** 2)).max()) <= 1.0 - 1e-6
-        if ih is not None:
-            ok &= ih >= 1.0 + 1e-6
-        if ok:
-            break
-        m += 1
-    if m > max_shrink_steps:
-        raise CuspDetectionError(
-            f"family needs theta below 2^-{max_shrink_steps}; "
-            "the input looks degenerate"
-        )
+    theta = _squeeze_theta(bases, sizes, inf_height)
     fam = HoroballFamily(
         bases=bases,
         sizes=sizes * theta,
@@ -1111,7 +1165,8 @@ def sample_limit_set(
     ``fixed_point_sampling`` (sparse, very non-uniform orbit growth) also
     contribute the boundary fixed points of every enumerated element.
     The declared resolution of the returned cloud degrades to match the
-    enumeration horizon when a budget truncated the walk, and never goes
+    enumeration horizon whenever the orbit stops short of
+    log(1/resolution), by a budget or by its own distance, and never goes
     below the presentation's ``resolution_floor``.
     """
     if not (0 < target_resolution < 1):
@@ -1156,7 +1211,7 @@ def sample_limit_set(
         pts = np.concatenate([pts, fps, np.asarray(gen_fps, dtype=complex)])
 
     resolution = target_resolution
-    if orbit.truncated and orbit.t_valid < t_cut and not include_fixed_points:
+    if orbit.t_valid < t_cut and not include_fixed_points:
         resolution = max(resolution, 2.0 * math.exp(-orbit.t_valid))
     floor = group.metadata.get("resolution_floor")
     if floor is not None:

@@ -26,15 +26,29 @@ ORBIT_SLACK = 1.5
 
 def deepest_cusp_points(cusps: gr.CuspSummary, family: gr.HoroballFamily) -> list:
     """(family ball size, cusp, boundary point as a d-length array) for
-    each finite cusp, deepest family ball first."""
+    each finite cusp, deepest family ball first.
+
+    A cusp's ball is the member based nearest to it, the lowest index
+    on ties, if that base lies within 1e-8; otherwise the size is 0.
+    """
+    # family bases are complex, with zero imaginary part when d=1; a base
+    # within 1e-8 of the cusp has its real part within 1e-8 too, so only
+    # the members in a slightly wider strip of real parts are compared
+    order = np.argsort(family.bases.real, kind="stable")
+    keys = family.bases.real[order]
     rows = []
     for c in cusps.cusps:
         if c.point.is_infinity:
             continue
-        # family bases are complex, with zero imaginary part when d=1
         z = complex(*c.point.coords)
-        i = int(np.argmin(np.abs(family.bases - z)))
-        size = float(family.sizes[i]) if abs(family.bases[i] - z) < 1e-8 else 0.0
+        lo, hi = np.searchsorted(keys, [z.real - 2e-8, z.real + 2e-8])
+        near = np.sort(order[lo:hi])
+        size = 0.0
+        if len(near):
+            gap = np.abs(family.bases[near] - z)
+            j = int(np.argmin(gap))
+            if gap[j] < 1e-8:
+                size = float(family.sizes[near[j]])
         rows.append((size, c, np.array(c.point.coords)))
     rows.sort(key=lambda t: -t[0])
     return rows

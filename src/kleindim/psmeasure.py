@@ -311,7 +311,7 @@ class GMFContext:
     def __post_init__(self) -> None:
         if not (self.delta > 0):
             raise ValueError("delta must be positive")
-        ranks = set(int(r) for r in self.family.ranks)
+        ranks = set(np.unique(self.family.ranks).tolist())
         if self.family.inf_height is not None:
             ranks.add(int(self.family.inf_rank))
         for k in sorted(ranks):

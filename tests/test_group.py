@@ -7,6 +7,7 @@ import pytest
 
 import kleindim.hypgeom as hg
 from kleindim import group as gr
+from kleindim.pipeline import Pipeline
 
 
 def brute_force_elements(group, max_len):
@@ -34,6 +35,31 @@ def brute_force_elements(group, max_len):
                     nxt.append((wa, j))
         frontier = nxt
     return seen
+
+
+def _shrink_loop_theta(bases, sizes, inf_height):
+    """The squeeze by repeated overlap scans, one per candidate theta."""
+    worst = gr._max_overlap_ratio(bases, sizes, inf_height)
+    base_ratio = float((sizes / (1.0 + np.abs(bases) ** 2)).max()) if len(sizes) else 0.0
+    if inf_height is not None:
+        base_ratio = max(base_ratio, 1.0 / inf_height)
+    m = 0
+    if worst > 1.0 + 1e-6:
+        m = math.ceil(math.log(worst) / math.log(4.0))
+    if base_ratio > 1.0 - 1e-6:
+        m = max(m, 1, math.ceil(math.log2(base_ratio / (1.0 - 1e-6))))
+    while m <= 40:
+        theta = 2.0**-m if m else 1.0
+        ih = None if inf_height is None else inf_height / theta
+        ok = gr._max_overlap_ratio(bases, sizes * theta, ih) <= 1.0 + 1e-6
+        if len(sizes):
+            ok &= float((sizes * theta / (1.0 + np.abs(bases) ** 2)).max()) <= 1.0 - 1e-6
+        if ih is not None:
+            ok &= ih >= 1.0 + 1e-6
+        if ok:
+            return theta
+        m += 1
+    raise AssertionError("no theta down to 2^-40")
 
 
 class TestEnumeration:
@@ -118,6 +144,47 @@ class TestEnumeration:
             assert all(
                 word[i + 1] != word[i] ^ 1 for i in range(len(word) - 1)
             )
+
+    def test_products_equal_einsum_on_random_chunks(self):
+        rng = np.random.default_rng(5)
+        gens = gr._generator_stack(gr.builtin_group("apollonian"))
+        for rows in (1, 7, 2 * gr.PRODUCT_BLOCK + 3):
+            chunk = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+            # signed zeros in both planes, as real generators produce
+            chunk.real[rng.random(chunk.shape) < 0.2] = -0.0
+            chunk.imag[rng.random(chunk.shape) < 0.4] = -0.0
+            oracle = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
+            got = gr._products(chunk, gens)
+            assert got.shape == oracle.shape
+            assert got.tobytes() == oracle.tobytes()
+
+    def test_products_equal_einsum_near_overflow(self):
+        rng = np.random.default_rng(6)
+        gens = gr._generator_stack(gr.builtin_group("apollonian"))
+        chunk = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        chunk *= 10.0 ** rng.uniform(150, 155, size=(500, 1, 1))
+        oracle = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = gr._products(chunk, gens)
+            assert np.array_equal(got, oracle, equal_nan=True)
+            kept_oracle = np.isfinite(gr._orbit_dists(oracle))
+            kept = np.isfinite(gr._orbit_dists(got))
+        # the walk drops the overflowing rows, and only those
+        assert 0 < kept.sum() < len(kept)
+        assert np.array_equal(kept, kept_oracle)
+
+    def test_walk_equals_the_einsum_walk(self, monkeypatch):
+        g = gr.builtin_group("apollonian")
+        orb = gr.enumerate_orbit(g, 8.0)
+        monkeypatch.setattr(
+            gr,
+            "_products",
+            lambda chunk, gens: np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2),
+        )
+        oracle = gr.enumerate_orbit(g, 8.0)
+        assert orb.matrices.tobytes() == oracle.matrices.tobytes()
+        assert orb.dists.tobytes() == oracle.dists.tobytes()
+        assert np.array_equal(orb.word_lengths, oracle.word_lengths)
 
     def test_requires_some_budget(self):
         g = gr.builtin_group("schottky")
@@ -316,6 +383,69 @@ class TestHoroballs:
         assert abs(depth[0] - math.log(4.0)) < 1e-12
         assert rank[0] == 2
 
+    @pytest.mark.parametrize(
+        "name, dist",
+        [("apollonian", 7.0), ("rank2_cusp", 8.0), ("parabolic_cusp_fuchsian", 8.0)],
+    )
+    def test_squeeze_matches_the_shrink_loop(self, monkeypatch, name, dist):
+        orb = gr.enumerate_orbit(gr.builtin_group(name), dist)
+        cs = gr.find_cusps(orb)
+        fam = gr.standard_horoballs(orb, cs)
+        monkeypatch.setattr(gr, "_squeeze_theta", _shrink_loop_theta)
+        oracle = gr.standard_horoballs(orb, cs)
+        assert fam.theta == oracle.theta
+        assert fam.inf_height == oracle.inf_height
+        assert np.array_equal(fam.bases, oracle.bases)
+        assert np.array_equal(fam.sizes, oracle.sizes)
+        assert np.array_equal(fam.ranks, oracle.ranks)
+        if name == "rank2_cusp":
+            assert fam.inf_height is not None
+
+    @pytest.mark.parametrize(
+        "bases, sizes, inf_height",
+        [
+            # worst overlap exactly 4^2, far from the base point
+            ([100.0, 101.0], [4.0, 4.0], None),
+            # worst overlap exactly 4^5
+            ([50.0 + 50.0j, 51.0 + 50.0j], [32.0, 32.0], None),
+            # the base point decides: one large ball under it
+            ([0.0, 40.0], [5.0, 0.01], None),
+            # ... one ulp above 2^4 (1 - 1e-6): the logarithm rounds to
+            # m = 4, the re-check bumps it to 5
+            ([0.0, 40.0], [np.nextafter(16.0 * (1.0 - 1e-6), 17.0), 0.01], None),
+            # the plane at infinity decides
+            ([30.0], [0.1], 0.3),
+            ([30.0], [0.1], 0.5),
+            # no squeeze needed
+            ([3.0, 9.0], [0.5, 0.5], 4.0),
+        ],
+    )
+    def test_squeeze_on_synthetic_families(self, bases, sizes, inf_height):
+        b = np.asarray(bases, dtype=complex)
+        s = np.asarray(sizes)
+        assert gr._squeeze_theta(b, s, inf_height) == _shrink_loop_theta(b, s, inf_height)
+
+    def test_degenerate_squeeze_raises(self):
+        # an overlap beyond 4^40, and two members sharing a base point
+        for bases, sizes in [([100.0, 101.0], [2.0**41, 2.0**41]), ([0.5, 0.5], [1e-10, 2e-10])]:
+            with pytest.raises(gr.CuspDetectionError, match="theta below 2"):
+                gr._squeeze_theta(np.asarray(bases, dtype=complex), np.asarray(sizes), None)
+
+    def test_family_scans_overlaps_twice(self, monkeypatch):
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 6.0)
+        cs = gr.find_cusps(orb)
+        calls = []
+        scan = gr._max_overlap_ratio
+
+        def counted(*args):
+            calls.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(gr, "_max_overlap_ratio", counted)
+        gr.standard_horoballs(orb, cs)
+        # one scan picks theta, one guards the squeezed family
+        assert len(calls) == 2
+
     def test_no_cusps_raises(self):
         g = gr.builtin_group("schottky")
         orb = gr.enumerate_orbit(g, max_dist=6.0)
@@ -369,6 +499,13 @@ class TestSampling:
         for x in xs:
             assert np.abs(cloud.coords[:, 0] - x).min() < 0.01
         assert cloud.resolution >= g.metadata["resolution_floor"]
+
+    def test_shallow_complete_orbit_degrades_resolution(self):
+        # the orbit is complete to distance 6, short of log(1/1e-3)
+        cloud = Pipeline(gr.builtin_group("apollonian"), 6.0).cloud
+        assert not cloud.meta["orbit_truncated"]
+        assert cloud.meta["t_valid"] == 6.0
+        assert cloud.resolution >= 2.0 * math.exp(-6.0)
 
     def test_resolution_validation(self):
         g = gr.builtin_group("schottky")

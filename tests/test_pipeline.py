@@ -1,11 +1,36 @@
 """Tests for the lazily built estimation chain."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 import kleindim.estdim as ed
 import kleindim.group as gr
+import kleindim.hypgeom as hg
 import kleindim.psmeasure as ps
-from kleindim.pipeline import Pipeline
+from kleindim.pipeline import Pipeline, deepest_cusp_points
+
+
+def _argmin_cusp_points(cusps, family):
+    """deepest_cusp_points by a full pass over the family per cusp."""
+    rows = []
+    for c in cusps.cusps:
+        if c.point.is_infinity:
+            continue
+        z = complex(*c.point.coords)
+        i = int(np.argmin(np.abs(family.bases - z)))
+        size = float(family.sizes[i]) if abs(family.bases[i] - z) < 1e-8 else 0.0
+        rows.append((size, c, np.array(c.point.coords)))
+    rows.sort(key=lambda t: -t[0])
+    return rows
+
+
+def _assert_same_rows(got, oracle):
+    assert len(got) == len(oracle)
+    for (s, c, x), (s0, c0, x0) in zip(got, oracle):
+        assert s == s0 and c is c0
+        assert x.tobytes() == x0.tobytes()
 
 
 def test_stages_equal_the_hand_built_chain():
@@ -45,3 +70,37 @@ def test_reading_the_cloud_leaves_the_family_unbuilt():
     assert p.cloud.n > 0
     assert "orbit" in vars(p)
     assert "family" not in vars(p) and "cusp_points" not in vars(p)
+
+
+@pytest.mark.parametrize("name", ["apollonian", "parabolic_cusp_fuchsian"])
+def test_deepest_cusp_points_match_the_argmin_oracle(name):
+    p = Pipeline(gr.builtin_group(name), 7.0)
+    c = p.cusps.cusps[0]
+    # a cusp with no family base within 1e-8 gets size 0
+    coords = (0.123456,) if p.group.d == 1 else (0.123456, -0.654321)
+    stray = dataclasses.replace(c, point=hg.BoundaryPoint(hg.HALFSPACE, coords))
+    cusps = dataclasses.replace(p.cusps, cusps=p.cusps.cusps + (stray,))
+    rows = deepest_cusp_points(cusps, p.family)
+    _assert_same_rows(rows, _argmin_cusp_points(cusps, p.family))
+    assert rows[-1][1] is stray and rows[-1][0] == 0.0
+    assert rows[0][0] > 0
+
+
+def test_deepest_cusp_points_take_the_lowest_index_on_ties():
+    # the two nearest bases lie exactly 2^-30 from z, the one with the
+    # lower index on the side of larger real parts
+    z = 0.25 + 0.5j
+    family = gr.HoroballFamily(
+        bases=np.array([z + 2.0**-30, z - 2.0**-30, z + 2.0**-29 * 1j, 2.0]),
+        sizes=np.array([0.4, 0.1, 0.3, 0.5]),
+        ranks=np.ones(4, dtype=np.int32),
+        d=2,
+    )
+    p = Pipeline(gr.builtin_group("apollonian"), 4.0)
+    c = dataclasses.replace(
+        p.cusps.cusps[0], point=hg.BoundaryPoint(hg.HALFSPACE, (z.real, z.imag))
+    )
+    cusps = dataclasses.replace(p.cusps, cusps=(c,))
+    rows = deepest_cusp_points(cusps, family)
+    _assert_same_rows(rows, _argmin_cusp_points(cusps, family))
+    assert rows[0][0] == 0.4
