@@ -423,54 +423,63 @@ def cmd_dimension(args) -> int:
     return EXIT_OK
 
 
+def _add_rows(report, names, predicted, tol, estimate, direction="abs"):
+    """Append one row per name, holding the values ``estimate()`` returns
+    against ``predicted[name]``, or one error row per name if it raises
+    a ``ValueError``."""
+    try:
+        values = estimate()
+    except ValueError as e:
+        report.rows.extend(_error_row(name, e) for name in names)
+        return
+    for name, value in zip(names, values):
+        report.rows.append(
+            ReportRow(name, predicted[name], value, tol[name], direction)
+        )
+
+
 def _verify_geometrically_finite(p, tol, seed, report):
     cloud, delta_hat, cusps = p.cloud, p.delta, p.cusps
-    if cusps.has_cusps:
-        profile = predict.GroupProfile(
-            delta=delta_hat, k_min=cusps.k_min, k_max=cusps.k_max, d=p.group.d
-        )
-    else:
-        profile = predict.GroupProfile(
-            delta=delta_hat, k_min=0, k_max=0, d=p.group.d, parabolic_free=True
-        )
+    profile = predict.GroupProfile(
+        delta=delta_hat,
+        k_min=cusps.k_min or 0,
+        k_max=cusps.k_max or 0,
+        d=p.group.d,
+        parabolic_free=not cusps.has_cusps,
+    )
     report.profile = profile
-    predicted = predict.predict_dims(profile)
+    predicted = vars(predict.predict_dims(profile))
 
-    try:
-        box = ed.box_dimension(
-            cloud,
-            scales=np.geomspace(
-                cloud.extent() / 16.0,
-                max(10.0 * cloud.resolution, cloud.extent() / 256.0),
-                10,
-            ),
-        )
-        report.rows.append(
-            ReportRow("dim_H", predicted.dim_H, box.value, tol["dim_H"])
-        )
-    except ValueError as e:
-        report.rows.append(_error_row("dim_H", e))
-    try:
-        est = ed.assouad_dimension(cloud, seed=seed)
-        report.rows.append(ReportRow("dim_A", predicted.dim_A, est.value, tol["dim_A"]))
-    except ValueError as e:
-        report.rows.append(_error_row("dim_A", e))
-    try:
-        # smaller ratios push the window floor deep enough that the
-        # thin cusp horns, where the lower dimension is attained, are
-        # seen; the wide default window never leaves the typical part
-        est = ed.lower_dimension(cloud, ratios=(4.0, 8.0, 16.0), seed=seed)
-        report.rows.append(ReportRow("dim_L", predicted.dim_L, est.value, tol["dim_L"]))
-    except ValueError as e:
-        report.rows.append(_error_row("dim_L", e))
+    def box():
+        extent = cloud.extent()
+        if extent <= 0.0:
+            raise ValueError(
+                "budget leaves a limit sample of zero extent; raise --budget-dist"
+            )
+        bottom = max(10.0 * cloud.resolution, extent / 256.0)
+        scales = np.geomspace(extent / 16.0, bottom, 10)
+        return [ed.box_dimension(cloud, scales=scales).value]
+
+    def assouad():
+        return [ed.assouad_dimension(cloud, seed=seed).value]
+
+    def lower():
+        # smaller ratios push the window floor deep enough that the thin
+        # cusp horns, where the lower dimension is attained, are seen;
+        # the wide default window never leaves the typical part
+        return [ed.lower_dimension(cloud, ratios=(4.0, 8.0, 16.0), seed=seed).value]
+
+    _add_rows(report, ["dim_H"], predicted, tol, box)
+    _add_rows(report, ["dim_A"], predicted, tol, assouad)
+    _add_rows(report, ["dim_L"], predicted, tol, lower)
 
     # measure stages: deep-band empirical measure, regularity sweep in
     # the window the finite budget actually supports, local dimensions
     try:
         mu = p.measure
     except ValueError as e:
-        for name in ("upper_reg", "lower_reg", "sup_upper_loc", "inf_lower_loc"):
-            report.rows.append(_error_row(name, e))
+        names = ("upper_reg", "lower_reg", "sup_upper_loc", "inf_lower_loc")
+        report.rows.extend(_error_row(name, e) for name in names)
         return
 
     cusp_rows = []
@@ -484,7 +493,7 @@ def _verify_geometrically_finite(p, tol, seed, report):
         # neighbourhoods and mass ratios there read too steep
         wall_t = (p.orbit.t_valid - p.band) / 2.0
 
-    try:
+    def regularity():
         r_floor = 2.0 * mu.resolution
         if wall_t is not None:
             r_floor = max(r_floor, math.exp(-wall_t))
@@ -507,89 +516,48 @@ def _verify_geometrically_finite(p, tol, seed, report):
             extra_centers=extras,
             seed=seed,
         )
-        report.rows.append(
-            ReportRow("upper_reg", predicted.upper_reg, upper.value, tol["upper_reg"])
-        )
-        report.rows.append(
-            ReportRow("lower_reg", predicted.lower_reg, lower.value, tol["lower_reg"])
-        )
-    except ValueError as e:
-        report.rows.append(_error_row("upper_reg", e))
-        report.rows.append(_error_row("lower_reg", e))
+        return [upper.value, lower.value]
+
+    _add_rows(report, ["upper_reg", "lower_reg"], predicted, tol, regularity)
 
     rng = np.random.default_rng(seed)
     typical = mu.coords[int(rng.choice(mu.n, p=mu.weights))]
     t_deep = min(6.0, -math.log(mu.resolution) - 0.1)
 
-    def local_at(point, window):
-        return ps.local_dimension(mu, point, t_window=window).slope
-
-    def cusp_point_of_rank(rank):
+    def local_dim(rank):
+        """Local dimension at the deepest finite cusp of ``rank`` in the
+        cusp window, else at the typical point."""
         for _, c, point in cusp_rows:
             if c.rank == rank:
-                return point
-        return None
+                window = (1.0, max(1.5, min(3.5, wall_t)))
+                return [ps.local_dimension(mu, point, t_window=window).slope]
+        if t_deep <= 2.0:
+            raise ValueError(
+                "budget leaves no typical local-dimension window; raise --budget-dist"
+            )
+        return [ps.local_dimension(mu, typical, t_window=(2.0, t_deep)).slope]
 
-    try:
-        # the supremum of upper local dimensions is attained at a
-        # minimal-rank parabolic point when one exists
-        target = None
-        if cusps.has_cusps and delta_hat > cusps.k_min:
-            target = cusp_point_of_rank(cusps.k_min)
-        if target is not None and wall_t is not None:
-            value = local_at(target, (1.0, max(1.5, min(3.5, wall_t))))
-        else:
-            value = local_at(typical, (2.0, t_deep))
-        report.rows.append(
-            ReportRow(
-                "sup_upper_loc",
-                predicted.sup_upper_loc,
-                value,
-                tol["sup_upper_loc"],
-            )
-        )
-    except ValueError as e:
-        report.rows.append(_error_row("sup_upper_loc", e))
-    try:
-        target = None
-        if cusps.has_cusps and delta_hat < cusps.k_max:
-            target = cusp_point_of_rank(cusps.k_max)
-        if target is not None and wall_t is not None:
-            value = local_at(target, (1.0, max(1.5, min(3.5, wall_t))))
-        else:
-            value = local_at(typical, (2.0, t_deep))
-        report.rows.append(
-            ReportRow(
-                "inf_lower_loc",
-                predicted.inf_lower_loc,
-                value,
-                tol["inf_lower_loc"],
-            )
-        )
-    except ValueError as e:
-        report.rows.append(_error_row("inf_lower_loc", e))
+    # the supremum of upper local dimensions is attained at a minimal-rank
+    # parabolic point when one exists, the infimum of lower ones at a
+    # maximal-rank one
+    sup_rank = profile.k_min if delta_hat > profile.k_min else None
+    inf_rank = profile.k_max if delta_hat < profile.k_max else None
+    _add_rows(report, ["sup_upper_loc"], predicted, tol, lambda: local_dim(sup_rank))
+    _add_rows(report, ["inf_lower_loc"], predicted, tol, lambda: local_dim(inf_rank))
 
 
 def _verify_geometrically_infinite(g, cloud, tol, seed, report):
     report.flags = (
         "geometrically infinite: closed-form dimension profile not applicable",
     )
-    beta = float(g.metadata.get("beta", 1.0))
-    try:
-        box = ed.box_dimension(cloud)
-        report.rows.append(ReportRow("box", beta, box.value, tol["box"], "ge"))
-    except ValueError as e:
-        report.rows.append(_error_row("box", e))
-    try:
-        est = ed.lower_dimension(cloud, seed=seed)
-        report.rows.append(ReportRow("lower", 0.0, est.value, tol["lower"], "le"))
-    except ValueError as e:
-        report.rows.append(_error_row("lower", e))
-    try:
-        est = ed.assouad_dimension(cloud, seed=seed)
-        report.rows.append(ReportRow("assouad", 1.0, est.value, tol["assouad"], "ge"))
-    except ValueError as e:
-        report.rows.append(_error_row("assouad", e))
+    predicted = {"box": float(g.metadata.get("beta", 1.0)), "lower": 0.0, "assouad": 1.0}
+    rows = (
+        ("box", "ge", lambda: [ed.box_dimension(cloud).value]),
+        ("lower", "le", lambda: [ed.lower_dimension(cloud, seed=seed).value]),
+        ("assouad", "ge", lambda: [ed.assouad_dimension(cloud, seed=seed).value]),
+    )
+    for name, direction, estimate in rows:
+        _add_rows(report, [name], predicted, tol, estimate, direction)
 
 
 def cmd_verify(args) -> int:
@@ -631,7 +599,7 @@ def cmd_verify(args) -> int:
             # orbit-count curve has no stable exponential window
             cloud = gr.sample_limit_set(p.group, resolution, max_elements=budget_words)
             _verify_geometrically_infinite(p.group, cloud, tol, seed, report)
-    except (ValueError, gr.CuspDetectionError) as e:
+    except ValueError as e:  # CuspDetectionError is a ValueError
         report.rows.append(_error_row("pipeline", e))
 
     out = args.out or f"{report.group}_verify.txt"
@@ -709,27 +677,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="builtin name or JSON config path")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument(
-        "--budget-words", type=_positive_int, help="orbit enumeration element budget"
-    )
-    p.add_argument(
-        "--budget-dist", type=_positive_float, help="orbit enumeration distance budget"
-    )
-    p.add_argument(
-        "--resolution", type=_positive_float, help="target sampling resolution"
-    )
-    p.add_argument("--scales", help="scale window R_MIN:R_MAX:COUNT")
-    p.add_argument(
-        "--tolerance",
+# one definition per flag; each subcommand registers the flags it reads
+_FLAGS = {
+    "--config": dict(help="builtin name or JSON config path"),
+    "--out": dict(help="output file path"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--budget-words": dict(type=_positive_int, help="orbit enumeration element budget"),
+    "--budget-dist": dict(type=_positive_float, help="orbit enumeration distance budget"),
+    "--resolution": dict(type=_positive_float, help="target sampling resolution"),
+    "--scales": dict(help="R_MIN:R_MAX:COUNT, the estimator's radii or plot's delta grid"),
+    "--tolerance": dict(
         action="append",
         metavar="NAME=VAL",
         help="override a verification tolerance (repeatable)",
-    )
-    p.add_argument("--method", help="estimator name where applicable")
+    ),
+    "--method": dict(help="estimator: box (default), assouad or lower"),
+}
+# the orbit budgets and target resolution of a sampled limit set
+_BUDGETS = ("--budget-words", "--budget-dist", "--resolution")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -741,23 +711,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a limit set into a cloud file")
     p.add_argument("config_pos", nargs="?", metavar="CONFIG")
-    _add_common(p)
+    _add_flags(p, "--config", "--out", *_BUDGETS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dimension", help="run one estimator on a saved cloud")
     p.add_argument("cloud", metavar="CLOUD")
-    _add_common(p)
+    _add_flags(p, "--seed", "--scales", "--method")
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("verify", help="compare estimates against the formulas")
     p.add_argument("config_pos", nargs="?", metavar="CONFIG")
-    _add_common(p)
+    _add_flags(p, "--config", "--out", "--seed", *_BUDGETS, "--tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="phase tables/SVG or limit-set scatter SVG")
     p.add_argument("--phase", nargs=3, metavar=("K_MIN", "K_MAX", "D"))
     p.add_argument("--gasket", metavar="CONFIG")
-    _add_common(p)
+    _add_flags(p, "--out", *_BUDGETS, "--scales")
     p.set_defaults(func=cmd_plot)
 
     return parser
@@ -774,9 +744,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ComputeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except (ValueError, gr.CuspDetectionError, OSError) as e:
+    except (ComputeError, ValueError, OSError) as e:  # CuspDetectionError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -105,8 +105,6 @@ def _cell_ids(coords: np.ndarray, r: float, offset: np.ndarray) -> np.ndarray:
     cells = cells - lo  # nonnegative, keeps the packing collision free
     if k == 2 and cells.max() < 2**31:
         return (cells[:, 0] << 32) | cells[:, 1]
-    if k == 3 and cells.max() < 2**20:
-        return (cells[:, 0] << 42) | (cells[:, 1] << 21) | cells[:, 2]
     # fallback: exact row dedup
     rows = np.ascontiguousarray(cells)
     return np.unique(rows, axis=0, return_inverse=True)[1]
@@ -339,6 +337,21 @@ def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float((np.dot(xc, yc) * (1.0 / n)) / (np.dot(xc, xc) * (1.0 / n)))
 
 
+def _extreme_window(cloud, radii, ratios, n_centers, seed, method, sign):
+    """The window slope that ``sign`` times the slope makes smallest, the
+    ``repr`` of its witness breaking ties."""
+    if len(cloud.coords) < 2:
+        return _trivial_estimate(method)
+    slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
+    slopes.sort(key=lambda t: (sign * t[0], repr(t[1])))
+    best, witness = slopes[0]
+    return DimensionEstimate(
+        value=float(np.clip(best, 0.0, cloud.d)),
+        method=method,
+        diagnostics={"slope_raw": best, "witness": witness, "n_samples": len(slopes)},
+    )
+
+
 def assouad_dimension(
     cloud: PointCloud,
     radii: Optional[Sequence[float]] = None,
@@ -347,16 +360,7 @@ def assouad_dimension(
     seed: int = 0,
 ) -> DimensionEstimate:
     """Assouad dimension estimate: worst-case local covering exponent."""
-    if len(cloud.coords) < 2:
-        return _trivial_estimate("assouad")
-    slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
-    slopes.sort(key=lambda t: (-t[0], repr(t[1])))
-    best, witness = slopes[0]
-    return DimensionEstimate(
-        value=float(np.clip(best, 0.0, cloud.d)),
-        method="assouad",
-        diagnostics={"slope_raw": best, "witness": witness, "n_samples": len(slopes)},
-    )
+    return _extreme_window(cloud, radii, ratios, n_centers, seed, "assouad", -1.0)
 
 
 def lower_dimension(
@@ -367,16 +371,7 @@ def lower_dimension(
     seed: int = 0,
 ) -> DimensionEstimate:
     """Lower dimension estimate: best-case (thinnest) local covering exponent."""
-    if len(cloud.coords) < 2:
-        return _trivial_estimate("lower")
-    slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
-    slopes.sort(key=lambda t: (t[0], repr(t[1])))
-    best, witness = slopes[0]
-    return DimensionEstimate(
-        value=float(np.clip(best, 0.0, cloud.d)),
-        method="lower",
-        diagnostics={"slope_raw": best, "witness": witness, "n_samples": len(slopes)},
-    )
+    return _extreme_window(cloud, radii, ratios, n_centers, seed, "lower", 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ EXPAND_CHUNK = 200_000
 PRODUCT_BLOCK = 1024
 # the dyadic squeeze of a horoball family stops at theta = 2^-MAX_SHRINK_STEPS
 MAX_SHRINK_STEPS = 40
+# parabolic fixed points this close are one point
+CUSP_CLUSTER_TOL = 1e-8
+# the shortest parabolics per cluster whose translations decide a cusp's rank
+RANK_SAMPLE = 32
+# horoball bases sharing a cell of this side are one base, and members
+# there whose sizes agree within this relative tolerance are duplicates
+DEDUP_GRID = 1e-9
+DEDUP_SIZE_REL_TOL = 1e-6
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -174,7 +182,6 @@ class OrbitData:
     t_valid: float
     truncated: bool
     d: int
-    words: Optional[tuple[bytes, ...]] = None
     group: Optional[GroupPresentation] = None
 
     @property
@@ -278,7 +285,6 @@ def enumerate_orbit(
     *,
     max_elements: int = 2_000_000,
     max_word_length: Optional[int] = None,
-    keep_words: bool = False,
     slack: float = DEFAULT_SLACK,
 ) -> OrbitData:
     """Breadth-first enumeration of distinct group elements.
@@ -305,12 +311,10 @@ def enumerate_orbit(
     acc_m = [ident[None].copy()]
     acc_dist = [np.zeros(1)]
     acc_len = [np.zeros(1, dtype=np.int32)]
-    acc_words: Optional[list[bytes]] = [b""] if keep_words else None
 
     frontier = ident[None].copy()
     frontier_last = np.array([255], dtype=np.uint8)  # 255: no previous letter
     frontier_dist = np.zeros(1)
-    frontier_words: list[bytes] = [b""]
 
     truncated = False
     horizon = math.inf
@@ -329,7 +333,6 @@ def enumerate_orbit(
             break
 
         lvl_m, lvl_dist, lvl_last, lvl_hash = [], [], [], []
-        lvl_words: list[bytes] = []
         stopped = False
         for start in range(0, len(frontier), EXPAND_CHUNK):
             if visited.n + sum(len(x) for x in lvl_dist) >= max_elements and start > 0:
@@ -341,25 +344,23 @@ def enumerate_orbit(
             chunk_last = frontier_last[start : start + EXPAND_CHUNK]
             cand = _products(chunk, gens)
             letters = np.tile(np.arange(n_letters, dtype=np.uint8), len(chunk))
-            parents = np.repeat(np.arange(len(chunk)), n_letters)
             ok = letters != (np.repeat(chunk_last, n_letters) ^ 1)
-            cand, letters, parents = cand[ok], letters[ok], parents[ok]
+            cand, letters = cand[ok], letters[ok]
 
             dists = _orbit_dists(cand)
             # matrices whose norm overflows double precision are dropped;
             # they sit far beyond any usable horizon
             keep = (dists <= expand_dist) & np.isfinite(dists)
-            cand, letters, parents, dists = cand[keep], letters[keep], parents[keep], dists[keep]
+            cand, letters, dists = cand[keep], letters[keep], dists[keep]
             if not len(cand):
                 continue
             cand = _canonicalize_signs(cand)
             hashes = _key_hashes(cand)
             _, first_idx = np.unique(hashes, return_index=True)
             first_idx.sort()
-            cand, letters, parents, dists, hashes = (
+            cand, letters, dists, hashes = (
                 cand[first_idx],
                 letters[first_idx],
-                parents[first_idx],
                 dists[first_idx],
                 hashes[first_idx],
             )
@@ -370,9 +371,6 @@ def enumerate_orbit(
             lvl_dist.append(dists[new])
             lvl_last.append(letters[new])
             lvl_hash.append(hashes[new])
-            if keep_words:
-                for p, a in zip(parents[new], letters[new]):
-                    lvl_words.append(frontier_words[start + int(p)] + bytes([int(a)]))
 
         if not lvl_dist:
             if stopped:
@@ -394,8 +392,6 @@ def enumerate_orbit(
                 new_last[cross],
                 new_hash[cross],
             )
-            if keep_words:
-                lvl_words = [lvl_words[i] for i in cross]
 
         visited.add(new_hash)
 
@@ -403,8 +399,6 @@ def enumerate_orbit(
         acc_m.append(new_m[report])
         acc_dist.append(new_dist[report])
         acc_len.append(np.full(int(report.sum()), level, dtype=np.int32))
-        if keep_words:
-            acc_words.extend(w for w, r in zip(lvl_words, report) if r)
 
         n_close += int((new_dist[report] <= NONDISCRETE_RADIUS).sum())
         if n_close > NONDISCRETE_COUNT:
@@ -417,7 +411,6 @@ def enumerate_orbit(
         frontier = new_m
         frontier_last = new_last
         frontier_dist = new_dist
-        frontier_words = lvl_words if keep_words else []
         if stopped:
             # the level just created was never expanded either
             horizon = min(horizon, float(new_dist.min()))
@@ -432,7 +425,6 @@ def enumerate_orbit(
         t_valid=float(t_valid),
         truncated=truncated,
         d=group.d,
-        words=tuple(acc_words) if keep_words else None,
         group=group,
     )
 
@@ -533,15 +525,10 @@ def _rank_from_translations(taus: np.ndarray, d: int) -> int:
     return 2 if independent.any() else 1
 
 
-def find_cusps(
-    orbit: OrbitData,
-    *,
-    cluster_tol: float = 1e-8,
-    max_rank_sample: int = 32,
-) -> CuspSummary:
+def find_cusps(orbit: OrbitData) -> CuspSummary:
     """Detect parabolic fixed points, group them into cusp orbits.
 
-    Fixed points are clustered with a hash grid at ``cluster_tol``; the
+    Fixed points are clustered with a hash grid at ``CUSP_CLUSTER_TOL``; the
     clusters are then joined into orbits by following generator images.
     The orbit partition is a lower bound on the truth (two clusters whose
     connecting element was not enumerated stay separate); downstream
@@ -576,7 +563,7 @@ def find_cusps(
     members: list[list[int]] = []
     cluster_ids: dict[int, int] = {}
     inf_id = -1
-    grid = _GridIndex(cluster_tol)
+    grid = _GridIndex(CUSP_CLUSTER_TOL)
     for i in range(n_para):
         if at_inf[i]:
             if inf_id < 0:
@@ -640,7 +627,7 @@ def find_cusps(
             rank_max = 1
             for cl in comp_clusters:
                 mem = members[cl]
-                order = np.lexsort((pd[mem],))[:max_rank_sample]
+                order = np.lexsort((pd[mem],))[:RANK_SAMPLE]
                 sel = [mem[int(k)] for k in order]
                 taus = _parabolic_translations(pm[sel], reps[cl])
                 rank_max = max(rank_max, _rank_from_translations(taus, group.d))
@@ -924,9 +911,6 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[fl
 def standard_horoballs(
     orbit: OrbitData,
     cusps: Optional[CuspSummary] = None,
-    *,
-    dedup_grid: float = 1e-9,
-    size_rel_tol: float = 1e-6,
 ) -> HoroballFamily:
     """Invariant disjoint horoball family from enumerated group elements.
 
@@ -986,7 +970,7 @@ def standard_horoballs(
         ranks = np.concatenate(ranks_l)
         ref_of = np.concatenate(ref_l)
 
-        conflict = _dedup_and_find_conflict(bases, sizes, ref_of, dedup_grid, size_rel_tol)
+        conflict = _dedup_and_find_conflict(bases, sizes, ref_of)
         if isinstance(conflict, tuple) and conflict[0] == "merge":
             # conflicting sizes between references prove their detected
             # orbits coincide; merge every proven pair in one restart
@@ -1051,28 +1035,29 @@ def standard_horoballs(
     return fam
 
 
-def _dedup_and_find_conflict(bases, sizes, ref_of, grid, rel_tol):
+def _dedup_and_find_conflict(bases, sizes, ref_of):
     """Indices of base-deduplicated horoballs, or a merge directive.
 
+    Bases are the same when they share a cell of side ``DEDUP_GRID``.
     Two entries at the same base with agreeing sizes are duplicates (the
-    stabilizer coset redundancy); agreeing means within ``rel_tol``
-    relative size.  Disagreeing macroscopic sizes from different
-    references prove the referenced cusp orbits coincide.  Two grid
+    stabilizer coset redundancy); agreeing means within
+    ``DEDUP_SIZE_REL_TOL`` relative size.  Disagreeing macroscopic sizes
+    from different references prove the referenced cusp orbits coincide.  Two grid
     passes with offset cells catch duplicate pairs that straddle a cell
     boundary of the first pass.
     """
     idx = np.arange(len(bases))
     for frac in (0.0, 0.5):
-        res = _dedup_pass(bases[idx], sizes[idx], ref_of[idx], grid, rel_tol, frac)
+        res = _dedup_pass(bases[idx], sizes[idx], ref_of[idx], frac)
         if isinstance(res, tuple):
             return res
         idx = idx[res]
     return idx
 
 
-def _dedup_pass(bases, sizes, ref_of, grid, rel_tol, frac):
-    c0 = np.floor(bases.real / grid + frac)
-    c1 = np.floor(bases.imag / grid + frac)
+def _dedup_pass(bases, sizes, ref_of, frac):
+    c0 = np.floor(bases.real / DEDUP_GRID + frac)
+    c1 = np.floor(bases.imag / DEDUP_GRID + frac)
     if len(c0) and max(np.abs(c0).max(), np.abs(c1).max()) > 4.0e18:
         raise CuspDetectionError(
             "horoball base beyond the integer grid range; apply the "
@@ -1088,7 +1073,7 @@ def _dedup_pass(bases, sizes, ref_of, grid, rel_tol, frac):
     gid = np.cumsum(new_group) - 1
     lead_rows = np.flatnonzero(new_group)
     lead_size = os_[lead_rows][gid]
-    dup = np.abs(os_ - lead_size) <= rel_tol * lead_size
+    dup = np.abs(os_ - lead_size) <= DEDUP_SIZE_REL_TOL * lead_size
     conflict = ~new_group & ~dup & (os_ > 1e-9) & (lead_size > 1e-9)
     if conflict.any():
         rows = np.flatnonzero(conflict)
@@ -1149,13 +1134,35 @@ def _loxodromic_fixed_points(orbit: OrbitData) -> np.ndarray:
     return pts
 
 
+def _planar_coords(pts: np.ndarray, d: int) -> np.ndarray:
+    """Complex boundary points as coordinate rows: one column (the real
+    part) when d=1, two when d=2."""
+    if d == 1:
+        bad = np.abs(pts.imag) > 1e-7 * np.maximum(1.0, np.abs(pts))
+        if bad.any():
+            raise ValueError(
+                "projections left the real line for a d=1 group; "
+                "check the presentation"
+            )
+        return pts.real[:, None]
+    return np.column_stack([pts.real, pts.imag])
+
+
+def _cell_keys(coords: np.ndarray, cell: float) -> np.ndarray:
+    """One int64 key per row naming its cell of side ``cell``; distinct
+    while the cell indices fit in 32 bits."""
+    cells = np.floor(coords / cell).astype(np.int64)
+    if coords.shape[1] == 1:
+        return cells[:, 0]
+    return (cells[:, 0] << np.int64(32)) ^ (cells[:, 1] & np.int64(0xFFFFFFFF))
+
+
 def sample_limit_set(
     group: GroupPresentation,
     target_resolution: float = 1e-3,
     *,
     max_elements: int = 2_000_000,
     max_dist: Optional[float] = None,
-    include_fixed_points: Optional[bool] = None,
     orbit: Optional[OrbitData] = None,
 ) -> PointCloud:
     """Sample the limit set by projecting deep orbit points to the boundary.
@@ -1177,8 +1184,7 @@ def sample_limit_set(
         if max_dist is None:
             max_dist = t_cut + math.log(4.0)
         orbit = enumerate_orbit(group, max_dist, max_elements=max_elements)
-    if include_fixed_points is None:
-        include_fixed_points = bool(group.metadata.get("fixed_point_sampling", False))
+    include_fixed_points = bool(group.metadata.get("fixed_point_sampling", False))
 
     proj, finite = orbit.boundary_projections()
     t_sel = min(t_cut, orbit.t_valid)
@@ -1217,24 +1223,9 @@ def sample_limit_set(
     if floor is not None:
         resolution = max(resolution, float(floor))
 
-    if group.d == 1:
-        bad = np.abs(pts.imag) > 1e-7 * np.maximum(1.0, np.abs(pts))
-        if bad.any():
-            raise ValueError(
-                "projections left the real line for a d=1 group; "
-                "check the presentation"
-            )
-        coords = pts.real[:, None]
-    else:
-        coords = np.column_stack([pts.real, pts.imag])
-
+    coords = _planar_coords(pts, group.d)
     # deduplicate on a grid much finer than the resolution
-    cell = np.floor(coords / (resolution / 16.0)).astype(np.int64)
-    if coords.shape[1] == 1:
-        packed = cell[:, 0]
-    else:
-        packed = (cell[:, 0] << np.int64(32)) ^ (cell[:, 1] & np.int64(0xFFFFFFFF))
-    _, first = np.unique(packed, return_index=True)
+    _, first = np.unique(_cell_keys(coords, resolution / 16.0), return_index=True)
     first.sort()
     coords = coords[first]
 

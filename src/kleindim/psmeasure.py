@@ -33,7 +33,15 @@ from scipy.stats import linregress
 
 from . import hypgeom as hg
 from .estdim import PointCloud, _farthest_point_sample, poincare_exponent
-from .group import Cusp, GroupPresentation, HoroballFamily, OrbitData, enumerate_orbit
+from .group import (
+    Cusp,
+    GroupPresentation,
+    HoroballFamily,
+    OrbitData,
+    _cell_keys,
+    _planar_coords,
+    enumerate_orbit,
+)
 
 # atoms are aggregated on a grid this many times finer than the
 # declared reliable scale
@@ -125,12 +133,8 @@ class EmpiricalMeasure:
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
     """Merge atoms sharing a grid cell into their centre of mass."""
-    cells = np.floor(coords / cell).astype(np.int64)
-    if coords.shape[1] == 1:
-        packed = cells[:, 0]
-    else:
-        packed = (cells[:, 0] << np.int64(32)) ^ (cells[:, 1] & np.int64(0xFFFFFFFF))
-    _, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
+    keys = _cell_keys(coords, cell)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     k = len(counts)
     w = np.zeros(k)
     np.add.at(w, inverse, weights)
@@ -229,17 +233,7 @@ def patterson_measure(
             provenance=provenance,
         )
 
-    if group.d == 1:
-        bad = np.abs(pts.imag) > 1e-7 * np.maximum(1.0, np.abs(pts))
-        if bad.any():
-            raise ValueError(
-                "projections left the real line for a d=1 group; "
-                "check the presentation"
-            )
-        coords = pts.real[:, None]
-    else:
-        coords = np.column_stack([pts.real, pts.imag])
-
+    coords = _planar_coords(pts, group.d)
     coords, weights = _aggregate_atoms(coords, wts, resolution / ATOM_GRID_FACTOR)
     if len(coords) >= 16:
         # ball masses are only smooth above the atom spacing, so the

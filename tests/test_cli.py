@@ -19,6 +19,7 @@ import kleindim.cli as cli
 import kleindim.estdim as ed
 import kleindim.group as gr
 import kleindim.predict as predict
+import kleindim.psmeasure as ps
 
 
 def cantor_cloud(depth: int) -> ed.PointCloud:
@@ -37,6 +38,34 @@ def write_config(tmp_path, payload) -> str:
     path = tmp_path / "group.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def report_rows(path: str) -> list:
+    """(name, status with its note) of each row of a verify report."""
+    lines = open(path).read().splitlines()
+    start = lines.index("name,predicted,estimated,tolerance,direction,status") + 1
+    return [(f[0], f[5]) for f in (line.split(",", 5) for line in lines[start:-1])]
+
+
+# every flag that a subcommand does not read, with a valid value
+UNREAD_FLAGS = [
+    (["generate", "schottky"], "--seed", "1"),
+    (["generate", "schottky"], "--scales", "0.1:0.5:3"),
+    (["generate", "schottky"], "--tolerance", "dim_H=1"),
+    (["generate", "schottky"], "--method", "box"),
+    (["dimension", "cloud.csv"], "--config", "schottky"),
+    (["dimension", "cloud.csv"], "--out", "out.txt"),
+    (["dimension", "cloud.csv"], "--budget-words", "10"),
+    (["dimension", "cloud.csv"], "--budget-dist", "5"),
+    (["dimension", "cloud.csv"], "--resolution", "0.1"),
+    (["dimension", "cloud.csv"], "--tolerance", "dim_H=1"),
+    (["verify", "schottky"], "--scales", "0.1:0.5:3"),
+    (["verify", "schottky"], "--method", "box"),
+    (["plot", "--phase", "1", "3", "4"], "--config", "schottky"),
+    (["plot", "--phase", "1", "3", "4"], "--seed", "1"),
+    (["plot", "--phase", "1", "3", "4"], "--tolerance", "dim_H=1"),
+    (["plot", "--phase", "1", "3", "4"], "--method", "box"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +291,19 @@ class TestExitCodes:
             assert cli.main([command, "schottky", *flags]) == 1
             assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        UNREAD_FLAGS,
+        ids=[f"{command[0]} {flag}" for command, flag, _ in UNREAD_FLAGS],
+    )
+    def test_unread_flags_are_rejected(
+        self, command, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*command, flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kleindim"], capture_output=True, text=True
@@ -428,7 +470,67 @@ class TestVerify:
             ["verify", "apollonian", "--out", out, "--budget-dist", "6"]
         )
         assert code == 2
-        assert ",error" in open(out).read()
+        rows = dict(report_rows(out))
+        # the empty cloud and the empty typical-point window are named,
+        # not left to the library's own wording
+        assert rows["dim_H"] == (
+            "error (budget leaves a limit sample of zero extent; raise --budget-dist)"
+        )
+        assert rows["inf_lower_loc"] == (
+            "error (budget leaves no typical local-dimension window; "
+            "raise --budget-dist)"
+        )
+
+    def test_measure_failure_errors_the_four_measure_rows(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no measure")
+
+        monkeypatch.setattr(ps, "patterson_measure", fail)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        failed = "error (no measure)"
+        assert report_rows(out) == [
+            ("poincare", "pass"),
+            ("dim_H", "fail"),
+            ("dim_A", "fail"),
+            ("dim_L", "fail"),
+            ("upper_reg", failed),
+            ("lower_reg", failed),
+            ("sup_upper_loc", failed),
+            ("inf_lower_loc", failed),
+        ]
+
+    def test_horoball_failure_is_one_row(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise gr.CuspDetectionError("no family")
+
+        monkeypatch.setattr(gr, "standard_horoballs", fail)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        no_window = "error (budget leaves no trusted regularity window; raise --budget-dist)"
+        assert report_rows(out) == [
+            ("poincare", "pass"),
+            ("dim_H", "fail"),
+            ("dim_A", "fail"),
+            ("dim_L", "fail"),
+            ("horoballs", "error (no family)"),
+            ("upper_reg", no_window),
+            ("lower_reg", no_window),
+            ("sup_upper_loc", "pass"),
+            ("inf_lower_loc", "fail"),
+        ]
+        # without cusp points both local rows read the typical point
+        local = [line.split(",")[2] for line in open(out) if "_loc," in line]
+        assert local[0] == local[1]
+
+    def test_pipeline_failure_is_one_row(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no cloud")
+
+        monkeypatch.setattr(gr, "sample_limit_set", fail)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        assert report_rows(out) == [("poincare", "pass"), ("pipeline", "error (no cloud)")]
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, {"group": "infinite_fuchsian"})

@@ -133,18 +133,6 @@ class TestEnumeration:
         assert orb.n == 17
         assert orb.truncated
 
-    def test_keep_words(self):
-        g = gr.builtin_group("schottky")
-        orb = gr.enumerate_orbit(g, max_word_length=2, keep_words=True)
-        assert len(orb.words) == orb.n
-        for word, length in zip(orb.words, orb.word_lengths):
-            assert len(word) == length
-            assert all(letter < 4 for letter in word)
-            # freely reduced: no letter followed by its inverse
-            assert all(
-                word[i + 1] != word[i] ^ 1 for i in range(len(word) - 1)
-            )
-
     def test_products_equal_einsum_on_random_chunks(self):
         rng = np.random.default_rng(5)
         gens = gr._generator_stack(gr.builtin_group("apollonian"))
