@@ -339,9 +339,13 @@ def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 def _extreme_window(cloud, radii, ratios, n_centers, seed, method, sign):
     """The window slope that ``sign`` times the slope makes smallest, the
-    ``repr`` of its witness breaking ties."""
+    ``repr`` of its witness breaking ties.  A cloud of fewer than two
+    points has no window to read and raises ``ValueError``."""
     if len(cloud.coords) < 2:
-        return _trivial_estimate(method)
+        raise ValueError(
+            f"{method} dimension needs a cloud of at least 2 points; "
+            f"this one has {len(cloud.coords)}"
+        )
     slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
     slopes.sort(key=lambda t: (sign * t[0], repr(t[1])))
     best, witness = slopes[0]

@@ -31,8 +31,8 @@ NONDISCRETE_COUNT = 500
 NONDISCRETE_RADIUS = 0.5
 # distance slack for expanding words whose prefixes overshoot the target
 DEFAULT_SLACK = 2.5
-# rows of the frontier expanded per vectorized chunk
-EXPAND_CHUNK = 200_000
+# candidate products (frontier rows times letters) per vectorized chunk
+EXPAND_PRODUCTS = 200_000
 # rows of a chunk multiplied at a time, so the products' temporaries
 # stay in cache
 PRODUCT_BLOCK = 1024
@@ -125,7 +125,7 @@ def bounded_model(group: GroupPresentation) -> tuple[GroupPresentation, hg.Mobiu
 
 
 def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
-    """Vectorized PSL sign fix matching MobiusMap's canonical form."""
+    """Vectorized PSL sign fix matching MobiusMap's canonical form, in place."""
     flat = mats.reshape(len(mats), 4)
     scale = np.abs(flat).max(axis=1)
     tol = hg.ENTRY_TOL * scale
@@ -135,7 +135,8 @@ def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
     use_re = np.abs(v.real) > tol
     s = np.where(use_re, np.sign(v.real), np.sign(v.imag))
     s[s == 0] = 1.0
-    return mats * s[:, None, None]
+    mats *= s[:, None, None]
+    return mats
 
 
 def _key_ints(mats: np.ndarray) -> np.ndarray:
@@ -296,8 +297,12 @@ def enumerate_orbit(
     canonical matrix form rounded to a 1e-9 grid, hashed to 64 bits.
 
     When ``max_elements`` or ``max_word_length`` stops the walk early,
-    ``t_valid`` drops to the smallest distance whose ball might be
-    incomplete, and ``truncated`` is set.
+    ``truncated`` is set and ``t_valid`` drops to the smallest distance of
+    an unexpanded element less the slack: an element within that horizon
+    reached through prefixes overshooting it by less than the slack is
+    found, the same promise an untruncated walk makes for ``max_dist``.
+    The element budget is checked between levels and between chunks of
+    ``EXPAND_PRODUCTS`` candidate products.
     """
     if max_dist is None and max_word_length is None:
         raise ValueError("need max_dist or max_word_length")
@@ -305,6 +310,8 @@ def enumerate_orbit(
     expand_dist = report_dist + slack
     gens = _generator_stack(group)
     n_letters = len(gens)
+    chunk_rows = max(1, EXPAND_PRODUCTS // n_letters)
+    letter_ids = np.arange(n_letters, dtype=np.uint8)
 
     ident = np.eye(2, dtype=complex)
     visited = _HashSet(_key_hashes(ident[None]))
@@ -333,44 +340,40 @@ def enumerate_orbit(
             break
 
         lvl_m, lvl_dist, lvl_last, lvl_hash = [], [], [], []
+        n_lvl = 0  # the level's new elements so far, chunk duplicates included
         stopped = False
-        for start in range(0, len(frontier), EXPAND_CHUNK):
-            if visited.n + sum(len(x) for x in lvl_dist) >= max_elements and start > 0:
+        for start in range(0, len(frontier), chunk_rows):
+            if visited.n + n_lvl >= max_elements and start > 0:
                 truncated = True
                 horizon = min(horizon, float(frontier_dist[start:].min()))
                 stopped = True
                 break
-            chunk = frontier[start : start + EXPAND_CHUNK]
-            chunk_last = frontier_last[start : start + EXPAND_CHUNK]
-            cand = _products(chunk, gens)
-            letters = np.tile(np.arange(n_letters, dtype=np.uint8), len(chunk))
-            ok = letters != (np.repeat(chunk_last, n_letters) ^ 1)
-            cand, letters = cand[ok], letters[ok]
-
+            chunk_last = frontier_last[start : start + chunk_rows]
+            cand = _products(frontier[start : start + chunk_rows], gens)
             dists = _orbit_dists(cand)
-            # matrices whose norm overflows double precision are dropped;
-            # they sit far beyond any usable horizon
-            keep = (dists <= expand_dist) & np.isfinite(dists)
-            cand, letters, dists = cand[keep], letters[keep], dists[keep]
-            if not len(cand):
-                continue
-            cand = _canonicalize_signs(cand)
-            hashes = _key_hashes(cand)
-            _, first_idx = np.unique(hashes, return_index=True)
-            first_idx.sort()
-            cand, letters, dists, hashes = (
-                cand[first_idx],
-                letters[first_idx],
-                dists[first_idx],
-                hashes[first_idx],
+            # no letter undoes the previous one; matrices whose norm
+            # overflows double precision are dropped, they sit far beyond
+            # any usable horizon
+            rows = np.flatnonzero(
+                (letter_ids != (chunk_last[:, None] ^ 1)).ravel()
+                & (dists <= expand_dist)
+                & np.isfinite(dists)
             )
-            new = ~visited.contains(hashes)
-            if not new.any():
+            if not len(rows):
                 continue
-            lvl_m.append(cand[new])
-            lvl_dist.append(dists[new])
-            lvl_last.append(letters[new])
-            lvl_hash.append(hashes[new])
+            cand = _canonicalize_signs(cand[rows])
+            hashes = _key_hashes(cand)
+            _, first = np.unique(hashes, return_index=True)
+            first.sort()
+            first = first[~visited.contains(hashes[first])]
+            if not len(first):
+                continue
+            rows = rows[first]
+            lvl_m.append(cand[first])
+            lvl_dist.append(dists[rows])
+            lvl_last.append((rows % n_letters).astype(np.uint8))
+            lvl_hash.append(hashes[first])
+            n_lvl += len(first)
 
         if not lvl_dist:
             if stopped:
@@ -416,7 +419,7 @@ def enumerate_orbit(
             horizon = min(horizon, float(new_dist.min()))
             break
 
-    t_valid = min(report_dist, horizon) if truncated else report_dist
+    t_valid = min(report_dist, max(0.0, horizon - slack)) if truncated else report_dist
     matrices = np.concatenate(acc_m)
     return OrbitData(
         matrices=matrices,
@@ -745,11 +748,13 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray):
     bins = []
     if len(sizes) == 0:
         return bins
-    octave = np.floor(np.log2(sizes)).astype(int)
-    pts = np.column_stack([bases.real, bases.imag])
+    octave = np.log2(sizes)
+    np.floor(octave, out=octave)
+    octave = octave.astype(int)
     for o in np.unique(octave):
         idx = np.flatnonzero(octave == o)
-        bins.append((cKDTree(pts[idx]), idx, float(2.0 ** (o + 1))))
+        b = bases[idx]
+        bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, float(2.0 ** (o + 1))))
     return bins
 
 
@@ -802,10 +807,15 @@ def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray, inf_height: Optiona
             m = gi < gj
             if not m.any():
                 continue
-            d2 = hits["v"][m] ** 2
+            gi, gj, d2 = gi[m], gj[m], hits["v"][m]
+            del hits, m
+            np.square(d2, out=d2)
             if (d2 == 0.0).any():
                 return math.inf
-            worst = max(worst, float((sizes[gi[m]] * sizes[gj[m]] / d2).max()))
+            ratio = sizes[gi]
+            ratio *= sizes[gj]
+            ratio /= d2
+            worst = max(worst, float(ratio.max()))
     return worst
 
 
@@ -953,23 +963,7 @@ def standard_horoballs(
         active.append(winner)
     active.sort()
     while True:
-        bases_l, sizes_l, ranks_l, ref_l = [], [], [], []
-        inf_h: list[tuple[float, int, int]] = []  # (height, rank, ref)
-        for ri in active:
-            p, rank = refs[ri]
-            fb, fs, ih = _horoball_images(orbit.matrices, p)
-            near = _window_filter(fb, fs, window)
-            fb, fs = fb[near], fs[near]
-            bases_l.append(fb)
-            sizes_l.append(fs)
-            ranks_l.append(np.full(len(fs), rank, dtype=np.int32))
-            ref_l.append(np.full(len(fs), ri, dtype=np.int32))
-            inf_h.extend((float(hh), rank, ri) for hh in ih)
-        bases = np.concatenate(bases_l)
-        sizes = np.concatenate(sizes_l)
-        ranks = np.concatenate(ranks_l)
-        ref_of = np.concatenate(ref_l)
-
+        bases, sizes, ref_of, inf_h = _raw_family(orbit.matrices, refs, active, window)
         conflict = _dedup_and_find_conflict(bases, sizes, ref_of)
         if isinstance(conflict, tuple) and conflict[0] == "merge":
             # conflicting sizes between references prove their detected
@@ -996,7 +990,8 @@ def standard_horoballs(
                         active.remove(mbr)
             continue
         keep = conflict
-        bases, sizes, ranks = bases[keep], sizes[keep], ranks[keep]
+        bases, sizes = bases[keep], sizes[keep]
+        ranks = np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]]
 
         inf_height = None
         inf_rank = 0
@@ -1016,9 +1011,10 @@ def standard_horoballs(
         break
 
     theta = _squeeze_theta(bases, sizes, inf_height)
+    sizes *= theta
     fam = HoroballFamily(
         bases=bases,
-        sizes=sizes * theta,
+        sizes=sizes,
         ranks=ranks,
         d=orbit.d,
         inf_height=None if inf_height is None else inf_height / theta,
@@ -1035,6 +1031,23 @@ def standard_horoballs(
     return fam
 
 
+def _raw_family(mats, refs, active, window):
+    """Unit reference horoballs at every active reference, pushed around by
+    every matrix: (bases, sizes, ref_of, inf_h) of the finite members
+    inside the working window and the (height, rank, ref) of each plane."""
+    bases_l, sizes_l, ref_l = [], [], []
+    inf_h: list[tuple[float, int, int]] = []
+    for ri in active:
+        p, rank = refs[ri]
+        fb, fs, ih = _horoball_images(mats, p)
+        near = _window_filter(fb, fs, window)
+        bases_l.append(fb[near])
+        sizes_l.append(fs[near])
+        ref_l.append(np.full(len(sizes_l[-1]), ri, dtype=np.int32))
+        inf_h.extend((float(hh), rank, ri) for hh in ih)
+    return np.concatenate(bases_l), np.concatenate(sizes_l), np.concatenate(ref_l), inf_h
+
+
 def _dedup_and_find_conflict(bases, sizes, ref_of):
     """Indices of base-deduplicated horoballs, or a merge directive.
 
@@ -1046,46 +1059,68 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
     passes with offset cells catch duplicate pairs that straddle a cell
     boundary of the first pass.
     """
-    idx = np.arange(len(bases))
+    keep = None
     for frac in (0.0, 0.5):
-        res = _dedup_pass(bases[idx], sizes[idx], ref_of[idx], frac)
-        if isinstance(res, tuple):
-            return res
-        idx = idx[res]
-    return idx
+        keep, pairs = _dedup_pass(bases, sizes, frac, keep)
+        if pairs is not None:
+            return ("merge", sorted({(int(ref_of[i]), int(ref_of[j])) for i, j in pairs}))
+    return keep
 
 
-def _dedup_pass(bases, sizes, ref_of, frac):
-    c0 = np.floor(bases.real / DEDUP_GRID + frac)
-    c1 = np.floor(bases.imag / DEDUP_GRID + frac)
-    if len(c0) and max(np.abs(c0).max(), np.abs(c1).max()) > 4.0e18:
+def _dedup_cells(x, frac):
+    """Integer cells of side ``DEDUP_GRID`` along one axis, offset by frac."""
+    c = x / DEDUP_GRID
+    c += frac
+    np.floor(c, out=c)
+    if len(c) and max(c.max(), -c.min()) > 4.0e18:
         raise CuspDetectionError(
             "horoball base beyond the integer grid range; apply the "
             "working-window filter first"
         )
-    c0i = c0.astype(np.int64)
-    c1i = c1.astype(np.int64)
-    order = np.lexsort((-sizes, c1i, c0i))
-    oc0, oc1, os_ = c0i[order], c1i[order], sizes[order]
-    new_group = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        new_group[1:] = (oc0[1:] != oc0[:-1]) | (oc1[1:] != oc1[:-1])
-    gid = np.cumsum(new_group) - 1
+    return c.astype(np.int64)
+
+
+def _dedup_pass(bases, sizes, frac, rows=None):
+    """One grid pass over the sorted indices ``rows`` (default all):
+    (sorted indices kept, None), or (None, index pairs (cell leader,
+    member) whose sizes disagree).  Each key column is built from the
+    rows alone and freed once the cell boundaries are known."""
+
+    def take(a):
+        return a if rows is None else a[rows]
+
+    c0 = _dedup_cells(take(bases.real), frac)
+    c1 = _dedup_cells(take(bases.imag), frac)
+    sizes = take(sizes)
+    n = len(sizes)
+    order = np.lexsort((-sizes, c1, c0))
+    # a new cell starts where either sorted coordinate changes
+    new_group = np.ones(n, dtype=bool)
+    c0 = c0[order]
+    np.not_equal(c0[1:], c0[:-1], out=new_group[1:])
+    del c0
+    c1 = c1[order]
+    new_group[1:] |= c1[1:] != c1[:-1]
+    del c1
     lead_rows = np.flatnonzero(new_group)
-    lead_size = os_[lead_rows][gid]
-    dup = np.abs(os_ - lead_size) <= DEDUP_SIZE_REL_TOL * lead_size
-    conflict = ~new_group & ~dup & (os_ > 1e-9) & (lead_size > 1e-9)
+    sizes = sizes[order]
+    lead_size = np.repeat(sizes[lead_rows], np.diff(lead_rows, append=n))
+    gap = sizes - lead_size
+    np.abs(gap, out=gap)
+    macro = (sizes > 1e-9) & (lead_size > 1e-9)
+    lead_size *= DEDUP_SIZE_REL_TOL
+    odd = ~(gap <= lead_size)
+    del sizes, lead_size, gap
+    if rows is not None:
+        order = rows[order]
+    conflict = ~new_group & odd & macro
     if conflict.any():
-        rows = np.flatnonzero(conflict)
-        pairs = set()
-        for row in rows:
-            lead_row = int(lead_rows[gid[int(row)]])
-            pairs.add((int(ref_of[order[lead_row]]), int(ref_of[order[int(row)]])))
-        return ("merge", sorted(pairs))
-    keep_mask = new_group | ~dup
-    keep = order[keep_mask]
+        at = np.flatnonzero(conflict)
+        leads = lead_rows[np.searchsorted(lead_rows, at, side="right") - 1]
+        return None, np.column_stack([order[leads], order[at]])
+    keep = order[new_group | odd]
     keep.sort()
-    return keep
+    return keep, None
 
 
 def _window_filter(bases, sizes, window):

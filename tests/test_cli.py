@@ -404,9 +404,17 @@ class TestDimension:
                 resolution=1e-3,
             ),
         )
-        code = cli.main(["dimension", path, "--method", "assouad"])
-        assert code == 0
-        assert "value=0" in capsys.readouterr().out
+        # one point has no Assouad or lower window to read: a compute
+        # error with the reason, not an estimate of 0
+        for method in ("assouad", "lower"):
+            code = cli.main(["dimension", path, "--method", method])
+            assert code == cli.EXIT_COMPUTE
+            captured = capsys.readouterr()
+            assert "value=" not in captured.out
+            assert captured.err == (
+                f"error: {method} dimension needs a cloud of at least 2 points; "
+                "this one has 1\n"
+            )
 
     def test_window_below_resolution(self, cantor_file, capsys):
         code = cli.main(
@@ -479,6 +487,13 @@ class TestVerify:
         assert rows["inf_lower_loc"] == (
             "error (budget leaves no typical local-dimension window; "
             "raise --budget-dist)"
+        )
+        # the empty cloud has no Assouad or lower window either
+        assert rows["dim_A"] == (
+            "error (assouad dimension needs a cloud of at least 2 points; this one has 0)"
+        )
+        assert rows["dim_L"] == (
+            "error (lower dimension needs a cloud of at least 2 points; this one has 0)"
         )
 
     def test_measure_failure_errors_the_four_measure_rows(self, tmp_path, monkeypatch):

@@ -188,6 +188,18 @@ class TestTwoScaleDimensions:
         with pytest.raises(ValueError):
             ed.assouad_dimension(cloud, radii=[0.01], ratios=(64.0,))
 
+    def test_thin_cloud_raises(self):
+        # fewer than two points leave no window to read, and an estimate
+        # of 0 there would pass against any prediction near 0
+        for n in (0, 1):
+            cloud = ed.PointCloud(coords=np.zeros((n, 2)), d=2, resolution=1e-3)
+            for estimate, method in (
+                (ed.assouad_dimension, "assouad"),
+                (ed.lower_dimension, "lower"),
+            ):
+                with pytest.raises(ValueError, match=f"{method} dimension needs .* 2 points"):
+                    estimate(cloud)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_assouad_at_least_lower(self, seed):

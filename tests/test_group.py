@@ -1,6 +1,7 @@
 """Tests for group presentations, orbit enumeration, cusps, horoballs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,70 @@ def _shrink_loop_theta(bases, sizes, inf_height):
             return theta
         m += 1
     raise AssertionError("no theta down to 2^-40")
+
+
+def _oracle_dedup(bases, sizes, ref_of):
+    """The two-pass base dedup as first written: full-width copies of
+    every column per pass.  Kept as the oracle of the lean rewrite."""
+    idx = np.arange(len(bases))
+    for frac in (0.0, 0.5):
+        res = _oracle_dedup_pass(bases[idx], sizes[idx], ref_of[idx], frac)
+        if isinstance(res, tuple):
+            return res
+        idx = idx[res]
+    return idx
+
+
+def _oracle_dedup_pass(bases, sizes, ref_of, frac):
+    c0 = np.floor(bases.real / gr.DEDUP_GRID + frac)
+    c1 = np.floor(bases.imag / gr.DEDUP_GRID + frac)
+    if len(c0) and max(np.abs(c0).max(), np.abs(c1).max()) > 4.0e18:
+        raise gr.CuspDetectionError("horoball base beyond the integer grid range")
+    c0i = c0.astype(np.int64)
+    c1i = c1.astype(np.int64)
+    order = np.lexsort((-sizes, c1i, c0i))
+    oc0, oc1, os_ = c0i[order], c1i[order], sizes[order]
+    new_group = np.ones(len(order), dtype=bool)
+    if len(order) > 1:
+        new_group[1:] = (oc0[1:] != oc0[:-1]) | (oc1[1:] != oc1[:-1])
+    gid = np.cumsum(new_group) - 1
+    lead_rows = np.flatnonzero(new_group)
+    lead_size = os_[lead_rows][gid]
+    dup = np.abs(os_ - lead_size) <= gr.DEDUP_SIZE_REL_TOL * lead_size
+    conflict = ~new_group & ~dup & (os_ > 1e-9) & (lead_size > 1e-9)
+    if conflict.any():
+        pairs = set()
+        for row in np.flatnonzero(conflict):
+            lead_row = int(lead_rows[gid[int(row)]])
+            pairs.add((int(ref_of[order[lead_row]]), int(ref_of[order[int(row)]])))
+        return ("merge", sorted(pairs))
+    keep = order[new_group | ~dup]
+    keep.sort()
+    return keep
+
+
+def _assert_same_dedup(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def _walk_bytes(orb):
+    return (
+        orb.matrices.tobytes(),
+        orb.dists.tobytes(),
+        orb.word_lengths.tobytes(),
+        orb.t_valid,
+        orb.truncated,
+    )
+
+
+@pytest.fixture(scope="module")
+def apollonian_walk_9():
+    return gr.enumerate_orbit(gr.builtin_group("apollonian"), 9.0)
 
 
 class TestEnumeration:
@@ -126,6 +191,37 @@ class TestEnumeration:
         have = {hg.MobiusMap(m).key() for m in orb.matrices}
         want = {hg.MobiusMap(m).key() for m in ref.matrices}
         assert want <= have
+
+    @pytest.mark.parametrize("name, dist", [("apollonian", 8.0), ("parabolic_cusp_fuchsian", 11.0)])
+    def test_walk_does_not_depend_on_chunk_size(self, monkeypatch, name, dist):
+        # duplicates resolve to their first row-major occurrence, so the
+        # chunking of a level is invisible in the output
+        g = gr.builtin_group(name)
+        n_letters = 2 * g.n_generators
+        want = _walk_bytes(gr.enumerate_orbit(g, dist))
+        for rows in (1, 7, 200_000):
+            monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * n_letters)
+            assert _walk_bytes(gr.enumerate_orbit(g, dist)) == want
+
+    @pytest.mark.parametrize("rows", [7, None])
+    @pytest.mark.parametrize("budget", [100, 500, 3000, 20_000])
+    def test_truncated_walk_is_complete_below_its_horizon(
+        self, monkeypatch, apollonian_walk_9, rows, budget
+    ):
+        g = gr.builtin_group("apollonian")
+        full = apollonian_walk_9
+        assert not full.truncated
+        if rows is not None:
+            monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * 2 * g.n_generators)
+        orb = gr.enumerate_orbit(g, 9.0, max_elements=budget)
+        assert orb.truncated
+        assert 0.0 <= orb.t_valid <= 9.0
+        # every element of the untruncated walk inside the horizon is
+        # there; with the unexpanded rows' smallest distance itself as
+        # the horizon, the default chunks at a budget of 3000 miss four
+        have = set(gr._key_hashes(orb.matrices).tolist())
+        want = gr._key_hashes(full.matrices[full.dists <= orb.t_valid])
+        assert set(want.tolist()) <= have
 
     def test_word_length_budget(self):
         g = gr.builtin_group("schottky")
@@ -433,6 +529,99 @@ class TestHoroballs:
         gr.standard_horoballs(orb, cs)
         # one scan picks theta, one guards the squeezed family
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "name, dist",
+        [("apollonian", 7.0), ("rank2_cusp", 8.0), ("parabolic_cusp_fuchsian", 8.0)],
+    )
+    def test_dedup_matches_the_oracle_on_raw_families(self, monkeypatch, name, dist):
+        orb = gr.enumerate_orbit(gr.builtin_group(name), dist)
+        cs = gr.find_cusps(orb)
+        lean = gr._dedup_and_find_conflict
+        calls = []
+
+        def checked(bases, sizes, ref_of):
+            got = lean(bases, sizes, ref_of)
+            _assert_same_dedup(got, _oracle_dedup(bases, sizes, ref_of))
+            calls.append(1)
+            return got
+
+        monkeypatch.setattr(gr, "_dedup_and_find_conflict", checked)
+        gr.standard_horoballs(orb, cs)
+        assert calls
+
+    @pytest.mark.parametrize(
+        "bases, sizes, ref_of",
+        [
+            # a cross-reference size conflict at one base: a merge
+            ([0.3 + 0.1j, 0.3 + 0.1j, 2.0], [0.5, 0.25, 0.1], [0, 1, 0]),
+            # a duplicate straddling a first-pass cell boundary, found by
+            # the offset pass
+            ([6.9999999e-9, 7.0000001e-9, 1.0], [0.2, 0.2, 0.3], [0, 1, 1]),
+            # ... and a size conflict straddling it: a merge of the
+            # offset pass, mapped back to the input rows
+            ([1.0, 6.9999999e-9, 7.0000001e-9], [0.3, 0.2, 0.1], [2, 0, 1]),
+            # duplicates inside one reference, sizes within the tolerance
+            ([0.5j, 0.5j, 0.5j, -0.5], [0.1, 0.1 * (1 + 1e-7), 0.1, 0.2], [0, 0, 0, 0]),
+            # microscopic sizes never prove a merge
+            ([0.25, 0.25], [1e-10, 5e-10], [0, 1]),
+            ([], [], []),
+            ([0.125j], [0.5], [3]),
+        ],
+    )
+    def test_dedup_matches_the_oracle_on_synthetic_inputs(self, bases, sizes, ref_of):
+        b = np.asarray(bases, dtype=complex)
+        s = np.asarray(sizes, dtype=float)
+        r = np.asarray(ref_of, dtype=np.int32)
+        _assert_same_dedup(gr._dedup_and_find_conflict(b, s, r), _oracle_dedup(b, s, r))
+
+    def test_dedup_matches_the_oracle_on_random_lattices(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 400))
+            # few distinct bases, jittered across cell boundaries, with
+            # repeated and near-repeated sizes
+            cells = rng.integers(-5, 5, size=(n, 2)) * 3e-9
+            jitter = rng.choice([0.0, 0.4e-9, -0.4e-9, 1.6e-9], size=(n, 2))
+            b = (cells + jitter) @ np.array([1.0, 1j])
+            s = rng.choice([0.25, 0.25 * (1 + 1e-8), 0.5], size=n)
+            r = rng.integers(0, 2, size=n).astype(np.int32)
+            if rng.random() < 0.5:
+                r[:] = 0  # one reference: no merge possible, sizes must agree
+                s[:] = 0.25
+            _assert_same_dedup(gr._dedup_and_find_conflict(b, s, r), _oracle_dedup(b, s, r))
+
+    def test_dedup_rejects_bases_beyond_the_grid(self):
+        b = np.array([0.5, 1e10 + 0.5j])
+        s = np.array([0.1, 0.1])
+        r = np.zeros(2, dtype=np.int32)
+        for dedup in (gr._dedup_and_find_conflict, _oracle_dedup):
+            with pytest.raises(gr.CuspDetectionError, match="beyond the integer grid"):
+                dedup(b, s, r)
+
+    def test_family_build_memory_is_bounded(self, monkeypatch):
+        # tracemalloc sees numpy's buffers, so the peak is deterministic;
+        # full-width copies of the raw family in the dedup reach about
+        # 7.4 times its size, the lean build about 2.8 times
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 8.0)
+        cs = gr.find_cusps(orb)
+        lean = gr._dedup_and_find_conflict
+        raw = []
+
+        def sized(bases, sizes, ref_of):
+            raw.append(bases.nbytes + sizes.nbytes + ref_of.nbytes)
+            return lean(bases, sizes, ref_of)
+
+        monkeypatch.setattr(gr, "_dedup_and_find_conflict", sized)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gr.standard_horoballs(orb, cs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert raw and raw[-1] > 1_000_000
+        assert peak < 4.0 * raw[-1]
 
     def test_no_cusps_raises(self):
         g = gr.builtin_group("schottky")
