@@ -150,11 +150,14 @@ def _scale_window(cloud: PointCloud, scales: Optional[Sequence[float]], n_scales
 # ---------------------------------------------------------------------------
 
 
-def _trivial_estimate(method: str) -> DimensionEstimate:
-    """A one-point set has every dimension equal to zero."""
-    return DimensionEstimate(
-        value=0.0, method=method, diagnostics={"trivial": True}
-    )
+def _require_two_points(cloud: PointCloud, method: str) -> None:
+    """Raise ``ValueError`` for fewer than two points: an estimate of 0
+    there would pass against any prediction near 0."""
+    if len(cloud.coords) < 2:
+        raise ValueError(
+            f"{method} dimension needs a cloud of at least 2 points; "
+            f"this one has {len(cloud.coords)}"
+        )
 
 
 def box_dimension(
@@ -162,9 +165,9 @@ def box_dimension(
     scales: Optional[Sequence[float]] = None,
     n_scales: int = 12,
 ) -> DimensionEstimate:
-    """Upper box dimension estimate from a log-log covering count fit."""
-    if len(cloud.coords) < 2:
-        return _trivial_estimate("box")
+    """Upper box dimension estimate from a log-log covering count fit.
+    A cloud of fewer than two points raises ``ValueError``."""
+    _require_two_points(cloud, "box")
     rs = _scale_window(cloud, scales, n_scales)
     if len(rs) < 4:
         raise ValueError(
@@ -341,11 +344,7 @@ def _extreme_window(cloud, radii, ratios, n_centers, seed, method, sign):
     """The window slope that ``sign`` times the slope makes smallest, the
     ``repr`` of its witness breaking ties.  A cloud of fewer than two
     points has no window to read and raises ``ValueError``."""
-    if len(cloud.coords) < 2:
-        raise ValueError(
-            f"{method} dimension needs a cloud of at least 2 points; "
-            f"this one has {len(cloud.coords)}"
-        )
+    _require_two_points(cloud, method)
     slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
     slopes.sort(key=lambda t: (sign * t[0], repr(t[1])))
     best, witness = slopes[0]

@@ -754,7 +754,9 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray):
     for o in np.unique(octave):
         idx = np.flatnonzero(octave == o)
         b = bases[idx]
-        bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, float(2.0 ** (o + 1))))
+        # unbalanced, uncompacted trees build faster and find the same pairs
+        tree = cKDTree(np.column_stack([b.real, b.imag]), balanced_tree=False, compact_nodes=False)
+        bins.append((tree, idx, float(2.0 ** (o + 1))))
     return bins
 
 
@@ -878,13 +880,12 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[fl
 
     m is the smallest exponent that makes the squeezed members pairwise
     disjoint (overlap ratio at most 1 + 1e-6) and keeps the base point at
-    height 1 strictly outside all of them.  A squeeze by theta = 2^-m
-    scales every pairwise overlap ratio by exactly theta^2 and every base
-    ratio by exactly theta, so one overlap scan of the raw family decides
-    every candidate m: m is read off in closed form, and the loop only
-    absorbs the rounding of the logarithms.
+    height 1 strictly outside all of them.  It is read in closed form off
+    the largest overlap ratio known, at first the plane's alone, and one
+    scan of the family squeezed by that theta accepts it.  A second scan
+    runs only when the overlap decides m.  ``sizes`` is squeezed in place
+    for each scan and restored exactly.
     """
-    worst = _max_overlap_ratio(bases, sizes, inf_height)
     # the enumeration base at height 1 must stay strictly outside every
     # member, else rays have no horoball-free start and escape depths
     # lose their normalization; a finite ball swallows it exactly when
@@ -893,29 +894,40 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[fl
     base_ratio = finite_ratio
     if inf_height is not None:
         base_ratio = max(base_ratio, 1.0 / inf_height)
-    if not math.isfinite(worst):
-        m = MAX_SHRINK_STEPS + 1  # two members share a base point
-    else:
-        m = 0
+    worst = float(sizes.max() / inf_height) if inf_height is not None and len(sizes) else 0.0
+    m, scanned = 0, None
+    while math.isfinite(worst):  # else two members share a base point
+        # closed form; the re-check below absorbs the rounding of the logs
         if worst > 1.0 + 1e-6:
-            m = math.ceil(math.log(worst) / math.log(4.0))
+            m = max(m, math.ceil(math.log(worst) / math.log(4.0)))
         if base_ratio > 1.0 - 1e-6:
             m = max(m, 1, math.ceil(math.log2(base_ratio / (1.0 - 1e-6))))
-    while m <= MAX_SHRINK_STEPS:
+        if m > MAX_SHRINK_STEPS:
+            break
         theta = 2.0**-m
         ok = worst * theta * theta <= 1.0 + 1e-6
         ok &= finite_ratio * theta <= 1.0 - 1e-6
         if inf_height is not None:
             ok &= inf_height / theta >= 1.0 + 1e-6
-        if ok:
-            break
-        m += 1
-    if m > MAX_SHRINK_STEPS:
-        raise CuspDetectionError(
-            f"family needs theta below 2^-{MAX_SHRINK_STEPS}; "
-            "the input looks degenerate"
-        )
-    return theta
+        if not ok:
+            m += 1
+        elif scanned == m:
+            # this m's scan read worst * theta^2 <= 1 + 1e-6 and kept m
+            return theta
+        else:
+            sizes *= theta
+            check = _max_overlap_ratio(bases, sizes, None if inf_height is None else inf_height / theta)
+            sizes /= theta
+            # Exact: a dyadic theta scales every pair's ratio and the
+            # plane's by exactly theta^2, and the scan finds every pair
+            # whose squeezed ratio is near 1 or above.  So when the raw
+            # family's worst pair could raise m, check / theta^2 is its raw
+            # ratio bit for bit and m moves where a raw scan would put it.
+            worst, scanned = check / (theta * theta), m
+    raise CuspDetectionError(
+        f"family needs theta below 2^-{MAX_SHRINK_STEPS}; "
+        "the input looks degenerate"
+    )
 
 
 def standard_horoballs(
@@ -929,11 +941,11 @@ def standard_horoballs(
     If two references turn out to generate horoballs at the same base
     point with different sizes, that proves the two detected orbits are
     really one; the later reference is dropped and construction restarts.
-    Finally every member is shrunk by one dyadic theta = 2^-m, with m read
-    in closed form off a single overlap scan of the unsqueezed family: the
+    Finally every member is shrunk by one dyadic theta = 2^-m: the
     smallest m that makes the members pairwise disjoint and keeps the base
-    point at height 1 outside all of them.  A second scan of the squeezed
-    family guards the result.
+    point at height 1 outside all of them.  An overlap scan of the
+    squeezed family accepts theta; it is the only scan when the base point
+    decides m, and a second one runs only when the overlap decides.
     """
     if cusps is None:
         cusps = find_cusps(orbit)
@@ -1012,7 +1024,7 @@ def standard_horoballs(
 
     theta = _squeeze_theta(bases, sizes, inf_height)
     sizes *= theta
-    fam = HoroballFamily(
+    return HoroballFamily(
         bases=bases,
         sizes=sizes,
         ranks=ranks,
@@ -1023,12 +1035,6 @@ def standard_horoballs(
         query_window=window,
         n_references=len(active),
     )
-    check = _max_overlap_ratio(fam.bases, fam.sizes, fam.inf_height)
-    if check > 1.0 + 1e-6:
-        raise CuspDetectionError(
-            f"family still overlaps after squeeze (ratio {check:.3g})"
-        )
-    return fam
 
 
 def _raw_family(mats, refs, active, window):

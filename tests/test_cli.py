@@ -404,9 +404,9 @@ class TestDimension:
                 resolution=1e-3,
             ),
         )
-        # one point has no Assouad or lower window to read: a compute
-        # error with the reason, not an estimate of 0
-        for method in ("assouad", "lower"):
+        # one point has no scale to read: a compute error with the
+        # reason, not an estimate of 0
+        for method in ("box", "assouad", "lower"):
             code = cli.main(["dimension", path, "--method", method])
             assert code == cli.EXIT_COMPUTE
             captured = capsys.readouterr()

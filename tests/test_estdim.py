@@ -189,11 +189,12 @@ class TestTwoScaleDimensions:
             ed.assouad_dimension(cloud, radii=[0.01], ratios=(64.0,))
 
     def test_thin_cloud_raises(self):
-        # fewer than two points leave no window to read, and an estimate
+        # fewer than two points leave no scale to read, and an estimate
         # of 0 there would pass against any prediction near 0
         for n in (0, 1):
             cloud = ed.PointCloud(coords=np.zeros((n, 2)), d=2, resolution=1e-3)
             for estimate, method in (
+                (ed.box_dimension, "box"),
                 (ed.assouad_dimension, "assouad"),
                 (ed.lower_dimension, "lower"),
             ):

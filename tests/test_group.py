@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import kleindim.hypgeom as hg
 from kleindim import group as gr
@@ -61,6 +62,48 @@ def _shrink_loop_theta(bases, sizes, inf_height):
             return theta
         m += 1
     raise AssertionError("no theta down to 2^-40")
+
+
+def _spy_scans(monkeypatch):
+    """Record (squeezed sizes, result) of every overlap scan."""
+    calls = []
+    scan = gr._max_overlap_ratio
+
+    def spy(bases, sizes, inf_height):
+        out = scan(bases, sizes, inf_height)
+        calls.append((sizes.copy(), out))
+        return out
+
+    monkeypatch.setattr(gr, "_max_overlap_ratio", spy)
+    return calls
+
+
+def _squeeze_input(monkeypatch, name, dist):
+    """The raw (bases, sizes, inf_height) that standard_horoballs squeezes."""
+    got = []
+    squeeze = gr._squeeze_theta
+
+    def recorded(bases, sizes, inf_height):
+        got.append((bases.copy(), sizes.copy(), inf_height))
+        return squeeze(bases, sizes, inf_height)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gr, "_squeeze_theta", recorded)
+        gr.standard_horoballs(gr.enumerate_orbit(gr.builtin_group(name), dist))
+    return got[0]
+
+
+def _default_tree_bins(bases, sizes):
+    """The size-octave bins on scipy's default (balanced, compact) trees."""
+    bins = []
+    if len(sizes) == 0:
+        return bins
+    octave = np.floor(np.log2(sizes)).astype(int)
+    for o in np.unique(octave):
+        idx = np.flatnonzero(octave == o)
+        b = bases[idx]
+        bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, float(2.0 ** (o + 1))))
+    return bins
 
 
 def _oracle_dedup(bases, sizes, ref_of):
@@ -515,20 +558,77 @@ class TestHoroballs:
             with pytest.raises(gr.CuspDetectionError, match="theta below 2"):
                 gr._squeeze_theta(np.asarray(bases, dtype=complex), np.asarray(sizes), None)
 
-    def test_family_scans_overlaps_twice(self, monkeypatch):
-        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 6.0)
+    @pytest.mark.parametrize(
+        "dist, scans",
+        [
+            # the base point decides theta: the scan that accepts it is
+            # the only one
+            (7.0, 1),
+            # the overlap decides: the first scan reads above 1, and a
+            # second at the theta it implies accepts the family
+            (6.0, 2),
+        ],
+        ids=["base_point_decides", "overlap_decides"],
+    )
+    def test_family_overlap_scans(self, monkeypatch, dist, scans):
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), dist)
         cs = gr.find_cusps(orb)
-        calls = []
-        scan = gr._max_overlap_ratio
-
-        def counted(*args):
-            calls.append(1)
-            return scan(*args)
-
-        monkeypatch.setattr(gr, "_max_overlap_ratio", counted)
+        calls = _spy_scans(monkeypatch)
         gr.standard_horoballs(orb, cs)
-        # one scan picks theta, one guards the squeezed family
+        assert len(calls) == scans
+        # the last scan accepts the family
+        assert calls[-1][1] <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize(
+        "bases, sizes",
+        [
+            (None, None),  # the apollonian family at 6
+            ([100.0, 101.0], [4.0, 4.0]),  # worst overlap exactly 4^2
+            ([50.0 + 50.0j, 51.0 + 50.0j], [32.0, 32.0]),  # exactly 4^5
+        ],
+        ids=["apollonian_6", "overlap_4_2", "overlap_4_5"],
+    )
+    def test_failing_scan_recovers_the_raw_worst(self, monkeypatch, bases, sizes):
+        if bases is None:
+            bases, sizes, inf_height = _squeeze_input(monkeypatch, "apollonian", 6.0)
+        else:
+            bases, sizes, inf_height = np.asarray(bases, dtype=complex), np.asarray(sizes), None
+        raw = sizes.copy()
+        scan = gr._max_overlap_ratio
+        calls = _spy_scans(monkeypatch)
+        theta = gr._squeeze_theta(bases, sizes, inf_height)
+        assert np.array_equal(sizes, raw)
         assert len(calls) == 2
+        (first, check), (second, _) = calls
+        assert check > 1.0 + 1e-6
+        # dyadic squeezes, so these quotients are exact
+        first_theta = float(first[0] / raw[0])
+        assert float(second[0] / raw[0]) == theta
+        assert check / (first_theta * first_theta) == scan(bases, raw, inf_height)
+
+    def test_octave_tree_arguments_change_no_answer(self, monkeypatch):
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 8.0)
+        fam = gr.standard_horoballs(orb)
+        # around the 200 largest members, as (sideways shift, height) in
+        # diameters: near the top and half-way up off-centre (inside),
+        # low beside the base and out to the side (outside); then a grid
+        top = np.argsort(fam.sizes)[-200:]
+        offsets = ((0.0, 0.999), (0.3, 0.5), (0.5j, 0.05), (-0.6, 0.3))
+        w = np.concatenate([fam.bases[top] + dx * fam.sizes[top] for dx, _ in offsets])
+        h = np.concatenate([fam.sizes[top] * f for _, f in offsets])
+        axis = np.linspace(-1.2, 1.2, 13)
+        gx, gy, gh = np.meshgrid(axis, axis, [0.01, 0.1, 0.4])
+        w = np.concatenate([w, (gx + 1j * gy).ravel()])
+        h = np.concatenate([h, gh.ravel()])
+        worst = gr._max_overlap_ratio(fam.bases, fam.sizes, fam.inf_height)
+        depth, rank = fam.deepest(w, h)
+        assert (depth > 0).sum() > 200 and (depth == 0).sum() > 200
+        monkeypatch.setattr(gr, "_size_octave_bins", _default_tree_bins)
+        fam._bins = None
+        assert gr._max_overlap_ratio(fam.bases, fam.sizes, fam.inf_height) == worst
+        ref_depth, ref_rank = fam.deepest(w, h)
+        assert np.array_equal(depth, ref_depth)
+        assert np.array_equal(rank, ref_rank)
 
     @pytest.mark.parametrize(
         "name, dist",
