@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 # estimators ignore scales below this multiple of the sampling resolution
 MIN_SCALE_FACTOR = 2.0
@@ -175,15 +174,15 @@ def box_dimension(
             f"got {len(rs)} (resolution {cloud.resolution:g})"
         )
     counts = np.array([covering_count(cloud.coords, float(r)) for r in rs])
-    fit = linregress(np.log(1.0 / rs), np.log(counts))
-    value = float(np.clip(fit.slope, 0.0, cloud.d))
+    slope, rvalue, stderr = _linear_fit(np.log(1.0 / rs), np.log(counts))
+    value = float(np.clip(slope, 0.0, cloud.d))
     return DimensionEstimate(
         value=value,
         method="box",
         diagnostics={
-            "slope_raw": float(fit.slope),
-            "stderr": float(fit.stderr),
-            "r2": float(fit.rvalue**2),
+            "slope_raw": float(slope),
+            "stderr": float(stderr),
+            "r2": float(rvalue**2),
             "scales": rs.tolist(),
             "counts": counts.tolist(),
         },
@@ -198,7 +197,11 @@ def box_dimension(
 def _sq_dists(cols: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared distances from ``center`` to the points whose coordinates
     are the rows of ``cols``, summed in coordinate order: the rounding of
-    np.linalg.norm and of cKDTree's ball membership test."""
+    np.linalg.norm and of cKDTree's ball membership test.
+
+    ``d2 <= r * r`` on these values is the one membership test of every
+    ball this package reads: the window sweep here and every ball mass
+    of ``psmeasure``."""
     d2 = (cols[0] - center[0]) ** 2
     for col, x in zip(cols[1:], center[1:]):
         d2 += (col - x) ** 2
@@ -333,11 +336,45 @@ def _window_slopes(
 
 def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y on x, rounded exactly as scipy's
-    ``linregress`` rounds it: mean cross product over mean square."""
+    ``linregress`` rounds it on the window sweep's few-point fits: mean
+    cross product over mean square.  Longer or degenerate fits can round
+    apart from it; they use :func:`_linear_fit`."""
     n = len(x)
     xc = x - np.mean(x)
     yc = y - np.mean(y)
     return float((np.dot(xc, yc) * (1.0 / n)) / (np.dot(xc, xc) * (1.0 / n)))
+
+
+def _linear_fit(x, y) -> tuple:
+    """Least-squares (slope, rvalue, stderr) of y on x, computed and
+    rounded step for step as scipy's ``linregress`` computes them.
+
+    Raises ``ValueError`` for empty input or when every x is equal.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.size == 0 or y.size == 0:
+        raise ValueError("Inputs must not be empty.")
+    n = len(x)
+    if np.amax(x) == np.amin(x) and n > 1:
+        raise ValueError(
+            "Cannot calculate a linear regression if all x values are identical"
+        )
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.asarray(np.nan if ssxym == 0 else 0.0)[()]
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    if n == 2:
+        stderr = 0.0
+    else:
+        stderr = np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return float(slope), float(r), float(stderr)
 
 
 def _extreme_window(cloud, radii, ratios, n_centers, seed, method, sign):
@@ -411,8 +448,7 @@ def poincare_exponent(
     counts = np.searchsorted(dd, ts, side="right")
     if counts[0] < 2:
         raise ValueError("orbit too sparse in the fit window")
-    fit = linregress(ts, np.log(counts))
-    cumulative = float(fit.slope)
+    cumulative, _, stderr = _linear_fit(ts, np.log(counts))
 
     annulus = _annulus_exponent(dd, t_hi)
     disagreement = abs(cumulative - annulus) if not math.isnan(annulus) else math.nan
@@ -420,7 +456,7 @@ def poincare_exponent(
         value=cumulative,
         method="poincare",
         diagnostics={
-            "stderr": float(fit.stderr),
+            "stderr": stderr,
             "annulus": annulus,
             "disagreement": disagreement,
             "window": (t_lo, t_hi),
@@ -447,7 +483,7 @@ def _annulus_exponent(sorted_dists: np.ndarray, t_hi: float) -> float:
     def annulus_slope(s: float) -> float:
         logs = [math.log(np.exp(-s * c).sum()) for c in centers]
         ns = edges[:-1] + 0.5
-        return float(linregress(ns, logs).slope)
+        return _linear_fit(ns, logs)[0]
 
     lo, hi = 0.0, 5.0
     # annulus sums grow like e^{(delta - s) n}: bisect the flat point

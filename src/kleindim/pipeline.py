@@ -105,7 +105,14 @@ class Pipeline:
 
     @cached_property
     def measure(self) -> ps.EmpiricalMeasure:
-        return ps.patterson_measure(self.group, orbit=self.orbit, band=self.band)
+        try:
+            delta_hat = self.delta
+        except ValueError:
+            # patterson_measure meets the same failure and names it
+            delta_hat = None
+        return ps.patterson_measure(
+            self.group, orbit=self.orbit, band=self.band, delta_hat=delta_hat
+        )
 
     @cached_property
     def cusp_points(self) -> list:

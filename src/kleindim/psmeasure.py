@@ -18,7 +18,12 @@ upper-regularity behaviour near a cusp.
 
 All Euclidean ball masses are planar halfspace-model masses; groups
 whose limit set is unbounded should be conjugated into a bounded chart
-first (see ``group.bounded_model``).
+first (see ``group.bounded_model``).  Every one of them is read by
+``_ball_masses``: per centre, one pass of ``estdim._sq_dists`` over the
+atoms (the membership test of the window sweep), the atoms of the
+largest ball kept in atom-index order, and each radius's mass summed
+over them in that order.  No index list outlives its centre, so memory
+stays O(atoms) however many centres a sweep reads.
 """
 
 from __future__ import annotations
@@ -29,10 +34,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import linregress
 
 from . import hypgeom as hg
-from .estdim import PointCloud, _farthest_point_sample, poincare_exponent
+from .estdim import (
+    PointCloud,
+    _farthest_point_sample,
+    _linear_fit,
+    _sq_dists,
+    poincare_exponent,
+)
 from .group import (
     Cusp,
     GroupPresentation,
@@ -83,7 +93,6 @@ class EmpiricalMeasure:
     d: int
     resolution: float
     provenance: dict = field(default_factory=dict)
-    _tree: Optional[cKDTree] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -125,11 +134,6 @@ class EmpiricalMeasure:
             meta=dict(self.provenance),
         )
 
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.coords)
-        return self._tree
-
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
     """Merge atoms sharing a grid cell into their centre of mass."""
@@ -155,6 +159,7 @@ def patterson_measure(
     orbit: Optional[OrbitData] = None,
     margin: float = S_MARGIN,
     band: Optional[float] = None,
+    delta_hat: Optional[float] = None,
 ) -> EmpiricalMeasure:
     """Weight orbit projections by exp(-s * orbit distance) and normalize.
 
@@ -169,6 +174,10 @@ def patterson_measure(
     every ball is missing exactly the atoms beyond the horizon and the
     missing fraction grows with the ball; reading ball masses off a fixed
     deep band removes that drift at the cost of a grainier measure.
+
+    ``delta_hat`` is the orbit's fitted critical exponent when the
+    caller already has it (``Pipeline.fit``); without it the exponent
+    is fitted here.
     """
     if orbit is None:
         if max_dist is None and max_word_length is None:
@@ -177,11 +186,11 @@ def patterson_measure(
             group, max_dist, max_elements=max_elements, max_word_length=max_word_length
         )
 
-    delta_hat: Optional[float] = None
-    try:
-        delta_hat = float(poincare_exponent(orbit).value)
-    except ValueError:
-        pass
+    if delta_hat is None:
+        try:
+            delta_hat = float(poincare_exponent(orbit).value)
+        except ValueError:
+            pass
     if s is None:
         if delta_hat is None:
             raise ValueError(
@@ -271,17 +280,30 @@ def ball_mass(measure: EmpiricalMeasure, x, r: float) -> float:
     if not (r > 0):
         raise ValueError("radius must be positive")
     row = _center_coords(measure, x)
-    idx = measure.tree().query_ball_point(row, float(r))
-    if not idx:
-        return 0.0
-    return float(measure.weights[idx].sum())
+    return float(_ball_masses(measure, row[None, :], [r])[0, 0])
 
 
-def _ball_masses(measure: EmpiricalMeasure, centers: np.ndarray, r: float) -> np.ndarray:
-    hits = measure.tree().query_ball_point(centers, float(r))
-    return np.array(
-        [float(measure.weights[idx].sum()) if idx else 0.0 for idx in hits]
-    )
+def _ball_masses(measure: EmpiricalMeasure, centers: np.ndarray, radii) -> np.ndarray:
+    """Masses of the closed balls B(c, r), one row per centre c and one
+    column per radius r.
+
+    Each mass is the sum of the member atoms' weights in atom-index
+    order, so it equals the sum over a sorted ``query_ball_point`` index
+    list bit for bit.
+    """
+    sq_radii = np.asarray(radii, dtype=float) ** 2
+    masses = np.zeros((len(centers), len(sq_radii)))
+    if len(sq_radii) == 0:
+        return masses
+    cols = measure.coords.T
+    for i, center in enumerate(centers):
+        d2 = _sq_dists(cols, center)
+        near = np.flatnonzero(d2 <= sq_radii.max())
+        d2 = d2[near]
+        weights = measure.weights[near]
+        for j, sq in enumerate(sq_radii):
+            masses[i, j] = weights[d2 <= sq].sum()
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +426,8 @@ def gmf_drift(
         raise ValueError("too few usable samples; enlarge the measure budget")
     ts_used = np.array([r[1] for r in rows])
     logr = np.array([r[6] for r in rows])
-    fit = linregress(ts_used, logr)
     return GMFReport(
-        slope=float(fit.slope),
+        slope=_linear_fit(ts_used, logr)[0],
         spread=float(logr.max() - logr.min()),
         rows=tuple(rows),
         n_zero_mass=n_zero,
@@ -488,42 +509,48 @@ def regularity_exponents(
     if len(centers) == 0:
         raise ValueError("no centres to sweep; raise n_centers or pass extras")
 
+    # every scale pair (R, R/ratio) above the floor, all scales read in
+    # one pass per centre
+    pairs = [
+        (R, ratio, R / float(ratio))
+        for R in map(float, radii)
+        if R >= floor
+        for ratio in ratios
+        if R / float(ratio) >= floor
+    ]
+    scales = sorted({R for R, _, _ in pairs} | {r for _, _, r in pairs})
+    masses = _ball_masses(measure, centers, scales)
+    column = {scale: masses[:, j] for j, scale in enumerate(scales)}
+
     best_hi = None
     best_lo = None
     n_pairs = 0
-    for R in radii:
-        R = float(R)
-        if R < floor:
+    for R, ratio, r in pairs:
+        mass_R = column[R]
+        mass_r = column[r]
+        ok = (mass_r >= min_mass) & (mass_R > 0.0)
+        if not ok.any():
             continue
-        mass_R = _ball_masses(measure, centers, R)
-        for ratio in ratios:
-            r = R / float(ratio)
-            if r < floor:
-                continue
-            mass_r = _ball_masses(measure, centers, r)
-            ok = (mass_r >= min_mass) & (mass_R > 0.0)
-            if not ok.any():
-                continue
-            slopes = np.full(len(centers), np.nan)
-            slopes[ok] = np.log(mass_R[ok] / mass_r[ok]) / math.log(ratio)
-            n_pairs += int(ok.sum())
-            hi = int(np.nanargmax(slopes))
-            lo = int(np.nanargmin(slopes))
-            for pick, best, is_hi in ((hi, best_hi, True), (lo, best_lo, False)):
-                cand = (
-                    float(slopes[pick]),
-                    {
-                        "center": centers[pick].tolist(),
-                        "R": R,
-                        "r": r,
-                        "mass_R": float(mass_R[pick]),
-                        "mass_r": float(mass_r[pick]),
-                    },
-                )
-                if is_hi and (best_hi is None or cand[0] > best_hi[0]):
-                    best_hi = cand
-                if not is_hi and (best_lo is None or cand[0] < best_lo[0]):
-                    best_lo = cand
+        slopes = np.full(len(centers), np.nan)
+        slopes[ok] = np.log(mass_R[ok] / mass_r[ok]) / math.log(ratio)
+        n_pairs += int(ok.sum())
+        hi = int(np.nanargmax(slopes))
+        lo = int(np.nanargmin(slopes))
+        for pick, is_hi in ((hi, True), (lo, False)):
+            cand = (
+                float(slopes[pick]),
+                {
+                    "center": centers[pick].tolist(),
+                    "R": R,
+                    "r": r,
+                    "mass_R": float(mass_R[pick]),
+                    "mass_r": float(mass_r[pick]),
+                },
+            )
+            if is_hi and (best_hi is None or cand[0] > best_hi[0]):
+                best_hi = cand
+            if not is_hi and (best_lo is None or cand[0] < best_lo[0]):
+                best_lo = cand
     if best_hi is None:
         raise MeasureScaleError(
             "no admissible scale pair above the measure's reliable resolution"
@@ -591,7 +618,7 @@ def local_dimension(
             f"{measure.resolution:.3g}"
         )
     ts = np.linspace(t0, t1, n_steps)
-    masses = np.array([ball_mass(measure, row, math.exp(-t)) for t in ts])
+    masses = _ball_masses(measure, row[None, :], [math.exp(-t) for t in ts])[0]
     if masses[0] <= 0.0:
         raise ValueError("zero mass at the largest window scale")
     keep = masses > 0.0
@@ -602,11 +629,10 @@ def local_dimension(
         raise ValueError("fewer than 3 usable scales in the window")
     logm = np.log(masses)
     run = (logm[:-1] - logm[1:]) / np.diff(ts)
-    fit = linregress(ts, logm)
     return LocalDimension(
         lower=float(run.min()),
         upper=float(run.max()),
-        slope=float(-fit.slope),
+        slope=-_linear_fit(ts, logm)[0],
         ts=tuple(float(t) for t in ts),
         log_masses=tuple(float(v) for v in logm),
     )

@@ -311,6 +311,15 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about a second and 35 MB in every process
+        code = "import sys, kleindim.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestGenerate:
     def test_writes_cloud_file(self, tmp_path, capsys):

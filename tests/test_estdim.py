@@ -339,6 +339,49 @@ class TestWindowSweep:
         assert ed._lstsq_slope(x, y) == linregress(x, y).slope
 
 
+class TestLinearFit:
+    """``_linear_fit`` against scipy's ``linregress``, bit for bit."""
+
+    @staticmethod
+    def assert_matches(x, y):
+        want = linregress(x, y)
+        got = ed._linear_fit(x, y)
+        assert repr(got) == repr(
+            (float(want.slope), float(want.rvalue), float(want.stderr))
+        )
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 400))
+    def test_random_inputs(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-3.0, 9.0, n))
+        y = rng.normal(size=n) * rng.uniform(0.01, 5.0) + rng.uniform(-2, 2) * x
+        if x[0] == x[-1]:
+            return
+        self.assert_matches(x, y)
+
+    def test_two_points(self):
+        self.assert_matches(np.array([1.0, 3.0]), np.array([0.5, -2.0]))
+        assert ed._linear_fit([1.0, 3.0], [0.5, -2.0])[2] == 0.0
+
+    def test_perfect_fit_clips_r(self):
+        x = np.linspace(0.1, 7.3, 25)
+        for y in (0.3 * x + 1.1, -1.7 * x + 0.2, np.log(np.exp(x))):
+            self.assert_matches(x, y)
+            assert abs(ed._linear_fit(x, y)[1]) <= 1.0
+
+    def test_constant_y_has_nan_r(self):
+        x = np.linspace(0.0, 1.0, 7)
+        self.assert_matches(x, np.full(7, 2.5))
+        assert math.isnan(ed._linear_fit(x, np.full(7, 2.5))[1])
+
+    def test_degenerate_inputs_raise(self):
+        with pytest.raises(ValueError, match="identical"):
+            ed._linear_fit(np.full(5, 2.0), np.arange(5.0))
+        with pytest.raises(ValueError, match="empty"):
+            ed._linear_fit(np.array([]), np.array([]))
+
+
 class TestIntegrationWithSampling:
     def test_gasket_box_dimension_ballpark(self):
         g = gr.builtin_group("apollonian")

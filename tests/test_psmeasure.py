@@ -11,11 +11,13 @@ to a constant instead of a tolerance band.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from kleindim import estdim as ed
 from kleindim import group as gr
@@ -92,6 +94,58 @@ def deepest_cusp(cusps, family):
         if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
             best, best_size = c, float(family.sizes[i])
     return best, best_size
+
+
+def kdtree_ball_masses(measure, centers, r):
+    """The KD-tree sweep that ``_ball_masses`` replaced: one sorted index
+    list per centre, all held at once."""
+    hits = cKDTree(measure.coords).query_ball_point(centers, float(r))
+    return np.array(
+        [float(measure.weights[idx].sum()) if idx else 0.0 for idx in hits]
+    )
+
+
+def kdtree_ball_mass(measure, x, r):
+    """The KD-tree ``ball_mass`` it replaced: an unsorted index list."""
+    idx = cKDTree(measure.coords).query_ball_point(x, float(r))
+    return float(measure.weights[idx].sum()) if idx else 0.0
+
+
+def kdtree_regularity(measure, radii, ratios, n_centers, extra_centers, min_atoms, seed):
+    """The regularity sweep as it was read off ``kdtree_ball_masses``,
+    one scale at a time: (value, witness) of the upper and the lower
+    estimate."""
+    min_mass = min(float(min_atoms), measure.n / 4.0) / measure.n
+    floor = measure.resolution
+    centers = measure.coords[ed._farthest_point_sample(measure.coords, n_centers, seed)]
+    if extra_centers is not None:
+        centers = np.vstack([centers, extra_centers])
+    best_hi = best_lo = None
+    for R in map(float, radii):
+        if R < floor:
+            continue
+        mass_R = kdtree_ball_masses(measure, centers, R)
+        for ratio in ratios:
+            r = R / float(ratio)
+            if r < floor:
+                continue
+            mass_r = kdtree_ball_masses(measure, centers, r)
+            ok = (mass_r >= min_mass) & (mass_R > 0.0)
+            if not ok.any():
+                continue
+            slopes = np.full(len(centers), np.nan)
+            slopes[ok] = np.log(mass_R[ok] / mass_r[ok]) / math.log(ratio)
+            for pick, is_hi in ((int(np.nanargmax(slopes)), True),
+                                (int(np.nanargmin(slopes)), False)):
+                cand = (float(slopes[pick]), {
+                    "center": centers[pick].tolist(), "R": R, "r": r,
+                    "mass_R": float(mass_R[pick]), "mass_r": float(mass_r[pick]),
+                })
+                if is_hi and (best_hi is None or cand[0] > best_hi[0]):
+                    best_hi = cand
+                if not is_hi and (best_lo is None or cand[0] < best_lo[0]):
+                    best_lo = cand
+    return best_hi, best_lo
 
 
 class TestEmpiricalMeasure:
@@ -179,6 +233,78 @@ class TestBallMass:
         merged, mw = ps._aggregate_atoms(coords, w, cell)
         assert mw.sum() == pytest.approx(w.sum(), rel=1e-12)
         assert len(merged) <= n
+
+
+class TestBallMassKernel:
+    """``_ball_masses`` against the KD-tree queries it replaced."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, gasket):
+        mu = gasket[4]
+        rng = np.random.default_rng(11)
+        lo, hi = mu.coords.min(axis=0), mu.coords.max(axis=0)
+        centers = np.vstack([
+            mu.coords[ed._farthest_point_sample(mu.coords, 64, 0)],
+            rng.uniform(lo, hi, size=(32, 2)),
+            [[50.0, 50.0]],  # beyond every radius from every atom
+        ])
+        # radii that catch no atom, one atom, some and every atom
+        radii = np.concatenate([[1e-12], np.geomspace(1e-4, 10.0, 30)])
+        return mu, centers, radii
+
+    def test_multi_centre_masses_equal_the_kdtree_sweep(self, sweep):
+        mu, centers, radii = sweep
+        got = ps._ball_masses(mu, centers, radii)
+        assert got.shape == (len(centers), len(radii))
+        for j, r in enumerate(radii):
+            assert np.array_equal(got[:, j], kdtree_ball_masses(mu, centers, r))
+        assert np.all(got[-1] == 0.0)
+        assert np.all(got[:-1, -1] == mu.weights.sum())
+
+    def test_single_centre_masses_differ_only_in_summation_order(self, sweep):
+        # a single-point query returns its index list unsorted; the kernel
+        # sums the same members in atom-index order
+        mu, centers, radii = sweep
+        tree = cKDTree(mu.coords)
+        cols = mu.coords.T
+        for c in centers[::3]:
+            d2 = ed._sq_dists(cols, c)
+            for r in radii[::2]:
+                idx = tree.query_ball_point(c, float(r))
+                assert sorted(idx) == np.flatnonzero(d2 <= r * r).tolist()
+                got = ps.ball_mass(mu, c, r)
+                want = kdtree_ball_mass(mu, c, r)
+                assert got == float(mu.weights[sorted(idx)].sum())
+                assert abs(got - want) <= 1e-15 * want
+
+    def test_regularity_equals_the_kdtree_sweep(self, gasket):
+        mu = gasket[4]
+        cases = [
+            dict(radii=np.geomspace(mu.extent() / 4, mu.resolution * 8, 8),
+                 ratios=(8.0, 64.0), n_centers=256, extra_centers=None, min_atoms=32),
+            dict(radii=np.geomspace(1.2, 0.5, 3), ratios=(16.0,), n_centers=192,
+                 extra_centers=np.array([[0.0, 0.0], [0.5, 0.5]]), min_atoms=16),
+        ]
+        for kw in cases:
+            for seed in (0, 5):
+                upper, lower = ps.regularity_exponents(mu, seed=seed, **kw)
+                hi, lo = kdtree_regularity(mu, seed=seed, **kw)
+                assert (upper.value, upper.witness) == hi
+                assert (lower.value, lower.witness) == lo
+                assert repr(upper.witness) == repr(hi[1])
+
+    def test_regularity_memory_is_a_few_atom_arrays(self, gasket):
+        # the KD-tree sweep held a Python index list per centre, over
+        # 150 times the atom array at this budget
+        mu = gasket[4]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ps.regularity_exponents(mu)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * mu.coords.nbytes
 
 
 class TestPattersonMeasure:
