@@ -46,6 +46,9 @@ RANK_SAMPLE = 32
 # there whose sizes agree within this relative tolerance are duplicates
 DEDUP_GRID = 1e-9
 DEDUP_SIZE_REL_TOL = 1e-6
+# buckets over the cusp references' real span that prefilter the images
+# the reference premerge looks up
+PREMERGE_BUCKETS = 1 << 16
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -257,7 +260,11 @@ def _generator_stack(group: GroupPresentation) -> np.ndarray:
 class _HashSet:
     """Membership structure over int64 hashes: a few sorted chunks,
     consolidated when they pile up, so levels with few new elements do
-    not pay a full re-sort of everything seen so far."""
+    not pay a full re-sort of everything seen so far.
+
+    ``contains`` answers for needles in any order, but sorted needles are
+    much faster: each binary search then starts near where the previous
+    one ended, so the walk through a large chunk stays in cache."""
 
     def __init__(self, initial: np.ndarray) -> None:
         self.chunks: list[np.ndarray] = [np.sort(initial)]
@@ -363,9 +370,11 @@ def enumerate_orbit(
                 continue
             cand = _canonicalize_signs(cand[rows])
             hashes = _key_hashes(cand)
-            _, first = np.unique(hashes, return_index=True)
+            # the unique hashes come sorted: ask the visited set in that
+            # order, then restore row order
+            uniq, first = np.unique(hashes, return_index=True)
+            first = first[~visited.contains(uniq)]
             first.sort()
-            first = first[~visited.contains(hashes[first])]
             if not len(first):
                 continue
             rows = rows[first]
@@ -799,18 +808,23 @@ def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray, inf_height: Optiona
         return worst
     bins = _size_octave_bins(bases, sizes)
     for bi, (tree_i, idx_i, smax_i) in enumerate(bins):
-        for tree_j, idx_j, smax_j in bins[bi:]:
+        for bj, (tree_j, idx_j, smax_j) in enumerate(bins[bi:], bi):
             r = math.sqrt(smax_i * smax_j) * (1.0 + 1e-12)
             hits = tree_i.sparse_distance_matrix(tree_j, r, output_type="ndarray")
             if not len(hits):
                 continue
             gi = idx_i[hits["i"]]
             gj = idx_j[hits["j"]]
-            m = gi < gj
-            if not m.any():
-                continue
-            gi, gj, d2 = gi[m], gj[m], hits["v"][m]
-            del hits, m
+            d2 = hits["v"]
+            if bi == bj:
+                # a tree against itself finds each pair twice and every
+                # member with itself; pairs across octaves come once
+                m = gi < gj
+                if not m.any():
+                    continue
+                gi, gj, d2 = gi[m], gj[m], d2[m]
+                del m
+            del hits
             np.square(d2, out=d2)
             if (d2 == 0.0).any():
                 return math.inf
@@ -830,6 +844,14 @@ def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFi
     each other by some enumerated element are merged beforehand.  The
     size-conflict restart in the family builder remains as a backstop
     for orbit pairs whose connecting element was not enumerated.
+
+    An image joins a finite reference only when it shares that
+    reference's grid cell at one of the two offsets, so their real parts
+    lie within one cell of each other.  Only images whose real part falls
+    in one of the ``PREMERGE_BUCKETS`` buckets that meet
+    [t - 2 grid, t + 2 grid] for some reference real part t are packed
+    and looked up; the others, NaN included, land in the unmarked end
+    buckets or in buckets no reference reaches, and share no cell.
     """
     uf = _UnionFind(len(refs))
     pts = [p for p, _ in refs]
@@ -837,9 +859,9 @@ def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFi
     inf_i = next((i for i, p in enumerate(pts) if p is None), None)
     if len(fin) + (inf_i is not None) < 2:
         return uf
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, dd = mats[:, 1, 0], mats[:, 1, 1]
-    scale = np.abs(mats).max(axis=(1, 2))
+    a, b, c, dd = (np.ascontiguousarray(mats[:, r, s]) for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    tol = np.abs(mats).max(axis=(1, 2))
+    tol *= 1e-12
 
     def pack(w: np.ndarray, frac: float) -> np.ndarray:
         c0 = np.floor(w.real / grid + frac).astype(np.int64)
@@ -854,15 +876,34 @@ def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFi
         order = np.argsort(keys)
         targets[frac] = (keys[order], fin_ids[order])
 
+    # buckets 1 .. PREMERGE_BUCKETS + 1 cover the targets' real span;
+    # the end buckets 0 and PREMERGE_BUCKETS + 2 take everything else
+    lo = fin_pts.real.min() - 2.0 * grid
+    per = PREMERGE_BUCKETS / (fin_pts.real.max() + 2.0 * grid - lo)
+
+    def bucket(x: np.ndarray) -> np.ndarray:
+        k = x - lo
+        k *= per
+        np.fmax(k, -1.0, out=k)  # NaN goes to the low end bucket
+        np.fmin(k, PREMERGE_BUCKETS + 1.0, out=k)
+        np.floor(k, out=k)
+        return k.astype(np.intp) + 1
+
+    marked = np.zeros(PREMERGE_BUCKETS + 3, dtype=bool)
+    for k0, k1 in zip(bucket(fin_pts.real - 2.0 * grid), bucket(fin_pts.real + 2.0 * grid)):
+        marked[k0 : k1 + 1] = True
+
     for i in fin + ([inf_i] if inf_i is not None else []):
         if pts[i] is None:
             num, den = a, c
         else:
             num, den = a * pts[i] + b, c * pts[i] + dd
-        to_inf = np.abs(den) <= 1e-12 * scale
+        to_inf = np.abs(den) <= tol
         if inf_i is not None and i != inf_i and bool(to_inf.any()):
             uf.union(i, inf_i)
-        w = num[~to_inf] / den[~to_inf]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = num / den
+        w = w[marked[bucket(w.real)] & ~to_inf]
         for frac in (0.0, 0.5):
             keys, owners = targets[frac]
             kk = pack(w, frac)

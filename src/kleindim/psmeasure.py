@@ -23,7 +23,9 @@ first (see ``group.bounded_model``).  Every one of them is read by
 atoms (the membership test of the window sweep), the atoms of the
 largest ball kept in atom-index order, and each radius's mass summed
 over them in that order.  No index list outlives its centre, so memory
-stays O(atoms) however many centres a sweep reads.
+stays O(atoms) however many centres a sweep reads.  ``gmf_drift``, which
+reads one small ball per sample, applies the same test and sum to the
+atoms of the ball's strip in the first coordinate only.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class DivergentWeights(ValueError):
 
 
 class MeasureScaleError(ValueError):
-    """A requested scale lies below the measure's reliable resolution."""
+    """A requested scale lies below what the measure resolves reliably:
+    under its resolution, or where every ball of a window holds the same
+    mass."""
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +414,23 @@ def gmf_drift(
     rng = np.random.default_rng(seed)
     idx = rng.choice(measure.n, size=n_samples, p=measure.weights)
     ts = rng.uniform(t_range[0], t_range[1], size=n_samples)
+    # each ball tests only the atoms of its strip in the first coordinate,
+    # in atom-index order: the members and the sum of ``ball_mass``
+    cols = measure.coords.T
+    by_x = np.argsort(cols[0], kind="stable")
+    xs = cols[0][by_x]
     rows = []
     n_zero = 0
     for i, t in zip(idx, ts):
         row = measure.coords[i]
         z = complex(row[0], row[1] if measure.d == 2 else 0.0)
-        mass = ball_mass(measure, row, math.exp(-t))
+        r = math.exp(-t)
+        # the widening dwarfs the rounding of x - x_c and of the strip ends
+        pad = r + 1e-9 * (r + abs(row[0]))
+        lo, hi = np.searchsorted(xs, row[0] - pad), np.searchsorted(xs, row[0] + pad, "right")
+        strip = np.sort(by_x[lo:hi])
+        near = _sq_dists(cols[:, strip], row) <= r * r
+        mass = float(measure.weights[strip][near].sum())
         if mass <= 0.0:
             n_zero += 1
             continue
@@ -607,6 +622,8 @@ def local_dimension(
     consecutive grid points.  Zero mass at the largest scale means z is
     too far from the support for the window and is an error; zero mass
     at finer scales truncates the window (recorded by the grid length).
+    Equal masses in every ball of the (truncated) window carry no slope
+    and raise MeasureScaleError.
     """
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not (0 < t0 < t1):
@@ -627,6 +644,11 @@ def local_dimension(
     masses = masses[:cut]
     if len(ts) < 3:
         raise ValueError("fewer than 3 usable scales in the window")
+    if (masses == masses[0]).all():
+        raise MeasureScaleError(
+            f"flat mass profile: all {len(ts)} balls of the window hold the "
+            "same mass, so the measure is too thin there for a slope"
+        )
     logm = np.log(masses)
     run = (logm[:-1] - logm[1:]) / np.diff(ts)
     return LocalDimension(

@@ -481,6 +481,19 @@ class TestVerify:
         assert "inf_lower_loc," in text
         assert text.startswith("# kleindim") and "\noverall=" in text
 
+    def test_flat_cusp_profile_is_an_error_row(self, tmp_path):
+        # at depth 8 the 103-atom measure puts the same atoms in all 13
+        # balls of the cusp window; the flat profile used to read a slope
+        # of -0 and pass against the predicted 0.079
+        out = str(tmp_path / "report.txt")
+        code = cli.main(["verify", "parabolic_cusp_fuchsian", "--out", out, "--budget-dist", "8"])
+        assert code == 2
+        rows = dict(report_rows(out))
+        assert rows["inf_lower_loc"] == (
+            "error (flat mass profile: all 13 balls of the window hold the same "
+            "mass, so the measure is too thin there for a slope)"
+        )
+
     def test_starved_budget_reports_errors(self, tmp_path):
         out = str(tmp_path / "report.txt")
         code = cli.main(

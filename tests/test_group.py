@@ -1,5 +1,6 @@
 """Tests for group presentations, orbit enumeration, cusps, horoballs."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -165,6 +166,110 @@ def _walk_bytes(orb):
     )
 
 
+def _oracle_premerge_refs(mats, refs, grid=1e-8):
+    """The reference premerge with every image packed and looked up.
+    Kept as the oracle of the bucket-prefiltered rewrite."""
+    uf = gr._UnionFind(len(refs))
+    pts = [p for p, _ in refs]
+    fin = [i for i, p in enumerate(pts) if p is not None]
+    inf_i = next((i for i, p in enumerate(pts) if p is None), None)
+    if len(fin) + (inf_i is not None) < 2:
+        return uf
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, dd = mats[:, 1, 0], mats[:, 1, 1]
+    scale = np.abs(mats).max(axis=(1, 2))
+
+    def pack(w, frac):
+        c0 = np.floor(w.real / grid + frac).astype(np.int64)
+        c1 = np.floor(w.imag / grid + frac).astype(np.int64)
+        return (c0 << np.int64(32)) | (c1 & np.int64(0xFFFFFFFF))
+
+    fin_pts = np.array([pts[i] for i in fin], dtype=complex)
+    fin_ids = np.asarray(fin)
+    targets = {}
+    for frac in (0.0, 0.5):
+        keys = pack(fin_pts, frac)
+        order = np.argsort(keys)
+        targets[frac] = (keys[order], fin_ids[order])
+    for i in fin + ([inf_i] if inf_i is not None else []):
+        if pts[i] is None:
+            num, den = a, c
+        else:
+            num, den = a * pts[i] + b, c * pts[i] + dd
+        to_inf = np.abs(den) <= 1e-12 * scale
+        if inf_i is not None and i != inf_i and bool(to_inf.any()):
+            uf.union(i, inf_i)
+        w = num[~to_inf] / den[~to_inf]
+        for frac in (0.0, 0.5):
+            keys, owners = targets[frac]
+            kk = pack(w, frac)
+            pos = np.searchsorted(keys, kk)
+            ok = pos < len(keys)
+            hit = np.zeros(len(kk), dtype=bool)
+            hit[ok] = keys[pos[ok]] == kk[ok]
+            for j in np.unique(owners[pos[hit]]):
+                uf.union(i, int(j))
+    return uf
+
+
+def _assert_same_premerge(mats, refs):
+    # equal parent lists: the same find(i) for every reference, from the
+    # same unions made in the same order
+    assert gr._premerge_refs(mats, refs).parent == _oracle_premerge_refs(mats, refs).parent
+
+
+def _brute_overlap_ratio(bases, sizes, inf_height):
+    """max s_i s_j / |p_i - p_j|^2 over all pairs, and s_i / H."""
+    worst = float(sizes.max() / inf_height) if inf_height is not None and len(sizes) else 0.0
+    for i in range(len(sizes)):
+        d2 = np.abs(bases[i + 1 :] - bases[i]) ** 2
+        if len(d2):
+            worst = max(worst, float((sizes[i] * sizes[i + 1 :] / d2).max()))
+    return worst
+
+
+def _sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of (matrices, dists, word_lengths, t_valid) and of
+# (bases, sizes, ranks, theta, n_references) from Pipeline(group, dist),
+# recorded from the walk with a hash-ordered visited lookup and the
+# premerge of every image (numpy 2.4, x86-64)
+_PARENT_DIGESTS = {
+    ("apollonian", 6.0): ("b996f796b839ddae", "690a996fa1f8407e"),
+    ("apollonian", 7.0): ("2d58022db3fdf50f", "54c3e9b8492a9829"),
+    ("apollonian", 8.0): ("78b97e0f5afc51dc", "b0930097555004ba"),
+    ("apollonian", 9.5): ("4e0ad71802a6fe82", "f972a310acdfe099"),
+    ("rank2_cusp", 8.0): ("a380324afc9062e3", "f27bed979a524601"),
+    ("parabolic_cusp_fuchsian", 8.0): ("3c186e6b00b759ef", "994db9718ec1aacf"),
+}
+
+
+@pytest.fixture(scope="module")
+def digest_pipelines():
+    """Pipeline(group, dist) built through the family for every digest
+    case, with the (matrices, references) its reference premerge saw."""
+    built = {}
+    premerge = gr._premerge_refs
+    seen = []
+
+    def recorded(mats, refs, *args):
+        seen.append((mats, list(refs)))
+        return premerge(mats, refs, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_premerge_refs", recorded)
+        for name, dist in _PARENT_DIGESTS:
+            p = Pipeline(gr.builtin_group(name), dist)
+            p.family
+            built[name, dist] = (p, seen.pop())
+    return built
+
+
 @pytest.fixture(scope="module")
 def apollonian_walk_9():
     return gr.enumerate_orbit(gr.builtin_group("apollonian"), 9.0)
@@ -312,6 +417,27 @@ class TestEnumeration:
         assert orb.matrices.tobytes() == oracle.matrices.tobytes()
         assert orb.dists.tobytes() == oracle.dists.tobytes()
         assert np.array_equal(orb.word_lengths, oracle.word_lengths)
+
+    def test_hashset_contains_matches_isin(self):
+        rng = np.random.default_rng(11)
+        keys = rng.integers(-(2**62), 2**62, size=5000)
+        visited = gr._HashSet(keys[:100])
+        for start in range(100, 5000, 400):
+            visited.add(keys[start : start + 400])
+        # consolidated once, with chunks added since
+        assert 1 < len(visited.chunks) <= 8
+        extremes = np.iinfo(np.int64)
+        needles = np.concatenate(
+            [
+                rng.choice(keys, 3000),
+                rng.integers(-(2**62), 2**62, size=3000),
+                keys[:50],
+                keys[:50],
+                [extremes.min, extremes.max],
+            ]
+        )
+        for q in (np.sort(needles), needles, needles[::-1], needles[:0]):
+            assert np.array_equal(visited.contains(q), np.isin(q, keys))
 
     def test_requires_some_budget(self):
         g = gr.builtin_group("schottky")
@@ -722,6 +848,108 @@ class TestHoroballs:
             tracemalloc.stop()
         assert raw and raw[-1] > 1_000_000
         assert peak < 4.0 * raw[-1]
+
+    @pytest.mark.parametrize("case", list(_PARENT_DIGESTS), ids=lambda c: f"{c[0]}_{c[1]}")
+    def test_walk_and_family_match_the_recorded_digests(self, digest_pipelines, case):
+        p, _ = digest_pipelines[case]
+        orb, fam = p.orbit, p.family
+        want_orbit, want_family = _PARENT_DIGESTS[case]
+        assert _sha(orb.matrices, orb.dists, orb.word_lengths, orb.t_valid) == want_orbit
+        assert _sha(fam.bases, fam.sizes, fam.ranks, fam.theta, fam.n_references) == want_family
+
+    @pytest.mark.parametrize("case", list(_PARENT_DIGESTS), ids=lambda c: f"{c[0]}_{c[1]}")
+    def test_premerge_matches_the_oracle_on_builtin_references(self, digest_pipelines, case):
+        _, (mats, refs) = digest_pipelines[case]
+        _assert_same_premerge(mats, refs)
+
+    @pytest.mark.parametrize("span", [1.4, 3e-7], ids=["wide", "narrow"])
+    def test_premerge_matches_the_oracle_on_synthetic_references(self, span):
+        grid = 1e-8
+        t0 = 0.1 + 0.2j
+        fin = [
+            t0,
+            0.1 + span / 2 - 0.3j,
+            0.1 + span + 0.2j,
+            t0 + 3.7e-9,
+            # a quarter cell off the boundaries of both grids across
+            0.1 + span / 4 + 1j * (0.55 + 0.25 * grid),
+            0.1 + 3 * span / 4 - 1j * (0.65 + 0.25 * grid),
+        ]
+        refs = [(fin[0], 1), (fin[1], 1), (None, 2)] + [(t, 1) for t in fin[2:]]
+
+        def translation(s):
+            return np.array([[1.0, s], [0.0, 1.0]], dtype=complex)
+
+        mats = [np.eye(2, dtype=complex)]
+        # ref 0 carried onto each target, off by steps of half a cell
+        # (cell boundaries of both grid offsets) and by a hair either
+        # side of a whole cell; the last two targets are reached only
+        # from under half a cell away along the real axis
+        near = [k * 0.5 * grid for k in range(-6, 7)]
+        near += [sign * grid * (1.0 + eps) for sign in (-1, 1) for eps in (-1e-9, 1e-9)]
+        far = [-3e-8, -2.5e-8, 2.5e-8, 3e-8]
+        offsets = [
+            (near, near),
+            (near, near),
+            (far, far),
+            (near, near),
+            ([0.45 * grid], []),
+            ([-0.45 * grid], []),
+        ]
+        for t, (along, across) in zip(fin, offsets):
+            mats += [translation(t - t0 + off) for off in along]
+            mats += [translation(t - t0 + 1j * off) for off in across]
+        # images on the bucket edges around each target's reach
+        re = np.array([t.real for t in fin])
+        lo = re.min() - 2.0 * grid
+        per = gr.PREMERGE_BUCKETS / (re.max() + 2.0 * grid - lo)
+        for t in fin:
+            for end in (t.real - 2.0 * grid, t.real + 2.0 * grid):
+                k = math.floor((end - lo) * per)
+                for m in (k, k + 1):
+                    x = lo + m / per
+                    for edge in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+                        mats.append(translation(complex(edge, t.imag) - t0))
+        # ref 1 to infinity, and infinity onto ref 4's point
+        mats.append(np.array([[0.0, -1.0], [1.0, -fin[1]]]))
+        mats.append(np.array([[fin[3], -1.0], [1.0, 0.0]]))
+        # moderate noise, and a row of NaNs (no target sits in the origin's
+        # cell, where the oracle packs a NaN image)
+        rng = np.random.default_rng(4)
+        mats += [translation(complex(*rng.uniform(-5, 5, 2))) for _ in range(200)]
+        mats.append(np.full((2, 2), np.nan, dtype=complex))
+        mats = np.array(mats)
+        with np.errstate(invalid="ignore"):
+            want = _oracle_premerge_refs(mats, refs)
+            _assert_same_premerge(mats, refs)
+        # ref 3, reached only from more than a cell away, stays alone
+        assert [want.find(i) for i in range(len(refs))] == [0, 0, 0, 3, 0, 0, 0]
+
+    def test_overlap_scan_keeps_cross_octave_pairs_in_either_order(self):
+        # one member an octave below the other, ratio 1.0 * 0.1 / 0.2^2
+        for bases, sizes in [([0.0, 0.2], [1.0, 0.1]), ([0.2, 0.0], [0.1, 1.0])]:
+            got = gr._max_overlap_ratio(np.asarray(bases, dtype=complex), np.asarray(sizes), None)
+            assert got == pytest.approx(2.5, rel=1e-12)
+
+    def test_overlap_scan_matches_all_pairs_on_shuffled_families(self):
+        rng = np.random.default_rng(8)
+        overlapping = 0
+        for trial in range(30):
+            n = int(rng.integers(2, 120))
+            bases = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            sizes = 10.0 ** rng.uniform(-4, -0.5, n)  # several octaves
+            inf_height = 2.0 if trial % 3 == 0 else None
+            want = _brute_overlap_ratio(bases, sizes, inf_height)
+            overlapping += want > 1.0
+            for _ in range(3):
+                perm = rng.permutation(n)
+                got = gr._max_overlap_ratio(bases[perm], sizes[perm], inf_height)
+                # every pair with ratio 1 or more lies within the scan radius
+                if want >= 1.0:
+                    assert got == pytest.approx(want, rel=1e-12)
+                else:
+                    assert got <= want * (1.0 + 1e-12)
+        assert overlapping >= 10
 
     def test_no_cusps_raises(self):
         g = gr.builtin_group("schottky")

@@ -456,6 +456,21 @@ class TestGMFDrift:
         with pytest.raises(ValueError, match="too few"):
             ps.gmf_drift(ctx, mu, n_samples=4, t_range=(1.5, 4.0), seed=0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_masses_are_ball_mass(self, gasket, d):
+        # the strip scan reads ball_mass's members and sum, bit for bit
+        if d == 1:
+            mu = cantor_measure(9)
+            ctx = ps.GMFContext(delta=LOG2_LOG3, family=empty_family(d=1))
+        else:
+            _, _, _, family, mu, delta = gasket
+            ctx = ps.GMFContext(delta=delta, family=family)
+        report = ps.gmf_drift(ctx, mu, n_samples=150, t_range=(1.0, 7.0), seed=3)
+        assert len(report.rows) + report.n_zero_mass == 150
+        for z, t, _, _, mass, _, _ in report.rows:
+            x = [z.real] if d == 1 else [z.real, z.imag]
+            assert mass == ps.ball_mass(mu, x, math.exp(-t))
+
 
 class TestRegularityExponents:
     def test_uniform_cantor_is_pinned(self):
@@ -562,6 +577,14 @@ class TestLocalDimension:
         mu = cantor_measure(6)
         with pytest.raises(ValueError, match="largest window scale"):
             ps.local_dimension(mu, [50.0], t_window=(1.5, 4.0))
+
+    def test_flat_profile_rejected(self):
+        # every ball of the window holds all three atoms: no slope
+        mu = ps.EmpiricalMeasure(
+            coords=[[0.0], [1e-4], [2e-4]], weights=[1.0, 1.0, 1.0], d=1, resolution=1e-5
+        )
+        with pytest.raises(ps.MeasureScaleError, match="flat mass profile"):
+            ps.local_dimension(mu, [0.0], t_window=(1.0, 3.0))
 
     def test_gap_center_truncates_window(self):
         mu = cantor_measure(9)
