@@ -3,7 +3,7 @@ finitely generated Kleinian and Fuchsian groups.
 
 The package is organised around five layers:
 
-- :mod:`kleindim.hypgeom` -- models of hyperbolic space, Moebius isometries,
+- :mod:`kleindim.hypgeom` -- upper halfspace model, Moebius isometries,
   horoballs, shadows and boundary projections;
 - :mod:`kleindim.group` -- group presentations, orbit enumeration, cusp
   detection and invariant horoball families;
@@ -21,8 +21,6 @@ front end lives in :mod:`kleindim.cli`.
 """
 
 from .hypgeom import (
-    BALL,
-    HALFSPACE,
     BoundaryBall,
     BoundaryPoint,
     Horoball,
@@ -79,8 +77,6 @@ from .predict import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BALL",
-    "HALFSPACE",
     "BoundaryBall",
     "BoundaryPoint",
     "Horoball",

@@ -101,11 +101,17 @@ def read_cloud(path: str) -> ed.PointCloud:
                 raise UsageError(f"{path} is not a kleindim cloud file")
             fh.readline()
             model, d, resolution = fh.readline().lstrip("# ").strip().split(",")
+            rows = [line for line in fh if line.split("#", 1)[0].strip()]
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
     if model != "halfspace":
         raise UsageError(f"{path}: model {model!r} is not halfspace")
-    coords = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if rows:
+        coords = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
+    else:
+        coords = np.empty((0, int(d)))
+    if not np.isfinite(coords).all():
+        raise UsageError(f"{path}: coordinates must be finite numbers")
     return ed.PointCloud(
         coords=coords,
         d=int(d),

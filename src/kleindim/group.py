@@ -652,9 +652,9 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
         if p_best is None:
             point = hg.infinity()
         elif group.d == 1:
-            point = hg.BoundaryPoint(hg.HALFSPACE, (p_best.real,))
+            point = hg.BoundaryPoint((p_best.real,))
         else:
-            point = hg.BoundaryPoint(hg.HALFSPACE, (p_best.real, p_best.imag))
+            point = hg.BoundaryPoint((p_best.real, p_best.imag))
         cusps.append(Cusp(point=point, rank=rank, generator=gen, n_conjugates=len(elems)))
 
     cusps.sort(key=lambda cu: (math.inf,) if cu.point.is_infinity else cu.point.coords)
@@ -703,9 +703,9 @@ class HoroballFamily:
             if s < min_size:
                 continue
             if self.d == 1:
-                bp = hg.BoundaryPoint(hg.HALFSPACE, (p.real,))
+                bp = hg.BoundaryPoint((p.real,))
             else:
-                bp = hg.BoundaryPoint(hg.HALFSPACE, (p.real, p.imag))
+                bp = hg.BoundaryPoint((p.real, p.imag))
             out.append(hg.Horoball(bp, float(s), int(r)))
         return out
 

@@ -1,25 +1,13 @@
-"""Hyperbolic geometry in the Poincare ball and upper halfspace models.
+"""Hyperbolic geometry in the upper halfspace model.
 
 Points live in hyperbolic space H^(d+1) with boundary dimension d = 1
-(Fuchsian setting, boundary a circle/line) or d = 2 (Kleinian setting,
-boundary a sphere/plane).  Two coordinate models are supported:
-
-``ball``
-    open unit ball in R^(d+1) with the metric 2|dx| / (1 - |x|^2);
-    boundary points are unit vectors.
-
-``halfspace``
-    R^d x (0, inf), coordinates ``(w_1, ..., w_d, h)`` with height last,
-    metric |dx| / h; boundary points are points of R^d or the point at
-    infinity.
-
-The two models are identified by the inversion in the sphere of radius
-sqrt(2) centred at -e_n (n = d+1), which maps the ball onto the upper
-halfspace, the ball centre to the height-1 point and the south pole to
-infinity.  All Moebius arithmetic happens in the halfspace model where a
-map is an ordinary 2x2 real (d=1) or complex (d=2) matrix of determinant
-one acting by fractional-linear transformations on the boundary and by
-the quaternionic extension on interior points.
+(Fuchsian setting, boundary a line) or d = 2 (Kleinian setting, boundary
+a plane).  Coordinates are ``(w_1, ..., w_d, h)`` in R^d x (0, inf) with
+height last and metric |dx| / h; boundary points are points of R^d or
+the point at infinity.  A Moebius map is an ordinary 2x2 real (d=1) or
+complex (d=2) matrix of determinant one acting by fractional-linear
+transformations on the boundary and by the quaternionic extension on
+interior points.
 """
 
 from __future__ import annotations
@@ -27,12 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-BALL = "ball"
-HALFSPACE = "halfspace"
 
 # |tr^2 - 4| below this means parabolic (if not the identity).
 PARABOLIC_TOL = 1e-8
@@ -48,38 +33,26 @@ KEY_CLAMP = 2.0**62
 
 
 class ModelError(ValueError):
-    """Raised for points or maps used in an unsupported model/dimension."""
+    """Raised for points or maps of an unsupported dimension or shape."""
 
 
 class ShadowError(ValueError):
     """Raised when a radial shadow is unbounded or ill-defined."""
 
 
-def _check_model(model: str) -> str:
-    if model not in (BALL, HALFSPACE):
-        raise ModelError(f"unknown model {model!r}")
-    return model
-
-
 @dataclass(frozen=True)
 class InteriorPoint:
-    """A point of hyperbolic space H^(d+1) in one of the two models."""
+    """A point of hyperbolic space H^(d+1): ``(w_1, ..., w_d, h)``."""
 
-    model: str
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_model(self.model)
         coords = tuple(float(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) not in (2, 3):
             raise ModelError("interior points need d+1 coordinates, d in {1, 2}")
-        if self.model == BALL:
-            if sum(c * c for c in coords) >= 1.0:
-                raise ModelError("ball-model point outside the open unit ball")
-        else:
-            if coords[-1] <= 0.0:
-                raise ModelError("halfspace-model point needs positive height")
+        if coords[-1] <= 0.0:
+            raise ModelError("interior points need positive height")
 
     @property
     def d(self) -> int:
@@ -88,29 +61,17 @@ class InteriorPoint:
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A boundary point: unit vector (ball) or point of R^d / infinity."""
+    """A boundary point: a point of R^d, or infinity."""
 
-    model: str
-    coords: Optional[tuple[float, ...]]  # None encodes the halfspace infinity
+    coords: Optional[tuple[float, ...]]  # None encodes infinity
 
     def __post_init__(self) -> None:
-        _check_model(self.model)
         if self.coords is None:
-            if self.model != HALFSPACE:
-                raise ModelError("only the halfspace model has a point at infinity")
             return
         coords = tuple(float(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        if self.model == BALL:
-            if len(coords) not in (2, 3):
-                raise ModelError("ball boundary points are unit vectors in R^(d+1)")
-            norm = math.sqrt(sum(c * c for c in coords))
-            if abs(norm - 1.0) > 1e-9:
-                raise ModelError("ball boundary point must lie on the unit sphere")
-            object.__setattr__(self, "coords", tuple(c / norm for c in coords))
-        else:
-            if len(coords) not in (1, 2):
-                raise ModelError("halfspace boundary points live in R^d, d in {1, 2}")
+        if len(coords) not in (1, 2):
+            raise ModelError("boundary points live in R^d, d in {1, 2}")
 
     @property
     def is_infinity(self) -> bool:
@@ -120,124 +81,51 @@ class BoundaryPoint:
     def d(self) -> int:
         if self.coords is None:
             raise ModelError("dimension of the point at infinity is ambiguous")
-        return len(self.coords) if self.model == HALFSPACE else len(self.coords) - 1
+        return len(self.coords)
 
 
 def infinity() -> BoundaryPoint:
-    return BoundaryPoint(HALFSPACE, None)
+    return BoundaryPoint(None)
 
 
-def origin(d: int, model: str = HALFSPACE) -> InteriorPoint:
-    """The canonical base point: ball centre, alias halfspace height-1 point."""
-    if model == BALL:
-        return InteriorPoint(BALL, (0.0,) * (d + 1))
-    return InteriorPoint(HALFSPACE, (0.0,) * d + (1.0,))
-
-
-# ---------------------------------------------------------------------------
-# model conversion (inversion in S(-e_n, sqrt 2), an involution)
-# ---------------------------------------------------------------------------
-
-
-def ball_to_halfspace(p: InteriorPoint) -> InteriorPoint:
-    if p.model == HALFSPACE:
-        return p
-    x = np.asarray(p.coords)
-    d = len(x) - 1
-    shifted = x.copy()
-    shifted[-1] += 1.0  # x - c with c = -e_n
-    denom = float(shifted @ shifted)
-    img = 2.0 * shifted / denom
-    img[-1] -= 1.0
-    return InteriorPoint(HALFSPACE, tuple(img[:d]) + (float(img[-1]),))
-
-
-def halfspace_to_ball(p: InteriorPoint) -> InteriorPoint:
-    if p.model == BALL:
-        return p
-    w = np.asarray(p.coords[:-1])
-    h = p.coords[-1]
-    denom = float(w @ w) + (h + 1.0) ** 2
-    img = np.empty(len(p.coords))
-    img[:-1] = 2.0 * w / denom
-    img[-1] = 2.0 * (h + 1.0) / denom - 1.0
-    return InteriorPoint(BALL, tuple(img))
-
-
-def boundary_to_halfspace(p: BoundaryPoint) -> BoundaryPoint:
-    if p.model == HALFSPACE:
-        return p
-    u = np.asarray(p.coords)
-    if abs(u[-1] + 1.0) < 1e-14:  # south pole
-        return infinity()
-    return BoundaryPoint(HALFSPACE, tuple(u[:-1] / (1.0 + u[-1])))
-
-
-def boundary_to_ball(p: BoundaryPoint, d: Optional[int] = None) -> BoundaryPoint:
-    if p.model == BALL:
-        return p
-    if p.is_infinity:
-        if d is None:
-            raise ModelError("converting infinity to the ball needs the dimension d")
-        south = (0.0,) * d + (-1.0,)
-        return BoundaryPoint(BALL, south)
-    y = np.asarray(p.coords)
-    n2 = float(y @ y)
-    img = np.empty(len(y) + 1)
-    img[:-1] = 2.0 * y / (1.0 + n2)
-    img[-1] = (1.0 - n2) / (1.0 + n2)
-    return BoundaryPoint(BALL, tuple(img))
-
-
-def convert_interior(p: InteriorPoint, model: str) -> InteriorPoint:
-    _check_model(model)
-    return ball_to_halfspace(p) if model == HALFSPACE else halfspace_to_ball(p)
-
-
-def convert_boundary(p: BoundaryPoint, model: str, d: Optional[int] = None) -> BoundaryPoint:
-    _check_model(model)
-    return boundary_to_halfspace(p) if model == HALFSPACE else boundary_to_ball(p, d)
+def origin(d: int) -> InteriorPoint:
+    """The canonical base point: the height-1 point above 0."""
+    return InteriorPoint((0.0,) * d + (1.0,))
 
 
 # ---------------------------------------------------------------------------
-# complex helpers for the halfspace model
+# complex coordinates
 # ---------------------------------------------------------------------------
 
 
 def _hs_interior(p: InteriorPoint) -> tuple[complex, float]:
-    """Halfspace interior point as (complex boundary part, height)."""
-    q = ball_to_halfspace(p)
-    if q.d == 1:
-        return complex(q.coords[0], 0.0), q.coords[1]
-    return complex(q.coords[0], q.coords[1]), q.coords[2]
+    """Interior point as (complex boundary part, height)."""
+    if p.d == 1:
+        return complex(p.coords[0], 0.0), p.coords[1]
+    return complex(p.coords[0], p.coords[1]), p.coords[2]
 
 
 def _hs_boundary(p: BoundaryPoint) -> Optional[complex]:
-    """Halfspace boundary point as a complex number, None for infinity."""
-    q = boundary_to_halfspace(p)
-    if q.is_infinity:
+    """Boundary point as a complex number, None for infinity."""
+    if p.is_infinity:
         return None
-    if len(q.coords) == 1:
-        return complex(q.coords[0], 0.0)
-    return complex(q.coords[0], q.coords[1])
+    if len(p.coords) == 1:
+        return complex(p.coords[0], 0.0)
+    return complex(p.coords[0], p.coords[1])
 
 
-def _interior_from_hs(w: complex, h: float, d: int, model: str) -> InteriorPoint:
+def _interior_from_hs(w: complex, h: float, d: int) -> InteriorPoint:
     if d == 1:
-        p = InteriorPoint(HALFSPACE, (w.real, h))
-    else:
-        p = InteriorPoint(HALFSPACE, (w.real, w.imag, h))
-    return convert_interior(p, model)
+        return InteriorPoint((w.real, h))
+    return InteriorPoint((w.real, w.imag, h))
 
 
-def _boundary_from_hs(w: Optional[complex], d: int, model: str) -> BoundaryPoint:
+def _boundary_from_hs(w: Optional[complex], d: int) -> BoundaryPoint:
     if w is None:
-        p = infinity()
-    elif d == 1:
-        p = BoundaryPoint(HALFSPACE, (w.real,))
-    else:
-        p = BoundaryPoint(HALFSPACE, (w.real, w.imag))
-    return convert_boundary(p, model, d)
+        return infinity()
+    if d == 1:
+        return BoundaryPoint((w.real,))
+    return BoundaryPoint((w.real, w.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +134,12 @@ def _boundary_from_hs(w: Optional[complex], d: int, model: str) -> BoundaryPoint
 
 
 def hyp_distance(p: InteriorPoint, q: InteriorPoint) -> float:
-    """Hyperbolic distance; mixed-model arguments are converted first."""
-    if p.model != q.model:
-        q = convert_interior(q, p.model)
+    """Hyperbolic distance between two interior points."""
     if p.d != q.d:
         raise ModelError("points of different dimension")
-    if p.model == BALL:
-        x = np.asarray(p.coords)
-        y = np.asarray(q.coords)
-        dd = float((x - y) @ (x - y))
-        val = 1.0 + 2.0 * dd / ((1.0 - float(x @ x)) * (1.0 - float(y @ y)))
-    else:
-        wx, hx = _hs_interior(p)
-        wy, hy = _hs_interior(q)
-        val = 1.0 + (abs(wx - wy) ** 2 + (hx - hy) ** 2) / (2.0 * hx * hy)
+    wx, hx = _hs_interior(p)
+    wy, hy = _hs_interior(q)
+    val = 1.0 + (abs(wx - wy) ** 2 + (hx - hy) ** 2) / (2.0 * hx * hy)
     return float(np.arccosh(max(val, 1.0)))
 
 
@@ -269,41 +149,34 @@ def _mobius_to_infinity(p: complex) -> "MobiusMap":
 
 
 def geodesic_point(z: BoundaryPoint, t: float, base: Optional[InteriorPoint] = None) -> InteriorPoint:
-    """Point at distance t from ``base`` along the geodesic ray toward z.
-
-    With the default base (ball centre / halfspace height-1 point) the
-    ball-model image has Euclidean norm tanh(t/2).
-    """
+    """Point at distance t from ``base`` (default: the height-1 point
+    above 0) along the geodesic ray toward z."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     d = z.d if not z.is_infinity else (base.d if base is not None else 2)
     if base is None:
-        base = origin(d, HALFSPACE)
-    model = z.model
+        base = origin(d)
     wb, hb = _hs_interior(base)
     zc = _hs_boundary(z)
     if zc is None:
-        return _interior_from_hs(wb, hb * math.exp(t), base.d, model)
+        return _interior_from_hs(wb, hb * math.exp(t), base.d)
     g = _mobius_to_infinity(zc)
     wb2, hb2 = _apply_interior_mat(g.matrix, wb, hb)
     w3, h3 = _apply_interior_mat(g.inverse().matrix, wb2, hb2 * math.exp(t))
-    return _interior_from_hs(w3, h3, base.d, model)
+    return _interior_from_hs(w3, h3, base.d)
 
 
 def boundary_project(x: InteriorPoint, base: Optional[InteriorPoint] = None) -> BoundaryPoint:
-    """Radial projection: endpoint of the geodesic ray from ``base`` through x.
-
-    In the ball model with the centre as base this is x / |x|.
-    """
+    """Radial projection: endpoint of the geodesic ray from ``base`` through x."""
     if base is None:
-        base = origin(x.d, HALFSPACE)
+        base = origin(x.d)
     wb, hb = _hs_interior(base)
     wx, hx = _hs_interior(x)
     sep = abs(wx - wb)
     if sep < 1e-14:
         if abs(hx - hb) < 1e-14:
             raise ValueError("cannot project the base point")
-        return _boundary_from_hs(wb if hx < hb else None, x.d, x.model)
+        return _boundary_from_hs(wb if hx < hb else None, x.d)
     u = (wx - wb) / sep
     m = (sep * sep + hx * hx - hb * hb) / (2.0 * sep)
     # endpoint on the far side of x, stable for large negative m
@@ -311,7 +184,7 @@ def boundary_project(x: InteriorPoint, base: Optional[InteriorPoint] = None) -> 
         ep = m + math.hypot(m, hb)
     else:
         ep = hb * hb / (math.hypot(m, hb) - m)
-    return _boundary_from_hs(wb + ep * u, x.d, x.model)
+    return _boundary_from_hs(wb + ep * u, x.d)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +242,7 @@ def _canonical_sign(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """An orientation-preserving isometry of H^(d+1) in halfspace coordinates.
+    """An orientation-preserving isometry of H^(d+1).
 
     Stored as a unit-determinant 2x2 complex matrix in canonical sign.  For
     d = 1 all entries are real and the map preserves the upper half plane;
@@ -450,15 +323,15 @@ def _apply_interior_mat(m: np.ndarray, w: complex, h: float) -> tuple[complex, f
 
 
 def apply(g: MobiusMap, p: InteriorPoint | BoundaryPoint):
-    """Apply an isometry; the result is in the same model as the input."""
+    """Apply an isometry to an interior or a boundary point."""
     if isinstance(p, InteriorPoint):
         w, h = _hs_interior(p)
         w2, h2 = _apply_interior_mat(g.matrix, w, h)
-        return _interior_from_hs(w2, h2, p.d, p.model)
+        return _interior_from_hs(w2, h2, p.d)
     d = g.d if p.is_infinity else p.d
     w = _hs_boundary(p)
     w2 = _apply_boundary_mat(g.matrix, w)
-    return _boundary_from_hs(w2, d, p.model)
+    return _boundary_from_hs(w2, d)
 
 
 def classify(g: MobiusMap, d: Optional[int] = None) -> Classification:
@@ -493,7 +366,7 @@ def _parabolic_fixed_point(g: MobiusMap, d: int) -> BoundaryPoint:
     scale = float(np.abs(m).max())
     if abs(m[1, 0]) < ENTRY_TOL * scale:
         return infinity()
-    return _boundary_from_hs((m[0, 0] - m[1, 1]) / (2.0 * m[1, 0]), d, HALFSPACE)
+    return _boundary_from_hs((m[0, 0] - m[1, 1]) / (2.0 * m[1, 0]), d)
 
 
 def _boundary_fixed_points(g: MobiusMap, d: int) -> tuple[BoundaryPoint, ...]:
@@ -516,7 +389,7 @@ def _boundary_fixed_points(g: MobiusMap, d: int) -> tuple[BoundaryPoint, ...]:
             continue  # interior fixed point of a real elliptic, not on the boundary
         if d == 1 and z is not None:
             z = complex(z.real, 0.0)
-        out.append(_boundary_from_hs(z, d, HALFSPACE))
+        out.append(_boundary_from_hs(z, d))
     return tuple(out)
 
 
@@ -530,8 +403,8 @@ class Horoball:
     """Horoball tangent at ``base``.
 
     ``size`` is the Euclidean diameter for a finite base point and the
-    height of the bounding horizontal plane when the base is the halfspace
-    infinity (the horoball is then everything above that plane).  ``rank``
+    height of the bounding horizontal plane when the base is infinity
+    (the horoball is then everything above that plane).  ``rank``
     tags the rank of the parabolic fixed point when the horoball belongs
     to a cusp family; purely geometric horoballs default to 1.
     """
@@ -543,31 +416,8 @@ class Horoball:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError("horoball size must be positive")
-        if self.base.model == BALL and self.size >= 2.0:
-            raise ValueError("ball-model horoball diameter must be < 2")
         if self.rank < 1:
             raise ValueError("rank is a positive integer")
-
-    @property
-    def model(self) -> str:
-        return self.base.model
-
-
-def convert_horoball(H: Horoball, model: str, d: Optional[int] = None) -> Horoball:
-    """Rewrite a horoball in the other model via a horosphere sample point.
-
-    ``d`` disambiguates the boundary dimension when the base point is the
-    halfspace infinity (which carries none); it is otherwise ignored.
-    """
-    _check_model(model)
-    if H.model == model:
-        return H
-    d = _horoball_dim(H, d)
-    new_base = convert_boundary(H.base, model, d=d)
-    sample = _horosphere_sample(H, d)
-    img = convert_interior(sample, model)
-    return _horoball_through(new_base, img, rank=H.rank)
-
 
 def _horoball_dim(H: Horoball, d: Optional[int] = None) -> int:
     if not H.base.is_infinity:
@@ -577,36 +427,18 @@ def _horoball_dim(H: Horoball, d: Optional[int] = None) -> int:
 
 def _horosphere_sample(H: Horoball, d: Optional[int] = None) -> InteriorPoint:
     """An interior point lying exactly on the horosphere."""
-    if H.model == BALL:
-        u = np.asarray(H.base.coords)
-        return InteriorPoint(BALL, tuple((1.0 - H.size) * u))
     if H.base.is_infinity:
-        return InteriorPoint(HALFSPACE, (0.0,) * _horoball_dim(H, d) + (H.size,))
-    p = H.base.coords
-    return InteriorPoint(HALFSPACE, tuple(p) + (H.size,))
+        return InteriorPoint((0.0,) * _horoball_dim(H, d) + (H.size,))
+    return InteriorPoint(tuple(H.base.coords) + (H.size,))
 
 
 def _horoball_through(base: BoundaryPoint, x: InteriorPoint, rank: int) -> Horoball:
     """The horoball at ``base`` whose horosphere passes through x."""
-    x = convert_interior(x, base.model)
-    if base.model == HALFSPACE:
-        w, h = _hs_interior(x)
-        if base.is_infinity:
-            return Horoball(base, h, rank)
-        p = _hs_boundary(base)
-        assert p is not None
-        return Horoball(base, (abs(w - p) ** 2 + h * h) / h, rank)
-    u = np.asarray(base.coords)
-    y = np.asarray(x.coords)
-    # Euclidean sphere of diameter s tangent internally at u, through y:
-    # |y - (1 - s/2) u|^2 = (s/2)^2  solves to  s = |y - u|^2 / (1 - u.y).
-    uy = float(u @ y)
-    s = float((y - u) @ (y - u)) / (1.0 - uy)
-    return Horoball(base, s, rank)
-
-
-def horoball_contains(H: Horoball, x: InteriorPoint) -> bool:
-    return escape_depth(x, H) > 0.0
+    w, h = _hs_interior(x)
+    p = _hs_boundary(base)
+    if p is None:
+        return Horoball(base, h, rank)
+    return Horoball(base, (abs(w - p) ** 2 + h * h) / h, rank)
 
 
 def escape_depth(x: InteriorPoint, H: Horoball) -> float:
@@ -615,16 +447,14 @@ def escape_depth(x: InteriorPoint, H: Horoball) -> float:
     Computed by conjugating the base point to infinity with an explicit
     Moebius map and reading off log(height / plane height) there.
     """
-    Hh = convert_horoball(H, HALFSPACE)
     w, h = _hs_interior(x)
-    if Hh.base.is_infinity:
-        plane = Hh.size
+    p = _hs_boundary(H.base)
+    if p is None:
+        plane = H.size
     else:
-        p = _hs_boundary(Hh.base)
-        assert p is not None
         g = _mobius_to_infinity(p)
         w, h = _apply_interior_mat(g.matrix, w, h)
-        plane = 1.0 / Hh.size
+        plane = 1.0 / H.size
     if h <= plane:
         return 0.0
     return math.log(h / plane)
@@ -638,21 +468,18 @@ def squeeze(H: Horoball, theta: float) -> Horoball:
     """
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
-    if H.base.model == HALFSPACE and H.base.is_infinity:
+    if H.base.is_infinity:
         return Horoball(H.base, H.size / theta, H.rank)
     return Horoball(H.base, H.size * theta, H.rank)
 
 
 def apply_horoball(g: MobiusMap, H: Horoball, d: Optional[int] = None) -> Horoball:
-    """Image horoball g(H), in the same model as H."""
+    """Image horoball g(H)."""
     d = _horoball_dim(H, d)
-    Hh = convert_horoball(H, HALFSPACE, d)
-    w2 = _apply_boundary_mat(g.matrix, _hs_boundary(Hh.base))
-    new_base = _boundary_from_hs(w2, d, HALFSPACE)
-    sample = _horosphere_sample(Hh, d)
-    img = apply(g, sample)
-    out = _horoball_through(new_base, img, rank=H.rank)
-    return convert_horoball(out, H.model, d)
+    w2 = _apply_boundary_mat(g.matrix, _hs_boundary(H.base))
+    new_base = _boundary_from_hs(w2, d)
+    img = apply(g, _horosphere_sample(H, d))
+    return _horoball_through(new_base, img, rank=H.rank)
 
 
 def horoball_crossing_times(
@@ -664,18 +491,15 @@ def horoball_crossing_times(
     of H (the ray never leaves).  Returns None when the ray misses H.
     Requires the base point to lie outside the horoball.
     """
-    Hh = convert_horoball(H, HALFSPACE)
-    d = 1 if (not Hh.base.is_infinity and Hh.base.d == 1) else 2
     if base is None:
-        base = origin(d, HALFSPACE)
-    if Hh.base.is_infinity:
+        base = origin(_horoball_dim(H))
+    p = _hs_boundary(H.base)
+    if p is None:
         g = identity_map()
-        plane = Hh.size
+        plane = H.size
     else:
-        p = _hs_boundary(Hh.base)
-        assert p is not None
         g = _mobius_to_infinity(p)
-        plane = 1.0 / Hh.size
+        plane = 1.0 / H.size
     wb, hb = _hs_interior(base)
     wb, hb = _apply_interior_mat(g.matrix, wb, hb)
     if hb >= plane:
@@ -711,8 +535,7 @@ def horoball_crossing_times(
 
 @dataclass(frozen=True)
 class BoundaryBall:
-    """A round ball on the boundary: Euclidean disk (halfspace) or
-    spherical cap given by chordal centre/radius (ball model)."""
+    """A round Euclidean ball (disk or interval) on the boundary."""
 
     center: BoundaryPoint
     radius: float
@@ -721,103 +544,25 @@ class BoundaryBall:
 def shadow(H: Horoball, base: Optional[InteriorPoint] = None) -> BoundaryBall:
     """Radial projection of H from ``base`` as an exact boundary ball.
 
-    The projection of a horoball from an exterior viewpoint is a round
-    ball: a planar disk/interval in the halfspace model, a chordal cap in
-    the ball model (matching the model of H).  Raises ShadowError if the
-    base point lies in H or a halfspace shadow is unbounded.
+    The affine map z -> (z - w_b) / h_b moves the viewpoint to the
+    height-1 point above 0, where H has base p and diameter D.  The rays
+    from there that meet H are those within angle alpha of the ray toward
+    p, with sin(alpha) = D / (1 + |p|^2) = exp(-distance to H); their
+    endpoints form the disk of centre 2p / den and radius D / den, where
+    den = 1 - |p|^2 + (1 + |p|^2) cos(alpha) = 2 - D tan(alpha / 2).  The
+    last form has no cancellation for small horoballs.  Raises
+    ShadowError if the base point lies in H or the shadow is unbounded.
     """
-    model = H.model
-    if base is not None:
-        d = base.d
-    else:
-        d = _horoball_dim(H)
-        base = origin(d, HALFSPACE)
-    # move the base to the canonical point, where projection is radial
-    wb, hb = _hs_interior(base)
-    move = MobiusMap(np.array([[1.0, -wb], [0.0, hb]], dtype=complex))
-    H1 = apply_horoball(move, convert_horoball(H, HALFSPACE, d), d)
-    Hb = convert_horoball(H1, BALL, d)
-    s = Hb.size
-    if s >= 1.0:
+    q = _hs_boundary(H.base)
+    if q is None:
+        raise ShadowError("a horoball at infinity casts an unbounded shadow")
+    d = H.base.d
+    wb, hb = _hs_interior(origin(d) if base is None else base)
+    D = H.size / hb
+    sin_alpha = D / (1.0 + abs((q - wb) / hb) ** 2)
+    if sin_alpha >= 1.0:
         raise ShadowError("base point lies inside or on the horoball")
-    alpha = math.asin((s / 2.0) / (1.0 - s / 2.0))
-    q = np.asarray(Hb.base.coords)
-    back = move.inverse()
-
-    def pull(u: np.ndarray) -> BoundaryPoint:
-        return apply(back, boundary_to_halfspace(BoundaryPoint(BALL, tuple(u))))
-
-    # rim directions of the cap in the moved picture, plus its centre as a
-    # marker known to lie inside the true shadow (it is the tangency image)
-    if d == 1:
-        rot = np.array([[math.cos(alpha), -math.sin(alpha)], [math.sin(alpha), math.cos(alpha)]])
-        rim = [rot @ q, rot.T @ q]
-    else:
-        v1 = _any_unit_normal(q)
-        v2 = np.cross(q, v1)
-        rim = []
-        for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
-            u = math.cos(alpha) * q + math.sin(alpha) * (math.cos(theta) * v1 + math.sin(theta) * v2)
-            rim.append(u / np.linalg.norm(u))
-    marker = pull(q)
-    rim_img = [pull(u) for u in rim]
-
-    if model == HALFSPACE:
-        if marker.is_infinity or any(r.is_infinity for r in rim_img):
-            raise ShadowError("shadow is unbounded in the halfspace chart")
-        if d == 1:
-            xs = [r.coords[0] for r in rim_img]
-            lo, hi = min(xs), max(xs)
-            if not (lo <= marker.coords[0] <= hi):
-                raise ShadowError("shadow wraps around infinity")
-            return BoundaryBall(BoundaryPoint(HALFSPACE, ((lo + hi) / 2.0,)), (hi - lo) / 2.0)
-        zs = [complex(r.coords[0], r.coords[1]) for r in rim_img]
-        center, radius = _circumcircle(zs)
-        mk = complex(marker.coords[0], marker.coords[1])
-        if abs(mk - center) > radius * (1.0 + 1e-9):
-            raise ShadowError("shadow is the outside of a disk")
-        return BoundaryBall(BoundaryPoint(HALFSPACE, (center.real, center.imag)), radius)
-
-    # ball-model output: the cap pulled back is still a cap; recover its
-    # centre from the rim and pick the side containing the marker
-    mk = np.asarray(convert_boundary(marker, BALL, d).coords)
-    rb = [np.asarray(convert_boundary(r, BALL, d).coords) for r in rim_img]
-    if d == 1:
-        mid = rb[0] + rb[1]
-        nm = float(np.linalg.norm(mid))
-        if nm < 1e-12:  # rim points antipodal: cap is a half circle
-            c = mk
-        else:
-            c = mid / nm
-            if float(mk @ c) < float(rb[0] @ c):
-                c = -c
-    else:
-        n = np.cross(rb[1] - rb[0], rb[2] - rb[0])
-        nn = float(np.linalg.norm(n))
-        if nn < 1e-14:
-            raise ShadowError("degenerate shadow circle")
-        c = n / nn
-        if float(mk @ c) < float(rb[0] @ c):
-            c = -c
-    return BoundaryBall(BoundaryPoint(BALL, tuple(c)), float(np.linalg.norm(rb[0] - c)))
-
-
-def _any_unit_normal(q: np.ndarray) -> np.ndarray:
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(q)))] = 1.0
-    v = np.cross(q, e)
-    return v / np.linalg.norm(v)
-
-
-def _circumcircle(zs: Sequence[complex]) -> tuple[complex, float]:
-    z1, z2, z3 = zs
-    ax, ay = z1.real, z1.imag
-    bx, by = z2.real, z2.imag
-    cx, cy = z3.real, z3.imag
-    dmat = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(dmat) < 1e-30:
-        raise ShadowError("degenerate shadow circle")
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / dmat
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / dmat
-    center = complex(ux, uy)
-    return center, abs(z1 - center)
+    den = 2.0 - D * sin_alpha / (1.0 + math.sqrt(1.0 - sin_alpha * sin_alpha))
+    if den <= 0.0:
+        raise ShadowError("shadow is unbounded in the halfspace chart")
+    return BoundaryBall(_boundary_from_hs(wb + 2.0 * (q - wb) / den, d), H.size / den)

@@ -340,7 +340,7 @@ class GMFContext:
                     f"delta={self.delta} violates delta > k/2 for cusp rank {k}"
                 )
         if self.base is None:
-            self.base = hg.origin(self.family.d, hg.HALFSPACE)
+            self.base = hg.origin(self.family.d)
 
 
 def k_and_rho(ctx: GMFContext, z, t: float) -> tuple[int, float]:
@@ -377,9 +377,9 @@ def _as_boundary(z, d: int) -> hg.BoundaryPoint:
         return z
     if isinstance(z, complex):
         coords = (z.real, z.imag) if d == 2 else (z.real,)
-        return hg.BoundaryPoint(hg.HALFSPACE, coords)
+        return hg.BoundaryPoint(coords)
     row = np.asarray(z, dtype=float).ravel()
-    return hg.BoundaryPoint(hg.HALFSPACE, tuple(row[:d]))
+    return hg.BoundaryPoint(tuple(row[:d]))
 
 
 @dataclass(frozen=True)
@@ -784,9 +784,9 @@ def ureg_witness(
     z = hg._apply_boundary_mat(fn.matrix, complex(z0))
     if z is None:
         raise ValueError("z0 maps to infinity; choose a different z0")
-    zb = hg.BoundaryPoint(hg.HALFSPACE, (z.real,) if d == 1 else (z.real, z.imag))
+    zb = hg.BoundaryPoint((z.real,) if d == 1 else (z.real, z.imag))
 
-    base = hg.origin(d, hg.HALFSPACE)
+    base = hg.origin(d)
     times = hg.horoball_crossing_times(zb, H_p, base=base)
     if times is None:
         raise ValueError("the ray toward f^n(z0) misses the horoball; increase n")
@@ -828,7 +828,7 @@ def ureg_witness(
     for xi_u in (xi_T - lam, xi_T + lam):
         wu = wo + xi_u * e
         coords = (wu.real, eta) if d == 1 else (wu.real, wu.imag, eta)
-        back = hg.apply(Minv, hg.InteriorPoint(hg.HALFSPACE, coords))
+        back = hg.apply(Minv, hg.InteriorPoint(coords))
         wb, hb = hg._hs_interior(back)
         candidates.append((math.hypot(abs(wb - p), hb), xi_u))
     xi_u = max(candidates)[1]
@@ -841,6 +841,6 @@ def ureg_witness(
         raise ValueError("the normal foot lies outside the horoball; increase n")
     wu = wo + xi_u * e
     coords = (wu.real, h_t) if d == 1 else (wu.real, wu.imag, h_t)
-    zt = hg.InteriorPoint(hg.HALFSPACE, coords)
+    zt = hg.InteriorPoint(coords)
     t = hg.hyp_distance(ob, zt)
     return zb, float(t), T

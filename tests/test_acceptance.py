@@ -265,7 +265,7 @@ def _random_disjoint_family(rng) -> gr.HoroballFamily:
 
 def _member_at(family, z: complex, t: float):
     """(index, rho) of the family member containing the ray point z_t."""
-    zb = hg.BoundaryPoint(hg.HALFSPACE, (z.real, z.imag))
+    zb = hg.BoundaryPoint((z.real, z.imag))
     pt = hg.geodesic_point(zb, t)
     w = complex(pt.coords[0], pt.coords[1])
     h = float(pt.coords[2])

@@ -173,6 +173,30 @@ class TestCloudIO:
         with pytest.raises(cli.UsageError, match="cannot read"):
             cli.read_cloud(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coordinates(self, tmp_path, capsys, bad):
+        path = str(tmp_path / f"{bad}.csv")
+        with open(path, "w") as fh:
+            fh.write(f"# kleindim-cloud\n# model,d,resolution\n# halfspace,2,0.01\n0,0\n1,{bad}\n")
+        with pytest.raises(cli.UsageError, match="finite"):
+            cli.read_cloud(path)
+        for method in ("box", "lower"):
+            assert cli.main(["dimension", path, "--method", method]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: {path}: coordinates must be finite numbers\n"
+            )
+
+    def test_empty_cloud_file(self, tmp_path, capsys):
+        path = str(tmp_path / "empty.csv")
+        cli.write_cloud(path, ed.PointCloud(coords=np.empty((0, 2)), d=2, resolution=1e-3))
+        cloud = cli.read_cloud(path)
+        assert cloud.coords.shape == (0, 2)
+        assert cli.main(["dimension", path]) == cli.EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: box dimension needs a cloud of at least 2 points; this one has 0\n"
+        )
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_round_trip_random_clouds(self, seed):

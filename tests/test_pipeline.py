@@ -78,7 +78,7 @@ def test_deepest_cusp_points_match_the_argmin_oracle(name):
     c = p.cusps.cusps[0]
     # a cusp with no family base within 1e-8 gets size 0
     coords = (0.123456,) if p.group.d == 1 else (0.123456, -0.654321)
-    stray = dataclasses.replace(c, point=hg.BoundaryPoint(hg.HALFSPACE, coords))
+    stray = dataclasses.replace(c, point=hg.BoundaryPoint(coords))
     cusps = dataclasses.replace(p.cusps, cusps=p.cusps.cusps + (stray,))
     rows = deepest_cusp_points(cusps, p.family)
     _assert_same_rows(rows, _argmin_cusp_points(cusps, p.family))
@@ -98,7 +98,7 @@ def test_deepest_cusp_points_take_the_lowest_index_on_ties():
     )
     p = Pipeline(gr.builtin_group("apollonian"), 4.0)
     c = dataclasses.replace(
-        p.cusps.cusps[0], point=hg.BoundaryPoint(hg.HALFSPACE, (z.real, z.imag))
+        p.cusps.cusps[0], point=hg.BoundaryPoint((z.real, z.imag))
     )
     cusps = dataclasses.replace(p.cusps, cusps=(c,))
     rows = deepest_cusp_points(cusps, family)

@@ -404,7 +404,7 @@ class TestMeasureFormula:
         ctx = ps.GMFContext(
             delta=1.5,
             family=fam,
-            base=hg.InteriorPoint(hg.HALFSPACE, (0.0, 0.0, math.exp(3.0))),
+            base=hg.InteriorPoint((0.0, 0.0, math.exp(3.0))),
         )
         # the ray from height e^3 straight down to 0 is at height e^2
         # after time 1, depth log(e^2 / 1) = 2 inside the plane member
