@@ -11,6 +11,9 @@ On top of the enumeration sit parabolic/cusp detection with rank
 computation, construction of a disjoint invariant horoball family (one
 reference horoball per detected cusp orbit, shrunk by the dyadic factor
 that makes it disjoint), and limit set sampling by radial projection.
+Cusp detection and the family decide when two boundary points are the
+same point by one rule, stated at :func:`_cells`, and group what is the
+same by one components helper, :func:`_components`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ EXPAND_PRODUCTS = 200_000
 PRODUCT_BLOCK = 1024
 # the dyadic squeeze of a horoball family stops at theta = 2^-MAX_SHRINK_STEPS
 MAX_SHRINK_STEPS = 40
-# parabolic fixed points this close are one point
+# cell side of the same-point rule (see _cells) for parabolic fixed
+# points, cusp references and cusp points
 CUSP_CLUSTER_TOL = 1e-8
 # the shortest parabolics per cluster whose translations decide a cusp's rank
 RANK_SAMPLE = 32
@@ -46,9 +50,9 @@ RANK_SAMPLE = 32
 # there whose sizes agree within this relative tolerance are duplicates
 DEDUP_GRID = 1e-9
 DEDUP_SIZE_REL_TOL = 1e-6
-# buckets over the cusp references' real span that prefilter the images
-# the reference premerge looks up
-PREMERGE_BUCKETS = 1 << 16
+# buckets over the targets' real span that prefilter the points a cell
+# lookup tests
+CELL_BUCKETS = 1 << 16
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -442,6 +446,109 @@ def enumerate_orbit(
 
 
 # ---------------------------------------------------------------------------
+# boundary cells and components
+# ---------------------------------------------------------------------------
+
+
+def _cells(z: np.ndarray, side: float, frac: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of side ``side`` at offset ``frac`` holding the complex
+    boundary points z: exact int64 indices floor(x / side + frac) of the
+    real and of the imaginary parts.
+
+    This is the one rule for "same boundary point", used by cusp
+    clustering, the cusp reference premerge, the horoball base dedup and
+    the deepest-cusp lookup: two points are the same when they share a
+    cell at offset 0 or at offset 1/2.  Points sharing a cell lie within sqrt(2) side of each
+    other.  Points closer than side / 2 on both axes share a cell at one
+    offset or the other on each axis, so they are the same unless they
+    straddle an edge of one offset on one axis and an edge of the other
+    offset on the other.  Indices are exact, so distinct cells never
+    alias; an index beyond 4e18 in size raises
+    :class:`CuspDetectionError` instead of wrapping around int64.
+    """
+    out = []
+    for x in (z.real, z.imag):
+        c = x / side
+        c += frac
+        np.floor(c, out=c)
+        if len(c) and max(c.max(), -c.min()) > 4.0e18:
+            raise CuspDetectionError(
+                "boundary point beyond the integer grid range of its cells; "
+                "bound the points to a working window first"
+            )
+        out.append(c.astype(np.int64))
+    return out[0], out[1]
+
+
+def _shared_cells(z: np.ndarray, targets: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with z[i] the same point as targets[j] by the
+    :func:`_cells` rule: at each offset, every point is paired with the
+    lowest target in its cell.  Only points whose real part falls in a
+    bucket within 2 side of some target's, and whose imaginary part
+    lies within a cell of the targets' span, are looked up; the others,
+    NaN included, pair with nothing and never reach the range guard."""
+    none = np.empty(0, dtype=np.intp)
+    if not len(z) or not len(targets):
+        return none, none
+    # buckets 1 .. CELL_BUCKETS + 1 cover the targets' real span; the
+    # end buckets 0 and CELL_BUCKETS + 2 take everything else
+    reach = 2.0 * side
+    lo = targets.real.min() - reach
+    per = CELL_BUCKETS / (targets.real.max() + reach - lo)
+
+    def bucket(x: np.ndarray) -> np.ndarray:
+        k = x - lo
+        k *= per
+        np.fmax(k, -1.0, out=k)  # NaN goes to the low end bucket
+        np.fmin(k, CELL_BUCKETS + 1.0, out=k)
+        np.floor(k, out=k)
+        return k.astype(np.intp) + 1
+
+    # +1 at the bucket where a target's reach starts, -1 past its end
+    edges = np.zeros(CELL_BUCKETS + 4, dtype=np.intp)
+    np.add.at(edges, bucket(targets.real - reach), 1)
+    np.add.at(edges, bucket(targets.real + reach) + 1, -1)
+    rows = np.flatnonzero((np.cumsum(edges) > 0)[bucket(z.real)])
+    y = z.imag[rows]
+    rows = rows[(y >= targets.imag.min() - side) & (y <= targets.imag.max() + side)]
+    both = np.concatenate([targets, z[rows]])
+    n = len(targets)
+    pairs_i, pairs_j = [none], [none]
+    for frac in (0.0, 0.5):
+        cells = np.column_stack(_cells(both, side, frac))
+        # equal ids are equal cells
+        _, ids = np.unique(cells, axis=0, return_inverse=True)
+        ids = ids.ravel()
+        lowest = np.full(ids.max() + 1, n)
+        np.minimum.at(lowest, ids[:n], np.arange(n))
+        j = lowest[ids[n:]]
+        hit = j < n
+        pairs_i.append(rows[hit])
+        pairs_j.append(j[hit])
+    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on nodes 0 .. n-1 with edges
+    (i[k], j[k]), each node labelled by the smallest node of its own.
+    Each round lowers both ends of every edge to the smaller of their
+    labels, then every label to its label's label; labels stay inside
+    their component and stop falling once each holds its smallest node."""
+    label = np.arange(n)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+# ---------------------------------------------------------------------------
 # cusp detection
 # ---------------------------------------------------------------------------
 
@@ -470,79 +577,20 @@ class CuspSummary:
         return bool(self.cusps)
 
 
-class _GridIndex:
-    """Hash grid over the plane for tolerance-based point identification."""
-
-    def __init__(self, tol: float) -> None:
-        self.tol = tol
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        self.points: list[complex] = []
-
-    def _cell(self, z: complex) -> tuple[int, int]:
-        return (int(math.floor(z.real / self.tol)), int(math.floor(z.imag / self.tol)))
-
-    def find(self, z: complex) -> int:
-        cx, cy = self._cell(z)
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                for idx in self.cells.get((nx, ny), ()):
-                    if abs(self.points[idx] - z) <= self.tol:
-                        return idx
-        return -1
-
-    def insert(self, z: complex) -> int:
-        idx = len(self.points)
-        self.points.append(z)
-        self.cells.setdefault(self._cell(z), []).append(idx)
-        return idx
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _parabolic_translations(mats: np.ndarray, p: Optional[complex]) -> np.ndarray:
-    """Translation parts of parabolics fixing p, read off at infinity."""
-    taus = []
-    if p is None:
-        q = np.eye(2, dtype=complex)
-        qi = q
-    else:
-        q = np.array([[0.0, -1.0], [1.0, -p]], dtype=complex)
-        qi = np.array([[-p, 1.0], [-1.0, 0.0]], dtype=complex)
-    for m in mats:
-        u = q @ m @ qi
-        taus.append(complex(u[0, 1] / u[0, 0]))
-    return np.asarray(taus)
-
-
-def _rank_from_translations(taus: np.ndarray, d: int) -> int:
-    if d == 1 or len(taus) < 2:
-        return 1
-    ref = taus[np.argmax(np.abs(taus))]
-    cross = np.abs((taus * ref.conjugate()).imag)
-    independent = cross > 1e-8 * np.abs(taus) * abs(ref)
-    return 2 if independent.any() else 1
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in ``keys``."""
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return starts, np.diff(np.append(starts, len(keys)))
 
 
 def find_cusps(orbit: OrbitData) -> CuspSummary:
     """Detect parabolic fixed points, group them into cusp orbits.
 
-    Fixed points are clustered with a hash grid at ``CUSP_CLUSTER_TOL``; the
-    clusters are then joined into orbits by following generator images.
-    The orbit partition is a lower bound on the truth (two clusters whose
+    A cluster is a connected set of fixed points that are the same point
+    by the :func:`_cells` rule at ``CUSP_CLUSTER_TOL``; all fixed points
+    at infinity form one.  Clusters are joined into orbits when a
+    generator carries a fixed point into a cluster's cell.  The orbit
+    partition is a lower bound on the truth (two clusters whose
     connecting element was not enumerated stay separate); downstream
     horoball construction merges orbits when it finds evidence for it.
     """
@@ -568,94 +616,76 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     scale = np.abs(pm).max(axis=(1, 2))
     at_inf = np.abs(c) <= hg.ENTRY_TOL * scale
     fp = np.zeros(n_para, dtype=complex)
-    fin = ~at_inf
+    fin = np.flatnonzero(~at_inf)
     fp[fin] = (a[fin] - dd[fin]) / (2.0 * c[fin])
+    inf = np.flatnonzero(at_inf)
+    to_inf = inf[:1]  # edges into infinity's cluster end at its first parabolic
 
-    cluster_of = np.empty(n_para, dtype=np.int64)
-    members: list[list[int]] = []
-    cluster_ids: dict[int, int] = {}
-    inf_id = -1
-    grid = _GridIndex(CUSP_CLUSTER_TOL)
-    for i in range(n_para):
-        if at_inf[i]:
-            if inf_id < 0:
-                inf_id = len(members)
-                members.append([])
-            cluster_of[i] = inf_id
-            members[inf_id].append(i)
-            continue
-        z = complex(fp[i])
-        idx = grid.find(z)
-        if idx < 0:
-            idx = grid.insert(z)
-            cluster_ids[idx] = len(members)
-            members.append([])
-        cl = cluster_ids[idx]
-        cluster_of[i] = cl
-        members[cl].append(i)
+    # one lookup per distinct fixed point value, by its first parabolic
+    vals, first, inv = np.unique(fp[fin], return_index=True, return_inverse=True)
+    reps = fin[first]
+    ki, kj = _shared_cells(vals, vals, CUSP_CLUSTER_TOL)
+    same_i = np.concatenate([fin, reps[ki], inf])
+    same_j = np.concatenate([reps[inv], reps[kj], to_inf.repeat(len(inf))])
+    cluster = _components(n_para, same_i, same_j)
 
-    n_clusters = len(members)
-    reps: list[Optional[complex]] = []
-    for cl, mem in enumerate(members):
-        if inf_id == cl:
-            reps.append(None)
-        else:
-            reps.append(complex(fp[mem[0]]))
+    # a generator image of a fixed point joins the cluster whose cell it
+    # lands in; a point sent to infinity joins infinity's cluster
+    gens = _generator_stack(group)
+    ga, gb, gc, gd = (gens[:, r, s, None] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    gscale = np.abs(gens).max(axis=(1, 2))[:, None]
+    den = gc * vals + gd
+    ok = np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(vals))
+    img = (ga * vals + gb) / np.where(ok, den, 1.0)
+    src = np.broadcast_to(reps, img.shape)
+    moves_inf = (np.abs(gc[:, 0]) >= 1e-13 * gscale[:, 0]) & bool(len(inf))
+    q = np.concatenate([img[ok], ga[moves_inf, 0] / gc[moves_inf, 0]])
+    q_src = np.concatenate([src[ok], to_inf.repeat(moves_inf.sum())])
+    qi, tj = _shared_cells(q, vals, CUSP_CLUSTER_TOL)
+    poles = src[~ok] if len(inf) else reps[:0]
+    comp = _components(
+        n_para,
+        np.concatenate([same_i, q_src[qi], poles]),
+        np.concatenate([same_j, reps[tj], to_inf.repeat(len(poles))]),
+    )
 
-    # join clusters connected by a generator image of any member point
-    uf = _UnionFind(n_clusters)
-    gen_mats = _generator_stack(group)
-    for gm in gen_mats:
-        ga, gb, gc, gd = gm[0, 0], gm[0, 1], gm[1, 0], gm[1, 1]
-        gscale = float(np.abs(gm).max())
-        den = gc * fp + gd
-        ok = np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(fp))
-        img = (ga * fp + gb) / np.where(ok, den, 1.0)
-        inf_img = None if abs(gc) < 1e-13 * gscale else complex(ga / gc)
-        for i in range(n_para):
-            if at_inf[i]:
-                if inf_img is None:
-                    tgt = inf_id
-                else:
-                    gi = grid.find(inf_img)
-                    tgt = cluster_ids.get(gi, -1) if gi >= 0 else -1
-            elif ok[i]:
-                gi = grid.find(complex(img[i]))
-                tgt = cluster_ids.get(gi, -1) if gi >= 0 else -1
-            else:
-                tgt = inf_id
-            if tgt >= 0:
-                uf.union(int(cluster_of[i]), tgt)
+    # a cluster has rank 2 when the translation of one of its RANK_SAMPLE
+    # shortest parabolics, read off with its fixed point moved to
+    # infinity, is independent of the longest such translation; an orbit
+    # takes its clusters' largest rank
+    cl_rank = np.ones(n_para, dtype=int)
+    if group.d == 2:
+        order = np.lexsort((pd, cluster))
+        starts, sizes = _runs(cluster[order])
+        sel = order[np.arange(n_para) - np.repeat(starts, sizes) < RANK_SAMPLE]
+        cl = cluster[sel]
+        ms = pm[sel]
+        taus = -ms[:, 1, 0] / (ms[:, 1, 0] * fp[cl] + ms[:, 1, 1])
+        up = at_inf[cl]
+        taus[up] = ms[up, 0, 1] / ms[up, 0, 0]
+        starts, sizes = _runs(cl)
+        run = np.repeat(np.arange(len(starts)), sizes)
+        mag = np.abs(taus)
+        ref = taus[np.lexsort((-mag, run))[starts]][run]
+        independent = np.abs((taus * ref.conjugate()).imag) > 1e-8 * mag * np.abs(ref)
+        cl_rank[cl[starts]] = np.where(np.logical_or.reduceat(independent, starts), 2, 1)
+    rank = np.zeros(n_para, dtype=int)
+    np.maximum.at(rank, comp, cl_rank[cluster])
 
-    comp_members: dict[int, list[int]] = {}
-    for cl in range(n_clusters):
-        comp_members.setdefault(uf.find(cl), []).append(cl)
-
+    # each orbit's shortest parabolic, the earliest cluster's and then the
+    # earliest one on ties
+    order = np.lexsort((cluster, pd, plen, comp))
+    starts, counts = _runs(comp[order])
     cusps = []
-    for comp_clusters in comp_members.values():
-        elems = [i for cl in comp_clusters for i in members[cl]]
-        rank = 1
-        if group.d == 2:
-            rank_max = 1
-            for cl in comp_clusters:
-                mem = members[cl]
-                order = np.lexsort((pd[mem],))[:RANK_SAMPLE]
-                sel = [mem[int(k)] for k in order]
-                taus = _parabolic_translations(pm[sel], reps[cl])
-                rank_max = max(rank_max, _rank_from_translations(taus, group.d))
-                if rank_max == 2:
-                    break
-            rank = rank_max
-        best = min(elems, key=lambda i: (plen[i], pd[i]))
-        gen = hg.MobiusMap(pm[best])
-        p_best = None if at_inf[best] else complex(fp[best])
-        if p_best is None:
+    for best, n_conj in zip(order[starts], counts):
+        if at_inf[best]:
             point = hg.infinity()
         elif group.d == 1:
-            point = hg.BoundaryPoint((p_best.real,))
+            point = hg.BoundaryPoint((fp[best].real,))
         else:
-            point = hg.BoundaryPoint((p_best.real, p_best.imag))
-        cusps.append(Cusp(point=point, rank=rank, generator=gen, n_conjugates=len(elems)))
+            point = hg.BoundaryPoint((fp[best].real, fp[best].imag))
+        gen = hg.MobiusMap(pm[best])
+        cusps.append(Cusp(point, int(rank[comp[best]]), gen, int(n_conj)))
 
     cusps.sort(key=lambda cu: (math.inf,) if cu.point.is_infinity else cu.point.coords)
     ranks = [cu.rank for cu in cusps]
@@ -835,64 +865,30 @@ def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray, inf_height: Optiona
     return worst
 
 
-def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFind:
-    """Union cusp references connected by a single enumerated element.
+def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
+    """Component labels of the cusp references joined by a single
+    enumerated element, each the smallest reference of its component.
 
     Cusp detection may split one orbit into many satellite clusters.
     Building horoball images for every satellite multiplies the memory
     bill by the split factor, so references whose points are mapped onto
     each other by some enumerated element are merged beforehand.  The
     size-conflict restart in the family builder remains as a backstop
-    for orbit pairs whose connecting element was not enumerated.
-
-    An image joins a finite reference only when it shares that
-    reference's grid cell at one of the two offsets, so their real parts
-    lie within one cell of each other.  Only images whose real part falls
-    in one of the ``PREMERGE_BUCKETS`` buckets that meet
-    [t - 2 grid, t + 2 grid] for some reference real part t are packed
-    and looked up; the others, NaN included, land in the unmarked end
-    buckets or in buckets no reference reaches, and share no cell.
+    for orbit pairs whose connecting element was not enumerated.  An
+    image joins a finite reference when it is the same point by the
+    :func:`_cells` rule at ``CUSP_CLUSTER_TOL``.
     """
-    uf = _UnionFind(len(refs))
     pts = [p for p, _ in refs]
     fin = [i for i, p in enumerate(pts) if p is not None]
     inf_i = next((i for i, p in enumerate(pts) if p is None), None)
     if len(fin) + (inf_i is not None) < 2:
-        return uf
+        return np.arange(len(refs))
     a, b, c, dd = (np.ascontiguousarray(mats[:, r, s]) for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
     tol = np.abs(mats).max(axis=(1, 2))
     tol *= 1e-12
-
-    def pack(w: np.ndarray, frac: float) -> np.ndarray:
-        c0 = np.floor(w.real / grid + frac).astype(np.int64)
-        c1 = np.floor(w.imag / grid + frac).astype(np.int64)
-        return (c0 << np.int64(32)) | (c1 & np.int64(0xFFFFFFFF))
-
     fin_pts = np.array([pts[i] for i in fin], dtype=complex)
     fin_ids = np.asarray(fin)
-    targets = {}
-    for frac in (0.0, 0.5):
-        keys = pack(fin_pts, frac)
-        order = np.argsort(keys)
-        targets[frac] = (keys[order], fin_ids[order])
-
-    # buckets 1 .. PREMERGE_BUCKETS + 1 cover the targets' real span;
-    # the end buckets 0 and PREMERGE_BUCKETS + 2 take everything else
-    lo = fin_pts.real.min() - 2.0 * grid
-    per = PREMERGE_BUCKETS / (fin_pts.real.max() + 2.0 * grid - lo)
-
-    def bucket(x: np.ndarray) -> np.ndarray:
-        k = x - lo
-        k *= per
-        np.fmax(k, -1.0, out=k)  # NaN goes to the low end bucket
-        np.fmin(k, PREMERGE_BUCKETS + 1.0, out=k)
-        np.floor(k, out=k)
-        return k.astype(np.intp) + 1
-
-    marked = np.zeros(PREMERGE_BUCKETS + 3, dtype=bool)
-    for k0, k1 in zip(bucket(fin_pts.real - 2.0 * grid), bucket(fin_pts.real + 2.0 * grid)):
-        marked[k0 : k1 + 1] = True
-
+    src, dst = [], []
     for i in fin + ([inf_i] if inf_i is not None else []):
         if pts[i] is None:
             num, den = a, c
@@ -900,20 +896,28 @@ def _premerge_refs(mats: np.ndarray, refs: list, grid: float = 1e-8) -> _UnionFi
             num, den = a * pts[i] + b, c * pts[i] + dd
         to_inf = np.abs(den) <= tol
         if inf_i is not None and i != inf_i and bool(to_inf.any()):
-            uf.union(i, inf_i)
+            src.append(i)
+            dst.append(inf_i)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = num / den
-        w = w[marked[bucket(w.real)] & ~to_inf]
-        for frac in (0.0, 0.5):
-            keys, owners = targets[frac]
-            kk = pack(w, frac)
-            pos = np.searchsorted(keys, kk)
-            ok = pos < len(keys)
-            hit = np.zeros(len(kk), dtype=bool)
-            hit[ok] = keys[pos[ok]] == kk[ok]
-            for j in np.unique(owners[pos[hit]]):
-                uf.union(i, int(j))
-    return uf
+        w[to_inf] = np.nan
+        j = fin_ids[_shared_cells(w, fin_pts, CUSP_CLUSTER_TOL)[1]]
+        src.extend([i] * len(j))
+        dst.extend(j.tolist())
+    return _components(len(refs), src, dst)
+
+
+def _fold_refs(refs: list, active, labels: np.ndarray) -> list:
+    """Fold each active reference into its component's label, the
+    smallest reference of the component, which takes the component's
+    largest rank.  Returns the sorted labels, the references left."""
+    ranks: dict[int, int] = {}
+    for ri in active:
+        w = int(labels[ri])
+        ranks[w] = max(ranks.get(w, 0), refs[ri][1])
+    for w, rank in ranks.items():
+        refs[w] = (refs[w][0], rank)
+    return sorted(ranks)
 
 
 def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[float]) -> float:
@@ -1004,43 +1008,20 @@ def standard_horoballs(
     ow, _ = orbit.orbit_points()
     window = max(16.0, 4.0 * float(np.abs(ow).max()) + 8.0)
 
-    uf = _premerge_refs(orbit.matrices, refs)
-    components: dict[int, list[int]] = {}
-    for i in range(len(refs)):
-        components.setdefault(uf.find(i), []).append(i)
-    active = []
-    for members in components.values():
-        winner = min(members)
-        pw, _ = refs[winner]
-        refs[winner] = (pw, max(refs[mbr][1] for mbr in members))
-        active.append(winner)
-    active.sort()
+    active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs))
     while True:
         bases, sizes, ref_of, inf_h = _raw_family(orbit.matrices, refs, active, window)
         conflict = _dedup_and_find_conflict(bases, sizes, ref_of)
         if isinstance(conflict, tuple) and conflict[0] == "merge":
             # conflicting sizes between references prove their detected
             # orbits coincide; merge every proven pair in one restart
-            uf = _UnionFind(len(refs))
-            for i, j in conflict[1]:
-                if i == j:
-                    raise CuspDetectionError(
-                        "inconsistent horoball sizes within one cusp orbit; "
-                        "parabolic detection is unreliable for this input"
-                    )
-                uf.union(i, j)
-            components: dict[int, list[int]] = {}
-            for ri in active:
-                components.setdefault(uf.find(ri), []).append(ri)
-            for members in components.values():
-                if len(members) < 2:
-                    continue
-                winner = min(members)
-                pw, _ = refs[winner]
-                refs[winner] = (pw, max(refs[mbr][1] for mbr in members))
-                for mbr in members:
-                    if mbr != winner:
-                        active.remove(mbr)
+            i, j = np.array(conflict[1]).T
+            if (i == j).any():
+                raise CuspDetectionError(
+                    "inconsistent horoball sizes within one cusp orbit; "
+                    "parabolic detection is unreliable for this input"
+                )
+            active = _fold_refs(refs, active, _components(len(refs), i, j))
             continue
         keep = conflict
         bases, sizes = bases[keep], sizes[keep]
@@ -1098,13 +1079,12 @@ def _raw_family(mats, refs, active, window):
 def _dedup_and_find_conflict(bases, sizes, ref_of):
     """Indices of base-deduplicated horoballs, or a merge directive.
 
-    Bases are the same when they share a cell of side ``DEDUP_GRID``.
-    Two entries at the same base with agreeing sizes are duplicates (the
+    Bases are the same by the :func:`_cells` rule at ``DEDUP_GRID``, one
+    pass per offset, the second over the entries the first kept.  Two
+    entries at the same base with agreeing sizes are duplicates (the
     stabilizer coset redundancy); agreeing means within
     ``DEDUP_SIZE_REL_TOL`` relative size.  Disagreeing macroscopic sizes
-    from different references prove the referenced cusp orbits coincide.  Two grid
-    passes with offset cells catch duplicate pairs that straddle a cell
-    boundary of the first pass.
+    from different references prove the referenced cusp orbits coincide.
     """
     keep = None
     for frac in (0.0, 0.5):
@@ -1112,19 +1092,6 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
         if pairs is not None:
             return ("merge", sorted({(int(ref_of[i]), int(ref_of[j])) for i, j in pairs}))
     return keep
-
-
-def _dedup_cells(x, frac):
-    """Integer cells of side ``DEDUP_GRID`` along one axis, offset by frac."""
-    c = x / DEDUP_GRID
-    c += frac
-    np.floor(c, out=c)
-    if len(c) and max(c.max(), -c.min()) > 4.0e18:
-        raise CuspDetectionError(
-            "horoball base beyond the integer grid range; apply the "
-            "working-window filter first"
-        )
-    return c.astype(np.int64)
 
 
 def _dedup_pass(bases, sizes, frac, rows=None):
@@ -1136,8 +1103,7 @@ def _dedup_pass(bases, sizes, frac, rows=None):
     def take(a):
         return a if rows is None else a[rows]
 
-    c0 = _dedup_cells(take(bases.real), frac)
-    c1 = _dedup_cells(take(bases.imag), frac)
+    c0, c1 = _cells(take(bases), DEDUP_GRID, frac)
     sizes = take(sizes)
     n = len(sizes)
     order = np.lexsort((-sizes, c1, c0))
@@ -1256,7 +1222,8 @@ def sample_limit_set(
     The declared resolution of the returned cloud degrades to match the
     enumeration horizon whenever the orbit stops short of
     log(1/resolution), by a budget or by its own distance, and never goes
-    below the presentation's ``resolution_floor``.
+    below the presentation's ``resolution_floor``.  An orbit with no
+    point to sample raises ``ValueError``: the cloud is never empty.
     """
     if not (0 < target_resolution < 1):
         raise ValueError("target_resolution must be in (0, 1)")
@@ -1297,6 +1264,13 @@ def sample_limit_set(
                     gen_fps.append(complex(z[0], 0.0 if len(z) == 1 else z[1]))
         n_fixed = len(fps) + len(gen_fps)
         pts = np.concatenate([pts, fps, np.asarray(gen_fps, dtype=complex)])
+
+    if not len(pts):
+        raise ValueError(
+            f"empty limit sample: the orbit, complete to t_valid={orbit.t_valid:.4g}, "
+            f"holds no point at or beyond min(t_valid, log(1/resolution)={t_cut:.4g}); "
+            f"raise the distance budget past {max(orbit.t_valid, t_cut):.4g}"
+        )
 
     resolution = target_resolution
     if orbit.t_valid < t_cut and not include_fixed_points:

@@ -148,22 +148,52 @@ def _mobius_to_infinity(p: complex) -> "MobiusMap":
     return MobiusMap(np.array([[0.0, -1.0], [1.0, -p]], dtype=complex))
 
 
+def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """abs(complex(re, im)) ** 2 per element, in Python's own arithmetic:
+    numpy's vector hypot and power round differently on some CPUs."""
+    return np.array([abs(complex(x, y)) ** 2 for x, y in zip(re.tolist(), im.tolist())])
+
+
+def geodesic_points(z: np.ndarray, t: np.ndarray, base: InteriorPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Halfspace coordinates (w, h) of the points at distance t from
+    ``base`` along the rays toward the boundary points z (complex, inf
+    for infinity): w -> -1/(w - z) sends z to infinity, the base's image
+    is lifted by e^t there and w -> z - 1/w maps it back.  Each step is
+    Python's complex arithmetic written out on real and imaginary parts,
+    so one point or many give the same bits on any CPU."""
+    wb, hb = _hs_interior(base)
+    lift = np.array([math.exp(s) for s in t.tolist()])
+    up = np.isinf(z)
+    pr, pi = np.where(up, 0.0, z.real), np.where(up, 0.0, z.imag)
+    # the base under w -> -1/(w - z)
+    cr, ci = pr - wb.real, pi - wb.imag
+    den = _abs2(cr, ci) + hb * hb
+    wr, wi = cr / den, -ci / den
+    h = hb / den * lift
+    # lifted, then under w -> z - 1/w: ((z w - 1) conj(w) + z h^2) / den
+    x = (pr * wr - pi * wi) - 1.0
+    y = pr * wi + pi * wr
+    den = _abs2(wr, wi) + h * h
+    re = ((x * wr + y * wi) + pr * h * h) / den
+    im = ((y * wr - x * wi) + pi * h * h) / den
+    h /= den
+    re[up], im[up], h[up] = wb.real, wb.imag, hb * lift[up]
+    if base.d == 1:
+        im[:] = 0.0
+    return re + 1j * im, h
+
+
 def geodesic_point(z: BoundaryPoint, t: float, base: Optional[InteriorPoint] = None) -> InteriorPoint:
     """Point at distance t from ``base`` (default: the height-1 point
-    above 0) along the geodesic ray toward z."""
+    above 0) along the geodesic ray toward z: the one-point case of
+    :func:`geodesic_points`."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d = z.d if not z.is_infinity else (base.d if base is not None else 2)
     if base is None:
-        base = origin(d)
-    wb, hb = _hs_interior(base)
+        base = origin(2 if z.is_infinity else z.d)
     zc = _hs_boundary(z)
-    if zc is None:
-        return _interior_from_hs(wb, hb * math.exp(t), base.d)
-    g = _mobius_to_infinity(zc)
-    wb2, hb2 = _apply_interior_mat(g.matrix, wb, hb)
-    w3, h3 = _apply_interior_mat(g.inverse().matrix, wb2, hb2 * math.exp(t))
-    return _interior_from_hs(w3, h3, base.d)
+    w, h = geodesic_points(np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)]), base)
+    return _interior_from_hs(complex(w[0]), float(h[0]), base.d)
 
 
 def boundary_project(x: InteriorPoint, base: Optional[InteriorPoint] = None) -> BoundaryPoint:

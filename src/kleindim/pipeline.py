@@ -28,28 +28,18 @@ def deepest_cusp_points(cusps: gr.CuspSummary, family: gr.HoroballFamily) -> lis
     """(family ball size, cusp, boundary point as a d-length array) for
     each finite cusp, deepest family ball first.
 
-    A cusp's ball is the member based nearest to it, the lowest index
-    on ties, if that base lies within 1e-8; otherwise the size is 0.
+    A cusp's ball is the lowest-index member based at the same point as
+    the cusp by the ``group._cells`` rule at ``CUSP_CLUSTER_TOL``; a cusp
+    without one gets size 0.
     """
-    # family bases are complex, with zero imaginary part when d=1; a base
-    # within 1e-8 of the cusp has its real part within 1e-8 too, so only
-    # the members in a slightly wider strip of real parts are compared
-    order = np.argsort(family.bases.real, kind="stable")
-    keys = family.bases.real[order]
-    rows = []
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        z = complex(*c.point.coords)
-        lo, hi = np.searchsorted(keys, [z.real - 2e-8, z.real + 2e-8])
-        near = np.sort(order[lo:hi])
-        size = 0.0
-        if len(near):
-            gap = np.abs(family.bases[near] - z)
-            j = int(np.argmin(gap))
-            if gap[j] < 1e-8:
-                size = float(family.sizes[near[j]])
-        rows.append((size, c, np.array(c.point.coords)))
+    finite = [c for c in cusps.cusps if not c.point.is_infinity]
+    points = np.array([complex(*c.point.coords) for c in finite], dtype=complex)
+    # few cusps, many members: the members are looked up among the cusps
+    i, j = gr._shared_cells(family.bases, points, gr.CUSP_CLUSTER_TOL)
+    member = np.full(len(finite), len(family.sizes))
+    np.minimum.at(member, j, i)
+    sizes = np.append(family.sizes, 0.0)[member]
+    rows = [(float(s), c, np.array(c.point.coords)) for s, c in zip(sizes, finite)]
     rows.sort(key=lambda t: -t[0])
     return rows
 

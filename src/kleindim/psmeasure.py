@@ -343,6 +343,15 @@ class GMFContext:
             self.base = hg.origin(self.family.d)
 
 
+def _ray_ranks_depths(ctx: GMFContext, z: np.ndarray, t: np.ndarray):
+    """Cusp rank and escape depth of the ray points z_t, as in
+    :func:`k_and_rho`, for arrays of boundary points and distances."""
+    w, h = hg.geodesic_points(z, t, ctx.base)
+    depth, rank = ctx.family.deepest(w, h)
+    inside = depth > 0.0
+    return np.where(inside, rank, 0), np.where(inside, depth, 0.0)
+
+
 def k_and_rho(ctx: GMFContext, z, t: float) -> tuple[int, float]:
     """Cusp rank and escape depth of the ray point z_t.
 
@@ -353,13 +362,11 @@ def k_and_rho(ctx: GMFContext, z, t: float) -> tuple[int, float]:
     """
     if not (t > 0):
         raise ValueError("t must be positive")
-    zb = _as_boundary(z, ctx.family.d)
-    zt = hg.geodesic_point(zb, float(t), base=ctx.base)
-    w, h = hg._hs_interior(zt)
-    depth, rank = ctx.family.deepest(np.asarray([w]), np.asarray([h]))
-    if depth[0] > 0.0:
-        return int(rank[0]), float(depth[0])
-    return 0, 0.0
+    zc = hg._hs_boundary(_as_boundary(z, ctx.family.d))
+    k, rho = _ray_ranks_depths(
+        ctx, np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)])
+    )
+    return int(k[0]), float(rho[0])
 
 
 def gmf_value(ctx: GMFContext, z, t: float) -> float:
@@ -419,24 +426,24 @@ def gmf_drift(
     cols = measure.coords.T
     by_x = np.argsort(cols[0], kind="stable")
     xs = cols[0][by_x]
-    rows = []
-    n_zero = 0
-    for i, t in zip(idx, ts):
+    masses = np.zeros(n_samples)
+    for s, (i, t) in enumerate(zip(idx, ts)):
         row = measure.coords[i]
-        z = complex(row[0], row[1] if measure.d == 2 else 0.0)
         r = math.exp(-t)
         # the widening dwarfs the rounding of x - x_c and of the strip ends
         pad = r + 1e-9 * (r + abs(row[0]))
         lo, hi = np.searchsorted(xs, row[0] - pad), np.searchsorted(xs, row[0] + pad, "right")
         strip = np.sort(by_x[lo:hi])
         near = _sq_dists(cols[:, strip], row) <= r * r
-        mass = float(measure.weights[strip][near].sum())
-        if mass <= 0.0:
-            n_zero += 1
-            continue
-        k, rho = k_and_rho(ctx, z, float(t))
-        g = math.exp(-float(t) * ctx.delta - rho * (ctx.delta - k))
-        rows.append((z, float(t), k, rho, mass, g, math.log(mass / g)))
+        masses[s] = measure.weights[strip][near].sum()
+    used = masses > 0.0
+    centers = measure.coords[idx[used]]
+    zs = centers[:, 0] + 1j * (centers[:, 1] if measure.d == 2 else 0.0)
+    ks, rhos = _ray_ranks_depths(ctx, zs, ts[used])
+    rows = []
+    for z, t, k, rho, mass in zip(*(a.tolist() for a in (zs, ts[used], ks, rhos, masses[used]))):
+        g = math.exp(-t * ctx.delta - rho * (ctx.delta - k))
+        rows.append((z, t, k, rho, mass, g, math.log(mass / g)))
     if len(rows) < 8:
         raise ValueError("too few usable samples; enlarge the measure budget")
     ts_used = np.array([r[1] for r in rows])
@@ -445,7 +452,7 @@ def gmf_drift(
         slope=_linear_fit(ts_used, logr)[0],
         spread=float(logr.max() - logr.min()),
         rows=tuple(rows),
-        n_zero_mass=n_zero,
+        n_zero_mass=int((~used).sum()),
     )
 
 

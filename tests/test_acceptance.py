@@ -234,6 +234,19 @@ def test_criterion_05_measure_formula_drift(deep):
     )
 
 
+def test_drift_samples_equal_the_scalar_ray_points(deep):
+    # each sample's (k, rho) is what one ray point in Python complex
+    # arithmetic and a one-point deepest give, bit for bit
+    rep = ps.gmf_drift(deep.ctx, deep.measure, n_samples=200, t_range=(2.0, 6.0), seed=0)
+    assert any(k > 0 for _, _, k, *_ in rep.rows)
+    for z, t, k, rho, *_ in rep.rows:
+        g = hg._mobius_to_infinity(z)
+        w, h = hg._apply_interior_mat(g.matrix, 0j, 1.0)
+        w, h = hg._apply_interior_mat(g.inverse().matrix, w, h * math.exp(t))
+        depth, rank = deep.family.deepest(np.array([w]), np.array([h]))
+        assert (k, rho) == ((int(rank[0]), float(depth[0])) if depth[0] > 0.0 else (0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: horoball depth property suites
 # ---------------------------------------------------------------------------

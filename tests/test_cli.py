@@ -186,6 +186,26 @@ class TestCloudIO:
                 f"error: {path}: coordinates must be finite numbers\n"
             )
 
+    @pytest.mark.parametrize(
+        "body, why",
+        [
+            ("", "header wants model,d,resolution"),
+            ("# halfspace,x,0.01\n0,0\n", "invalid literal for int"),
+            ("# halfspace,2,0.01\n0,0,1\n", "cloud with d=2 needs 2 columns, got 3"),
+            ("# halfspace,2,0.01\n0,0\n1,abc\n", "could not convert string 'abc'"),
+        ],
+        ids=["two-line-header", "text-dimension", "three-columns", "text-cell"],
+    )
+    def test_malformed_files_are_usage_errors(self, tmp_path, capsys, body, why):
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("# kleindim-cloud\n# model,d,resolution\n" + body)
+        with pytest.raises(cli.UsageError, match=why) as err:
+            cli.read_cloud(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert cli.main(["dimension", path]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_empty_cloud_file(self, tmp_path, capsys):
         path = str(tmp_path / "empty.csv")
         cli.write_cloud(path, ed.PointCloud(coords=np.empty((0, 2)), d=2, resolution=1e-3))
@@ -387,6 +407,17 @@ class TestGenerate:
         assert cli.main(["generate", "apollonian", "--out", out]) == 0
         assert len(cli.read_cloud(out).coords) >= 10_000
 
+    def test_horizon_below_the_sampling_depth(self, tmp_path, capsys):
+        # the file is sampled at half the requested 1e-3, so the orbit
+        # must reach past log(2000) = 7.60
+        out = str(tmp_path / "gasket.csv")
+        assert cli.main(["generate", "apollonian", "--budget-dist", "7.5", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: empty limit sample: the orbit, complete to t_valid=7.5, holds no "
+            "point at or beyond min(t_valid, log(1/resolution)=7.601); raise the "
+            "distance budget past 7.601\n"
+        )
+
     def test_zero_word_budget(self, capsys):
         code = cli.main(["generate", "schottky", "--budget-words", "0"])
         assert code == 1
@@ -525,21 +556,18 @@ class TestVerify:
         )
         assert code == 2
         rows = dict(report_rows(out))
-        # the empty cloud and the empty typical-point window are named,
-        # not left to the library's own wording
-        assert rows["dim_H"] == (
-            "error (budget leaves a limit sample of zero extent; raise --budget-dist)"
+        # the horizon below log(1/resolution) leaves nothing to sample:
+        # the three cloud rows name it, the measure rows still run
+        empty = (
+            "error (empty limit sample: the orbit, complete to t_valid=6, holds no "
+            "point at or beyond min(t_valid, log(1/resolution)=6.908); raise the "
+            "distance budget past 6.908)"
         )
+        assert [rows[name] for name in ("dim_H", "dim_A", "dim_L")] == [empty] * 3
+        assert rows["sup_upper_loc"] == "fail"
         assert rows["inf_lower_loc"] == (
             "error (budget leaves no typical local-dimension window; "
             "raise --budget-dist)"
-        )
-        # the empty cloud has no Assouad or lower window either
-        assert rows["dim_A"] == (
-            "error (assouad dimension needs a cloud of at least 2 points; this one has 0)"
-        )
-        assert rows["dim_L"] == (
-            "error (lower dimension needs a cloud of at least 2 points; this one has 0)"
         )
 
     def test_measure_failure_errors_the_four_measure_rows(self, tmp_path, monkeypatch):
@@ -586,12 +614,32 @@ class TestVerify:
 
     def test_pipeline_failure_is_one_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
+            raise ValueError("no cusps")
+
+        monkeypatch.setattr(gr, "find_cusps", fail)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        assert report_rows(out) == [("poincare", "pass"), ("pipeline", "error (no cusps)")]
+
+    def test_sampling_failure_errors_the_three_cloud_rows(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
             raise ValueError("no cloud")
 
         monkeypatch.setattr(gr, "sample_limit_set", fail)
         out = str(tmp_path / "report.txt")
         assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
-        assert report_rows(out) == [("poincare", "pass"), ("pipeline", "error (no cloud)")]
+        rows = report_rows(out)
+        assert rows[:4] == [("poincare", "pass")] + [
+            (name, "error (no cloud)") for name in ("dim_H", "dim_A", "dim_L")
+        ]
+        # the measure rows are read as without the failure
+        assert [name for name, _ in rows[4:]] == [
+            "upper_reg",
+            "lower_reg",
+            "sup_upper_loc",
+            "inf_lower_loc",
+        ]
+        assert "no cloud" not in "".join(status for _, status in rows[4:])
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, {"group": "infinite_fuchsian"})

@@ -166,10 +166,167 @@ def _walk_bytes(orb):
     )
 
 
+class _OracleUnionFind:
+    """Union-find whose roots are the smallest member of each set."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+    def labels(self):
+        return [self.find(i) for i in range(len(self.parent))]
+
+
+class _OracleGridIndex:
+    """Hash grid over the plane: a point is found by the first inserted
+    point within tol in its own or a neighbouring cell."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.cells = {}
+        self.points = []
+
+    def _cell(self, z):
+        return (int(math.floor(z.real / self.tol)), int(math.floor(z.imag / self.tol)))
+
+    def find(self, z):
+        cx, cy = self._cell(z)
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for idx in self.cells.get((nx, ny), ()):
+                    if abs(self.points[idx] - z) <= self.tol:
+                        return idx
+        return -1
+
+    def insert(self, z):
+        idx = len(self.points)
+        self.points.append(z)
+        self.cells.setdefault(self._cell(z), []).append(idx)
+        return idx
+
+
+def _oracle_find_cusps(orbit):
+    """Cusp detection as first written: a python loop over the
+    parabolics, clustered greedily around the first fixed point within
+    CUSP_CLUSTER_TOL, with generator images looked up in the same grid.
+    Kept as the oracle of the vectorized cell-rule rewrite."""
+    group = orbit.group
+    m = orbit.matrices
+    tr2 = (m[:, 0, 0] + m[:, 1, 1]) ** 2
+    para = (orbit.word_lengths > 0) & (np.abs(tr2 - 4.0) <= hg.PARABOLIC_TOL)
+    para &= np.abs(m - np.eye(2)).max(axis=(1, 2)) > 1e-9
+    pm, pd, plen = m[para], orbit.dists[para], orbit.word_lengths[para]
+    n_para = len(pm)
+    if n_para == 0:
+        return gr.CuspSummary((), None, None, 0, orbit.truncated)
+    a, c, dd = pm[:, 0, 0], pm[:, 1, 0], pm[:, 1, 1]
+    at_inf = np.abs(c) <= hg.ENTRY_TOL * np.abs(pm).max(axis=(1, 2))
+    fp = np.zeros(n_para, dtype=complex)
+    fin = ~at_inf
+    fp[fin] = (a[fin] - dd[fin]) / (2.0 * c[fin])
+
+    cluster_of = np.empty(n_para, dtype=np.int64)
+    members, cluster_ids, inf_id = [], {}, -1
+    grid = _OracleGridIndex(gr.CUSP_CLUSTER_TOL)
+    for i in range(n_para):
+        if at_inf[i]:
+            if inf_id < 0:
+                inf_id = len(members)
+                members.append([])
+            cluster_of[i] = inf_id
+            members[inf_id].append(i)
+            continue
+        idx = grid.find(complex(fp[i]))
+        if idx < 0:
+            idx = grid.insert(complex(fp[i]))
+            cluster_ids[idx] = len(members)
+            members.append([])
+        cluster_of[i] = cluster_ids[idx]
+        members[cluster_ids[idx]].append(i)
+    reps = [None if cl == inf_id else complex(fp[mem[0]]) for cl, mem in enumerate(members)]
+
+    uf = _OracleUnionFind(len(members))
+    for gm in gr._generator_stack(group):
+        ga, gb, gc, gd = gm[0, 0], gm[0, 1], gm[1, 0], gm[1, 1]
+        gscale = float(np.abs(gm).max())
+        den = gc * fp + gd
+        ok = np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(fp))
+        img = (ga * fp + gb) / np.where(ok, den, 1.0)
+        inf_img = None if abs(gc) < 1e-13 * gscale else complex(ga / gc)
+        for i in range(n_para):
+            if at_inf[i]:
+                z = inf_img
+            else:
+                z = complex(img[i]) if ok[i] else None
+            if z is None:
+                tgt = inf_id
+            else:
+                gi = grid.find(z)
+                tgt = cluster_ids.get(gi, -1) if gi >= 0 else -1
+            if tgt >= 0:
+                uf.union(int(cluster_of[i]), tgt)
+
+    comps = {}
+    for cl in range(len(members)):
+        comps.setdefault(uf.find(cl), []).append(cl)
+    cusps = []
+    for comp in comps.values():
+        elems = [i for cl in comp for i in members[cl]]
+        rank = 1
+        for cl in comp if group.d == 2 else ():
+            sel = [members[cl][int(k)] for k in np.lexsort((pd[members[cl]],))[: gr.RANK_SAMPLE]]
+            taus = []
+            p = reps[cl]
+            if p is None:
+                q = qi = np.eye(2, dtype=complex)
+            else:
+                q = np.array([[0.0, -1.0], [1.0, -p]], dtype=complex)
+                qi = np.array([[-p, 1.0], [-1.0, 0.0]], dtype=complex)
+            for mat in pm[sel]:
+                u = q @ mat @ qi
+                taus.append(complex(u[0, 1] / u[0, 0]))
+            taus = np.asarray(taus)
+            if len(taus) >= 2:
+                ref = taus[np.argmax(np.abs(taus))]
+                cross = np.abs((taus * ref.conjugate()).imag)
+                if (cross > 1e-8 * np.abs(taus) * abs(ref)).any():
+                    rank = 2
+        best = min(elems, key=lambda i: (plen[i], pd[i]))
+        if at_inf[best]:
+            point = hg.infinity()
+        elif group.d == 1:
+            point = hg.BoundaryPoint((fp[best].real,))
+        else:
+            point = hg.BoundaryPoint((fp[best].real, fp[best].imag))
+        cusps.append(gr.Cusp(point, rank, hg.MobiusMap(pm[best]), len(elems)))
+    cusps.sort(key=lambda cu: (math.inf,) if cu.point.is_infinity else cu.point.coords)
+    ranks = [cu.rank for cu in cusps]
+    return gr.CuspSummary(tuple(cusps), min(ranks), max(ranks), n_para, orbit.truncated)
+
+
+def _assert_same_cusps(got, want):
+    assert (got.k_min, got.k_max, got.n_parabolics) == (want.k_min, want.k_max, want.n_parabolics)
+    assert len(got.cusps) == len(want.cusps)
+    for g, w in zip(got.cusps, want.cusps):
+        assert (g.point, g.rank, g.n_conjugates) == (w.point, w.rank, w.n_conjugates)
+        assert np.array_equal(g.generator.matrix, w.generator.matrix)
+
+
 def _oracle_premerge_refs(mats, refs, grid=1e-8):
-    """The reference premerge with every image packed and looked up.
-    Kept as the oracle of the bucket-prefiltered rewrite."""
-    uf = gr._UnionFind(len(refs))
+    """The reference premerge with every image packed and looked up, its
+    cells folded into one 64-bit key.  Kept as the oracle of the
+    bucket-prefiltered rewrite; returns its union-find."""
+    uf = _OracleUnionFind(len(refs))
     pts = [p for p, _ in refs]
     fin = [i for i, p in enumerate(pts) if p is not None]
     inf_i = next((i for i, p in enumerate(pts) if p is None), None)
@@ -213,9 +370,10 @@ def _oracle_premerge_refs(mats, refs, grid=1e-8):
 
 
 def _assert_same_premerge(mats, refs):
-    # equal parent lists: the same find(i) for every reference, from the
-    # same unions made in the same order
-    assert gr._premerge_refs(mats, refs).parent == _oracle_premerge_refs(mats, refs).parent
+    # each reference's component label is the oracle's find(i), the
+    # smallest reference of its set
+    got = gr._premerge_refs(mats, refs)
+    assert got.tolist() == _oracle_premerge_refs(mats, refs).labels()
 
 
 def _brute_overlap_ratio(bases, sizes, inf_height):
@@ -343,13 +501,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("name, dist", [("apollonian", 8.0), ("parabolic_cusp_fuchsian", 11.0)])
     def test_walk_does_not_depend_on_chunk_size(self, monkeypatch, name, dist):
         # duplicates resolve to their first row-major occurrence, so the
-        # chunking of a level is invisible in the output
+        # chunking of a level is invisible in the output; the one- and
+        # seven-row walks, a chunk per few frontier rows, go 2 less deep
         g = gr.builtin_group(name)
         n_letters = 2 * g.n_generators
-        want = _walk_bytes(gr.enumerate_orbit(g, dist))
-        for rows in (1, 7, 200_000):
+        runs = [(1, dist - 2.0), (7, dist - 2.0), (200_000, dist)]
+        wants = [_walk_bytes(gr.enumerate_orbit(g, depth)) for _, depth in runs]
+        for (rows, depth), want in zip(runs, wants):
             monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * n_letters)
-            assert _walk_bytes(gr.enumerate_orbit(g, dist)) == want
+            assert _walk_bytes(gr.enumerate_orbit(g, depth)) == want
 
     @pytest.mark.parametrize("rows", [7, None])
     @pytest.mark.parametrize("budget", [100, 500, 3000, 20_000])
@@ -555,6 +715,76 @@ class TestCusps:
         cs = gr.find_cusps(orb)
         assert not cs.has_cusps
         assert cs.k_min is None and cs.k_max is None
+
+    @pytest.mark.parametrize(
+        "name, dist",
+        [
+            ("apollonian", 6.0),
+            ("apollonian", 8.0),
+            ("rank2_cusp", 8.0),
+            ("parabolic_cusp_fuchsian", 8.0),
+            ("schottky", 11.0),
+            ("infinite_fuchsian", 11.0),
+        ],
+    )
+    def test_cusps_match_the_oracle_on_builtins(self, name, dist):
+        orb = Pipeline(gr.builtin_group(name), dist).orbit
+        _assert_same_cusps(gr.find_cusps(orb), _oracle_find_cusps(orb))
+
+    @staticmethod
+    def _fixed_point_orbit(points):
+        """An orbit of one parabolic fixing each point, all of word
+        length 1, under a group whose generator (a unit translation)
+        carries no point near another."""
+        mats = [[[1.0 - 0.5 * p, 0.5 * p * p], [-0.5, 1.0 + 0.5 * p]] for p in points]
+        group = gr.GroupPresentation((hg.MobiusMap(np.array([[1.0, 1.0], [0.0, 1.0]])),), d=2)
+        n = len(points)
+        return gr.OrbitData(
+            matrices=np.array(mats, dtype=complex),
+            dists=1.0 + 0.01 * np.arange(n),
+            word_lengths=np.ones(n, dtype=np.int32),
+            t_valid=5.0,
+            truncated=False,
+            d=2,
+            group=group,
+        )
+
+    def test_copies_straddling_a_cell_edge_join(self):
+        # offset-0 edges sit at whole cells, offset-1/2 edges at half
+        # cells; each pair is tol/4 or less apart across such edges
+        tol = gr.CUSP_CLUSTER_TOL
+        q = 1.0 / 16.0
+        pairs = [
+            ((1000 - 2 * q, 2000.3), (1000 + 2 * q, 2000.3)),  # offset 0, real
+            ((3000.3, 4000 - 2 * q), (3000.3, 4000 + 2 * q)),  # offset 0, imaginary
+            ((5000 - q, 6000 - q), (5000 + q, 6000 + q)),  # offset 0, both
+            ((7000.5 - 2 * q, 8000.2), (7000.5 + 2 * q, 8000.2)),  # offset 1/2, real
+            ((9000.2, 9500.5 - 2 * q), (9000.2, 9500.5 + 2 * q)),  # offset 1/2, imaginary
+            ((9700.5 - q, 9900.5 + q), (9700.5 + q, 9900.5 - q)),  # offset 1/2, both
+        ]
+        points = [complex(x, y) * tol for pair in pairs for x, y in pair]
+        for u, v in zip(points[0::2], points[1::2]):
+            assert abs(u - v) <= tol / 4.0 * (1.0 + 1e-9)
+        orb = self._fixed_point_orbit(points)
+        cs = gr.find_cusps(orb)
+        assert [cu.n_conjugates for cu in cs.cusps] == [2] * len(pairs)
+        _assert_same_cusps(cs, _oracle_find_cusps(orb))
+
+    def test_points_far_apart_stay_apart(self):
+        tol = gr.CUSP_CLUSTER_TOL
+        step = 2.0 * math.sqrt(2.0) * tol
+        rng = np.random.default_rng(11)
+        # a row, a column and a diagonal of points 2 sqrt(2) tol apart,
+        # shifted against the cell edges of both offsets
+        points = []
+        for shift in rng.uniform(0.0, 1.0, 6):
+            x0 = (1000.0 * len(points) + shift) * tol
+            for k in range(6):
+                points += [complex(x0 + k * step, 7 * tol), complex(x0, (k + 9) * step)]
+                points.append(complex(x0 + (k + 20) * step, (k + 20) * step) / math.sqrt(2.0))
+        cs = gr.find_cusps(self._fixed_point_orbit(points))
+        assert len(cs.cusps) == len(points)
+        assert all(cu.n_conjugates == 1 for cu in cs.cusps)
 
 
 class TestHoroballs:
@@ -901,7 +1131,7 @@ class TestHoroballs:
         # images on the bucket edges around each target's reach
         re = np.array([t.real for t in fin])
         lo = re.min() - 2.0 * grid
-        per = gr.PREMERGE_BUCKETS / (re.max() + 2.0 * grid - lo)
+        per = gr.CELL_BUCKETS / (re.max() + 2.0 * grid - lo)
         for t in fin:
             for end in (t.real - 2.0 * grid, t.real + 2.0 * grid):
                 k = math.floor((end - lo) * per)
@@ -923,6 +1153,23 @@ class TestHoroballs:
             _assert_same_premerge(mats, refs)
         # ref 3, reached only from more than a cell away, stays alone
         assert [want.find(i) for i in range(len(refs))] == [0, 0, 0, 3, 0, 0, 0]
+
+    def test_premerge_keeps_references_apart_by_whole_words_of_cells(self):
+        # an image of reference 0 lands 2^32 cells up the imaginary axis
+        # from reference 1: exact cells keep them apart, where one 64-bit
+        # key made of both 32-bit cell halves (the oracle's) aliased them
+        tol = gr.CUSP_CLUSTER_TOL
+        t0 = complex(10_000_000.5, 20_000_000.5) * tol
+        t1 = complex(40_000_000.5, 20_000_000.5) * tol
+        image = t1 + 2**32 * tol * 1j
+        for frac in (0.0, 0.5):
+            (x1,), (y1,) = gr._cells(np.array([t1]), tol, frac)
+            (xi,), (yi,) = gr._cells(np.array([image]), tol, frac)
+            assert (xi, yi - y1) == (x1, 2**32)
+        mats = np.array([np.eye(2), [[1.0, image - t0], [0.0, 1.0]]], dtype=complex)
+        refs = [(t0, 1), (t1, 1)]
+        assert gr._premerge_refs(mats, refs).tolist() == [0, 1]
+        assert _oracle_premerge_refs(mats, refs).labels() == [0, 0]
 
     def test_overlap_scan_keeps_cross_octave_pairs_in_either_order(self):
         # one member an octave below the other, ratio 1.0 * 0.1 / 0.2^2
@@ -1004,12 +1251,22 @@ class TestSampling:
             assert np.abs(cloud.coords[:, 0] - x).min() < 0.01
         assert cloud.resolution >= g.metadata["resolution_floor"]
 
-    def test_shallow_complete_orbit_degrades_resolution(self):
-        # the orbit is complete to distance 6, short of log(1/1e-3)
-        cloud = Pipeline(gr.builtin_group("apollonian"), 6.0).cloud
-        assert not cloud.meta["orbit_truncated"]
-        assert cloud.meta["t_valid"] == 6.0
-        assert cloud.resolution >= 2.0 * math.exp(-6.0)
+    def test_shallow_complete_orbit_has_nothing_to_sample(self):
+        # the orbit is complete to distance 6, short of log(1/1e-3), and
+        # ends there: no point lies deep enough to project
+        p = Pipeline(gr.builtin_group("apollonian"), 6.0)
+        assert not p.orbit.truncated
+        with pytest.raises(ValueError, match=r"t_valid=6, .* log\(1/resolution\)=6.908"):
+            p.cloud
+
+    def test_truncated_orbit_degrades_resolution(self):
+        g = gr.builtin_group("apollonian")
+        orb = gr.enumerate_orbit(g, 9.0, max_elements=3000)
+        assert orb.truncated and orb.t_valid < math.log(1e3)
+        cloud = gr.sample_limit_set(g, 1e-3, orbit=orb)
+        assert len(cloud.coords) > 0
+        assert cloud.meta["t_valid"] == orb.t_valid
+        assert cloud.resolution == 2.0 * math.exp(-orb.t_valid)
 
     def test_resolution_validation(self):
         g = gr.builtin_group("schottky")

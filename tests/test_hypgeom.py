@@ -107,6 +107,36 @@ def test_geodesic_toward_infinity_goes_straight_up():
     assert p.coords[2] == pytest.approx(0.5 * math.e**2)
 
 
+def _oracle_geodesic_point(z, t, base):
+    """geodesic_point as first written: Python complex arithmetic on the
+    matrices of the map sending z to infinity and of its inverse.  Kept
+    as the oracle of the vectorized ray points."""
+    wb, hb = hg._hs_interior(base)
+    zc = hg._hs_boundary(z)
+    if zc is None:
+        return hg._interior_from_hs(wb, hb * math.exp(t), base.d)
+    g = hg._mobius_to_infinity(zc)
+    wb2, hb2 = hg._apply_interior_mat(g.matrix, wb, hb)
+    w3, h3 = hg._apply_interior_mat(g.inverse().matrix, wb2, hb2 * math.exp(t))
+    return hg._interior_from_hs(w3, h3, base.d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_geodesic_points_equal_the_scalar_oracle(d):
+    rng = np.random.default_rng(d)
+    for base in (hg.origin(d), hs(*rng.uniform(-1, 1, size=d), 0.3)):
+        zs = [hg.infinity(), bd(*[0.0] * d)]
+        zs += [bd(*rng.uniform(-3, 3, size=d)) for _ in range(300)]
+        ts = rng.uniform(0.0, 12.0, size=len(zs))
+        want = [_oracle_geodesic_point(z, t, base) for z, t in zip(zs, ts)]
+        assert [hg.geodesic_point(z, t, base) for z, t in zip(zs, ts)] == want
+        # many points at once give the same bits as one at a time
+        zc = [math.inf if z.is_infinity else hg._hs_boundary(z) for z in zs]
+        w, h = hg.geodesic_points(np.array(zc, dtype=complex), ts, base)
+        got = [hg._interior_from_hs(complex(wi), float(hi), base.d) for wi, hi in zip(w, h)]
+        assert got == want
+
+
 def test_projection_vertical_cases():
     assert hg.boundary_project(hs(0.0, 0.0, 0.25)).coords == (0.0, 0.0)
     assert hg.boundary_project(hs(0.0, 0.0, 4.0)).is_infinity

@@ -13,7 +13,9 @@ from kleindim.pipeline import Pipeline, deepest_cusp_points
 
 
 def _argmin_cusp_points(cusps, family):
-    """deepest_cusp_points by a full pass over the family per cusp."""
+    """deepest_cusp_points as first written, by a full pass over the
+    family per cusp: the nearest base within 1e-8, the lowest index on
+    ties.  On the builtins it picks the member the cell rule picks."""
     rows = []
     for c in cusps.cusps:
         if c.point.is_infinity:
@@ -76,7 +78,7 @@ def test_reading_the_cloud_leaves_the_family_unbuilt():
 def test_deepest_cusp_points_match_the_argmin_oracle(name):
     p = Pipeline(gr.builtin_group(name), 7.0)
     c = p.cusps.cusps[0]
-    # a cusp with no family base within 1e-8 gets size 0
+    # a cusp with no family base in its cell gets size 0
     coords = (0.123456,) if p.group.d == 1 else (0.123456, -0.654321)
     stray = dataclasses.replace(c, point=hg.BoundaryPoint(coords))
     cusps = dataclasses.replace(p.cusps, cusps=p.cusps.cusps + (stray,))

@@ -23,6 +23,7 @@ from kleindim import estdim as ed
 from kleindim import group as gr
 from kleindim import hypgeom as hg
 from kleindim import psmeasure as ps
+from kleindim.pipeline import Pipeline
 
 LOG2_LOG3 = math.log(2.0) / math.log(3.0)
 LOG3 = math.log(3.0)
@@ -94,6 +95,25 @@ def deepest_cusp(cusps, family):
         if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
             best, best_size = c, float(family.sizes[i])
     return best, best_size
+
+
+def _oracle_k_and_rho(ctx, z, t):
+    """k_and_rho as first written, with the geodesic_point of the time
+    inlined (Python complex arithmetic on Moebius matrices), then a
+    one-point ``deepest``.  Kept as the oracle of the batched ray points."""
+    zc = hg._hs_boundary(ps._as_boundary(z, ctx.family.d))
+    w, h = hg._hs_interior(ctx.base)
+    if zc is None:
+        h *= math.exp(t)
+    else:
+        g = hg._mobius_to_infinity(zc)
+        w, h = hg._apply_interior_mat(g.matrix, w, h)
+        w, h = hg._apply_interior_mat(g.inverse().matrix, w, h * math.exp(t))
+    w = complex(w.real, w.imag if ctx.base.d == 2 else 0.0)
+    depth, rank = ctx.family.deepest(np.asarray([w]), np.asarray([h]))
+    if depth[0] > 0.0:
+        return int(rank[0]), float(depth[0])
+    return 0, 0.0
 
 
 def kdtree_ball_masses(measure, centers, r):
@@ -411,6 +431,45 @@ class TestMeasureFormula:
         k, rho = ps.k_and_rho(ctx, 0.0 + 0.0j, 1.0)
         assert k == 2
         assert rho == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ray_depths_equal_the_scalar_oracle(self, gasket, d):
+        if d == 1:
+            p = Pipeline(gr.builtin_group("parabolic_cusp_fuchsian"), 8.0)
+            family, mu, delta = p.family, p.measure, 0.8
+        else:
+            _, _, _, family, mu, delta = gasket
+        ctx = ps.GMFContext(delta=delta, family=family)
+        rng = np.random.default_rng(5)
+        atoms = mu.coords[rng.choice(mu.n, size=300, p=mu.weights)]
+        zs = atoms[:, 0] + (1j * atoms[:, 1] if d == 2 else 0.0)
+        ts = rng.uniform(0.5, 9.0, size=len(zs))
+        want = [_oracle_k_and_rho(ctx, complex(z), t) for z, t in zip(zs, ts)]
+        assert any(k > 0 for k, _ in want)
+        assert [ps.k_and_rho(ctx, complex(z), t) for z, t in zip(zs, ts)] == want
+        ks, rhos = ps._ray_ranks_depths(ctx, zs, ts)
+        assert list(zip(ks.tolist(), rhos.tolist())) == want
+
+    def test_plane_member_rays_equal_the_scalar_oracle(self):
+        fam = gr.HoroballFamily(
+            bases=np.array([0.3 + 0.2j, -0.4 + 0.1j]),
+            sizes=np.array([0.05, 0.02]),
+            ranks=np.array([1, 1], dtype=np.int32),
+            d=2,
+            inf_height=4.0,
+            inf_rank=2,
+        )
+        ctx = ps.GMFContext(delta=1.5, family=fam, base=hg.InteriorPoint((0.1, -0.2, 1.5)))
+        rng = np.random.default_rng(9)
+        # the plane's point and the two bases at depths 0.5 .. 8, then
+        # random rays
+        grid = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0]
+        points = [z for z in (hg.infinity(), 0.3 + 0.2j, -0.4 + 0.1j) for _ in grid]
+        points += [complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(200)]
+        ts = np.concatenate([grid * 3, rng.uniform(0.2, 8.0, size=200)])
+        want = [_oracle_k_and_rho(ctx, z, t) for z, t in zip(points, ts)]
+        assert {k for k, _ in want} == {0, 1, 2}
+        assert [ps.k_and_rho(ctx, z, t) for z, t in zip(points, ts)] == want
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000))
