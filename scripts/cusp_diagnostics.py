@@ -14,8 +14,8 @@ import argparse
 import math
 
 import numpy as np
-from scipy.stats import linregress
 
+import kleindim.estdim as ed
 import kleindim.group as gr
 import kleindim.hypgeom as hg
 import kleindim.psmeasure as ps
@@ -51,9 +51,7 @@ def main() -> None:
     for r in rows:
         print(f"  theta={r.theta:7.4f} shadow={r.shadow_radius:.4e} "
               f"mass={r.mass:.4e} predicted={r.predicted:.4e} ratio={r.ratio:.3f}")
-    slope = linregress(
-        np.log([r.theta for r in rows]), np.log([r.mass for r in rows])
-    ).slope
+    slope = ed._linear_fit(np.log([r.theta for r in rows]), np.log([r.mass for r in rows]))[0]
     print(f"  fitted slope {slope:.4f}")
 
     print(f"\nhoroball window sums over {args.windows} random windows:")

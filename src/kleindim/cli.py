@@ -572,19 +572,16 @@ def cmd_verify(args) -> int:
     p = Pipeline(
         g0, budget_dist, words=budget_words, resolution=resolution, band=VERIFY_BAND
     )
+    finite = p.group.metadata.get("geometrically_finite", True)
     report = VerificationReport(
         group=g0.name or "custom",
-        environment={
-            "band": VERIFY_BAND,
-            "budget_dist": budget_dist,
-            "budget_words": budget_words,
-            "resolution": resolution,
-            "seed": seed,
-        },
+        environment={"budget_words": budget_words, "resolution": resolution, "seed": seed},
     )
+    if finite:
+        report.environment.update(band=VERIFY_BAND, budget_dist=budget_dist)
 
     try:
-        if p.group.metadata.get("geometrically_finite", True):
+        if finite:
             delta_hat = p.delta
             report.environment["delta_hat"] = f"{delta_hat:.12g}"
             report.environment["n_orbit"] = p.orbit.n
@@ -595,12 +592,15 @@ def cmd_verify(args) -> int:
                 )
             _verify_geometrically_finite(p, tol, seed, report)
         else:
-            # no growth fit here: at the default budgets the walk of
-            # infinite_fuchsian to 11 holds only the identity.  Its
-            # 202-point cloud comes from the sampler's spectral-gap retry
-            # walk (to distance ~426, 316 elements) and the 1,016 fixed
-            # points of those elements
+            # no growth fit and no distance budget here: at the default
+            # budgets the walk of infinite_fuchsian to 11 holds only the
+            # identity.  The cloud comes from the sampler's own walk
+            # (spectral-gap retry to distance ~426, 316 elements) and the
+            # 1,016 fixed points of those elements, which the report records
             cloud = gr.sample_limit_set(p.group, resolution, max_elements=budget_words)
+            report.environment.update(
+                (key, cloud.meta[key]) for key in ("n_orbit", "t_valid", "n_fixed_points")
+            )
             _verify_geometrically_infinite(p.group, cloud, tol, seed, report)
     except ValueError as e:  # CuspDetectionError is a ValueError
         report.rows.append(_error_row("pipeline", e))

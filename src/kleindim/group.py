@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -678,12 +679,7 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     starts, counts = _runs(comp[order])
     cusps = []
     for best, n_conj in zip(order[starts], counts):
-        if at_inf[best]:
-            point = hg.infinity()
-        elif group.d == 1:
-            point = hg.BoundaryPoint((fp[best].real,))
-        else:
-            point = hg.BoundaryPoint((fp[best].real, fp[best].imag))
+        point = hg._boundary_from_hs(None if at_inf[best] else fp[best], group.d)
         gen = hg.MobiusMap(pm[best])
         cusps.append(Cusp(point, int(rank[comp[best]]), gen, int(n_conj)))
 
@@ -730,14 +726,21 @@ class HoroballFamily:
         if self.inf_height is not None:
             out.append(hg.Horoball(hg.infinity(), float(self.inf_height), int(self.inf_rank)))
         for p, s, r in zip(self.bases, self.sizes, self.ranks):
-            if s < min_size:
-                continue
-            if self.d == 1:
-                bp = hg.BoundaryPoint((p.real,))
-            else:
-                bp = hg.BoundaryPoint((p.real, p.imag))
-            out.append(hg.Horoball(bp, float(s), int(r)))
+            if s >= min_size:
+                out.append(hg.Horoball(hg._boundary_from_hs(p, self.d), float(s), int(r)))
         return out
+
+    def members_at(self, points) -> np.ndarray:
+        """For each complex point, the lowest-index member based at the same
+        point by the :func:`_cells` rule at ``CUSP_CLUSTER_TOL``, or
+        ``len(sizes)`` where none is.  Where two of the points share a
+        cell, that cell's members go to the lower one."""
+        points = np.asarray(points, dtype=complex).ravel()
+        # few points, many members: the members are looked up among the points
+        i, j = _shared_cells(self.bases, points, CUSP_CLUSTER_TOL)
+        member = np.full(len(points), len(self.sizes))
+        np.minimum.at(member, j, i)
+        return member
 
     def _octaves(self):
         if self._bins is None:
@@ -764,22 +767,32 @@ class HoroballFamily:
             depth[above] = np.log(h[above] / self.inf_height)
             rank[above] = self.inf_rank
         pts = np.column_stack([w.real, w.imag])
+        # squared by the C library's pow, as a scalar h ** 2 is; numpy's
+        # vector square h * h differs from it in the last bit for some h
+        h_sq = np.array([x**2 for x in h.tolist()])
         for tree, idx, s_max in self._octaves():
-            cand = h <= s_max
-            if not cand.any():
+            cand = np.flatnonzero(h <= s_max)
+            if not len(cand):
                 continue
-            radii = np.sqrt(np.maximum(s_max * h, 0.0))
-            for i in np.flatnonzero(cand):
-                hits = tree.query_ball_point(pts[i], radii[i])
-                if not hits:
-                    continue
-                gi = idx[hits]
-                q = np.abs(self.bases[gi] - w[i]) ** 2 + h[i] ** 2
-                val = self.sizes[gi] * h[i] / q
-                j = int(np.argmax(val))
-                if val[j] > 1.0 and math.log(val[j]) > depth[i]:
-                    depth[i] = math.log(val[j])
-                    rank[i] = self.ranks[gi[j]]
+            radii = np.sqrt(np.maximum(s_max * h[cand], 0.0))
+            hits = tree.query_ball_point(pts[cand], radii)
+            counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+            # one row per (point, hit member)
+            pt = np.repeat(cand, counts)
+            gi = idx[np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))]
+            q = np.abs(self.bases[gi] - w[pt]) ** 2 + h_sq[pt]
+            val = self.sizes[gi] * h[pt] / q
+            inside = val > 1.0
+            pt, gi, val = pt[inside], gi[inside], val[inside]
+            # per point, its largest value and, on ties, the lowest member
+            order = np.lexsort((gi, -val, pt))
+            first = order[np.flatnonzero(np.diff(pt[order], prepend=-1))]
+            # math.log: numpy's vector log may round differently
+            logs = np.array([math.log(v) for v in val[first].tolist()])
+            pt, gi = pt[first], gi[first]
+            deeper = logs > depth[pt]
+            depth[pt[deeper]] = logs[deeper]
+            rank[pt[deeper]] = self.ranks[gi[deeper]]
         return depth, rank
 
 
@@ -975,10 +988,7 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[fl
     )
 
 
-def standard_horoballs(
-    orbit: OrbitData,
-    cusps: Optional[CuspSummary] = None,
-) -> HoroballFamily:
+def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
     """Invariant disjoint horoball family from enumerated group elements.
 
     One unit reference horoball is placed at a representative of each
@@ -992,18 +1002,10 @@ def standard_horoballs(
     squeezed family accepts theta; it is the only scan when the base point
     decides m, and a second one runs only when the overlap decides.
     """
-    if cusps is None:
-        cusps = find_cusps(orbit)
     if not cusps.has_cusps:
         raise CuspDetectionError("no parabolic elements found; the group has no cusps")
 
-    refs: list[tuple[Optional[complex], int]] = []
-    for cu in cusps.cusps:
-        if cu.point.is_infinity:
-            refs.append((None, cu.rank))
-        else:
-            z = cu.point.coords
-            refs.append((complex(z[0], 0.0 if len(z) == 1 else z[1]), cu.rank))
+    refs = [(hg._hs_boundary(cu.point), cu.rank) for cu in cusps.cusps]
 
     ow, _ = orbit.orbit_points()
     window = max(16.0, 4.0 * float(np.abs(ow).max()) + 8.0)
@@ -1256,12 +1258,12 @@ def sample_limit_set(
     n_fixed = 0
     if include_fixed_points:
         fps = _loxodromic_fixed_points(orbit)
-        gen_fps = []
-        for g in group.generators:
-            for bp in hg.classify(g, d=group.d).fixed_points:
-                if not bp.is_infinity:
-                    z = bp.coords
-                    gen_fps.append(complex(z[0], 0.0 if len(z) == 1 else z[1]))
+        gen_fps = [
+            hg._hs_boundary(bp)
+            for g in group.generators
+            for bp in hg.classify(g, d=group.d).fixed_points
+            if not bp.is_infinity
+        ]
         n_fixed = len(fps) + len(gen_fps)
         pts = np.concatenate([pts, fps, np.asarray(gen_fps, dtype=complex)])
 

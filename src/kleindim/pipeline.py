@@ -17,6 +17,7 @@ import numpy as np
 
 from . import estdim as ed
 from . import group as gr
+from . import hypgeom as hg
 from . import psmeasure as ps
 
 # words are expanded this far past the distance horizon, so that short
@@ -28,16 +29,11 @@ def deepest_cusp_points(cusps: gr.CuspSummary, family: gr.HoroballFamily) -> lis
     """(family ball size, cusp, boundary point as a d-length array) for
     each finite cusp, deepest family ball first.
 
-    A cusp's ball is the lowest-index member based at the same point as
-    the cusp by the ``group._cells`` rule at ``CUSP_CLUSTER_TOL``; a cusp
+    A cusp's ball is its :meth:`HoroballFamily.members_at` member; a cusp
     without one gets size 0.
     """
     finite = [c for c in cusps.cusps if not c.point.is_infinity]
-    points = np.array([complex(*c.point.coords) for c in finite], dtype=complex)
-    # few cusps, many members: the members are looked up among the cusps
-    i, j = gr._shared_cells(family.bases, points, gr.CUSP_CLUSTER_TOL)
-    member = np.full(len(finite), len(family.sizes))
-    np.minimum.at(member, j, i)
+    member = family.members_at([hg._hs_boundary(c.point) for c in finite])
     sizes = np.append(family.sizes, 0.0)[member]
     rows = [(float(s), c, np.array(c.point.coords)) for s, c in zip(sizes, finite)]
     rows.sort(key=lambda t: -t[0])
@@ -95,13 +91,8 @@ class Pipeline:
 
     @cached_property
     def measure(self) -> ps.EmpiricalMeasure:
-        try:
-            delta_hat = self.delta
-        except ValueError:
-            # patterson_measure meets the same failure and names it
-            delta_hat = None
         return ps.patterson_measure(
-            self.group, orbit=self.orbit, band=self.band, delta_hat=delta_hat
+            self.group, self.orbit, band=self.band, delta_hat=self.delta
         )
 
     @cached_property

@@ -2,11 +2,10 @@
 
 The conformal (Patterson-Sullivan type) measure of a discrete group is
 approximated by weighting every enumerated orbit point g(o) with
-exp(-s d(o, g(o))) for an exponent s strictly above the critical
-exponent, normalizing, and placing each weight at the boundary
-projection of g(o).  The weak limit s -> delta is replaced by a
-declared margin; comparing runs at margin and margin/2 is the standard
-convergence diagnostic.
+exp(-s d(o, g(o))) for the exponent s = (1 + S_MARGIN) delta just above
+the critical exponent, normalizing, and placing each weight at the
+boundary projection of g(o).  The weak limit s -> delta is replaced by
+that fixed margin.
 
 The second half of the module is the measure-formula machinery: the
 escape depth rho(z, t) and cusp rank k(z, t) of geodesic ray points
@@ -38,13 +37,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import hypgeom as hg
-from .estdim import (
-    PointCloud,
-    _farthest_point_sample,
-    _linear_fit,
-    _sq_dists,
-    poincare_exponent,
-)
+from .estdim import _farthest_point_sample, _linear_fit, _sq_dists, poincare_exponent
 from .group import (
     Cusp,
     GroupPresentation,
@@ -52,21 +45,21 @@ from .group import (
     OrbitData,
     _cell_keys,
     _planar_coords,
-    enumerate_orbit,
+    enumerate_orbit,  # noqa: F401
 )
+
+# ``perfbench/op.py --trace 1`` wraps ``enumerate_orbit`` and
+# ``poincare_exponent`` as attributes of this module, so both names stay
+# bound here although nothing in the module calls ``enumerate_orbit``
 
 # atoms are aggregated on a grid this many times finer than the
 # declared reliable scale
 ATOM_GRID_FACTOR = 16.0
-# default relative margin of the weighting exponent above the fitted
-# critical exponent
+# relative margin of the weighting exponent above the fitted critical
+# exponent
 S_MARGIN = 0.05
 # smallest admissible mass-ratio scale separation R/r
 MIN_RATIO = 8.0
-
-
-class DivergentWeights(ValueError):
-    """Weighting exponent at or below the measured orbital growth rate."""
 
 
 class MeasureScaleError(ValueError):
@@ -129,15 +122,6 @@ class EmpiricalMeasure:
         span = self.coords.max(axis=0) - self.coords.min(axis=0)
         return float(np.linalg.norm(span))
 
-    def support_cloud(self) -> PointCloud:
-        """The atom positions as a point cloud, for the set estimators."""
-        return PointCloud(
-            coords=self.coords.copy(),
-            d=self.d,
-            resolution=self.resolution,
-            meta=dict(self.provenance),
-        )
-
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
     """Merge atoms sharing a grid cell into their centre of mass."""
@@ -155,96 +139,57 @@ def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
 
 def patterson_measure(
     group: GroupPresentation,
-    s: Optional[float] = None,
+    orbit: OrbitData,
     *,
-    max_dist: Optional[float] = None,
-    max_word_length: Optional[int] = None,
-    max_elements: int = 2_000_000,
-    orbit: Optional[OrbitData] = None,
-    margin: float = S_MARGIN,
     band: Optional[float] = None,
     delta_hat: Optional[float] = None,
 ) -> EmpiricalMeasure:
-    """Weight orbit projections by exp(-s * orbit distance) and normalize.
+    """Weight the orbit's projections by exp(-s * orbit distance) and
+    normalize, with s = (1 + S_MARGIN) * delta_hat.
 
-    With ``s`` omitted the exponent is set to (1 + margin) times the
-    fitted critical exponent of the supplied orbit.  Passing an ``s`` at
-    or below the fitted exponent raises :class:`DivergentWeights`, since
-    the normalized atoms would then never stabilize as the budget grows.
+    ``delta_hat`` is the orbit's fitted critical exponent when the
+    caller already has it (``Pipeline.fit``); without it the exponent
+    is fitted here, and an orbit too shallow to fit raises that fit's
+    ``ValueError``.
 
     ``band`` restricts the budget to orbit points within that distance of
     the completeness horizon before weighting.  A full finite orbit
     over-weights coarse scales relative to the converged measure, because
     every ball is missing exactly the atoms beyond the horizon and the
     missing fraction grows with the ball; reading ball masses off a fixed
-    deep band removes that drift at the cost of a grainier measure.
-
-    ``delta_hat`` is the orbit's fitted critical exponent when the
-    caller already has it (``Pipeline.fit``); without it the exponent
-    is fitted here.
+    deep band removes that drift at the cost of a grainier measure.  An
+    orbit with no finite projection, or a band that keeps none, raises
+    ``ValueError``.
     """
-    if orbit is None:
-        if max_dist is None and max_word_length is None:
-            max_dist = 8.0
-        orbit = enumerate_orbit(
-            group, max_dist, max_elements=max_elements, max_word_length=max_word_length
-        )
-
     if delta_hat is None:
-        try:
-            delta_hat = float(poincare_exponent(orbit).value)
-        except ValueError:
-            pass
-    if s is None:
-        if delta_hat is None:
-            raise ValueError(
-                "orbit too shallow to fit a growth rate; pass the weighting "
-                "exponent s explicitly"
-            )
-        s = delta_hat * (1.0 + margin)
-    elif delta_hat is not None and s <= delta_hat:
-        raise DivergentWeights(
-            f"s={s:.6g} is at or below the measured orbital growth rate "
-            f"{delta_hat:.6g}; the weight series diverges with the budget"
-        )
+        delta_hat = float(poincare_exponent(orbit).value)
+    s = delta_hat * (1.0 + S_MARGIN)
 
     proj, finite = orbit.boundary_projections()
+    if not finite.any():
+        raise ValueError("the orbit has no finite boundary projection to weight")
     keep = finite
     if band is not None:
         if not (band > 0):
             raise ValueError("band must be positive")
         keep = finite & (orbit.dists >= orbit.t_valid - float(band))
-    raw = np.exp(-float(s) * (orbit.dists - float(orbit.dists.min())))
+    raw = np.exp(-s * (orbit.dists - float(orbit.dists.min())))
     pts = proj[keep]
     wts = raw[keep]
-    n_dropped = int((~keep).sum())
+    if len(pts) == 0:
+        raise ValueError("the band excluded every atom; widen it")
 
     resolution = max(2.0 * math.exp(-orbit.t_valid), 1e-14)
     provenance = {
         "group": group.name,
-        "s": float(s),
+        "s": s,
         "delta_hat": delta_hat,
         "n_orbit": orbit.n,
-        "n_dropped": n_dropped,
+        "n_dropped": int((~keep).sum()),
         "band": band,
         "t_valid": orbit.t_valid,
         "orbit_truncated": orbit.truncated,
     }
-
-    if len(pts) == 0:
-        if finite.any():
-            raise ValueError("the band excluded every atom; widen it")
-        # a word-length-0 budget only sees the base point, whose radial
-        # projection is taken downward by convention
-        provenance["base_projection"] = True
-        coords = np.zeros((1, group.d))
-        return EmpiricalMeasure(
-            coords=coords,
-            weights=np.ones(1),
-            d=group.d,
-            resolution=resolution,
-            provenance=provenance,
-        )
 
     coords = _planar_coords(pts, group.d)
     coords, weights = _aggregate_atoms(coords, wts, resolution / ATOM_GRID_FACTOR)
@@ -456,17 +401,6 @@ def gmf_drift(
     )
 
 
-def format_gmf_report(report: GMFReport) -> str:
-    lines = [
-        f"# gmf drift slope={report.slope:.6g} spread={report.spread:.6g} "
-        f"zero_mass={report.n_zero_mass}",
-        "t,k,rho,mass,gmf,log_ratio",
-    ]
-    for z, t, k, rho, mass, g, lr in report.rows:
-        lines.append(f"{t:.6g},{k},{rho:.6g},{mass:.6g},{g:.6g},{lr:.6g}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # regularity exponents of the measure
 # ---------------------------------------------------------------------------
@@ -480,11 +414,6 @@ class RegularityEstimate:
     direction: str
     witness: dict
     window: dict
-
-    def recheck(self) -> float:
-        """Recompute the exponent from the stored witness masses."""
-        w = self.witness
-        return math.log(w["mass_R"] / w["mass_r"]) / math.log(w["R"] / w["r"])
 
 
 def regularity_exponents(
@@ -681,8 +610,7 @@ def horoball_sum(ctx: GMFContext, z, t: float, T: float) -> float:
     """
     if not (T > t > 0):
         raise ValueError("need T > t > 0")
-    zb = _as_boundary(z, ctx.family.d)
-    zc = complex(zb.coords[0], zb.coords[1] if ctx.family.d == 2 else 0.0)
+    zc = hg._hs_boundary(_as_boundary(z, ctx.family.d))
     hi = math.exp(-float(t))
     lo = math.exp(-float(T))
     sel = (
@@ -774,10 +702,10 @@ def ureg_witness(
     if cusp.point.is_infinity:
         raise ValueError("conjugate the cusp away from infinity first")
     d = group.d
-    p = complex(cusp.point.coords[0], cusp.point.coords[1] if d == 2 else 0.0)
+    p = hg._hs_boundary(cusp.point)
 
-    i = int(np.argmin(np.abs(family.bases - p))) if len(family.bases) else -1
-    if i < 0 or abs(family.bases[i] - p) > 1e-8 * max(1.0, abs(p)):
+    i = int(family.members_at([p])[0])
+    if i == len(family.sizes):
         raise ValueError("the family has no horoball at the cusp point")
     H_p = hg.Horoball(cusp.point, float(family.sizes[i]), int(family.ranks[i]))
 
@@ -791,7 +719,7 @@ def ureg_witness(
     z = hg._apply_boundary_mat(fn.matrix, complex(z0))
     if z is None:
         raise ValueError("z0 maps to infinity; choose a different z0")
-    zb = hg.BoundaryPoint((z.real,) if d == 1 else (z.real, z.imag))
+    zb = hg._boundary_from_hs(z, d)
 
     base = hg.origin(d)
     times = hg.horoball_crossing_times(zb, H_p, base=base)

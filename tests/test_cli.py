@@ -506,6 +506,16 @@ class TestVerify:
         text = open(out).read()
         assert text.endswith("overall=pass\n")
         assert "flag=geometrically infinite" in text
+        # the environment names the sampler's own walk, not the distance
+        # budget and measure band that this branch never reads
+        lines = text.splitlines()
+        env = dict(ln.split("=", 1) for ln in lines[1:8])
+        assert sorted(env) == [
+            "budget_words", "group", "n_fixed_points", "n_orbit", "resolution", "seed", "t_valid",
+        ]  # fmt: skip
+        assert (env["n_orbit"], env["n_fixed_points"]) == ("316", "1016")
+        assert float(env["t_valid"]) == pytest.approx(426.553, abs=1e-3)
+        assert [ln.rsplit(",", 1)[1] for ln in lines[10:13]] == ["pass"] * 3
         assert capsys.readouterr().out.startswith("# kleindim verification report")
 
     def test_tight_tolerance_fails_cleanly(self, tmp_path):

@@ -90,7 +90,8 @@ def _squeeze_input(monkeypatch, name, dist):
 
     with monkeypatch.context() as mp:
         mp.setattr(gr, "_squeeze_theta", recorded)
-        gr.standard_horoballs(gr.enumerate_orbit(gr.builtin_group(name), dist))
+        orb = gr.enumerate_orbit(gr.builtin_group(name), dist)
+        gr.standard_horoballs(orb, gr.find_cusps(orb))
     return got[0]
 
 
@@ -105,6 +106,32 @@ def _default_tree_bins(bases, sizes):
         b = bases[idx]
         bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, float(2.0 ** (o + 1))))
     return bins
+
+
+def _oracle_deepest(fam, w, h):
+    """``HoroballFamily.deepest`` as first written: one ball query and
+    one argmax per point and size octave."""
+    depth = np.zeros(len(w))
+    rank = np.zeros(len(w), dtype=np.int32)
+    if fam.inf_height is not None:
+        above = h > fam.inf_height
+        depth[above] = np.log(h[above] / fam.inf_height)
+        rank[above] = fam.inf_rank
+    pts = np.column_stack([w.real, w.imag])
+    for tree, idx, s_max in fam._octaves():
+        radii = np.sqrt(np.maximum(s_max * h, 0.0))
+        for i in np.flatnonzero(h <= s_max):
+            hits = tree.query_ball_point(pts[i], radii[i])
+            if not hits:
+                continue
+            gi = idx[hits]
+            q = np.abs(fam.bases[gi] - w[i]) ** 2 + h[i] ** 2
+            val = fam.sizes[gi] * h[i] / q
+            j = int(np.argmax(val))
+            if val[j] > 1.0 and math.log(val[j]) > depth[i]:
+                depth[i] = math.log(val[j])
+                rank[i] = fam.ranks[gi[j]]
+    return depth, rank
 
 
 def _oracle_dedup(bases, sizes, ref_of):
@@ -839,7 +866,7 @@ class TestHoroballs:
     def test_deepest_membership_against_scalar(self):
         g = gr.builtin_group("apollonian")
         orb = gr.enumerate_orbit(g, max_dist=6.0)
-        fam = gr.standard_horoballs(orb)
+        fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
         balls = fam.to_horoballs(min_size=1e-3)
         rng = np.random.default_rng(3)
         w = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
@@ -856,7 +883,7 @@ class TestHoroballs:
     def test_infinity_family_for_lattice_cusp(self):
         g = gr.builtin_group("rank2_cusp")
         orb = gr.enumerate_orbit(g, max_dist=8.0)
-        fam = gr.standard_horoballs(orb)
+        fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
         assert fam.inf_height is not None
         assert fam.inf_rank == 2
         # plane plus finite images under words through the loxodromic part
@@ -963,7 +990,7 @@ class TestHoroballs:
 
     def test_octave_tree_arguments_change_no_answer(self, monkeypatch):
         orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 8.0)
-        fam = gr.standard_horoballs(orb)
+        fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
         # around the 200 largest members, as (sideways shift, height) in
         # diameters: near the top and half-way up off-centre (inside),
         # low beside the base and out to the side (outside); then a grid
@@ -984,6 +1011,23 @@ class TestHoroballs:
         ref_depth, ref_rank = fam.deepest(w, h)
         assert np.array_equal(depth, ref_depth)
         assert np.array_equal(rank, ref_rank)
+
+    def test_batched_deepest_equals_the_per_point_loop(self):
+        # points inside and beside the 2,000 largest members; a few of
+        # these heights square differently by h * h than by pow, so a
+        # batch that squares as a vector fails here
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 8.0)
+        fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
+        rng = np.random.default_rng(0)
+        top = np.argsort(fam.sizes)[-2000:]
+        shift = rng.uniform(-0.5, 0.5, len(top)) + 1j * rng.uniform(-0.5, 0.5, len(top))
+        w = fam.bases[top] + shift * fam.sizes[top]
+        h = fam.sizes[top] * rng.uniform(0.0, 1.0, len(top))
+        depth, rank = fam.deepest(w, h)
+        want_depth, want_rank = _oracle_deepest(fam, w, h)
+        assert (depth > 0).sum() > 500
+        assert depth.tobytes() == want_depth.tobytes()
+        assert np.array_equal(rank, want_rank)
 
     @pytest.mark.parametrize(
         "name, dist",
@@ -1201,7 +1245,7 @@ class TestHoroballs:
         g = gr.builtin_group("schottky")
         orb = gr.enumerate_orbit(g, max_dist=6.0)
         with pytest.raises(gr.CuspDetectionError):
-            gr.standard_horoballs(orb)
+            gr.standard_horoballs(orb, gr.find_cusps(orb))
 
 
 class TestSampling:

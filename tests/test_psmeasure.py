@@ -86,13 +86,11 @@ def gasket():
 
 def deepest_cusp(cusps, family):
     """The finite cusp whose family ball at its point is largest."""
+    finite = [c for c in cusps.cusps if not c.point.is_infinity]
+    member = family.members_at([hg._hs_boundary(c.point) for c in finite])
     best, best_size = None, 0.0
-    for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
-        p = complex(c.point.coords[0], c.point.coords[1])
-        i = int(np.argmin(np.abs(family.bases - p)))
-        if abs(family.bases[i] - p) < 1e-8 and family.sizes[i] > best_size:
+    for c, i in zip(finite, member):
+        if i < len(family.sizes) and family.sizes[i] > best_size:
             best, best_size = c, float(family.sizes[i])
     return best, best_size
 
@@ -196,13 +194,6 @@ class TestEmpiricalMeasure:
             ps.EmpiricalMeasure(**{**good, "weights": np.array([1.0])})
         with pytest.raises(ValueError):
             ps.EmpiricalMeasure(**{**good, "resolution": 0.0})
-
-    def test_support_cloud_mirrors_atoms(self):
-        mu = cantor_measure(5)
-        cloud = mu.support_cloud()
-        assert cloud.d == 1
-        assert cloud.resolution == mu.resolution
-        assert np.array_equal(cloud.coords, mu.coords)
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000))
@@ -328,21 +319,16 @@ class TestBallMassKernel:
 
 
 class TestPattersonMeasure:
-    def test_word_length_zero_is_single_atom(self):
+    def test_orbit_without_finite_projection_is_an_error(self):
+        # the identity alone projects the base point to infinity
         g = gr.builtin_group("schottky")
-        mu = ps.patterson_measure(g, s=2.0, max_word_length=0)
-        assert mu.n == 1
-        assert mu.weights[0] == pytest.approx(1.0)
-        assert mu.provenance.get("base_projection") is True
-
-    def test_divergent_exponent_rejected(self):
-        g = gr.builtin_group("apollonian")
-        with pytest.raises(ps.DivergentWeights):
-            ps.patterson_measure(g, s=1.0, max_dist=6.0)
+        orbit = gr.enumerate_orbit(g, max_word_length=0)
+        with pytest.raises(ValueError, match="no finite boundary projection"):
+            ps.patterson_measure(g, orbit, delta_hat=1.0)
 
     def test_default_exponent_sits_above_fit(self):
         g = gr.builtin_group("apollonian")
-        mu = ps.patterson_measure(g, max_dist=6.0)
+        mu = ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0))
         s = mu.provenance["s"]
         delta_hat = mu.provenance["delta_hat"]
         assert s == pytest.approx((1.0 + ps.S_MARGIN) * delta_hat, rel=1e-12)
@@ -350,15 +336,16 @@ class TestPattersonMeasure:
 
     def test_deterministic_rebuild(self):
         g = gr.builtin_group("apollonian")
-        a = ps.patterson_measure(g, max_dist=6.0, band=2.5)
-        b = ps.patterson_measure(g, max_dist=6.0, band=2.5)
+        a = ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=2.5)
+        b = ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=2.5)
         assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.weights, b.weights)
 
     def test_band_restricts_budget(self):
         g = gr.builtin_group("apollonian")
-        full = ps.patterson_measure(g, max_dist=6.5)
-        banded = ps.patterson_measure(g, max_dist=6.5, band=2.0)
+        orbit = gr.enumerate_orbit(g, 6.5)
+        full = ps.patterson_measure(g, orbit)
+        banded = ps.patterson_measure(g, orbit, band=2.0)
         assert banded.provenance["n_dropped"] > 0
         assert banded.n < full.n
 
@@ -366,7 +353,7 @@ class TestPattersonMeasure:
         # an untruncated orbit has no atom within 1e-12 of the horizon
         g = gr.builtin_group("apollonian")
         with pytest.raises(ValueError, match="band"):
-            ps.patterson_measure(g, max_dist=6.0, band=1e-12)
+            ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=1e-12)
 
 
 class TestMeasureFormula:
@@ -499,16 +486,6 @@ class TestGMFDrift:
         # log(mass / e^-t) then grows like (1 - log2/log3) t
         assert report.slope > 0.25
 
-    def test_report_format(self):
-        mu = cantor_measure(7)
-        ctx = ps.GMFContext(delta=LOG2_LOG3, family=empty_family(d=1))
-        report = ps.gmf_drift(ctx, mu, n_samples=40, t_range=(1.5, 4.0), seed=1)
-        text = ps.format_gmf_report(report)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# gmf drift slope=")
-        assert lines[1] == "t,k,rho,mass,gmf,log_ratio"
-        assert len(lines) == 2 + len(report.rows)
-
     def test_too_few_samples_rejected(self):
         mu = cantor_measure(7)
         ctx = ps.GMFContext(delta=LOG2_LOG3, family=empty_family(d=1))
@@ -569,7 +546,9 @@ class TestRegularityExponents:
             min_atoms=4,
         )
         for est in (upper, lower):
-            assert est.recheck() == pytest.approx(est.value, abs=1e-12)
+            w = est.witness
+            recheck = math.log(w["mass_R"] / w["mass_r"]) / math.log(w["R"] / w["r"])
+            assert recheck == pytest.approx(est.value, abs=1e-12)
             assert est.witness["mass_R"] >= est.witness["mass_r"] > 0
 
     def test_small_ratio_rejected(self):
