@@ -79,11 +79,10 @@ def main() -> None:
     )
 
     t0 = time.perf_counter()
-    orbit, fit, delta = p.orbit, p.fit, p.delta
+    orbit, delta = p.orbit, p.delta
     print(f"orbit: n={orbit.n} t_valid={orbit.t_valid:.2f} "
           f"truncated={orbit.truncated} ({time.perf_counter() - t0:.1f}s)")
-    print(f"growth exponent: {delta:.6f}  "
-          f"(annulus check {fit.diagnostics.get('annulus', float('nan')):.4f})")
+    print(f"growth exponent: {delta:.6f}")
 
     cusps, family, cloud, measure = p.cusps, p.family, p.cloud, p.measure
     ctx = ps.GMFContext(delta=delta, family=family)

@@ -107,13 +107,16 @@ def read_cloud(path: str) -> ed.PointCloud:
         model, d, resolution = header
         if model != "halfspace":
             raise ValueError(f"model {model!r} is not halfspace")
+        resolution = float(resolution)
+        if not math.isfinite(resolution):
+            raise ValueError("resolution must be a finite number")
         if rows:
             coords = np.loadtxt(rows, delimiter=",", comments="#", ndmin=2)
         else:
             coords = np.empty((0, int(d)))
         if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite numbers")
-        return ed.PointCloud(coords, int(d), float(resolution), meta={"source": path})
+        return ed.PointCloud(coords, int(d), resolution, meta={"source": path})
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from None
 
@@ -168,8 +171,8 @@ def _parse_tolerances(pairs: Optional[Sequence[str]]) -> dict:
             tol[name] = float(val)
         except ValueError:
             raise UsageError(f"--tolerance {name}: {val!r} is not a number") from None
-        if tol[name] < 0:
-            raise UsageError(f"--tolerance {name} must be nonnegative")
+        if not (0 <= tol[name] < math.inf):
+            raise UsageError(f"--tolerance {name} must be finite and nonnegative")
     return tol
 
 
@@ -371,7 +374,8 @@ def _resolve_config(args) -> str:
 
 
 def _sample_cloud(g: gr.GroupPresentation, args) -> ed.PointCloud:
-    """Sample ``g`` within the budgets given on the command line."""
+    """Sample ``g`` in its bounded chart, the chart ``verify`` measures,
+    within the budgets given on the command line."""
     resolution = args.resolution or DEFAULT_RESOLUTION
     kwargs = {}
     if args.budget_words:
@@ -380,7 +384,9 @@ def _sample_cloud(g: gr.GroupPresentation, args) -> ed.PointCloud:
         kwargs["max_dist"] = args.budget_dist
     # sample at half the requested scale so the file over-resolves its
     # declared target instead of meeting it marginally
-    return gr.sample_limit_set(g, target_resolution=resolution / 2.0, **kwargs)
+    return gr.sample_limit_set(
+        gr.bounded_model(g)[0], target_resolution=resolution / 2.0, **kwargs
+    )
 
 
 def cmd_generate(args) -> int:

@@ -40,6 +40,10 @@ import numpy as np
 MIN_SCALE_FACTOR = 2.0
 # number of deterministic grid offsets tried per covering count
 GRID_OFFSETS = 3
+# scales of the box-dimension fit when none are given
+BOX_SCALES = 12
+# distance window below the completeness horizon of the growth fit
+GROWTH_WINDOW = 3.5
 
 
 @dataclass
@@ -132,7 +136,7 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
     )
 
 
-def _scale_window(cloud: PointCloud, scales: Optional[Sequence[float]], n_scales: int):
+def _scale_window(cloud: PointCloud, scales: Optional[Sequence[float]]):
     floor = MIN_SCALE_FACTOR * cloud.resolution
     if scales is not None:
         arr = np.asarray(sorted(set(float(s) for s in scales), reverse=True))
@@ -141,7 +145,7 @@ def _scale_window(cloud: PointCloud, scales: Optional[Sequence[float]], n_scales
     top = cloud.extent() / 4.0
     if top <= floor:
         return np.asarray([max(top, floor)])
-    return np.geomspace(top, floor, n_scales)
+    return np.geomspace(top, floor, BOX_SCALES)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +166,11 @@ def _require_two_points(cloud: PointCloud, method: str) -> None:
 def box_dimension(
     cloud: PointCloud,
     scales: Optional[Sequence[float]] = None,
-    n_scales: int = 12,
 ) -> DimensionEstimate:
     """Upper box dimension estimate from a log-log covering count fit.
     A cloud of fewer than two points raises ``ValueError``."""
     _require_two_points(cloud, "box")
-    rs = _scale_window(cloud, scales, n_scales)
+    rs = _scale_window(cloud, scales)
     if len(rs) < 4:
         raise ValueError(
             "need at least 4 usable scales above twice the resolution; "
@@ -419,81 +422,35 @@ def lower_dimension(
 # ---------------------------------------------------------------------------
 
 
-def poincare_exponent(
-    dists,
-    t_valid: Optional[float] = None,
-    window: float = 3.5,
-) -> DimensionEstimate:
+def poincare_exponent(dists) -> DimensionEstimate:
     """Critical exponent estimate from orbit point distances.
 
     ``dists`` is either an array of d(o, g o) values or an object with
     ``dists`` and ``t_valid`` attributes (an enumerated orbit).  The
-    headline value is the least-squares slope of log N(t) over the last
-    ``window`` units before the completeness horizon; an independent
-    annulus-sum estimate is reported in the diagnostics together with
-    the disagreement between the two.
+    value is the least-squares slope of log N(t) over the last
+    ``GROWTH_WINDOW`` units before the completeness horizon ``t_valid``,
+    or before the largest distance of a plain array.
     """
-    if hasattr(dists, "dists"):
-        if t_valid is None:
-            t_valid = getattr(dists, "t_valid", None)
-        dists = dists.dists
-    dd = np.sort(np.asarray(dists, dtype=float))
+    t_valid = getattr(dists, "t_valid", None)
+    dd = np.sort(np.asarray(getattr(dists, "dists", dists), dtype=float))
     if t_valid is None:
         t_valid = float(dd[-1])
     t_hi = min(float(t_valid), float(dd[-1]))
-    t_lo = max(t_hi - window, float(dd[0]) + 0.5)
+    t_lo = max(t_hi - GROWTH_WINDOW, float(dd[0]) + 0.5)
     if t_hi - t_lo < 1.0:
         raise ValueError("orbit too shallow to fit a growth rate")
     ts = np.linspace(t_lo, t_hi, 25)
     counts = np.searchsorted(dd, ts, side="right")
     if counts[0] < 2:
         raise ValueError("orbit too sparse in the fit window")
-    cumulative, _, stderr = _linear_fit(ts, np.log(counts))
-
-    annulus = _annulus_exponent(dd, t_hi)
-    disagreement = abs(cumulative - annulus) if not math.isnan(annulus) else math.nan
+    slope, _, stderr = _linear_fit(ts, np.log(counts))
     return DimensionEstimate(
-        value=cumulative,
+        value=slope,
         method="poincare",
         diagnostics={
             "stderr": stderr,
-            "annulus": annulus,
-            "disagreement": disagreement,
             "window": (t_lo, t_hi),
             "n_points": int(counts[-1]),
         },
     )
 
-
-def _annulus_exponent(sorted_dists: np.ndarray, t_hi: float) -> float:
-    """Exponent s at which the partial sums over unit annuli stop growing."""
-    n_hi = int(math.floor(t_hi))
-    n_lo = max(0, n_hi - 5)
-    if n_hi - n_lo < 3:
-        return math.nan
-    edges = np.arange(n_lo, n_hi + 1, dtype=float)
-    idx = np.searchsorted(sorted_dists, edges, side="right")
-    if np.any(np.diff(idx) == 0):
-        return math.nan
-
-    centers = []
-    for i in range(len(edges) - 1):
-        centers.append(sorted_dists[idx[i] : idx[i + 1]])
-
-    def annulus_slope(s: float) -> float:
-        logs = [math.log(np.exp(-s * c).sum()) for c in centers]
-        ns = edges[:-1] + 0.5
-        return _linear_fit(ns, logs)[0]
-
-    lo, hi = 0.0, 5.0
-    # annulus sums grow like e^{(delta - s) n}: bisect the flat point
-    f_lo = annulus_slope(lo)
-    if f_lo <= 0:
-        return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if annulus_slope(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -721,13 +721,12 @@ class HoroballFamily:
     def n(self) -> int:
         return len(self.sizes) + (1 if self.inf_height is not None else 0)
 
-    def to_horoballs(self, min_size: float = 0.0) -> list[hg.Horoball]:
+    def to_horoballs(self) -> list[hg.Horoball]:
         out = []
         if self.inf_height is not None:
             out.append(hg.Horoball(hg.infinity(), float(self.inf_height), int(self.inf_rank)))
         for p, s, r in zip(self.bases, self.sizes, self.ranks):
-            if s >= min_size:
-                out.append(hg.Horoball(hg._boundary_from_hs(p, self.d), float(s), int(r)))
+            out.append(hg.Horoball(hg._boundary_from_hs(p, self.d), float(s), int(r)))
         return out
 
     def members_at(self, points) -> np.ndarray:

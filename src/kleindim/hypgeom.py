@@ -154,22 +154,21 @@ def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.array([abs(complex(x, y)) ** 2 for x, y in zip(re.tolist(), im.tolist())])
 
 
-def geodesic_points(z: np.ndarray, t: np.ndarray, base: InteriorPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Halfspace coordinates (w, h) of the points at distance t from
-    ``base`` along the rays toward the boundary points z (complex, inf
-    for infinity): w -> -1/(w - z) sends z to infinity, the base's image
-    is lifted by e^t there and w -> z - 1/w maps it back.  Each step is
-    Python's complex arithmetic written out on real and imaginary parts,
-    so one point or many give the same bits on any CPU."""
-    wb, hb = _hs_interior(base)
+def geodesic_points(z: np.ndarray, t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Halfspace coordinates (w, h) of the points at distance t from the
+    height-1 point above 0 along the rays toward the boundary points z
+    (complex, inf for infinity) of R^d: w -> -1/(w - z) sends z to
+    infinity, the base point's image is lifted by e^t there and
+    w -> z - 1/w maps it back.  Each step is Python's complex arithmetic
+    written out on real and imaginary parts, so one point or many give
+    the same bits on any CPU."""
     lift = np.array([math.exp(s) for s in t.tolist()])
     up = np.isinf(z)
     pr, pi = np.where(up, 0.0, z.real), np.where(up, 0.0, z.imag)
-    # the base under w -> -1/(w - z)
-    cr, ci = pr - wb.real, pi - wb.imag
-    den = _abs2(cr, ci) + hb * hb
-    wr, wi = cr / den, -ci / den
-    h = hb / den * lift
+    # the base point under w -> -1/(w - z)
+    den = _abs2(pr, pi) + 1.0
+    wr, wi = pr / den, -pi / den
+    h = 1.0 / den * lift
     # lifted, then under w -> z - 1/w: ((z w - 1) conj(w) + z h^2) / den
     x = (pr * wr - pi * wi) - 1.0
     y = pr * wi + pi * wr
@@ -177,44 +176,40 @@ def geodesic_points(z: np.ndarray, t: np.ndarray, base: InteriorPoint) -> tuple[
     re = ((x * wr + y * wi) + pr * h * h) / den
     im = ((y * wr - x * wi) + pi * h * h) / den
     h /= den
-    re[up], im[up], h[up] = wb.real, wb.imag, hb * lift[up]
-    if base.d == 1:
+    re[up], im[up], h[up] = 0.0, 0.0, lift[up]
+    if d == 1:
         im[:] = 0.0
     return re + 1j * im, h
 
 
-def geodesic_point(z: BoundaryPoint, t: float, base: Optional[InteriorPoint] = None) -> InteriorPoint:
-    """Point at distance t from ``base`` (default: the height-1 point
-    above 0) along the geodesic ray toward z: the one-point case of
-    :func:`geodesic_points`."""
+def geodesic_point(z: BoundaryPoint, t: float) -> InteriorPoint:
+    """Point at distance t from the height-1 point above 0 along the
+    geodesic ray toward z: the one-point case of :func:`geodesic_points`."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if base is None:
-        base = origin(2 if z.is_infinity else z.d)
+    d = 2 if z.is_infinity else z.d
     zc = _hs_boundary(z)
-    w, h = geodesic_points(np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)]), base)
-    return _interior_from_hs(complex(w[0]), float(h[0]), base.d)
+    w, h = geodesic_points(np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)]), d)
+    return _interior_from_hs(complex(w[0]), float(h[0]), d)
 
 
-def boundary_project(x: InteriorPoint, base: Optional[InteriorPoint] = None) -> BoundaryPoint:
-    """Radial projection: endpoint of the geodesic ray from ``base`` through x."""
-    if base is None:
-        base = origin(x.d)
-    wb, hb = _hs_interior(base)
+def boundary_project(x: InteriorPoint) -> BoundaryPoint:
+    """Radial projection: endpoint of the geodesic ray from the height-1
+    point above 0 through x."""
     wx, hx = _hs_interior(x)
-    sep = abs(wx - wb)
+    sep = abs(wx)
     if sep < 1e-14:
-        if abs(hx - hb) < 1e-14:
+        if abs(hx - 1.0) < 1e-14:
             raise ValueError("cannot project the base point")
-        return _boundary_from_hs(wb if hx < hb else None, x.d)
-    u = (wx - wb) / sep
-    m = (sep * sep + hx * hx - hb * hb) / (2.0 * sep)
+        return _boundary_from_hs(0j if hx < 1.0 else None, x.d)
+    u = wx / sep
+    m = (sep * sep + hx * hx - 1.0) / (2.0 * sep)
     # endpoint on the far side of x, stable for large negative m
     if m >= 0:
-        ep = m + math.hypot(m, hb)
+        ep = m + math.hypot(m, 1.0)
     else:
-        ep = hb * hb / (math.hypot(m, hb) - m)
-    return _boundary_from_hs(wb + ep * u, x.d)
+        ep = 1.0 / (math.hypot(m, 1.0) - m)
+    return _boundary_from_hs(ep * u, x.d)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +507,14 @@ def apply_horoball(g: MobiusMap, H: Horoball, d: Optional[int] = None) -> Horoba
     return _horoball_through(new_base, img, rank=H.rank)
 
 
-def horoball_crossing_times(
-    z: BoundaryPoint, H: Horoball, base: Optional[InteriorPoint] = None
-) -> Optional[tuple[float, float]]:
-    """Entry/exit times of the ray from ``base`` toward z through H.
+def horoball_crossing_times(z: BoundaryPoint, H: Horoball) -> Optional[tuple[float, float]]:
+    """Entry/exit times of the ray from the height-1 point above 0 toward
+    z through H.
 
     Returns (t_enter, t_exit); t_exit is ``inf`` when z is the base point
     of H (the ray never leaves).  Returns None when the ray misses H.
-    Requires the base point to lie outside the horoball.
+    Requires the height-1 point above 0 to lie outside the horoball.
     """
-    if base is None:
-        base = origin(_horoball_dim(H))
     p = _hs_boundary(H.base)
     if p is None:
         g = identity_map()
@@ -530,8 +522,7 @@ def horoball_crossing_times(
     else:
         g = _mobius_to_infinity(p)
         plane = 1.0 / H.size
-    wb, hb = _hs_interior(base)
-    wb, hb = _apply_interior_mat(g.matrix, wb, hb)
+    wb, hb = _apply_interior_mat(g.matrix, 0j, 1.0)
     if hb >= plane:
         raise ValueError("base point lies inside the horoball")
     zc = _apply_boundary_mat(g.matrix, _hs_boundary(z))
@@ -571,14 +562,14 @@ class BoundaryBall:
     radius: float
 
 
-def shadow(H: Horoball, base: Optional[InteriorPoint] = None) -> BoundaryBall:
-    """Radial projection of H from ``base`` as an exact boundary ball.
+def shadow(H: Horoball) -> BoundaryBall:
+    """Radial projection of H from the height-1 point above 0 as an exact
+    boundary ball.
 
-    The affine map z -> (z - w_b) / h_b moves the viewpoint to the
-    height-1 point above 0, where H has base p and diameter D.  The rays
-    from there that meet H are those within angle alpha of the ray toward
-    p, with sin(alpha) = D / (1 + |p|^2) = exp(-distance to H); their
-    endpoints form the disk of centre 2p / den and radius D / den, where
+    With H of base p and diameter D, the rays that meet H are those
+    within angle alpha of the ray toward p, with
+    sin(alpha) = D / (1 + |p|^2) = exp(-distance to H); their endpoints
+    form the disk of centre 2p / den and radius D / den, where
     den = 1 - |p|^2 + (1 + |p|^2) cos(alpha) = 2 - D tan(alpha / 2).  The
     last form has no cancellation for small horoballs.  Raises
     ShadowError if the base point lies in H or the shadow is unbounded.
@@ -586,13 +577,11 @@ def shadow(H: Horoball, base: Optional[InteriorPoint] = None) -> BoundaryBall:
     q = _hs_boundary(H.base)
     if q is None:
         raise ShadowError("a horoball at infinity casts an unbounded shadow")
-    d = H.base.d
-    wb, hb = _hs_interior(origin(d) if base is None else base)
-    D = H.size / hb
-    sin_alpha = D / (1.0 + abs((q - wb) / hb) ** 2)
+    D = H.size
+    sin_alpha = D / (1.0 + abs(q) ** 2)
     if sin_alpha >= 1.0:
         raise ShadowError("base point lies inside or on the horoball")
     den = 2.0 - D * sin_alpha / (1.0 + math.sqrt(1.0 - sin_alpha * sin_alpha))
     if den <= 0.0:
         raise ShadowError("shadow is unbounded in the halfspace chart")
-    return BoundaryBall(_boundary_from_hs(wb + 2.0 * (q - wb) / den, d), H.size / den)
+    return BoundaryBall(_boundary_from_hs(2.0 * q / den, H.base.d), H.size / den)

@@ -60,6 +60,8 @@ ATOM_GRID_FACTOR = 16.0
 S_MARGIN = 0.05
 # smallest admissible mass-ratio scale separation R/r
 MIN_RATIO = 8.0
+# squeezing factors of the shadow mass check
+SQUEEZE_THETAS = (1.0, 0.5, 0.25, 0.125)
 
 
 class MeasureScaleError(ValueError):
@@ -141,7 +143,7 @@ def patterson_measure(
     group: GroupPresentation,
     orbit: OrbitData,
     *,
-    band: Optional[float] = None,
+    band: float,
     delta_hat: Optional[float] = None,
 ) -> EmpiricalMeasure:
     """Weight the orbit's projections by exp(-s * orbit distance) and
@@ -153,13 +155,13 @@ def patterson_measure(
     ``ValueError``.
 
     ``band`` restricts the budget to orbit points within that distance of
-    the completeness horizon before weighting.  A full finite orbit
-    over-weights coarse scales relative to the converged measure, because
-    every ball is missing exactly the atoms beyond the horizon and the
-    missing fraction grows with the ball; reading ball masses off a fixed
-    deep band removes that drift at the cost of a grainier measure.  An
-    orbit with no finite projection, or a band that keeps none, raises
-    ``ValueError``.
+    the completeness horizon before weighting; ``math.inf`` keeps the
+    whole orbit.  A full finite orbit over-weights coarse scales relative
+    to the converged measure, because every ball is missing exactly the
+    atoms beyond the horizon and the missing fraction grows with the
+    ball; reading ball masses off a fixed deep band removes that drift at
+    the cost of a grainier measure.  An orbit with no finite projection,
+    or a band that keeps none, raises ``ValueError``.
     """
     if delta_hat is None:
         delta_hat = float(poincare_exponent(orbit).value)
@@ -168,11 +170,9 @@ def patterson_measure(
     proj, finite = orbit.boundary_projections()
     if not finite.any():
         raise ValueError("the orbit has no finite boundary projection to weight")
-    keep = finite
-    if band is not None:
-        if not (band > 0):
-            raise ValueError("band must be positive")
-        keep = finite & (orbit.dists >= orbit.t_valid - float(band))
+    if not (band > 0):
+        raise ValueError("band must be positive")
+    keep = finite & (orbit.dists >= orbit.t_valid - float(band))
     raw = np.exp(-s * (orbit.dists - float(orbit.dists.min())))
     pts = proj[keep]
     wts = raw[keep]
@@ -262,7 +262,8 @@ def _ball_masses(measure: EmpiricalMeasure, centers: np.ndarray, radii) -> np.nd
 
 @dataclass
 class GMFContext:
-    """Everything the measure formula needs: delta, horoballs, base point.
+    """Everything the measure formula needs: delta and the horoballs.
+    Rays start at the height-1 point above 0.
 
     The standing geometric fact delta > k/2 for every cusp rank k is
     enforced at construction; a fitted delta violating it is estimator
@@ -271,7 +272,6 @@ class GMFContext:
 
     delta: float
     family: HoroballFamily
-    base: Optional[hg.InteriorPoint] = None
 
     def __post_init__(self) -> None:
         if not (self.delta > 0):
@@ -284,14 +284,12 @@ class GMFContext:
                 raise ValueError(
                     f"delta={self.delta} violates delta > k/2 for cusp rank {k}"
                 )
-        if self.base is None:
-            self.base = hg.origin(self.family.d)
 
 
 def _ray_ranks_depths(ctx: GMFContext, z: np.ndarray, t: np.ndarray):
     """Cusp rank and escape depth of the ray points z_t, as in
     :func:`k_and_rho`, for arrays of boundary points and distances."""
-    w, h = hg.geodesic_points(z, t, ctx.base)
+    w, h = hg.geodesic_points(z, t, ctx.family.d)
     depth, rank = ctx.family.deepest(w, h)
     inside = depth > 0.0
     return np.where(inside, rank, 0), np.where(inside, depth, 0.0)
@@ -300,10 +298,10 @@ def _ray_ranks_depths(ctx: GMFContext, z: np.ndarray, t: np.ndarray):
 def k_and_rho(ctx: GMFContext, z, t: float) -> tuple[int, float]:
     """Cusp rank and escape depth of the ray point z_t.
 
-    z_t is the point at distance t from the base along the geodesic ray
-    toward z.  Inside a family horoball the pair is (member rank,
-    distance to the member's boundary); outside every member it is
-    (0, 0).  Disjointness makes the member unambiguous.
+    z_t is the point at distance t from the height-1 point above 0 along
+    the geodesic ray toward z.  Inside a family horoball the pair is
+    (member rank, distance to the member's boundary); outside every
+    member it is (0, 0).  Disjointness makes the member unambiguous.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -419,7 +417,7 @@ class RegularityEstimate:
 def regularity_exponents(
     measure: EmpiricalMeasure,
     *,
-    radii: Optional[Sequence[float]] = None,
+    radii: Sequence[float],
     ratios: Sequence[float] = (8.0, 64.0),
     n_centers: int = 256,
     extra_centers: Optional[np.ndarray] = None,
@@ -430,10 +428,11 @@ def regularity_exponents(
 
     Sweeping centres (a farthest-point sample of the atoms plus any
     supplied extra centres, typically detected parabolic points) and
-    scale pairs (R, R/ratio), the upper estimate is the largest observed
-    log(mass ratio) / log(scale ratio) and the lower estimate the
-    smallest.  Scales below the measure's reliable resolution are
-    refused; scale ratios must be at least 8 so the exponent is read
+    scale pairs (R, R/ratio) over the outer ``radii``, the upper estimate
+    is the largest observed log(mass ratio) / log(scale ratio) and the
+    lower estimate the smallest; ties go to the first scale pair, then
+    the first centre.  Scales below the measure's reliable resolution
+    are refused; scale ratios must be at least 8 so the exponent is read
     over a genuine scale separation; the inner ball must hold at least
     ``min_atoms`` atoms' worth of mass, since the extremes of a sweep
     are exactly where sampling graininess shows up first.
@@ -445,13 +444,6 @@ def regularity_exponents(
             raise ValueError(f"scale ratio {ratio} is below the minimum {MIN_RATIO}")
     min_mass = min(float(min_atoms), measure.n / 4.0) / measure.n
     floor = measure.resolution
-    if radii is None:
-        top = measure.extent() / 4.0
-        lo = floor * min(ratios)
-        if top <= lo:
-            radii = [top]
-        else:
-            radii = np.geomspace(top, lo, 8)
     centers_idx = _farthest_point_sample(measure.coords, n_centers, seed)
     centers = measure.coords[centers_idx]
     if extra_centers is not None:
@@ -461,7 +453,8 @@ def regularity_exponents(
         raise ValueError("no centres to sweep; raise n_centers or pass extras")
 
     # every scale pair (R, R/ratio) above the floor, all scales read in
-    # one pass per centre
+    # one pass per centre; one row of slopes per pair, NaN where the
+    # inner ball is too light
     pairs = [
         (R, ratio, R / float(ratio))
         for R in map(float, radii)
@@ -471,54 +464,39 @@ def regularity_exponents(
     ]
     scales = sorted({R for R, _, _ in pairs} | {r for _, _, r in pairs})
     masses = _ball_masses(measure, centers, scales)
-    column = {scale: masses[:, j] for j, scale in enumerate(scales)}
-
-    best_hi = None
-    best_lo = None
-    n_pairs = 0
-    for R, ratio, r in pairs:
-        mass_R = column[R]
-        mass_r = column[r]
-        ok = (mass_r >= min_mass) & (mass_R > 0.0)
-        if not ok.any():
-            continue
-        slopes = np.full(len(centers), np.nan)
-        slopes[ok] = np.log(mass_R[ok] / mass_r[ok]) / math.log(ratio)
-        n_pairs += int(ok.sum())
-        hi = int(np.nanargmax(slopes))
-        lo = int(np.nanargmin(slopes))
-        for pick, is_hi in ((hi, True), (lo, False)):
-            cand = (
-                float(slopes[pick]),
-                {
-                    "center": centers[pick].tolist(),
-                    "R": R,
-                    "r": r,
-                    "mass_R": float(mass_R[pick]),
-                    "mass_r": float(mass_r[pick]),
-                },
-            )
-            if is_hi and (best_hi is None or cand[0] > best_hi[0]):
-                best_hi = cand
-            if not is_hi and (best_lo is None or cand[0] < best_lo[0]):
-                best_lo = cand
-    if best_hi is None:
+    mass_R = masses[:, [scales.index(R) for R, _, _ in pairs]].T
+    mass_r = masses[:, [scales.index(r) for _, _, r in pairs]].T
+    log_q = np.array([math.log(ratio) for _, ratio, _ in pairs])
+    ok = (mass_r >= min_mass) & (mass_R > 0.0)
+    if not ok.any():
         raise MeasureScaleError(
             "no admissible scale pair above the measure's reliable resolution"
         )
+    slopes = np.full(ok.shape, np.nan)
+    slopes[ok] = np.log(mass_R[ok] / mass_r[ok]) / log_q[np.nonzero(ok)[0]]
     window = {
         "radii": [float(R) for R in radii],
         "ratios": [float(x) for x in ratios],
         "floor": floor,
-        "n_pairs": n_pairs,
+        "n_pairs": int(ok.sum()),
     }
-    upper = RegularityEstimate(
-        value=best_hi[0], direction="upper", witness=best_hi[1], window=window
+
+    def estimate(flat: int, direction: str) -> RegularityEstimate:
+        i, j = divmod(flat, len(centers))
+        R, _, r = pairs[i]
+        witness = {
+            "center": centers[j].tolist(),
+            "R": R,
+            "r": r,
+            "mass_R": float(mass_R[i, j]),
+            "mass_r": float(mass_r[i, j]),
+        }
+        return RegularityEstimate(float(slopes[i, j]), direction, witness, window)
+
+    return (
+        estimate(int(np.nanargmax(slopes)), "upper"),
+        estimate(int(np.nanargmin(slopes)), "lower"),
     )
-    lower = RegularityEstimate(
-        value=best_lo[0], direction="lower", witness=best_lo[1], window=window
-    )
-    return upper, lower
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +617,18 @@ def squeeze_mass_check(
     ctx: GMFContext,
     measure: EmpiricalMeasure,
     H: hg.Horoball,
-    thetas: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
 ) -> list[SqueezeRow]:
     """Empirical shadow masses of squeezed horoballs against the model.
 
-    For each squeezing factor theta the shadow of theta H is projected
-    from the base point and its mass compared with
-    theta^(2 delta - k) |H|^delta.  The ratios are only meaningful up to
-    the untracked two-sided constant, so consumers look at their spread
-    and at the slope of log mass against log theta.
+    For each squeezing factor theta in ``SQUEEZE_THETAS`` the shadow of
+    theta H is projected from the height-1 point above 0 and its mass
+    compared with theta^(2 delta - k) |H|^delta.  The ratios are only
+    meaningful up to the untracked two-sided constant, so consumers look
+    at their spread and at the slope of log mass against log theta.
     """
     rows = []
-    for theta in thetas:
-        if not (0 < theta <= 1):
-            raise ValueError("squeezing factors must lie in (0, 1]")
-        sh = hg.shadow(hg.squeeze(H, float(theta)), base=ctx.base)
+    for theta in SQUEEZE_THETAS:
+        sh = hg.shadow(hg.squeeze(H, theta))
         if sh.radius < measure.resolution:
             raise MeasureScaleError(
                 f"shadow radius {sh.radius:.3g} at theta={theta} is below "
@@ -663,7 +638,7 @@ def squeeze_mass_check(
         predicted = theta ** (2.0 * ctx.delta - H.rank) * H.size**ctx.delta
         rows.append(
             SqueezeRow(
-                theta=float(theta),
+                theta=theta,
                 shadow_radius=float(sh.radius),
                 mass=mass,
                 predicted=float(predicted),
@@ -682,20 +657,20 @@ def ureg_witness(
     cusp: Cusp,
     n: int,
     family: HoroballFamily,
-    z0: Optional[complex] = None,
 ) -> tuple[hg.BoundaryPoint, float, float]:
     """A limit point with a long horoball excursion near the cusp.
 
-    Pushing a fixed limit point z0 toward the cusp point with the n-th
-    power of the cusp's parabolic yields z = f^n(z0).  T is the exit
-    time of the ray toward z from the cusp's horoball.  The earlier time
-    t is fixed by the classical picture: u is the point of the horoball
-    boundary (in the plane spanned by the cusp point, z, and the exit
-    point) at hyperbolic distance 1 from the exit point on the far side
-    from the cusp, and z_t is the ray point directly above u once the
-    cusp is rotated to infinity.  By construction the escape depth at
-    (z, t) is at least T - t - 1, which is what makes the pair a
-    mass-ratio witness: both scales see essentially the cusp's rank.
+    Pushing the family base z0 farthest from the cusp point toward it
+    with the n-th power of the cusp's parabolic yields z = f^n(z0).  T is
+    the exit time from the cusp's horoball of the ray toward z from the
+    height-1 point above 0.  The earlier time t is fixed by the
+    classical picture: u is the point of the horoball boundary (in the
+    plane spanned by the cusp point, z, and the exit point) at hyperbolic
+    distance 1 from the exit point on the far side from the cusp, and
+    z_t is the ray point directly above u once the cusp is rotated to
+    infinity.  By construction the escape depth at (z, t) is at least
+    T - t - 1, which is what makes the pair a mass-ratio witness: both
+    scales see essentially the cusp's rank.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -709,20 +684,18 @@ def ureg_witness(
         raise ValueError("the family has no horoball at the cusp point")
     H_p = hg.Horoball(cusp.point, float(family.sizes[i]), int(family.ranks[i]))
 
-    if z0 is None:
-        far = int(np.argmax(np.abs(family.bases - p)))
-        z0 = complex(family.bases[far])
-        if abs(z0 - p) < 1e-8:
-            raise ValueError("no limit point away from the cusp is available")
+    far = int(np.argmax(np.abs(family.bases - p)))
+    z0 = complex(family.bases[far])
+    if abs(z0 - p) < 1e-8:
+        raise ValueError("no limit point away from the cusp is available")
 
     fn = hg.MobiusMap(np.linalg.matrix_power(cusp.generator.matrix, n))
-    z = hg._apply_boundary_mat(fn.matrix, complex(z0))
+    z = hg._apply_boundary_mat(fn.matrix, z0)
     if z is None:
-        raise ValueError("z0 maps to infinity; choose a different z0")
+        raise ValueError("f^n maps the farthest family base to infinity")
     zb = hg._boundary_from_hs(z, d)
 
-    base = hg.origin(d)
-    times = hg.horoball_crossing_times(zb, H_p, base=base)
+    times = hg.horoball_crossing_times(zb, H_p)
     if times is None:
         raise ValueError("the ray toward f^n(z0) misses the horoball; increase n")
     T = float(times[1])
@@ -733,7 +706,7 @@ def ureg_witness(
     M = hg._mobius_to_infinity(p)
     Hc = hg.apply_horoball(M, H_p, d=d)
     eta = float(Hc.size)
-    ob = hg.apply(M, base)
+    ob = hg.apply(M, hg.origin(d))
     wo, ho = hg._hs_interior(ob)
     zc = hg._hs_boundary(hg.apply(M, zb))
     if zc is None:
@@ -746,7 +719,7 @@ def ureg_witness(
     if axis_len < 1e-13:
         raise ValueError("degenerate configuration: z sits under the base")
     e = axis / axis_len
-    zT = hg.apply(M, hg.geodesic_point(zb, T, base=base))
+    zT = hg.apply(M, hg.geodesic_point(zb, T))
     wT, hT = hg._hs_interior(zT)
     xi_T = ((wT - wo) / e).real
 

@@ -97,6 +97,15 @@ class TestParsing:
         with pytest.raises(cli.UsageError):
             cli._parse_tolerances([tok])
 
+    @pytest.mark.parametrize("val", ["inf", "nan"])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, val):
+        # an infinite tolerance passes any estimate, a NaN one fails every one
+        code = cli.main(["verify", "schottky", "--tolerance", f"dim_H={val}"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --tolerance dim_H must be finite and nonnegative\n"
+        )
+
     def test_load_group_builtin(self):
         g = cli.load_group("apollonian")
         assert g.name == "apollonian"
@@ -193,8 +202,12 @@ class TestCloudIO:
             ("# halfspace,x,0.01\n0,0\n", "invalid literal for int"),
             ("# halfspace,2,0.01\n0,0,1\n", "cloud with d=2 needs 2 columns, got 3"),
             ("# halfspace,2,0.01\n0,0\n1,abc\n", "could not convert string 'abc'"),
+            ("# halfspace,1,inf\n0\n1\n", "resolution must be a finite number"),
         ],
-        ids=["two-line-header", "text-dimension", "three-columns", "text-cell"],
+        ids=[
+            "two-line-header", "text-dimension", "three-columns", "text-cell",
+            "infinite-resolution",
+        ],
     )
     def test_malformed_files_are_usage_errors(self, tmp_path, capsys, body, why):
         path = str(tmp_path / "bad.csv")
@@ -379,6 +392,15 @@ class TestGenerate:
         # the sampler works at half the requested scale, so the file
         # over-resolves the declared target
         assert cloud.resolution <= 0.02
+
+    @pytest.mark.parametrize("group", ["rank2_cusp", "parabolic_cusp_fuchsian"])
+    def test_cusp_groups_are_sampled_in_the_bounded_chart(self, tmp_path, group):
+        # both groups declare a gap point; the chart that sends it to
+        # infinity, the one verify measures, holds the limit set within
+        # [-1.36, 1.36] x [-2.37, 2.37], where the raw chart spans +-89
+        out = str(tmp_path / f"{group}.csv")
+        assert cli.main(["generate", group, "--resolution", "0.02", "--out", out]) == 0
+        assert np.abs(cli.read_cloud(out).coords).max() < 3.0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -867,7 +867,7 @@ class TestHoroballs:
         g = gr.builtin_group("apollonian")
         orb = gr.enumerate_orbit(g, max_dist=6.0)
         fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
-        balls = fam.to_horoballs(min_size=1e-3)
+        balls = [b for b in fam.to_horoballs() if b.size >= 1e-3]
         rng = np.random.default_rng(3)
         w = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
         h = rng.uniform(0.001, 0.5, 40)

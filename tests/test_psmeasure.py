@@ -100,14 +100,14 @@ def _oracle_k_and_rho(ctx, z, t):
     inlined (Python complex arithmetic on Moebius matrices), then a
     one-point ``deepest``.  Kept as the oracle of the batched ray points."""
     zc = hg._hs_boundary(ps._as_boundary(z, ctx.family.d))
-    w, h = hg._hs_interior(ctx.base)
+    w, h = hg._hs_interior(hg.origin(ctx.family.d))
     if zc is None:
         h *= math.exp(t)
     else:
         g = hg._mobius_to_infinity(zc)
         w, h = hg._apply_interior_mat(g.matrix, w, h)
         w, h = hg._apply_interior_mat(g.inverse().matrix, w, h * math.exp(t))
-    w = complex(w.real, w.imag if ctx.base.d == 2 else 0.0)
+    w = complex(w.real, w.imag if ctx.family.d == 2 else 0.0)
     depth, rank = ctx.family.deepest(np.asarray([w]), np.asarray([h]))
     if depth[0] > 0.0:
         return int(rank[0]), float(depth[0])
@@ -291,12 +291,18 @@ class TestBallMassKernel:
     def test_regularity_equals_the_kdtree_sweep(self, gasket):
         mu = gasket[4]
         cases = [
-            dict(radii=np.geomspace(mu.extent() / 4, mu.resolution * 8, 8),
-                 ratios=(8.0, 64.0), n_centers=256, extra_centers=None, min_atoms=32),
-            dict(radii=np.geomspace(1.2, 0.5, 3), ratios=(16.0,), n_centers=192,
-                 extra_centers=np.array([[0.0, 0.0], [0.5, 0.5]]), min_atoms=16),
+            (mu, dict(radii=np.geomspace(mu.extent() / 4, mu.resolution * 8, 8),
+                      ratios=(8.0, 64.0), n_centers=256, extra_centers=None,
+                      min_atoms=32)),
+            (mu, dict(radii=np.geomspace(1.2, 0.5, 3), ratios=(16.0,), n_centers=192,
+                      extra_centers=np.array([[0.0, 0.0], [0.5, 0.5]]), min_atoms=16)),
+            # every window of the uniform Cantor measure reads the same
+            # slope, so the tie rule alone picks both witnesses
+            (cantor_measure(9), dict(radii=[3.0 ** -1, 3.0 ** -2, 3.0 ** -3],
+                                     ratios=(9.0, 27.0), n_centers=64,
+                                     extra_centers=None, min_atoms=4)),
         ]
-        for kw in cases:
+        for mu, kw in cases:
             for seed in (0, 5):
                 upper, lower = ps.regularity_exponents(mu, seed=seed, **kw)
                 hi, lo = kdtree_regularity(mu, seed=seed, **kw)
@@ -311,7 +317,9 @@ class TestBallMassKernel:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ps.regularity_exponents(mu)
+            ps.regularity_exponents(
+                mu, radii=np.geomspace(mu.extent() / 4, mu.resolution * 8, 8)
+            )
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -324,11 +332,11 @@ class TestPattersonMeasure:
         g = gr.builtin_group("schottky")
         orbit = gr.enumerate_orbit(g, max_word_length=0)
         with pytest.raises(ValueError, match="no finite boundary projection"):
-            ps.patterson_measure(g, orbit, delta_hat=1.0)
+            ps.patterson_measure(g, orbit, band=math.inf, delta_hat=1.0)
 
     def test_default_exponent_sits_above_fit(self):
         g = gr.builtin_group("apollonian")
-        mu = ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0))
+        mu = ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=math.inf)
         s = mu.provenance["s"]
         delta_hat = mu.provenance["delta_hat"]
         assert s == pytest.approx((1.0 + ps.S_MARGIN) * delta_hat, rel=1e-12)
@@ -344,9 +352,11 @@ class TestPattersonMeasure:
     def test_band_restricts_budget(self):
         g = gr.builtin_group("apollonian")
         orbit = gr.enumerate_orbit(g, 6.5)
-        full = ps.patterson_measure(g, orbit)
+        full = ps.patterson_measure(g, orbit, band=math.inf)
         banded = ps.patterson_measure(g, orbit, band=2.0)
-        assert banded.provenance["n_dropped"] > 0
+        # an infinite band drops only the projections at infinity
+        assert full.provenance["n_dropped"] == int((~orbit.boundary_projections()[1]).sum())
+        assert banded.provenance["n_dropped"] > full.provenance["n_dropped"]
         assert banded.n < full.n
 
     def test_empty_band_is_an_error(self):
@@ -405,17 +415,13 @@ class TestMeasureFormula:
             sizes=np.array([]),
             ranks=np.array([], dtype=np.int32),
             d=2,
-            inf_height=1.0,
+            inf_height=math.e,
             inf_rank=2,
         )
-        ctx = ps.GMFContext(
-            delta=1.5,
-            family=fam,
-            base=hg.InteriorPoint((0.0, 0.0, math.exp(3.0))),
-        )
-        # the ray from height e^3 straight down to 0 is at height e^2
-        # after time 1, depth log(e^2 / 1) = 2 inside the plane member
-        k, rho = ps.k_and_rho(ctx, 0.0 + 0.0j, 1.0)
+        ctx = ps.GMFContext(delta=1.5, family=fam)
+        # the ray from height 1 straight up is at height e^3 after time
+        # 3, depth log(e^3 / e) = 2 inside the plane member
+        k, rho = ps.k_and_rho(ctx, hg.infinity(), 3.0)
         assert k == 2
         assert rho == pytest.approx(2.0, abs=1e-9)
 
@@ -446,7 +452,7 @@ class TestMeasureFormula:
             inf_height=4.0,
             inf_rank=2,
         )
-        ctx = ps.GMFContext(delta=1.5, family=fam, base=hg.InteriorPoint((0.1, -0.2, 1.5)))
+        ctx = ps.GMFContext(delta=1.5, family=fam)
         rng = np.random.default_rng(9)
         # the plane's point and the two bases at depths 0.5 .. 8, then
         # random rays
@@ -554,12 +560,12 @@ class TestRegularityExponents:
     def test_small_ratio_rejected(self):
         mu = cantor_measure(8)
         with pytest.raises(ValueError, match="ratio"):
-            ps.regularity_exponents(mu, ratios=(2.0,))
+            ps.regularity_exponents(mu, radii=[0.25], ratios=(2.0,))
 
     def test_tiny_measure_rejected(self):
         mu = grid_measure(8)
         with pytest.raises(ValueError, match="fewer than 16"):
-            ps.regularity_exponents(mu)
+            ps.regularity_exponents(mu, radii=[0.25])
 
     def test_no_admissible_pair(self):
         mu = ps.EmpiricalMeasure(
@@ -569,7 +575,7 @@ class TestRegularityExponents:
             resolution=1.0,
         )
         with pytest.raises(ps.MeasureScaleError):
-            ps.regularity_exponents(mu)
+            ps.regularity_exponents(mu, radii=[0.25])
 
     @settings(max_examples=15)
     @given(st.integers(0, 10_000))

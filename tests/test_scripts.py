@@ -35,3 +35,12 @@ def test_cusp_diagnostics(group):
     proc = run_script("cusp_diagnostics.py", "--group", group, "--dist", "8")
     assert proc.returncode == 0, proc.stderr
     assert f"group={group}" in proc.stdout
+
+
+def test_phase_figures(tmp_path):
+    proc = run_script(
+        "phase_figures.py", "--out-dir", str(tmp_path), "--families", "1,1,2", "--grid", "20"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "phase_k1_1_d2.csv").exists()
+    assert (tmp_path / "phase_k1_1_d2.svg").exists()
