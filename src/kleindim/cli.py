@@ -147,7 +147,7 @@ def load_group(spec: str) -> gr.GroupPresentation:
 
 
 def _parse_scales(text: str) -> tuple[float, float, int]:
-    """R_MIN:R_MAX:COUNT with 0 < R_MIN < R_MAX and COUNT >= 2."""
+    """R_MIN:R_MAX:COUNT with 0 < R_MIN < R_MAX < inf and COUNT >= 2."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--scales wants R_MIN:R_MAX:COUNT, got {text!r}")
@@ -155,8 +155,8 @@ def _parse_scales(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"--scales wants numbers, got {text!r}") from None
-    if not (0.0 < lo < hi) or n < 2:
-        raise UsageError("--scales needs 0 < R_MIN < R_MAX and COUNT >= 2")
+    if not (0.0 < lo < hi < math.inf) or n < 2:
+        raise UsageError("--scales needs finite 0 < R_MIN < R_MAX and COUNT >= 2")
     return lo, hi, n
 
 
@@ -283,7 +283,10 @@ class ReportRow:
     """One verified quantity: prediction, estimate, tolerance, outcome.
 
     ``direction`` is "abs" for two-sided comparisons and "ge"/"le" for
-    one-sided bounds (used when only an inequality is predicted).
+    one-sided bounds (used when only an inequality is predicted).  An
+    "abs" row whose prediction lies within its tolerance of 0 is an
+    error row: an estimate of 0, the reading of a set too thin to
+    resolve, would pass it, so no estimate could fail it.
     """
 
     name: str
@@ -295,7 +298,15 @@ class ReportRow:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if not self.status:
+        if self.status:
+            return
+        if self.direction == "abs" and abs(self.predicted) <= self.tolerance:
+            self.status = "error"
+            self.note = (
+                "unresolvable at this tolerance: the prediction lies within "
+                "the tolerance of the degenerate value 0"
+            )
+        else:
             self.status = "pass" if self._holds() else "fail"
 
     def _holds(self) -> bool:
@@ -665,13 +676,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_float(text: str) -> float:
-    """Argument type for scales and budgets: a number above zero."""
+    """Argument type for the distance budget: a number above zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _unit_fraction(text: str) -> float:
+    """Argument type for the target resolution: a number in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -693,7 +715,7 @@ _FLAGS = {
     "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
     "--budget-words": dict(type=_positive_int, help="orbit enumeration element budget"),
     "--budget-dist": dict(type=_positive_float, help="orbit enumeration distance budget"),
-    "--resolution": dict(type=_positive_float, help="target sampling resolution"),
+    "--resolution": dict(type=_unit_fraction, help="target sampling resolution, in (0, 1)"),
     "--scales": dict(help="R_MIN:R_MAX:COUNT, the estimator's radii or plot's delta grid"),
     "--tolerance": dict(
         action="append",

@@ -19,13 +19,32 @@ scales, which cancels the window's multiplicative constant (a ball
 that is nearly full at one scale no longer reads as inflated
 dimension).
 
-The window sweep computes each ball's covering counts without sorting
-the ball.  The grid offsets of ``covering_count`` depend on the scale
-alone, so every (radius, ratio, offset) grid labels the cells of the
-whole cloud once; a ball's count is then the number of distinct labels
-among its points, found by one scatter and one gather.  The points of
-a centre's largest ball are sorted by squared distance once, and each
-smaller ball is a prefix of that order.
+The window sweep computes each ball's covering counts from the ball's
+shell, not from all its points.  The grid offsets of ``covering_count``
+depend on the scale alone, so every (radius, ratio, offset) grid labels
+the cells of the whole cloud once.  For a ball B(x, R) and a grid of
+side r, a count splits into two parts:
+
+* the occupied cells wholly inside the ball, counted once per grid and
+  centre from the grid's sorted cell keys, row by row;
+* the other cells among the points of the shell, the ball's points
+  farther than R - sqrt(2) r from x: distinct labels found by one
+  scatter and one gather, less those of inner cells.
+
+A cell has diameter sqrt(2) r, so a point nearer x than R - sqrt(2) r
+lies in an inner cell, and every point of a cell that is not inner
+lies in the shell.  The split is exact, so every count, slope and
+witness equals that of ``covering_count`` on the ball's points:
+
+* one evaluation of one formula decides whether a cell is inner in both
+  parts, so rounding cannot put a cell in both or in neither;
+* the inner test runs 1e-9 R inside the ball and the shell starts
+  1e-6 R early, so neither rounds a point to the wrong side while the
+  coordinates stay within about 10^6 R of the origin.
+
+The points of a centre's largest ball are sorted by squared distance
+once; each smaller ball is a prefix of that order and each shell a
+slice of it.  A d = 1 cloud is a single grid row of the same code.
 """
 
 from __future__ import annotations
@@ -99,26 +118,42 @@ class DimensionEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _cell_ids(coords: np.ndarray, r: float, offset: np.ndarray) -> np.ndarray:
-    cells = np.floor((coords - offset) / r).astype(np.int64)
-    k = cells.shape[1]
-    if k == 1:
-        return cells[:, 0]
-    lo = cells.min(axis=0)
-    cells = cells - lo  # nonnegative, keeps the packing collision free
-    if k == 2 and cells.max() < 2**31:
-        return (cells[:, 0] << 32) | cells[:, 1]
-    # fallback: exact row dedup
-    rows = np.ascontiguousarray(cells)
-    return np.unique(rows, axis=0, return_inverse=True)[1]
+def _plane(coords: np.ndarray) -> np.ndarray:
+    """The points' coordinates as the two rows of a contiguous array; a
+    d = 1 cloud gets a zero first row, so its cells form one grid row."""
+    cols = np.ascontiguousarray(coords.T, dtype=float)
+    if len(cols) not in (1, 2):
+        raise ValueError(f"points need 1 or 2 coordinates, not {len(cols)}")
+    if len(cols) == 1:
+        cols = np.concatenate([np.zeros_like(cols), cols])
+    return cols
 
 
-def _grid_offsets(r: float, k: int, offsets: int = GRID_OFFSETS) -> list:
-    """The grid offsets tried at scale r in k columns: zero, then
-    deterministic uniform shifts, so they depend on r and k alone."""
+def _cell_keys(plane: np.ndarray, r: float, offset: np.ndarray) -> tuple:
+    """(keys, low, width) of the r-grid shifted by ``offset``.
+
+    A point, a column of ``plane``, lies in the cell of row a and column
+    b: its two coordinates floored in units of r, less ``low``, the
+    grid's lowest occupied (row, column).  Its key is a * width + b.
+    Raises ``ValueError`` when the keys would not fit in 64 bits."""
+    cells = np.floor((plane - offset[:, None]) / r)
+    low = cells.min(axis=1)
+    high = cells.max(axis=1)
+    nrows, width = high - low + 1.0
+    if not (np.abs([low, high]).max() < 2.0**62 and nrows * width < 2.0**62):
+        raise ValueError(f"a grid of side {r:g} has too many cells for 64-bit keys")
+    cells = cells.astype(np.int64) - low.astype(np.int64)[:, None]
+    return cells[0] * int(width) + cells[1], low, int(width)
+
+
+def _grid_offsets(r: float, d: int, offsets: int = GRID_OFFSETS) -> list:
+    """The grid offsets tried at scale r for a d-dimensional cloud, as
+    offsets of its :func:`_plane`: zero, then deterministic uniform
+    shifts, so they depend on r and d alone."""
     rng = np.random.default_rng(12345)
     return [
-        np.zeros(k) if i == 0 else rng.uniform(0.0, r, k) for i in range(max(1, offsets))
+        np.zeros(2) if i == 0 else np.append(np.zeros(2 - d), rng.uniform(0.0, r, d))
+        for i in range(max(1, offsets))
     ]
 
 
@@ -130,8 +165,9 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
     """
     if len(coords) == 0:
         return 0
+    plane = _plane(coords)
     return min(
-        len(np.unique(_cell_ids(coords, r, off)))
+        len(np.unique(_cell_keys(plane, r, off)[0]))
         for off in _grid_offsets(r, coords.shape[1], offsets)
     )
 
@@ -232,6 +268,86 @@ def _farthest_point_sample(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     return pool[np.asarray(chosen)]
 
 
+def _inner_columns(du, u1, rho2):
+    """(lo, hi), the columns of the grid cells in one row that lie wholly
+    inside a ball: those whose far corner does.  Units are cells; the
+    ball has squared radius ``rho2`` about (u0, u1), and ``du`` is the
+    row's index less u0.  A row without such a cell has lo > hi.
+
+    Both parts of a window count (see the module docstring) call this
+    one evaluation, so rounding cannot put a cell in both or in neither.
+    """
+    half = np.sqrt(np.maximum(rho2 - np.maximum(np.abs(du), np.abs(du + 1.0)) ** 2, 0.0))
+    return np.ceil(u1 - half), np.floor(u1 + half) - 1.0
+
+
+def _sweep_grid(plane, centers, r, offset, rho2, reach):
+    """One grid of the window sweep: side r, shifted by ``offset``.
+
+    Returns the dense cell label of each point (a column of ``plane``);
+    the row and column of each label; each centre's (row, column)
+    position u0, u1 in cell units; and per centre, the number of
+    occupied cells wholly inside its ball of squared radius ``rho2`` in
+    cell units.  A ball meets no row more than ``reach`` rows from its
+    centre's.
+    """
+    keys, low, width = _cell_keys(plane, r, offset)
+    occupied, labels = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(occupied, width)
+    nrows = int(rows[-1]) + 1
+    u = (centers - offset) / r - low
+    span = min(2 * reach + 1, nrows)
+    near_rows = np.clip(np.floor(u[:, :1]) - reach, 0, nrows - span) + np.arange(span)
+    lo, hi = _inner_columns(near_rows - u[:, :1], u[:, 1:], rho2)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, width - 1)
+    start = near_rows.astype(np.int64) * width
+    hits = np.searchsorted(occupied, start + hi.astype(np.int64), "right")
+    hits -= np.searchsorted(occupied, start + lo.astype(np.int64), "left")
+    inner = np.where(lo <= hi, hits, 0).sum(axis=1)
+    narrow = np.min_scalar_type(max(nrows, width))
+    rows, cols = rows.astype(narrow), cols.astype(narrow)
+    return labels.astype(np.int32), rows, cols, u[:, 0], u[:, 1], inner
+
+
+def _sweep_grids(plane, d, centers, radii, ratios) -> tuple:
+    """The grids of a window sweep, one per (radius, ratio, offset) and
+    numbered in that order; cell labels run on from one grid to the next.
+
+    Returns per (radius, ratio) the (offset, point) labels; each label's
+    row and column; each grid's first label and squared ball radius in
+    cell units; and the (centre, grid) arrays of u0, u1 and inner counts
+    of :func:`_sweep_grid`.
+    """
+    plane_centers = _plane(centers).T
+    labels, parts, first, rho2 = [], [], [], []
+    n_labels = 0
+    for R in radii:
+        for q in ratios:
+            per_offset = []
+            for off in _grid_offsets(R / q, d):
+                # a whisker inside the ball: a cell found inside holds
+                # only points that the ball's own test admits
+                rho = R * (1.0 - 1e-9) / (R / q)
+                part = _sweep_grid(plane, plane_centers, R / q, off, rho * rho, math.ceil(q) + 2)
+                per_offset.append(part[0] + n_labels)
+                first.append(n_labels)
+                n_labels += len(part[1])
+                parts.append(part[1:])
+                rho2.append(rho * rho)
+            labels.append(np.stack(per_offset))
+    rows, cols, u0, u1, inner = zip(*parts)
+    return (
+        labels,
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.array(first),
+        np.array(rho2),
+        np.column_stack(u0),
+        np.column_stack(u1),
+        np.column_stack(inner),
+    )
+
+
 def _window_slopes(
     cloud: PointCloud,
     radii: Optional[Sequence[float]],
@@ -252,8 +368,10 @@ def _window_slopes(
     above the resolution floor; mixing windows fitted over different
     scale sets would make the extrema incomparable.
 
-    The counts equal ``covering_count`` on each ball's points; the
-    module docstring says how they are computed without it.
+    The counts equal ``covering_count`` on each ball's points.  Each is
+    the number of occupied cells wholly inside the ball, counted per
+    grid and centre, plus the number of other cells that hold points of
+    the ball's shell; the module docstring says why that is exact.
     """
     coords = cloud.coords
     floor = MIN_SCALE_FACTOR * cloud.resolution
@@ -277,43 +395,52 @@ def _window_slopes(
             "no sample window resolves every requested ratio above twice "
             "the resolution; supply coarser radii or smaller ratios"
         )
-    # per radius, per ratio, per grid offset: a dense cell label per point
-    grids = {
-        R: [
-            [
-                np.unique(_cell_ids(coords, R / q, off), return_inverse=True)[1]
-                for off in _grid_offsets(R / q, coords.shape[1])
-            ]
-            for q in ratios
-        ]
-        for R in radii
-    }
-    stamp = np.empty(len(coords), dtype=np.intp)
-    steps = np.arange(len(coords))
+    plane = _plane(coords)
+    labels, cell_rows, cell_cols, first, rho2, u0, u1, inner = _sweep_grids(
+        plane, cloud.d, centers, radii, ratios
+    )
+    stamp = np.empty(len(cell_rows), dtype=np.int32)
+    steps = np.arange(0, dtype=np.int32)
 
-    def distinct(labels: np.ndarray) -> int:
-        # exactly one write to each label survives, whatever order the
-        # repeated writes land in, so the survivors count the labels
-        stamp[labels] = steps[: len(labels)]
-        return int(np.count_nonzero(stamp[labels] == steps[: len(labels)]))
-
-    cols = np.ascontiguousarray(coords.T)
+    cols = plane[2 - cloud.d :]
     log_q = np.log(ratios)
     sq_radii = np.array([R * R for R in radii])
+    # a point nearer the centre than R - sqrt(2) r lies in a cell wholly
+    # inside the ball; the margin keeps rounding on that side, and below
+    # ratio sqrt(2) no point does
+    inside = np.array([R - math.sqrt(2.0) * R / q - 1e-6 * R for R in radii for q in ratios])
+    sq_inside = np.where(inside > 0.0, inside * inside, -1.0)
     windows = [[] for _ in radii]
-    for center in centers:
+    for ci, center in enumerate(centers):
         d2 = _sq_dists(cols, center)
         near = np.flatnonzero(d2 <= sq_radii.max())
         order = np.argsort(d2[near])
         near = near[order]
+        near_d2 = d2[near]
         # every ball holds its centre, so no prefix is empty
-        ends = np.searchsorted(d2[near], sq_radii, side="right")
-        for R, m, out in zip(radii, ends.tolist(), windows):
-            ball = near[:m]
-            counts = [
-                min(distinct(labels[ball]) for labels in per_offset)
-                for per_offset in grids[R]
+        ends = np.searchsorted(near_d2, sq_radii, side="right").tolist()
+        starts = np.searchsorted(near_d2, sq_inside, side="right").tolist()
+        # the shells of every (radius, ratio) at once, each through the
+        # labels of its grids
+        shell = np.concatenate(
+            [
+                np.take(per_offset, near[s : ends[i // len(ratios)]], axis=1).ravel()
+                for i, (per_offset, s) in enumerate(zip(labels, starts))
             ]
+        )
+        if len(shell) > len(steps):
+            steps = np.arange(len(shell), dtype=np.int32)
+        # exactly one write to each label survives, whatever order the
+        # repeated writes land in, so the survivors are the distinct cells
+        stamp[shell] = steps[: len(shell)]
+        cells = shell[stamp[shell] == steps[: len(shell)]]
+        g = np.searchsorted(first, cells, side="right") - 1
+        lo, hi = _inner_columns(cell_rows[cells] - u0[ci, g], u1[ci, g], rho2[g])
+        col = cell_cols[cells]
+        outer = np.bincount(g[(col < lo) | (col > hi)], minlength=len(rho2))
+        per_grid = inner[ci] + outer
+        per_window = per_grid.reshape(len(radii), len(ratios), -1).min(axis=2).tolist()
+        for R, m, counts, out in zip(radii, ends, per_window, windows):
             scales = [R / q for q in ratios]
             if len(ratios) == 1:
                 slope = math.log(counts[0]) / log_q[0]

@@ -10,6 +10,7 @@ second) or a deliberately starved orbit budget.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def write_config(tmp_path, payload) -> str:
     path = tmp_path / "group.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+UNRESOLVABLE = (
+    "unresolvable at this tolerance: the prediction lies within the "
+    "tolerance of the degenerate value 0"
+)
 
 
 def report_rows(path: str) -> list:
@@ -80,8 +87,10 @@ class TestParsing:
         assert cli._parse_scales("0.01:0.5:7") == (0.01, 0.5, 7)
 
     @pytest.mark.parametrize(
-        "text", ["1:2", "a:b:c", "0:1:5", "2:1:5", "0.1:0.5:1", "1:2:3:4"]
-    )
+        "text",
+        ["1:2", "a:b:c", "0:1:5", "2:1:5", "0.1:0.5:1", "1:2:3:4",
+         "0.1:inf:5", "inf:inf:5", "nan:1:5", "0.1:nan:5"],
+    )  # fmt: skip
     def test_scales_rejected(self, text):
         with pytest.raises(cli.UsageError):
             cli._parse_scales(text)
@@ -258,6 +267,16 @@ class TestReport:
         assert cli.ReportRow("x", 0.0, 0.19, 0.2, direction="le").status == "pass"
         assert cli.ReportRow("x", 0.0, 0.21, 0.2, direction="le").status == "fail"
 
+    def test_prediction_near_zero_is_unresolvable(self):
+        # an estimate of 0 would pass these rows, so none could fail
+        for predicted, estimated in ((0.0372, 0.0), (0.15, 0.9), (-0.1, 0.5), (0.0, 0.0)):
+            row = cli.ReportRow("x", predicted, estimated, 0.15)
+            assert row.status == "error"
+            assert row.note == UNRESOLVABLE
+        assert cli.ReportRow("x", 0.16, 0.0, 0.15).status == "fail"
+        # a one-sided bound keeps its meaning
+        assert cli.ReportRow("x", 0.0, 0.0, 0.2, direction="le").status == "pass"
+
     def test_error_row_keeps_first_line(self):
         row = cli._error_row("stage", ValueError("top line\nsecond line"))
         assert row.status == "error"
@@ -323,6 +342,21 @@ class TestExitCodes:
     def test_plot_phase_wants_integers(self):
         assert cli.main(["plot", "--phase", "a", "b", "c"]) == 1
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_scales_are_usage_errors(self, cantor_file, capsys, bad):
+        for argv in (
+            ["plot", "--phase", "1", "3", "4", "--scales", f"1.8:{bad}:5"],
+            ["dimension", cantor_file, "--scales", f"0.1:{bad}:5"],
+            ["dimension", cantor_file, "--scales", f"{bad}:0.5:5"],
+        ):
+            # numpy would warn on the grid before any check saw it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: --scales needs finite 0 < R_MIN < R_MAX and COUNT >= 2\n"
+            )
+
     def test_plot_phase_grid_outside_domain(self, capsys):
         code = cli.main(
             ["plot", "--phase", "1", "3", "4", "--scales", "0.2:5:50"]
@@ -336,6 +370,9 @@ class TestExitCodes:
             ["--resolution", "0"],
             ["--resolution", "-1"],
             ["--resolution", "nan"],
+            ["--resolution", "inf"],
+            ["--resolution", "1"],
+            ["--resolution", "1.5"],
             ["--budget-dist", "0"],
             ["--budget-dist", "-2.5"],
             ["--budget-dist", "far"],
@@ -562,11 +599,25 @@ class TestVerify:
         # dimension probes at the cusp used to index a second one
         out = str(tmp_path / "report.txt")
         code = cli.main(["verify", "parabolic_cusp_fuchsian", "--out", out])
-        assert code in (2, 3)
         text = open(out).read()
         assert "profile=delta:" in text and ",k_min:1,k_max:1,d:1," in text
-        assert "inf_lower_loc," in text
         assert text.startswith("# kleindim") and "\noverall=" in text
+        # both rows predict 2 delta - 1 = 0.093, inside their 0.15 tolerance of 0
+        assert code == 2
+        assert [row for row in report_rows(out) if row[1].startswith("error")] == [
+            ("lower_reg", f"error ({UNRESOLVABLE})"),
+            ("inf_lower_loc", f"error ({UNRESOLVABLE})"),
+        ]
+
+    def test_thin_predictions_are_unresolvable(self, tmp_path):
+        # schottky's delta-hat of 0.037 sits within every tolerance of 0,
+        # and its cloud of 4 points reads dimension 0
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "schottky", "--out", out]) == 2
+        rows = dict(report_rows(out))
+        assert [rows[name] for name in ("dim_H", "dim_A", "dim_L")] == [
+            f"error ({UNRESOLVABLE})"
+        ] * 3
 
     def test_flat_cusp_profile_is_an_error_row(self, tmp_path):
         # at depth 8 the 103-atom measure puts the same atoms in all 13

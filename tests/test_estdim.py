@@ -10,6 +10,7 @@ inexact, points sit exactly on cell walls, and floor(p/r) flips.)
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ class TestCoveringCount:
         assert ed.covering_count(np.array([[0.0], [1.0]]), 0.25) == 2
         # two points in the same offset-zero cell
         assert ed.covering_count(np.array([[0.01], [0.02]]), 1.0) == 1
+        with pytest.raises(ValueError, match="1 or 2 coordinates, not 3"):
+            ed.covering_count(np.zeros((4, 3)), 0.5)
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
@@ -103,9 +106,21 @@ class TestCoveringCount:
         # points straddling an aligned cell wall: offset 0 needs two
         # cells, some shift needs only one
         pts = np.array([[0.999], [1.001]])
-        aligned = len(np.unique(ed._cell_ids(pts, 1.0, np.zeros(1))))
+        aligned = len(np.unique(ed._cell_keys(ed._plane(pts), 1.0, np.zeros(2))[0]))
         assert aligned == 2
         assert ed.covering_count(pts, 1.0, offsets=8) == 1
+
+
+    @pytest.mark.parametrize(
+        "pts, r",
+        [
+            (np.array([[0.0, 0.0], [1e10, 1e10]]), 1e-10),
+            (np.array([[0.0], [1e10]]), 1e-10),
+        ],
+    )
+    def test_keys_that_overflow_raise(self, pts, r):
+        with pytest.raises(ValueError, match=f"grid of side {r:g} has too many cells"):
+            ed.covering_count(pts, r)
 
 
 class TestBoxDimension:
@@ -287,6 +302,19 @@ def random_cloud(seed: int, n: int, d: int) -> ed.PointCloud:
     return ed.PointCloud(coords=coords, d=d, resolution=1e-3)
 
 
+def line_cloud(n: int) -> ed.PointCloud:
+    # integer points on a line: the integer radii swept below end
+    # exactly on points
+    return ed.PointCloud(coords=np.arange(float(n))[:, None], d=1, resolution=0.01)
+
+
+def strip_cloud(seed: int, n: int) -> ed.PointCloud:
+    # a 10 x 0.05 strip: its balls reach far past the few occupied rows
+    rng = np.random.default_rng(seed)
+    coords = rng.random((n, 2)) * [10.0, 0.05]
+    return ed.PointCloud(coords=coords, d=2, resolution=1e-3)
+
+
 def lattice_cloud(side: int) -> ed.PointCloud:
     # integer points: many lie exactly at the integer radii swept below
     # (3-4-5 and 5-12-13 triangles, axis neighbours), where a ball's
@@ -313,6 +341,18 @@ class TestWindowSweep:
             (random_cloud(4, 700, 2), [0.4, 0.001, 0.2, 0.2, 0.01, 0.15], (8.0, 64.0)),
             (lattice_cloud(30), [13.0, 5.0, 10.0, 2.0, 1.0], (2.0, 4.0)),
             (lattice_cloud(30), [5.0, 13.0], (8.0,)),
+            # below ratio sqrt(2) no point lies nearer the centre than
+            # R - sqrt(2) r, and the shell is the whole ball
+            (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.2,)),
+            (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.3, 2.0)),
+            (random_cloud(5, 700, 2), None, (1.1, 1.4)),
+            # R - sqrt(2) r runs through lattice points whose cells reach
+            # the sphere: the shell must start before them
+            (lattice_cloud(30), [math.sqrt(2.0) * k for k in (5, 10, 3)], (5 * math.sqrt(2.0),)),
+            (line_cloud(60), [12.0, 7.0, 5.0, 3.0, 2.0], (2.0, 5.0)),
+            (line_cloud(60), [12.0, 7.0, 3.0, 1.0], (1.5,)),
+            (strip_cloud(6, 900), None, (8.0, 64.0)),
+            (strip_cloud(6, 900), None, (4.0, 8.0, 16.0)),
         ],
     )
     def test_matches_per_ball_oracle(self, cloud, radii, ratios):
@@ -321,6 +361,20 @@ class TestWindowSweep:
             want = window_slopes_oracle(cloud, radii, ratios, 40, seed)
             assert got == want
             assert repr(got) == repr(want)
+
+    def test_memory_stays_below_int64_labels(self):
+        # one int64 label per point and grid alone reaches 31 (Assouad)
+        # and 43 (lower) times the coordinates on this cloud
+        cloud = gr.sample_limit_set(gr.builtin_group("apollonian"), target_resolution=1e-3)
+        for ratios, bound in (((8.0, 64.0), 30), ((4.0, 8.0, 16.0), 40)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ed._window_slopes(cloud, None, ratios, 64, 0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * cloud.coords.nbytes
 
     def test_identical_ratios_raise(self):
         with pytest.raises(ValueError):
