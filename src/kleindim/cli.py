@@ -543,7 +543,7 @@ def _verify_geometrically_finite(p, tol, seed, report):
     t_deep = min(6.0, -math.log(mu.resolution) - 0.1)
 
     def local_dim(rank):
-        """Local dimension at the deepest finite cusp of ``rank`` in the
+        """Local dimension at the deepest cusp of ``rank`` in the
         cusp window, else at the typical point."""
         for _, c, point in cusp_rows:
             if c.rank == rank:

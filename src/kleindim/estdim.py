@@ -63,6 +63,8 @@ GRID_OFFSETS = 3
 BOX_SCALES = 12
 # distance window below the completeness horizon of the growth fit
 GROWTH_WINDOW = 3.5
+# the growth fit errors when its stderr exceeds this share of the slope
+GROWTH_MAX_REL_STDERR = 0.1
 
 
 @dataclass
@@ -556,7 +558,9 @@ def poincare_exponent(dists) -> DimensionEstimate:
     ``dists`` and ``t_valid`` attributes (an enumerated orbit).  The
     value is the least-squares slope of log N(t) over the last
     ``GROWTH_WINDOW`` units before the completeness horizon ``t_valid``,
-    or before the largest distance of a plain array.
+    or before the largest distance of a plain array.  A fit whose
+    stderr exceeds ``GROWTH_MAX_REL_STDERR`` times its slope raises
+    ``ValueError``: the orbit is too sparse in the window to fix a rate.
     """
     t_valid = getattr(dists, "t_valid", None)
     dd = np.sort(np.asarray(getattr(dists, "dists", dists), dtype=float))
@@ -571,6 +575,12 @@ def poincare_exponent(dists) -> DimensionEstimate:
     if counts[0] < 2:
         raise ValueError("orbit too sparse in the fit window")
     slope, _, stderr = _linear_fit(ts, np.log(counts))
+    if stderr > GROWTH_MAX_REL_STDERR * slope:
+        raise ValueError(
+            f"growth fit too loose: stderr {stderr:.3g} exceeds "
+            f"{GROWTH_MAX_REL_STDERR:g} of the fitted exponent {slope:.4g}; "
+            "raise the distance budget"
+        )
     return DimensionEstimate(
         value=slope,
         method="poincare",

@@ -14,6 +14,11 @@ that makes it disjoint), and limit set sampling by radial projection.
 Cusp detection and the family decide when two boundary points are the
 same point by one rule, stated at :func:`_cells`, and group what is the
 same by one components helper, :func:`_components`.
+
+Cusps and horoball families exist only in the bounded chart of
+:func:`bounded_model`, where infinity is not a limit point: every cusp
+point and every family member is finite, and a cusp point at infinity
+is a :class:`CuspDetectionError` that names ``bounded_model``.
 """
 
 from __future__ import annotations
@@ -65,6 +70,12 @@ class NonDiscreteError(ValueError):
 
 class CuspDetectionError(ValueError):
     """Inconsistent parabolic data while building a horoball family."""
+
+
+_AT_INFINITY = (
+    "a cusp point at infinity; cusps and horoball families live in the "
+    "bounded chart, so conjugate the group with bounded_model first"
+)
 
 
 @dataclass(frozen=True)
@@ -588,12 +599,14 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     """Detect parabolic fixed points, group them into cusp orbits.
 
     A cluster is a connected set of fixed points that are the same point
-    by the :func:`_cells` rule at ``CUSP_CLUSTER_TOL``; all fixed points
-    at infinity form one.  Clusters are joined into orbits when a
-    generator carries a fixed point into a cluster's cell.  The orbit
-    partition is a lower bound on the truth (two clusters whose
-    connecting element was not enumerated stay separate); downstream
-    horoball construction merges orbits when it finds evidence for it.
+    by the :func:`_cells` rule at ``CUSP_CLUSTER_TOL``.  Clusters are
+    joined into orbits when a generator carries a fixed point into a
+    cluster's cell.  The orbit partition is a lower bound on the truth
+    (two clusters whose connecting element was not enumerated stay
+    separate); downstream horoball construction merges orbits when it
+    finds evidence for it.  A fixed point at infinity, or one that a
+    generator sends there, raises :class:`CuspDetectionError`: cusps
+    exist only in the bounded chart.
     """
     group = orbit.group
     if group is None:
@@ -615,39 +628,31 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     a, c = pm[:, 0, 0], pm[:, 1, 0]
     dd = pm[:, 1, 1]
     scale = np.abs(pm).max(axis=(1, 2))
-    at_inf = np.abs(c) <= hg.ENTRY_TOL * scale
-    fp = np.zeros(n_para, dtype=complex)
-    fin = np.flatnonzero(~at_inf)
-    fp[fin] = (a[fin] - dd[fin]) / (2.0 * c[fin])
-    inf = np.flatnonzero(at_inf)
-    to_inf = inf[:1]  # edges into infinity's cluster end at its first parabolic
+    if (np.abs(c) <= hg.ENTRY_TOL * scale).any():
+        raise CuspDetectionError(_AT_INFINITY)
+    fp = (a - dd) / (2.0 * c)
 
     # one lookup per distinct fixed point value, by its first parabolic
-    vals, first, inv = np.unique(fp[fin], return_index=True, return_inverse=True)
-    reps = fin[first]
+    vals, first, inv = np.unique(fp, return_index=True, return_inverse=True)
     ki, kj = _shared_cells(vals, vals, CUSP_CLUSTER_TOL)
-    same_i = np.concatenate([fin, reps[ki], inf])
-    same_j = np.concatenate([reps[inv], reps[kj], to_inf.repeat(len(inf))])
+    same_i = np.concatenate([np.arange(n_para), first[ki]])
+    same_j = np.concatenate([first[inv], first[kj]])
     cluster = _components(n_para, same_i, same_j)
 
     # a generator image of a fixed point joins the cluster whose cell it
-    # lands in; a point sent to infinity joins infinity's cluster
+    # lands in
     gens = _generator_stack(group)
     ga, gb, gc, gd = (gens[:, r, s, None] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
     gscale = np.abs(gens).max(axis=(1, 2))[:, None]
     den = gc * vals + gd
-    ok = np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(vals))
-    img = (ga * vals + gb) / np.where(ok, den, 1.0)
-    src = np.broadcast_to(reps, img.shape)
-    moves_inf = (np.abs(gc[:, 0]) >= 1e-13 * gscale[:, 0]) & bool(len(inf))
-    q = np.concatenate([img[ok], ga[moves_inf, 0] / gc[moves_inf, 0]])
-    q_src = np.concatenate([src[ok], to_inf.repeat(moves_inf.sum())])
-    qi, tj = _shared_cells(q, vals, CUSP_CLUSTER_TOL)
-    poles = src[~ok] if len(inf) else reps[:0]
+    if not (np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(vals))).all():
+        raise CuspDetectionError(_AT_INFINITY)
+    img = (ga * vals + gb) / den
+    qi, tj = _shared_cells(img.ravel(), vals, CUSP_CLUSTER_TOL)
     comp = _components(
         n_para,
-        np.concatenate([same_i, q_src[qi], poles]),
-        np.concatenate([same_j, reps[tj], to_inf.repeat(len(poles))]),
+        np.concatenate([same_i, np.tile(first, len(gens))[qi]]),
+        np.concatenate([same_j, first[tj]]),
     )
 
     # a cluster has rank 2 when the translation of one of its RANK_SAMPLE
@@ -662,8 +667,6 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
         cl = cluster[sel]
         ms = pm[sel]
         taus = -ms[:, 1, 0] / (ms[:, 1, 0] * fp[cl] + ms[:, 1, 1])
-        up = at_inf[cl]
-        taus[up] = ms[up, 0, 1] / ms[up, 0, 0]
         starts, sizes = _runs(cl)
         run = np.repeat(np.arange(len(starts)), sizes)
         mag = np.abs(taus)
@@ -679,11 +682,11 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     starts, counts = _runs(comp[order])
     cusps = []
     for best, n_conj in zip(order[starts], counts):
-        point = hg._boundary_from_hs(None if at_inf[best] else fp[best], group.d)
+        point = hg._boundary_from_hs(fp[best], group.d)
         gen = hg.MobiusMap(pm[best])
         cusps.append(Cusp(point, int(rank[comp[best]]), gen, int(n_conj)))
 
-    cusps.sort(key=lambda cu: (math.inf,) if cu.point.is_infinity else cu.point.coords)
+    cusps.sort(key=lambda cu: cu.point.coords)
     ranks = [cu.rank for cu in cusps]
     return CuspSummary(tuple(cusps), min(ranks), max(ranks), n_para, orbit.truncated)
 
@@ -697,21 +700,19 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
 class HoroballFamily:
     """Disjoint family of horoballs over the detected cusp orbits.
 
-    ``bases``/``sizes`` describe finite-based horoballs (tangent-point
-    diameter convention); an optional member at infinity is a horizontal
-    plane at ``inf_height``.  ``theta`` is the dyadic squeeze that was
-    applied to the raw family to make it disjoint.  Members based beyond
-    ``query_window`` were discarded during construction (they cannot
-    contain any point with planar norm inside the window and height at
-    most 1), so ``deepest`` only answers queries inside the window.
+    ``bases``/``sizes`` describe the horoballs (tangent-point diameter
+    convention), all based at finite points.  ``theta`` is the dyadic
+    squeeze that was applied to the raw family to make it disjoint.
+    Members based beyond ``query_window`` were discarded during
+    construction (they cannot contain any point with planar norm inside
+    the window and height at most 1), so ``deepest`` only answers
+    queries inside the window.
     """
 
     bases: np.ndarray
     sizes: np.ndarray
     ranks: np.ndarray
     d: int
-    inf_height: Optional[float] = None
-    inf_rank: int = 0
     theta: float = 1.0
     query_window: float = math.inf
     n_references: int = 0
@@ -719,15 +720,13 @@ class HoroballFamily:
 
     @property
     def n(self) -> int:
-        return len(self.sizes) + (1 if self.inf_height is not None else 0)
+        return len(self.sizes)
 
     def to_horoballs(self) -> list[hg.Horoball]:
-        out = []
-        if self.inf_height is not None:
-            out.append(hg.Horoball(hg.infinity(), float(self.inf_height), int(self.inf_rank)))
-        for p, s, r in zip(self.bases, self.sizes, self.ranks):
-            out.append(hg.Horoball(hg._boundary_from_hs(p, self.d), float(s), int(r)))
-        return out
+        return [
+            hg.Horoball(hg._boundary_from_hs(p, self.d), float(s), int(r))
+            for p, s, r in zip(self.bases, self.sizes, self.ranks)
+        ]
 
     def members_at(self, points) -> np.ndarray:
         """For each complex point, the lowest-index member based at the same
@@ -761,10 +760,6 @@ class HoroballFamily:
             )
         depth = np.zeros(len(w))
         rank = np.zeros(len(w), dtype=np.int32)
-        if self.inf_height is not None:
-            above = h > self.inf_height
-            depth[above] = np.log(h[above] / self.inf_height)
-            rank[above] = self.inf_rank
         pts = np.column_stack([w.real, w.imag])
         # squared by the C library's pow, as a scalar h ** 2 is; numpy's
         # vector square h * h differs from it in the last bit for some h
@@ -811,41 +806,28 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray):
     return bins
 
 
-def _horoball_images(mats: np.ndarray, p: Optional[complex]):
-    """Images of the unit reference horoball at p under every matrix.
-
-    Returns (finite_bases, finite_sizes, inf_heights).  The reference is
-    the tangent horoball of diameter 1 (finite p) or the plane at height
-    1 (p = None).  Image sizes are exact, via the derivative formula.
+def _horoball_images(mats: np.ndarray, p: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Images (bases, sizes) of the tangent horoball of diameter 1 at the
+    finite point p under every matrix.  Image sizes are exact, via the
+    derivative formula.  An image based at infinity raises
+    :class:`CuspDetectionError`.
     """
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, dd = mats[:, 1, 0], mats[:, 1, 1]
     scale = np.abs(mats).max(axis=(1, 2))
-    if p is None:
-        den = c
-        pole = np.abs(den) <= 1e-13 * scale
-        bases = np.where(pole, 0.0, a) / np.where(pole, 1.0, den)
-        sizes = 1.0 / np.abs(np.where(pole, 1.0, den)) ** 2
-        inf_heights = np.abs(a[pole]) ** 2
-    else:
-        den = c * p + dd
-        pole = np.abs(den) <= 1e-13 * scale * max(1.0, abs(p))
-        num = a * p + b
-        bases = np.where(pole, 0.0, num) / np.where(pole, 1.0, den)
-        sizes = 1.0 / np.abs(np.where(pole, 1.0, den)) ** 2
-        inf_heights = np.abs(num[pole]) ** 2
-    return bases[~pole], sizes[~pole], inf_heights
+    den = c * p + dd
+    if (np.abs(den) <= 1e-13 * scale * max(1.0, abs(p))).any():
+        raise CuspDetectionError(_AT_INFINITY)
+    return (a * p + b) / den, 1.0 / np.abs(den) ** 2
 
 
-def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[float]) -> float:
-    """max over pairs of s_i s_j / |p_i - p_j|^2 (and s_i / H for the plane).
+def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
+    """max over pairs of s_i s_j / |p_i - p_j|^2.
 
     1.0 means tangency; above 1 means overlap.  Uses size-octave KD trees
     so only plausibly-overlapping pairs are inspected.
     """
     worst = 0.0
-    if inf_height is not None and len(sizes):
-        worst = float(sizes.max() / inf_height)
     if len(sizes) < 2:
         return worst
     bins = _size_octave_bins(bases, sizes)
@@ -888,32 +870,22 @@ def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
     size-conflict restart in the family builder remains as a backstop
     for orbit pairs whose connecting element was not enumerated.  An
     image joins a finite reference when it is the same point by the
-    :func:`_cells` rule at ``CUSP_CLUSTER_TOL``.
+    :func:`_cells` rule at ``CUSP_CLUSTER_TOL``; an image at infinity
+    joins nothing.
     """
-    pts = [p for p, _ in refs]
-    fin = [i for i, p in enumerate(pts) if p is not None]
-    inf_i = next((i for i, p in enumerate(pts) if p is None), None)
-    if len(fin) + (inf_i is not None) < 2:
+    if len(refs) < 2:
         return np.arange(len(refs))
     a, b, c, dd = (np.ascontiguousarray(mats[:, r, s]) for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
     tol = np.abs(mats).max(axis=(1, 2))
     tol *= 1e-12
-    fin_pts = np.array([pts[i] for i in fin], dtype=complex)
-    fin_ids = np.asarray(fin)
+    pts = np.array([p for p, _ in refs], dtype=complex)
     src, dst = [], []
-    for i in fin + ([inf_i] if inf_i is not None else []):
-        if pts[i] is None:
-            num, den = a, c
-        else:
-            num, den = a * pts[i] + b, c * pts[i] + dd
-        to_inf = np.abs(den) <= tol
-        if inf_i is not None and i != inf_i and bool(to_inf.any()):
-            src.append(i)
-            dst.append(inf_i)
+    for i, p in enumerate(pts):
+        den = c * p + dd
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = num / den
-        w[to_inf] = np.nan
-        j = fin_ids[_shared_cells(w, fin_pts, CUSP_CLUSTER_TOL)[1]]
+            w = (a * p + b) / den
+        w[np.abs(den) <= tol] = np.nan
+        j = _shared_cells(w, pts, CUSP_CLUSTER_TOL)[1]
         src.extend([i] * len(j))
         dst.extend(j.tolist())
     return _components(len(refs), src, dst)
@@ -932,26 +904,23 @@ def _fold_refs(refs: list, active, labels: np.ndarray) -> list:
     return sorted(ranks)
 
 
-def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[float]) -> float:
+def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray) -> float:
     """The dyadic squeeze theta = 2^-m of a raw horoball family.
 
     m is the smallest exponent that makes the squeezed members pairwise
     disjoint (overlap ratio at most 1 + 1e-6) and keeps the base point at
     height 1 strictly outside all of them.  It is read in closed form off
-    the largest overlap ratio known, at first the plane's alone, and one
-    scan of the family squeezed by that theta accepts it.  A second scan
-    runs only when the overlap decides m.  ``sizes`` is squeezed in place
-    for each scan and restored exactly.
+    the base point, and off the largest overlap ratio once a scan has
+    found one; one scan of the family squeezed by that theta accepts it.
+    A second scan runs only when the overlap decides m.  ``sizes`` is
+    squeezed in place for each scan and restored exactly.
     """
     # the enumeration base at height 1 must stay strictly outside every
     # member, else rays have no horoball-free start and escape depths
-    # lose their normalization; a finite ball swallows it exactly when
-    # its diameter exceeds 1 + |base|^2
-    finite_ratio = float((sizes / (1.0 + np.abs(bases) ** 2)).max()) if len(sizes) else 0.0
-    base_ratio = finite_ratio
-    if inf_height is not None:
-        base_ratio = max(base_ratio, 1.0 / inf_height)
-    worst = float(sizes.max() / inf_height) if inf_height is not None and len(sizes) else 0.0
+    # lose their normalization; a ball swallows it exactly when its
+    # diameter exceeds 1 + |base|^2
+    base_ratio = float((sizes / (1.0 + np.abs(bases) ** 2)).max()) if len(sizes) else 0.0
+    worst = 0.0
     m, scanned = 0, None
     while math.isfinite(worst):  # else two members share a base point
         # closed form; the re-check below absorbs the rounding of the logs
@@ -962,24 +931,20 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray, inf_height: Optional[fl
         if m > MAX_SHRINK_STEPS:
             break
         theta = 2.0**-m
-        ok = worst * theta * theta <= 1.0 + 1e-6
-        ok &= finite_ratio * theta <= 1.0 - 1e-6
-        if inf_height is not None:
-            ok &= inf_height / theta >= 1.0 + 1e-6
-        if not ok:
+        if worst * theta * theta > 1.0 + 1e-6 or base_ratio * theta > 1.0 - 1e-6:
             m += 1
         elif scanned == m:
             # this m's scan read worst * theta^2 <= 1 + 1e-6 and kept m
             return theta
         else:
             sizes *= theta
-            check = _max_overlap_ratio(bases, sizes, None if inf_height is None else inf_height / theta)
+            check = _max_overlap_ratio(bases, sizes)
             sizes /= theta
-            # Exact: a dyadic theta scales every pair's ratio and the
-            # plane's by exactly theta^2, and the scan finds every pair
-            # whose squeezed ratio is near 1 or above.  So when the raw
-            # family's worst pair could raise m, check / theta^2 is its raw
-            # ratio bit for bit and m moves where a raw scan would put it.
+            # Exact: a dyadic theta scales every pair's ratio by exactly
+            # theta^2, and the scan finds every pair whose squeezed ratio
+            # is near 1 or above.  So when the raw family's worst pair
+            # could raise m, check / theta^2 is its raw ratio bit for bit
+            # and m moves where a raw scan would put it.
             worst, scanned = check / (theta * theta), m
     raise CuspDetectionError(
         f"family needs theta below 2^-{MAX_SHRINK_STEPS}; "
@@ -1011,49 +976,29 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
 
     active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs))
     while True:
-        bases, sizes, ref_of, inf_h = _raw_family(orbit.matrices, refs, active, window)
-        conflict = _dedup_and_find_conflict(bases, sizes, ref_of)
-        if isinstance(conflict, tuple) and conflict[0] == "merge":
-            # conflicting sizes between references prove their detected
-            # orbits coincide; merge every proven pair in one restart
-            i, j = np.array(conflict[1]).T
-            if (i == j).any():
-                raise CuspDetectionError(
-                    "inconsistent horoball sizes within one cusp orbit; "
-                    "parabolic detection is unreliable for this input"
-                )
-            active = _fold_refs(refs, active, _components(len(refs), i, j))
-            continue
-        keep = conflict
-        bases, sizes = bases[keep], sizes[keep]
-        ranks = np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]]
+        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active, window)
+        keep = _dedup_and_find_conflict(bases, sizes, ref_of)
+        if not isinstance(keep, tuple):
+            break
+        # conflicting sizes between references prove their detected
+        # orbits coincide; merge every proven pair in one restart
+        i, j = np.array(keep[1]).T
+        if (i == j).any():
+            raise CuspDetectionError(
+                "inconsistent horoball sizes within one cusp orbit; "
+                "parabolic detection is unreliable for this input"
+            )
+        active = _fold_refs(refs, active, _components(len(refs), i, j))
+    bases, sizes = bases[keep], sizes[keep]
+    ranks = np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]]
 
-        inf_height = None
-        inf_rank = 0
-        if inf_h:
-            hs = sorted(set(round(h, 12) for h, _, _ in inf_h))
-            if len(hs) > 1:
-                lo_ref = min(r for _, _, r in inf_h)
-                hi_ref = max(r for _, _, r in inf_h)
-                if lo_ref != hi_ref:
-                    active.remove(hi_ref)
-                    continue
-                raise CuspDetectionError(
-                    "inconsistent plane heights at the infinite cusp"
-                )
-            inf_height = float(inf_h[0][0])
-            inf_rank = int(inf_h[0][1])
-        break
-
-    theta = _squeeze_theta(bases, sizes, inf_height)
+    theta = _squeeze_theta(bases, sizes)
     sizes *= theta
     return HoroballFamily(
         bases=bases,
         sizes=sizes,
         ranks=ranks,
         d=orbit.d,
-        inf_height=None if inf_height is None else inf_height / theta,
-        inf_rank=inf_rank,
         theta=theta,
         query_window=window,
         n_references=len(active),
@@ -1062,19 +1007,16 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
 
 def _raw_family(mats, refs, active, window):
     """Unit reference horoballs at every active reference, pushed around by
-    every matrix: (bases, sizes, ref_of, inf_h) of the finite members
-    inside the working window and the (height, rank, ref) of each plane."""
+    every matrix: (bases, sizes, ref_of) of the members inside the
+    working window."""
     bases_l, sizes_l, ref_l = [], [], []
-    inf_h: list[tuple[float, int, int]] = []
     for ri in active:
-        p, rank = refs[ri]
-        fb, fs, ih = _horoball_images(mats, p)
+        fb, fs = _horoball_images(mats, refs[ri][0])
         near = _window_filter(fb, fs, window)
         bases_l.append(fb[near])
         sizes_l.append(fs[near])
         ref_l.append(np.full(len(sizes_l[-1]), ri, dtype=np.int32))
-        inf_h.extend((float(hh), rank, ri) for hh in ih)
-    return np.concatenate(bases_l), np.concatenate(sizes_l), np.concatenate(ref_l), inf_h
+    return np.concatenate(bases_l), np.concatenate(sizes_l), np.concatenate(ref_l)
 
 
 def _dedup_and_find_conflict(bases, sizes, ref_of):

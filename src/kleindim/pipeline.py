@@ -27,15 +27,14 @@ ORBIT_SLACK = 1.5
 
 def deepest_cusp_points(cusps: gr.CuspSummary, family: gr.HoroballFamily) -> list:
     """(family ball size, cusp, boundary point as a d-length array) for
-    each finite cusp, deepest family ball first.
+    each cusp, deepest family ball first.
 
     A cusp's ball is its :meth:`HoroballFamily.members_at` member; a cusp
     without one gets size 0.
     """
-    finite = [c for c in cusps.cusps if not c.point.is_infinity]
-    member = family.members_at([hg._hs_boundary(c.point) for c in finite])
+    member = family.members_at([hg._hs_boundary(c.point) for c in cusps.cusps])
     sizes = np.append(family.sizes, 0.0)[member]
-    rows = [(float(s), c, np.array(c.point.coords)) for s, c in zip(sizes, finite)]
+    rows = [(float(s), c, np.array(c.point.coords)) for s, c in zip(sizes, cusps.cusps)]
     rows.sort(key=lambda t: -t[0])
     return rows
 
@@ -97,5 +96,5 @@ class Pipeline:
 
     @cached_property
     def cusp_points(self) -> list:
-        """The finite cusps as :func:`deepest_cusp_points` rows."""
+        """The cusps as :func:`deepest_cusp_points` rows."""
         return deepest_cusp_points(self.cusps, self.family)

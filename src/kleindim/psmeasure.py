@@ -276,10 +276,7 @@ class GMFContext:
     def __post_init__(self) -> None:
         if not (self.delta > 0):
             raise ValueError("delta must be positive")
-        ranks = set(np.unique(self.family.ranks).tolist())
-        if self.family.inf_height is not None:
-            ranks.add(int(self.family.inf_rank))
-        for k in sorted(ranks):
+        for k in np.unique(self.family.ranks).tolist():
             if k > 0 and not (self.delta > k / 2.0):
                 raise ValueError(
                     f"delta={self.delta} violates delta > k/2 for cusp rank {k}"
@@ -674,8 +671,6 @@ def ureg_witness(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if cusp.point.is_infinity:
-        raise ValueError("conjugate the cusp away from infinity first")
     d = group.d
     p = hg._hs_boundary(cusp.point)
 

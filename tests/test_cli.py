@@ -47,6 +47,35 @@ UNRESOLVABLE = (
 )
 
 
+NO_WINDOW = "error (budget leaves no trusted regularity window; raise --budget-dist)"
+FLAT_PROFILE = (
+    "error (flat mass profile: all 13 balls of the window hold the same mass, "
+    "so the measure is too thin there for a slope)"
+)
+
+# (exit code, report rows) of `verify GROUP --budget-dist 8` for every
+# builtin: each row passes, fails, or errors with a named reason
+VERIFY_MATRIX_AT_8 = {
+    "apollonian": (2, [
+        ("poincare", "pass"), ("dim_H", "pass"), ("dim_A", "fail"), ("dim_L", "fail"),
+        ("upper_reg", NO_WINDOW), ("lower_reg", NO_WINDOW),
+        ("sup_upper_loc", "fail"), ("inf_lower_loc", "fail"),
+    ]),
+    "schottky": (2, [("pipeline", "error (orbit too sparse in the fit window)")]),
+    "parabolic_cusp_fuchsian": (2, [
+        ("dim_H", "fail"), ("dim_A", "pass"), ("dim_L", "fail"),
+        ("upper_reg", "fail"), ("lower_reg", f"error ({UNRESOLVABLE})"),
+        ("sup_upper_loc", "pass"), ("inf_lower_loc", FLAT_PROFILE),
+    ]),
+    "rank2_cusp": (2, [
+        ("dim_H", "fail"), ("dim_A", "fail"), ("dim_L", "fail"),
+        ("upper_reg", NO_WINDOW), ("lower_reg", NO_WINDOW),
+        ("sup_upper_loc", "fail"), ("inf_lower_loc", FLAT_PROFILE),
+    ]),
+    "infinite_fuchsian": (0, [("box", "pass"), ("lower", "pass"), ("assouad", "pass")]),
+}  # fmt: skip
+
+
 def report_rows(path: str) -> list:
     """(name, status with its note) of each row of a verify report."""
     lines = open(path).read().splitlines()
@@ -609,15 +638,24 @@ class TestVerify:
             ("inf_lower_loc", f"error ({UNRESOLVABLE})"),
         ]
 
-    def test_thin_predictions_are_unresolvable(self, tmp_path):
-        # schottky's delta-hat of 0.037 sits within every tolerance of 0,
-        # and its cloud of 4 points reads dimension 0
+    def test_loose_growth_fit_is_one_pipeline_error(self, tmp_path):
+        # schottky's 9-point orbit at the default budget fits delta-hat
+        # 0.037 with a stderr of 0.58 of it; no row is read off that fit
         out = str(tmp_path / "report.txt")
         assert cli.main(["verify", "schottky", "--out", out]) == 2
-        rows = dict(report_rows(out))
-        assert [rows[name] for name in ("dim_H", "dim_A", "dim_L")] == [
-            f"error ({UNRESOLVABLE})"
-        ] * 3
+        assert report_rows(out) == [
+            (
+                "pipeline",
+                "error (growth fit too loose: stderr 0.0215 exceeds 0.1 of the "
+                "fitted exponent 0.0372; raise the distance budget)",
+            )
+        ]
+
+    @pytest.mark.parametrize("group", list(VERIFY_MATRIX_AT_8))
+    def test_builtin_matrix_at_budget_8(self, tmp_path, group):
+        out = str(tmp_path / "report.txt")
+        code = cli.main(["verify", group, "--budget-dist", "8", "--out", out])
+        assert (code, report_rows(out)) == VERIFY_MATRIX_AT_8[group]
 
     def test_flat_cusp_profile_is_an_error_row(self, tmp_path):
         # at depth 8 the 103-atom measure puts the same atoms in all 13

@@ -247,6 +247,16 @@ class TestPoincareExponent:
         with pytest.raises(ValueError):
             ed.poincare_exponent(np.array([0.2, 0.4, 0.6]))
 
+    def test_loose_fit_raises(self):
+        # schottky's 9-point orbit at 11 fits delta 0.037 with a stderr of
+        # 0.58 of it; its orbit at 30 fits 0.225 to within 0.026 of it
+        g = gr.bounded_model(gr.builtin_group("schottky"))[0]
+        with pytest.raises(ValueError, match="growth fit too loose"):
+            ed.poincare_exponent(gr.enumerate_orbit(g, 11.0, slack=1.5))
+        est = ed.poincare_exponent(gr.enumerate_orbit(g, 30.0, slack=1.5))
+        assert est.value == pytest.approx(0.225, abs=0.01)
+        assert est.diagnostics["stderr"] <= 0.03 * est.value
+
     def test_accepts_enumerated_orbit(self):
         g = gr.builtin_group("apollonian")
         orbit = gr.enumerate_orbit(g, 7.0)

@@ -22,7 +22,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "args",
     [
         ["--kind", "deep-cusp", "--group", "apollonian", "--budget-dist", "8.5"],
-        ["--kind", "verify", "--group", "schottky"],
+        # a verify run that reaches the measure layer: schottky's default
+        # run ends at its growth fit
+        ["--kind", "verify", "--group", "parabolic_cusp_fuchsian", "--budget-dist", "8"],
     ],
     ids=["deep-cusp", "verify"],
 )

@@ -18,8 +18,6 @@ def _argmin_cusp_points(cusps, family):
     ties.  On the builtins it picks the member the cell rule picks."""
     rows = []
     for c in cusps.cusps:
-        if c.point.is_infinity:
-            continue
         z = complex(*c.point.coords)
         i = int(np.argmin(np.abs(family.bases - z)))
         size = float(family.sizes[i]) if abs(family.bases[i] - z) < 1e-8 else 0.0

@@ -85,11 +85,10 @@ def gasket():
 
 
 def deepest_cusp(cusps, family):
-    """The finite cusp whose family ball at its point is largest."""
-    finite = [c for c in cusps.cusps if not c.point.is_infinity]
-    member = family.members_at([hg._hs_boundary(c.point) for c in finite])
+    """The cusp whose family ball at its point is largest."""
+    member = family.members_at([hg._hs_boundary(c.point) for c in cusps.cusps])
     best, best_size = None, 0.0
-    for c, i in zip(finite, member):
+    for c, i in zip(cusps.cusps, member):
         if i < len(family.sizes) and family.sizes[i] > best_size:
             best, best_size = c, float(family.sizes[i])
     return best, best_size
@@ -409,22 +408,6 @@ class TestMeasureFormula:
             ps.GMFContext(delta=0.9, family=fam)
         ps.GMFContext(delta=1.1, family=fam)
 
-    def test_plane_member_depth(self):
-        fam = gr.HoroballFamily(
-            bases=np.array([], dtype=complex),
-            sizes=np.array([]),
-            ranks=np.array([], dtype=np.int32),
-            d=2,
-            inf_height=math.e,
-            inf_rank=2,
-        )
-        ctx = ps.GMFContext(delta=1.5, family=fam)
-        # the ray from height 1 straight up is at height e^3 after time
-        # 3, depth log(e^3 / e) = 2 inside the plane member
-        k, rho = ps.k_and_rho(ctx, hg.infinity(), 3.0)
-        assert k == 2
-        assert rho == pytest.approx(2.0, abs=1e-9)
-
     @pytest.mark.parametrize("d", [1, 2])
     def test_ray_depths_equal_the_scalar_oracle(self, gasket, d):
         if d == 1:
@@ -447,15 +430,13 @@ class TestMeasureFormula:
         fam = gr.HoroballFamily(
             bases=np.array([0.3 + 0.2j, -0.4 + 0.1j]),
             sizes=np.array([0.05, 0.02]),
-            ranks=np.array([1, 1], dtype=np.int32),
+            ranks=np.array([1, 2], dtype=np.int32),
             d=2,
-            inf_height=4.0,
-            inf_rank=2,
         )
         ctx = ps.GMFContext(delta=1.5, family=fam)
         rng = np.random.default_rng(9)
-        # the plane's point and the two bases at depths 0.5 .. 8, then
-        # random rays
+        # the ray straight up toward infinity, which meets no member, and
+        # the two bases at depths 0.5 .. 8, then random rays
         grid = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0]
         points = [z for z in (hg.infinity(), 0.3 + 0.2j, -0.4 + 0.1j) for _ in grid]
         points += [complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(200)]
