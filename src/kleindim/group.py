@@ -3,9 +3,10 @@
 A :class:`GroupPresentation` is a finite list of Moebius generators with a
 declared boundary dimension.  The heavy lifting is orbit enumeration: a
 breadth-first walk over reduced words with vectorized matrix products,
-grid-canonical deduplication and a distance prune, producing the orbit of
-the canonical base point together with a completeness horizon up to which
-the element list is believed exhaustive.
+deduplication by the one same-element rule of :func:`hg._key_ints` and a
+distance prune, producing the orbit of the canonical base point together
+with a completeness horizon up to which the element list is believed
+exhaustive.
 
 On top of the enumeration sit parabolic/cusp detection with rank
 computation, construction of a disjoint invariant horoball family (one
@@ -59,9 +60,6 @@ DEDUP_SIZE_REL_TOL = 1e-6
 # buckets over the targets' real span that prefilter the points a cell
 # lookup tests
 CELL_BUCKETS = 1 << 16
-
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
 
 
 class NonDiscreteError(ValueError):
@@ -158,21 +156,19 @@ def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _key_ints(mats: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(len(mats), 4)
-    parts = np.empty((len(flat), 8))
-    parts[:, 0::2] = flat.real
-    parts[:, 1::2] = flat.imag
-    cells = np.clip(np.round(parts / hg.MATRIX_GRID), -hg.KEY_CLAMP, hg.KEY_CLAMP)
-    return cells.astype(np.int64)
-
-
 def _key_hashes(mats: np.ndarray) -> np.ndarray:
-    """64-bit FNV-style hash of the grid-rounded canonical entries."""
-    ints = _key_ints(mats).view(np.uint64)
-    h = np.full(len(ints), _FNV_OFFSET)
+    """64-bit hash of each :func:`hg._key_ints` row: every word is xored in
+    and the state mixed by the splitmix64 finalizer, a bijection that
+    carries every bit into every other."""
+    ints = hg._key_ints(mats).view(np.uint64)
+    h = np.zeros(len(ints), dtype=np.uint64)
     for k in range(8):
-        h = (h ^ ints[:, k]) * _FNV_PRIME
+        h ^= ints[:, k]
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
     return h.view(np.int64)
 
 
@@ -273,36 +269,6 @@ def _generator_stack(group: GroupPresentation) -> np.ndarray:
     return np.stack(mats)
 
 
-class _HashSet:
-    """Membership structure over int64 hashes: a few sorted chunks,
-    consolidated when they pile up, so levels with few new elements do
-    not pay a full re-sort of everything seen so far.
-
-    ``contains`` answers for needles in any order, but sorted needles are
-    much faster: each binary search then starts near where the previous
-    one ended, so the walk through a large chunk stays in cache."""
-
-    def __init__(self, initial: np.ndarray) -> None:
-        self.chunks: list[np.ndarray] = [np.sort(initial)]
-        self.n = len(initial)
-
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(values), dtype=bool)
-        for chunk in self.chunks:
-            idx = np.searchsorted(chunk, values)
-            idx[idx == len(chunk)] = len(chunk) - 1
-            out |= chunk[idx] == values
-        return out
-
-    def add(self, values: np.ndarray) -> None:
-        if not len(values):
-            return
-        self.chunks.append(np.sort(values))
-        self.n += len(values)
-        if len(self.chunks) > 8:
-            self.chunks = [np.sort(np.concatenate(self.chunks))]
-
-
 def enumerate_orbit(
     group: GroupPresentation,
     max_dist: Optional[float] = None,
@@ -316,8 +282,10 @@ def enumerate_orbit(
     Elements are reported when d(o, g o) <= max_dist; words are expanded
     while their running distance stays below max_dist + slack, so short
     elements reached only through overshooting prefixes are still found
-    as long as the overshoot is under the slack.  Deduplication uses the
-    canonical matrix form rounded to a 1e-9 grid, hashed to 64 bits.
+    as long as the overshoot is under the slack.  Two products are the
+    same element when their :func:`hg._key_ints` rows agree; the walk
+    keeps the rows' 64-bit :func:`_key_hashes` in one sorted array of
+    every element seen.
 
     When ``max_elements`` or ``max_word_length`` stops the walk early,
     ``truncated`` is set and ``t_valid`` drops to the smallest distance of
@@ -337,7 +305,7 @@ def enumerate_orbit(
     letter_ids = np.arange(n_letters, dtype=np.uint8)
 
     ident = np.eye(2, dtype=complex)
-    visited = _HashSet(_key_hashes(ident[None]))
+    visited = buf = _key_hashes(ident[None])
     acc_m = [ident[None].copy()]
     acc_dist = [np.zeros(1)]
     acc_len = [np.zeros(1, dtype=np.int32)]
@@ -357,7 +325,7 @@ def enumerate_orbit(
             truncated = True
             horizon = min(horizon, float(frontier_dist.min()))
             break
-        if visited.n >= max_elements:
+        if len(visited) >= max_elements:
             truncated = True
             horizon = min(horizon, float(frontier_dist.min()))
             break
@@ -366,7 +334,7 @@ def enumerate_orbit(
         n_lvl = 0  # the level's new elements so far, chunk duplicates included
         stopped = False
         for start in range(0, len(frontier), chunk_rows):
-            if visited.n + n_lvl >= max_elements and start > 0:
+            if len(visited) + n_lvl >= max_elements and start > 0:
                 truncated = True
                 horizon = min(horizon, float(frontier_dist[start:].min()))
                 stopped = True
@@ -386,10 +354,12 @@ def enumerate_orbit(
                 continue
             cand = _canonicalize_signs(cand[rows])
             hashes = _key_hashes(cand)
-            # the unique hashes come sorted: ask the visited set in that
-            # order, then restore row order
+            # the unique hashes come sorted, so each binary search starts
+            # near where the previous one ended; then restore row order
             uniq, first = np.unique(hashes, return_index=True)
-            first = first[~visited.contains(uniq)]
+            at = np.searchsorted(visited, uniq)
+            at[at == len(visited)] = 0  # beyond the largest: cannot match
+            first = first[visited[at] != uniq]
             first.sort()
             if not len(first):
                 continue
@@ -411,17 +381,19 @@ def enumerate_orbit(
         new_last = np.concatenate(lvl_last)
         new_hash = np.concatenate(lvl_hash)
         # chunks were deduplicated locally; a duplicate can straddle chunks
-        _, cross = np.unique(new_hash, return_index=True)
-        if len(cross) < len(new_hash):
+        new_hash, cross = np.unique(new_hash, return_index=True)
+        if len(cross) < len(new_m):
             cross.sort()
-            new_m, new_dist, new_last, new_hash = (
-                new_m[cross],
-                new_dist[cross],
-                new_last[cross],
-                new_hash[cross],
-            )
-
-        visited.add(new_hash)
+            new_m, new_dist, new_last = new_m[cross], new_dist[cross], new_last[cross]
+        # visited is the sorted head of buf, which grows geometrically, so
+        # a level does not pay for a fresh copy of everything seen; the
+        # stable sort (timsort) merges the two sorted runs in one pass
+        end = len(visited) + len(new_hash)
+        if end > len(buf):
+            buf = np.concatenate([visited, np.empty(end, dtype=np.int64)])
+        buf[len(visited) : end] = new_hash
+        visited = buf[:end]
+        visited.sort(kind="stable")
 
         report = new_dist <= report_dist
         acc_m.append(new_m[report])
@@ -703,10 +675,6 @@ class HoroballFamily:
     ``bases``/``sizes`` describe the horoballs (tangent-point diameter
     convention), all based at finite points.  ``theta`` is the dyadic
     squeeze that was applied to the raw family to make it disjoint.
-    Members based beyond ``query_window`` were discarded during
-    construction (they cannot contain any point with planar norm inside
-    the window and height at most 1), so ``deepest`` only answers
-    queries inside the window.
     """
 
     bases: np.ndarray
@@ -714,7 +682,6 @@ class HoroballFamily:
     ranks: np.ndarray
     d: int
     theta: float = 1.0
-    query_window: float = math.inf
     n_references: int = 0
     _bins: Optional[list] = field(default=None, repr=False)
 
@@ -753,11 +720,6 @@ class HoroballFamily:
         """
         w = np.asarray(w, dtype=complex).ravel()
         h = np.asarray(h, dtype=float).ravel()
-        if len(w) and float(np.abs(w).max()) > self.query_window:
-            raise ValueError(
-                "query point outside the family's working window; rebuild "
-                "the family from an orbit covering this region"
-            )
         depth = np.zeros(len(w))
         rank = np.zeros(len(w), dtype=np.int32)
         pts = np.column_stack([w.real, w.imag])
@@ -971,12 +933,9 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
 
     refs = [(hg._hs_boundary(cu.point), cu.rank) for cu in cusps.cusps]
 
-    ow, _ = orbit.orbit_points()
-    window = max(16.0, 4.0 * float(np.abs(ow).max()) + 8.0)
-
     active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs))
     while True:
-        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active, window)
+        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active)
         keep = _dedup_and_find_conflict(bases, sizes, ref_of)
         if not isinstance(keep, tuple):
             break
@@ -1000,22 +959,19 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
         ranks=ranks,
         d=orbit.d,
         theta=theta,
-        query_window=window,
         n_references=len(active),
     )
 
 
-def _raw_family(mats, refs, active, window):
+def _raw_family(mats, refs, active):
     """Unit reference horoballs at every active reference, pushed around by
-    every matrix: (bases, sizes, ref_of) of the members inside the
-    working window."""
+    every matrix: (bases, sizes, ref_of)."""
     bases_l, sizes_l, ref_l = [], [], []
     for ri in active:
         fb, fs = _horoball_images(mats, refs[ri][0])
-        near = _window_filter(fb, fs, window)
-        bases_l.append(fb[near])
-        sizes_l.append(fs[near])
-        ref_l.append(np.full(len(sizes_l[-1]), ri, dtype=np.int32))
+        bases_l.append(fb)
+        sizes_l.append(fs)
+        ref_l.append(np.full(len(fs), ri, dtype=np.int32))
     return np.concatenate(bases_l), np.concatenate(sizes_l), np.concatenate(ref_l)
 
 
@@ -1077,17 +1033,6 @@ def _dedup_pass(bases, sizes, frac, rows=None):
     keep = order[new_group | odd]
     keep.sort()
     return keep, None
-
-
-def _window_filter(bases, sizes, window):
-    """Mask of members that can contain some point with |w| <= window, h <= 1.
-
-    Containment needs |w - p|^2 + h^2 <= s h, so a member based farther
-    than the window can only matter if (|p| - window)^2 <= s.
-    """
-    far = np.abs(bases) > window
-    reachable = (np.abs(bases) - window) ** 2 <= sizes
-    return ~far | reachable
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,20 @@ def _canonical_sign(m: np.ndarray) -> np.ndarray:
     raise ModelError("zero matrix")
 
 
+def _key_ints(mats: np.ndarray) -> np.ndarray:
+    """The one rule for when two canonical matrices are the same element:
+    rows of their real and imaginary entries rounded to the MATRIX_GRID
+    grid, equal rows meaning the same element.  Entries beyond the grid's
+    integer range saturate at KEY_CLAMP, so maps of astronomical matrix
+    norm may share a row."""
+    flat = mats.reshape(len(mats), 4)
+    parts = np.empty((len(flat), 8))
+    parts[:, 0::2] = flat.real
+    parts[:, 1::2] = flat.imag
+    cells = np.clip(np.round(parts / MATRIX_GRID), -KEY_CLAMP, KEY_CLAMP)
+    return cells.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """An orientation-preserving isometry of H^(d+1).
@@ -302,18 +316,9 @@ class MobiusMap:
         return MobiusMap(np.array([[dd, -b], [-c, a]]))
 
     def key(self) -> bytes:
-        """Identification key: canonical entries rounded to the 1e-9 grid.
-
-        Entries beyond the grid's integer range saturate, so maps of
-        astronomical matrix norm may share a key; at that norm the 1e-9
-        absolute grid carries no information anyway.
-        """
-        flat = self.matrix.reshape(-1)
-        parts = np.empty(8)
-        parts[0::2] = flat.real
-        parts[1::2] = flat.imag
-        cells = np.clip(np.round(parts / MATRIX_GRID), -KEY_CLAMP, KEY_CLAMP)
-        return cells.astype(np.int64).tobytes()
+        """Identification key: the :func:`_key_ints` row of the canonical
+        matrix."""
+        return _key_ints(self.matrix[None]).tobytes()
 
     def trace_squared(self) -> complex:
         tr = self.matrix[0, 0] + self.matrix[1, 1]

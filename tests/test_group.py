@@ -412,7 +412,7 @@ _PARENT_DIGESTS = {
     ("apollonian", 8.0): ("78b97e0f5afc51dc", "b0930097555004ba"),
     ("apollonian", 9.5): ("4e0ad71802a6fe82", "f972a310acdfe099"),
     ("rank2_cusp", 8.0): ("a380324afc9062e3", "f27bed979a524601"),
-    ("parabolic_cusp_fuchsian", 8.0): ("3c186e6b00b759ef", "994db9718ec1aacf"),
+    ("parabolic_cusp_fuchsian", 8.0): ("f968cef343c28a69", "994db9718ec1aacf"),
 }
 
 
@@ -443,14 +443,15 @@ def apollonian_walk_9():
 
 
 class TestEnumeration:
-    def test_schottky_free_group_counts(self):
-        g = gr.builtin_group("schottky")
-        orb = gr.enumerate_orbit(g, max_word_length=2)
-        assert orb.n == 17  # 1 + 4 + 12 for a rank-2 free group
-        hist = np.bincount(orb.word_lengths)
-        assert hist.tolist() == [1, 4, 12]
-        orb3 = gr.enumerate_orbit(g, max_word_length=3)
-        assert orb3.n == 53  # adds 36 reduced words of length 3
+    @pytest.mark.parametrize("name, max_len", [("schottky", 7), ("parabolic_cusp_fuchsian", 8)])
+    def test_free_group_counts(self, name, max_len):
+        # a group free on two letters has 4 * 3^(n-1) reduced words of
+        # length n, each a distinct element; longer words than these reach
+        # entries beyond the key grid's clamp
+        g, _ = gr.bounded_model(gr.builtin_group(name))
+        orb = gr.enumerate_orbit(g, max_word_length=max_len)
+        want = [1] + [4 * 3 ** (n - 1) for n in range(1, max_len + 1)]
+        assert np.bincount(orb.word_lengths).tolist() == want
 
     def test_dedup_matches_exact_keys(self):
         for name, max_len in [("schottky", 3), ("apollonian", 3)]:
@@ -586,27 +587,6 @@ class TestEnumeration:
         assert orb.matrices.tobytes() == oracle.matrices.tobytes()
         assert orb.dists.tobytes() == oracle.dists.tobytes()
         assert np.array_equal(orb.word_lengths, oracle.word_lengths)
-
-    def test_hashset_contains_matches_isin(self):
-        rng = np.random.default_rng(11)
-        keys = rng.integers(-(2**62), 2**62, size=5000)
-        visited = gr._HashSet(keys[:100])
-        for start in range(100, 5000, 400):
-            visited.add(keys[start : start + 400])
-        # consolidated once, with chunks added since
-        assert 1 < len(visited.chunks) <= 8
-        extremes = np.iinfo(np.int64)
-        needles = np.concatenate(
-            [
-                rng.choice(keys, 3000),
-                rng.integers(-(2**62), 2**62, size=3000),
-                keys[:50],
-                keys[:50],
-                [extremes.min, extremes.max],
-            ]
-        )
-        for q in (np.sort(needles), needles, needles[::-1], needles[:0]):
-            assert np.array_equal(visited.contains(q), np.isin(q, keys))
 
     def test_requires_some_budget(self):
         g = gr.builtin_group("schottky")
