@@ -43,9 +43,20 @@ NONDISCRETE_RADIUS = 0.5
 DEFAULT_SLACK = 2.5
 # candidate products (frontier rows times letters) per vectorized chunk
 EXPAND_PRODUCTS = 200_000
-# rows of a chunk multiplied at a time, so the products' temporaries
-# stay in cache
-PRODUCT_BLOCK = 1024
+# products formed at a time, so their temporaries stay in cache
+PAIR_BLOCK = 1024
+# relative slack per unit squared letter norm of the norm prefilter
+# (see _reach_cuts)
+REACH_MARGIN = 1e-12
+# size octaves per KD tree of a horoball family's overlap scan and
+# deepest-member lookup: wider bands mean fewer trees to join, but
+# wider search radii for their smaller members
+BAND_OCTAVES = 3
+# points per leaf of the KD trees a family keeps for deepest-member
+# lookups: fewer, bigger leaves than scipy's 16, which the overlap scan
+# keeps because its pair joins slow down with bigger leaves, hold a
+# third less memory and answer a lookup as fast
+DEEPEST_LEAFSIZE = 48
 # the dyadic squeeze of a horoball family stops at theta = 2^-MAX_SHRINK_STEPS
 MAX_SHRINK_STEPS = 40
 # cell side of the same-point rule (see _cells) for parabolic fixed
@@ -173,7 +184,9 @@ def _key_hashes(mats: np.ndarray) -> np.ndarray:
 
 
 def _orbit_dists(mats: np.ndarray) -> np.ndarray:
-    fro = (np.abs(mats) ** 2).sum(axis=(1, 2))
+    sq = np.abs(mats)
+    np.square(sq, out=sq)  # in place: a chunk's products need no second copy
+    fro = sq.sum(axis=(1, 2))
     return np.arccosh(np.maximum(fro / 2.0, 1.0))
 
 
@@ -232,33 +245,106 @@ class OrbitData:
         return proj, finite
 
 
-def _products(chunk: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Every product ``chunk[f] @ gens[k]``, in (frontier, letter) row order.
+def _columns(mats: np.ndarray) -> np.ndarray:
+    """The real planes of 2x2 complex matrices as an (8, n) array: the
+    real and imaginary parts of entry (i, j) are rows 4i + 2j and
+    4i + 2j + 1."""
+    return np.ascontiguousarray(mats.view(np.float64).reshape(len(mats), 8).T)
 
-    Bit for bit what ``np.einsum("fij,kjl->fkil", chunk, gens)`` returns,
-    signed zeros, infinities and NaNs included: each entry is einsum's
-    sum, from zero, of two complex products written out on the real and
-    imaginary planes.  Rows are multiplied one cache-sized block at a
-    time, straight into the output.
+
+def _letter_forms(gens: np.ndarray) -> np.ndarray:
+    """(5, letters) weights W with ||g a||_F^2 = F(g) @ W[:, a] for the
+    features F(g) of :func:`_within_reach`.
+
+    With H = g* g, A and B the squared norms of a's rows and C = sum_l
+    conj(a_0l) a_1l, the norm is H00 A + H11 B + 2 Re(H01 C); the
+    features split Im H01 into its two sums of products.
     """
-    k = len(gens)
-    # row j of every generator, flattened over (letter, column)
-    g0r, g0i = gens.real[:, 0].reshape(1, 1, -1), gens.imag[:, 0].reshape(1, 1, -1)
-    g1r, g1i = gens.real[:, 1].reshape(1, 1, -1), gens.imag[:, 1].reshape(1, 1, -1)
-    out = np.empty((len(chunk), k, 2, 2), dtype=complex)
-    for s in range(0, len(chunk), PRODUCT_BLOCK):
-        block = chunk[s : s + PRODUCT_BLOCK]
-        a0r, a0i = block.real[:, :, 0, None], block.imag[:, :, 0, None]
-        a1r, a1i = block.real[:, :, 1, None], block.imag[:, :, 1, None]
-        # "+ 0.0" turns a first product of -0.0 into +0.0, as einsum's
-        # zero-started sum does
-        re = ((a0r * g0r - a0i * g0i) + 0.0) + (a1r * g1r - a1i * g1i)
-        im = ((a0r * g0i + a0i * g0r) + 0.0) + (a1r * g1i + a1i * g1r)
-        # (row, i, letter, l) -> (row, letter, i, l)
-        dst = out[s : s + PRODUCT_BLOCK]
-        dst.real = re.reshape(len(block), 2, k, 2).transpose(0, 2, 1, 3)
-        dst.imag = im.reshape(len(block), 2, k, 2).transpose(0, 2, 1, 3)
-    return out.reshape(-1, 2, 2)
+    row0, row1 = gens[:, 0], gens[:, 1]
+    c = (row0.conj() * row1).sum(axis=1)
+    a, b = (np.abs(row0) ** 2).sum(axis=1), (np.abs(row1) ** 2).sum(axis=1)
+    return np.stack([a, b, 2.0 * c.real, -2.0 * c.imag, 2.0 * c.imag])
+
+
+def _reach_cuts(gens: np.ndarray, expand_dist: float) -> np.ndarray:
+    """Per letter a, the cut above which :func:`_within_reach` skips the
+    products g a: top (1 + ``REACH_MARGIN`` ||a||^2), with top = 2
+    cosh(expand_dist).
+
+    Every frontier row g has ||g||^2 <= top.  The estimate and the
+    computed ||g a||^2 each lie within about 30 ulps of ||g||^2 ||a||^2
+    of the exact norm, so they differ by less than 2e-14 top ||a||^2;
+    the arccosh of the distance test moves its threshold by about
+    ``expand_dist`` ulps of top, under 2e-13 top while top is finite.
+    With ||a||^2 >= 2 and ``REACH_MARGIN`` = 1e-12 the cut clears both
+    by a factor of 10 or more, so every product the exact test keeps is
+    multiplied.  Where top is infinite, so is the cut, and nothing is
+    skipped.
+    """
+    norms = (np.abs(gens) ** 2).sum(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        return 2.0 * np.cosh(np.float64(expand_dist)) * (1.0 + REACH_MARGIN * norms)
+
+
+def _within_reach(cols: np.ndarray, forms: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """(rows, letters) mask of the products g a, for the rows g with
+    :func:`_columns` ``cols``, whose norm estimate is not above the
+    letter's cut.  The features of g are H00, H11 and Re H01 of H = g* g
+    and the two sums of products sum_i Re g_i0 Im g_i1 and
+    sum_i Im g_i0 Re g_i1, whose difference is Im H01.  An estimate
+    that is NaN or infinite stays in, so that the exact test decides."""
+    x = cols.reshape(2, 2, 2, -1)  # (i, j, re/im, row)
+    f = np.empty((5, x.shape[-1]))
+    np.sum(x * x, axis=(0, 2), out=f[:2])
+    np.sum(x[:, 0] * x[:, 1], axis=(0, 1), out=f[2])
+    np.sum(x[:, 0] * x[:, 1, ::-1], axis=0, out=f[3:])
+    # einsum's own loop, not BLAS, whose threads cost more than the sum
+    est = np.einsum("pr,pa->ra", f, forms)
+    return ~(est > cut) | np.isinf(est)
+
+
+def _letter_planes(gens: np.ndarray) -> np.ndarray:
+    """The letters' entries as the (re/im, term, l, letter) table whose
+    four terms, times a row's entries (a_i0r, a_i0i, a_i1r, a_i1i), are
+    the four real products of entry (i, l) of the row times the letter:
+    (g_0lr, -g_0li, g_1lr, -g_1li) on the real plane and (g_0li, g_0lr,
+    g_1li, g_1lr) on the imaginary one.  Negating a finite factor is
+    exact, so adding these products gives the bits of subtracting."""
+    g0, g1 = gens[:, 0].T, gens[:, 1].T  # (l, letter)
+    re = np.stack([g0.real, -g0.imag, g1.real, -g1.imag])
+    im = np.stack([g0.imag, g0.real, g1.imag, g1.real])
+    return np.stack([re, im])
+
+
+def _pair_products(cols: np.ndarray, planes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The products ``m[r // k] @ gens[r % k]`` for the flat indices r of
+    ``rows``, where ``cols`` are the :func:`_columns` of m and ``planes``
+    the :func:`_letter_planes` of the k letters ``gens``.
+
+    Bit for bit the rows ``rows`` of ``np.einsum("fij,kjl->fkil", m,
+    gens)``, signed zeros, infinities and NaNs included: each entry is
+    einsum's sum, from zero, of two complex products written out on the
+    real and imaginary planes.  Products are formed ``PAIR_BLOCK`` at a
+    time, so the temporaries stay in cache.
+    """
+    out = np.empty((len(rows), 2, 2, 2))
+    size = min(len(rows), PAIR_BLOCK)
+    buf = np.empty((2, 4, 2, 2, size))
+    for s in range(0, len(rows), PAIR_BLOCK):
+        f, k = np.divmod(rows[s : s + PAIR_BLOCK], planes.shape[-1])
+        n = len(f)
+        p = buf if n == size else buf[..., :n]
+        # the row's (term, i) entries against the letter's (re/im, term, l)
+        a = cols.take(f, axis=1).reshape(2, 4, 1, n).transpose(1, 0, 2, 3)
+        np.multiply(a, planes.take(k, axis=-1)[:, :, None], out=p)
+        # (re/im, j, i, l): the two products of each j ...
+        q = np.add(p[:, 0::2], p[:, 1::2], out=p[:, 0::2])
+        # ... and "+ 0.0", which turns a first sum of -0.0 into +0.0, as
+        # einsum's zero-started sum does, before adding the second
+        q[:, 0] += 0.0
+        q = np.add(q[:, 0], q[:, 1], out=q[:, 0])
+        out[s : s + n] = q.transpose(3, 1, 2, 0)
+    return out.view(complex).reshape(-1, 2, 2)
 
 
 def _generator_stack(group: GroupPresentation) -> np.ndarray:
@@ -294,12 +380,26 @@ def enumerate_orbit(
     found, the same promise an untruncated walk makes for ``max_dist``.
     The element budget is checked between levels and between chunks of
     ``EXPAND_PRODUCTS`` candidate products.
+
+    Only the candidates g a that can land inside the expansion horizon
+    are multiplied: a few flops per (row, letter) estimate ||g a||^2 from
+    g* g and three numbers per letter (:func:`_within_reach`), and
+    candidates whose estimate lies above the cut of :func:`_reach_cuts`
+    are skipped.  The cut's margin covers the rounding of the estimate,
+    of the product and of the distance test, so the products formed
+    (:func:`_pair_products`, bit for bit einsum's) and then kept by the
+    exact distance test are those a walk multiplying every candidate
+    keeps, in the same order.  A walk bounded by ``max_word_length``
+    alone skips nothing.
     """
     if max_dist is None and max_word_length is None:
         raise ValueError("need max_dist or max_word_length")
     report_dist = math.inf if max_dist is None else float(max_dist)
     expand_dist = report_dist + slack
     gens = _generator_stack(group)
+    planes = _letter_planes(gens)
+    forms = _letter_forms(gens)
+    cut = _reach_cuts(gens, expand_dist)
     n_letters = len(gens)
     chunk_rows = max(1, EXPAND_PRODUCTS // n_letters)
     letter_ids = np.arange(n_letters, dtype=np.uint8)
@@ -339,20 +439,23 @@ def enumerate_orbit(
                 horizon = min(horizon, float(frontier_dist[start:].min()))
                 stopped = True
                 break
-            chunk_last = frontier_last[start : start + chunk_rows]
-            cand = _products(frontier[start : start + chunk_rows], gens)
+            cols = _columns(frontier[start : start + chunk_rows])
+            # no letter undoes the previous one, and products whose norm
+            # estimate lies beyond the horizon are never formed
+            near = letter_ids != (frontier_last[start : start + chunk_rows, None] ^ 1)
+            near &= _within_reach(cols, forms, cut)
+            rows = np.flatnonzero(near)
+            cand = _pair_products(cols, planes, rows)
             dists = _orbit_dists(cand)
-            # no letter undoes the previous one; matrices whose norm
-            # overflows double precision are dropped, they sit far beyond
-            # any usable horizon
-            rows = np.flatnonzero(
-                (letter_ids != (chunk_last[:, None] ^ 1)).ravel()
-                & (dists <= expand_dist)
-                & np.isfinite(dists)
-            )
+            # matrices whose norm overflows double precision are dropped,
+            # they sit far beyond any usable horizon
+            keep = (dists <= expand_dist) & np.isfinite(dists)
+            if not keep.all():
+                keep = np.flatnonzero(keep)
+                rows, cand, dists = rows[keep], cand[keep], dists[keep]
             if not len(rows):
                 continue
-            cand = _canonicalize_signs(cand[rows])
+            cand = _canonicalize_signs(cand)
             hashes = _key_hashes(cand)
             # the unique hashes come sorted, so each binary search starts
             # near where the previous one ended; then restore row order
@@ -365,7 +468,7 @@ def enumerate_orbit(
                 continue
             rows = rows[first]
             lvl_m.append(cand[first])
-            lvl_dist.append(dists[rows])
+            lvl_dist.append(dists[first])
             lvl_last.append((rows % n_letters).astype(np.uint8))
             lvl_hash.append(hashes[first])
             n_lvl += len(first)
@@ -464,16 +567,19 @@ def _cells(z: np.ndarray, side: float, frac: float) -> tuple[np.ndarray, np.ndar
     return out[0], out[1]
 
 
-def _shared_cells(z: np.ndarray, targets: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with z[i] the same point as targets[j] by the
-    :func:`_cells` rule: at each offset, every point is paired with the
-    lowest target in its cell.  Only points whose real part falls in a
-    bucket within 2 side of some target's, and whose imaginary part
-    lies within a cell of the targets' span, are looked up; the others,
-    NaN included, pair with nothing and never reach the range guard."""
+def _cell_lookup(targets: np.ndarray, side: float):
+    """The lookup ``pairs(z)`` of index pairs (i, j) with z[i] the same
+    point as targets[j] by the :func:`_cells` rule: at each offset, every
+    point is paired with the lowest target in its cell.  The targets'
+    cells and the reach map below are built once, for every ``z`` looked
+    up.  Only points whose real part falls in a bucket within 2 side of
+    some target's, and whose imaginary part lies within a cell of the
+    targets' span, are looked up; the others, NaN included, pair with
+    nothing and never reach the range guard."""
     none = np.empty(0, dtype=np.intp)
-    if not len(z) or not len(targets):
-        return none, none
+    n = len(targets)
+    if not n:
+        return lambda z: (none, none)
     # buckets 1 .. CELL_BUCKETS + 1 cover the targets' real span; the
     # end buckets 0 and CELL_BUCKETS + 2 take everything else
     reach = 2.0 * side
@@ -492,24 +598,31 @@ def _shared_cells(z: np.ndarray, targets: np.ndarray, side: float) -> tuple[np.n
     edges = np.zeros(CELL_BUCKETS + 4, dtype=np.intp)
     np.add.at(edges, bucket(targets.real - reach), 1)
     np.add.at(edges, bucket(targets.real + reach) + 1, -1)
-    rows = np.flatnonzero((np.cumsum(edges) > 0)[bucket(z.real)])
-    y = z.imag[rows]
-    rows = rows[(y >= targets.imag.min() - side) & (y <= targets.imag.max() + side)]
-    both = np.concatenate([targets, z[rows]])
-    n = len(targets)
-    pairs_i, pairs_j = [none], [none]
-    for frac in (0.0, 0.5):
-        cells = np.column_stack(_cells(both, side, frac))
-        # equal ids are equal cells
-        _, ids = np.unique(cells, axis=0, return_inverse=True)
-        ids = ids.ravel()
-        lowest = np.full(ids.max() + 1, n)
-        np.minimum.at(lowest, ids[:n], np.arange(n))
-        j = lowest[ids[n:]]
-        hit = j < n
-        pairs_i.append(rows[hit])
-        pairs_j.append(j[hit])
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+    near = np.cumsum(edges) > 0
+    y_lo, y_hi = targets.imag.min() - side, targets.imag.max() + side
+    target_cells = [np.column_stack(_cells(targets, side, frac)) for frac in (0.0, 0.5)]
+
+    def pairs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not len(z):
+            return none, none
+        rows = np.flatnonzero(near[bucket(z.real)])
+        y = z.imag[rows]
+        rows = rows[(y >= y_lo) & (y <= y_hi)]
+        pairs_i, pairs_j = [none], [none]
+        for frac, cells in zip((0.0, 0.5), target_cells):
+            cells = np.concatenate([cells, np.column_stack(_cells(z[rows], side, frac))])
+            # equal ids are equal cells
+            _, ids = np.unique(cells, axis=0, return_inverse=True)
+            ids = ids.ravel()
+            lowest = np.full(ids.max() + 1, n)
+            np.minimum.at(lowest, ids[:n], np.arange(n))
+            j = lowest[ids[n:]]
+            hit = j < n
+            pairs_i.append(rows[hit])
+            pairs_j.append(j[hit])
+        return np.concatenate(pairs_i), np.concatenate(pairs_j)
+
+    return pairs
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -606,7 +719,8 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
 
     # one lookup per distinct fixed point value, by its first parabolic
     vals, first, inv = np.unique(fp, return_index=True, return_inverse=True)
-    ki, kj = _shared_cells(vals, vals, CUSP_CLUSTER_TOL)
+    lookup = _cell_lookup(vals, CUSP_CLUSTER_TOL)
+    ki, kj = lookup(vals)
     same_i = np.concatenate([np.arange(n_para), first[ki]])
     same_j = np.concatenate([first[inv], first[kj]])
     cluster = _components(n_para, same_i, same_j)
@@ -620,7 +734,7 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     if not (np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(vals))).all():
         raise CuspDetectionError(_AT_INFINITY)
     img = (ga * vals + gb) / den
-    qi, tj = _shared_cells(img.ravel(), vals, CUSP_CLUSTER_TOL)
+    qi, tj = lookup(img.ravel())
     comp = _components(
         n_para,
         np.concatenate([same_i, np.tile(first, len(gens))[qi]]),
@@ -702,14 +816,14 @@ class HoroballFamily:
         cell, that cell's members go to the lower one."""
         points = np.asarray(points, dtype=complex).ravel()
         # few points, many members: the members are looked up among the points
-        i, j = _shared_cells(self.bases, points, CUSP_CLUSTER_TOL)
+        i, j = _cell_lookup(points, CUSP_CLUSTER_TOL)(self.bases)
         member = np.full(len(points), len(self.sizes))
         np.minimum.at(member, j, i)
         return member
 
     def _octaves(self):
         if self._bins is None:
-            self._bins = _size_octave_bins(self.bases, self.sizes)
+            self._bins = _size_octave_bins(self.bases, self.sizes, DEEPEST_LEAFSIZE)
         return self._bins
 
     def deepest(self, w: np.ndarray, h: np.ndarray):
@@ -752,19 +866,32 @@ class HoroballFamily:
         return depth, rank
 
 
-def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray):
+def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
+    """One KD tree over the bases of each band of ``BAND_OCTAVES`` size
+    octaves, bands counted from size 1: (tree, member indices in
+    ascending order, s_max) per band, with every member's size below
+    s_max, the band's top.  Trees have ``leafsize`` points per leaf.
+
+    Members of sizes s and t overlap or touch only within sqrt(s t) of
+    each other, so a search within the geometric mean of two bands' tops
+    finds every such pair (:func:`_max_overlap_ratio` then computes the
+    distance of every pair found from the bases, by one formula); a
+    point at height h lies inside a member only within sqrt(s_max h) of
+    its base (:meth:`HoroballFamily.deepest`).
+    """
     bins = []
     if len(sizes) == 0:
         return bins
-    octave = np.log2(sizes)
-    np.floor(octave, out=octave)
-    octave = octave.astype(int)
-    for o in np.unique(octave):
-        idx = np.flatnonzero(octave == o)
-        b = bases[idx]
+    band = np.log2(sizes)
+    band /= BAND_OCTAVES
+    np.floor(band, out=band)
+    band = band.astype(np.int16)  # the octaves of doubles fit
+    xy = np.ascontiguousarray(bases).view(np.float64).reshape(-1, 2)
+    for b in np.unique(band):
+        idx = np.flatnonzero(band == b)
         # unbalanced, uncompacted trees build faster and find the same pairs
-        tree = cKDTree(np.column_stack([b.real, b.imag]), balanced_tree=False, compact_nodes=False)
-        bins.append((tree, idx, float(2.0 ** (o + 1))))
+        tree = cKDTree(xy[idx], leafsize, balanced_tree=False, compact_nodes=False)
+        bins.append((tree, idx, float(2.0 ** (BAND_OCTAVES * (int(b) + 1)))))
     return bins
 
 
@@ -786,32 +913,36 @@ def _horoball_images(mats: np.ndarray, p: complex) -> tuple[np.ndarray, np.ndarr
 def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
     """max over pairs of s_i s_j / |p_i - p_j|^2.
 
-    1.0 means tangency; above 1 means overlap.  Uses size-octave KD trees
-    so only plausibly-overlapping pairs are inspected.
+    1.0 means tangency; above 1 means overlap.  Pairs are searched band
+    against band over the :func:`_size_octave_bins` trees, within the
+    geometric mean of the two bands' tops: a pair with ratio 1 or more
+    lies closer than sqrt(s_i s_j), so every such pair is found.  A band
+    is joined with itself once per pair, and every pair found, by either
+    join, has its |p_i - p_j|^2 computed from ``bases`` by one formula.
+    So the largest ratio at or above 1 does not depend on the bands,
+    and scaling every size by a power of two scales it exactly.
     """
     worst = 0.0
     if len(sizes) < 2:
         return worst
     bins = _size_octave_bins(bases, sizes)
     for bi, (tree_i, idx_i, smax_i) in enumerate(bins):
-        for bj, (tree_j, idx_j, smax_j) in enumerate(bins[bi:], bi):
+        for tree_j, idx_j, smax_j in bins[bi:]:
             r = math.sqrt(smax_i * smax_j) * (1.0 + 1e-12)
-            hits = tree_i.sparse_distance_matrix(tree_j, r, output_type="ndarray")
-            if not len(hits):
+            if tree_j is tree_i:
+                pairs = tree_i.query_pairs(r, output_type="ndarray")
+                gi, gj = idx_i[pairs[:, 0]], idx_i[pairs[:, 1]]
+            else:
+                pairs = tree_i.sparse_distance_matrix(tree_j, r, output_type="ndarray")
+                gi, gj = idx_i[pairs["i"]], idx_j[pairs["j"]]
+            del pairs
+            if not len(gi):
                 continue
-            gi = idx_i[hits["i"]]
-            gj = idx_j[hits["j"]]
-            d2 = hits["v"]
-            if bi == bj:
-                # a tree against itself finds each pair twice and every
-                # member with itself; pairs across octaves come once
-                m = gi < gj
-                if not m.any():
-                    continue
-                gi, gj, d2 = gi[m], gj[m], d2[m]
-                del m
-            del hits
-            np.square(d2, out=d2)
+            d = bases[gi]
+            d -= bases[gj]
+            d2 = d.real * d.real
+            d2 += d.imag * d.imag
+            del d
             if (d2 == 0.0).any():
                 return math.inf
             ratio = sizes[gi]
@@ -841,13 +972,14 @@ def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
     tol = np.abs(mats).max(axis=(1, 2))
     tol *= 1e-12
     pts = np.array([p for p, _ in refs], dtype=complex)
+    lookup = _cell_lookup(pts, CUSP_CLUSTER_TOL)
     src, dst = [], []
     for i, p in enumerate(pts):
         den = c * p + dd
         with np.errstate(divide="ignore", invalid="ignore"):
             w = (a * p + b) / den
         w[np.abs(den) <= tol] = np.nan
-        j = _shared_cells(w, pts, CUSP_CLUSTER_TOL)[1]
+        j = lookup(w)[1]
         src.extend([i] * len(j))
         dst.extend(j.tolist())
     return _components(len(refs), src, dst)
@@ -996,16 +1128,18 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
 def _dedup_pass(bases, sizes, frac, rows=None):
     """One grid pass over the sorted indices ``rows`` (default all):
     (sorted indices kept, None), or (None, index pairs (cell leader,
-    member) whose sizes disagree).  Each key column is built from the
-    rows alone and freed once the cell boundaries are known."""
+    member) whose sizes disagree).  The cells are computed for every
+    entry and then taken at the rows, and each temporary is freed once
+    used, so that a pass holds about five row-sized arrays at a time."""
 
     def take(a):
         return a if rows is None else a[rows]
 
-    c0, c1 = _cells(take(bases), DEDUP_GRID, frac)
-    sizes = take(sizes)
-    n = len(sizes)
-    order = np.lexsort((-sizes, c1, c0))
+    c0, c1 = _cells(bases, DEDUP_GRID, frac)
+    c0 = take(c0)
+    c1 = take(c1)
+    order = np.lexsort((-take(sizes), c1, c0))
+    n = len(order)
     # a new cell starts where either sorted coordinate changes
     new_group = np.ones(n, dtype=bool)
     c0 = c0[order]
@@ -1014,22 +1148,24 @@ def _dedup_pass(bases, sizes, frac, rows=None):
     c1 = c1[order]
     new_group[1:] |= c1[1:] != c1[:-1]
     del c1
-    lead_rows = np.flatnonzero(new_group)
+    if rows is not None:
+        order = rows[order]
     sizes = sizes[order]
-    lead_size = np.repeat(sizes[lead_rows], np.diff(lead_rows, append=n))
-    gap = sizes - lead_size
-    np.abs(gap, out=gap)
+    # each row's cell leader, the last cell start at or before it
+    lead = np.arange(n)
+    lead[~new_group] = 0
+    np.maximum.accumulate(lead, out=lead)
+    lead_size = sizes[lead]
     macro = (sizes > 1e-9) & (lead_size > 1e-9)
+    gap = np.subtract(sizes, lead_size, out=sizes)
+    np.abs(gap, out=gap)
     lead_size *= DEDUP_SIZE_REL_TOL
     odd = ~(gap <= lead_size)
     del sizes, lead_size, gap
-    if rows is not None:
-        order = rows[order]
     conflict = ~new_group & odd & macro
     if conflict.any():
         at = np.flatnonzero(conflict)
-        leads = lead_rows[np.searchsorted(lead_rows, at, side="right") - 1]
-        return None, np.column_stack([order[leads], order[at]])
+        return None, np.column_stack([order[lead[at]], order[at]])
     keep = order[new_group | odd]
     keep.sort()
     return keep, None

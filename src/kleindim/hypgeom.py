@@ -275,8 +275,11 @@ def _key_ints(mats: np.ndarray) -> np.ndarray:
     parts = np.empty((len(flat), 8))
     parts[:, 0::2] = flat.real
     parts[:, 1::2] = flat.imag
-    cells = np.clip(np.round(parts / MATRIX_GRID), -KEY_CLAMP, KEY_CLAMP)
-    return cells.astype(np.int64)
+    # in place: a walk hashes up to a chunk of products at once
+    parts /= MATRIX_GRID
+    np.round(parts, out=parts)
+    np.clip(parts, -KEY_CLAMP, KEY_CLAMP, out=parts)
+    return parts.astype(np.int64)
 
 
 @dataclass(frozen=True)

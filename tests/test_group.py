@@ -90,16 +90,18 @@ def _squeeze_input(monkeypatch, name, dist):
     return got[0]
 
 
-def _default_tree_bins(bases, sizes):
-    """The size-octave bins on scipy's default (balanced, compact) trees."""
+def _default_tree_bins(bases, sizes, leafsize=16):
+    """The size-band bins on scipy's default (balanced, compact) trees,
+    whatever leaf size is asked for."""
     bins = []
     if len(sizes) == 0:
         return bins
-    octave = np.floor(np.log2(sizes)).astype(int)
-    for o in np.unique(octave):
-        idx = np.flatnonzero(octave == o)
+    band = np.floor(np.log2(sizes) / gr.BAND_OCTAVES).astype(int)
+    for o in np.unique(band):
+        idx = np.flatnonzero(band == o)
         b = bases[idx]
-        bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, float(2.0 ** (o + 1))))
+        top = float(2.0 ** (gr.BAND_OCTAVES * (o + 1)))
+        bins.append((cKDTree(np.column_stack([b.real, b.imag])), idx, top))
     return bins
 
 
@@ -549,16 +551,23 @@ class TestEnumeration:
 
     def test_products_equal_einsum_on_random_chunks(self):
         rng = np.random.default_rng(5)
-        gens = gr._generator_stack(gr.builtin_group("apollonian"))
-        for rows in (1, 7, 2 * gr.PRODUCT_BLOCK + 3):
-            chunk = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
-            # signed zeros in both planes, as real generators produce
-            chunk.real[rng.random(chunk.shape) < 0.2] = -0.0
-            chunk.imag[rng.random(chunk.shape) < 0.4] = -0.0
-            oracle = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
-            got = gr._products(chunk, gens)
-            assert got.shape == oracle.shape
-            assert got.tobytes() == oracle.tobytes()
+        for name in ("apollonian", "parabolic_cusp_fuchsian"):
+            gens = gr._generator_stack(gr.builtin_group(name))
+            k = len(gens)
+            for rows in (1, 7, 2 * gr.PAIR_BLOCK // k + 3):
+                chunk = rng.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+                # signed zeros in both planes, as real generators produce
+                chunk.real[rng.random(chunk.shape) < 0.2] = -0.0
+                chunk.imag[rng.random(chunk.shape) < 0.4] = -0.0
+                oracle = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
+                cols, planes = gr._columns(chunk), gr._letter_planes(gens)
+                got = gr._pair_products(cols, planes, np.arange(rows * k))
+                assert got.shape == oracle.shape
+                assert got.tobytes() == oracle.tobytes()
+                # a gathered subset, across block edges, in row-major order
+                pick = np.flatnonzero(rng.random(rows * k) < 0.3)
+                got = gr._pair_products(cols, planes, pick)
+                assert got.tobytes() == oracle[pick].tobytes()
 
     def test_products_equal_einsum_near_overflow(self):
         rng = np.random.default_rng(6)
@@ -567,8 +576,10 @@ class TestEnumeration:
         chunk *= 10.0 ** rng.uniform(150, 155, size=(500, 1, 1))
         oracle = np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = gr._products(chunk, gens)
-            assert np.array_equal(got, oracle, equal_nan=True)
+            got = gr._pair_products(
+                gr._columns(chunk), gr._letter_planes(gens), np.arange(len(oracle))
+            )
+            assert got.tobytes() == oracle.tobytes()
             kept_oracle = np.isfinite(gr._orbit_dists(oracle))
             kept = np.isfinite(gr._orbit_dists(got))
         # the walk drops the overflowing rows, and only those
@@ -576,17 +587,99 @@ class TestEnumeration:
         assert np.array_equal(kept, kept_oracle)
 
     def test_walk_equals_the_einsum_walk(self, monkeypatch):
+        # the oracle multiplies every candidate, as einsum does, and
+        # skips none
         g = gr.builtin_group("apollonian")
         orb = gr.enumerate_orbit(g, 8.0)
-        monkeypatch.setattr(
-            gr,
-            "_products",
-            lambda chunk, gens: np.einsum("fij,kjl->fkil", chunk, gens).reshape(-1, 2, 2),
-        )
+        gens = gr._generator_stack(g)
+
+        def einsum_products(cols, planes, rows):
+            mats = np.ascontiguousarray(cols.T).view(complex).reshape(-1, 2, 2)
+            return np.einsum("fij,kjl->fkil", mats, gens).reshape(-1, 2, 2)[rows]
+
+        monkeypatch.setattr(gr, "_pair_products", einsum_products)
+        monkeypatch.setattr(gr, "_reach_cuts", lambda gens, dist: np.full(len(gens), np.inf))
         oracle = gr.enumerate_orbit(g, 8.0)
         assert orb.matrices.tobytes() == oracle.matrices.tobytes()
         assert orb.dists.tobytes() == oracle.dists.tobytes()
         assert np.array_equal(orb.word_lengths, oracle.word_lengths)
+
+    @pytest.mark.parametrize("name", sorted(gr._BUILTINS))
+    @pytest.mark.parametrize("dist", [12.0, 41.5])
+    def test_prefilter_keeps_what_the_exact_test_keeps(self, name, dist):
+        # frontier rows g with d(o, g o) at most the horizon, as the walk
+        # has them: random ones spread below it, and ones lined up with a
+        # letter a so that g a lands a hair either side of the horizon
+        gens = gr._generator_stack(gr.bounded_model(gr.builtin_group(name))[0])
+        rng = np.random.default_rng(int(dist * 10))
+
+        def unitary(n):
+            q, r = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+            phase = np.diagonal(r, axis1=1, axis2=2)
+            return q * (phase / np.abs(phase))[:, None]
+
+        def stretch(t):
+            d = np.zeros((len(t), 2, 2), dtype=complex)
+            d[:, 0, 0], d[:, 1, 1] = np.exp(t / 2), np.exp(-t / 2)
+            return d
+
+        spread = unitary(4000) @ stretch(rng.uniform(dist - 6.0, dist, 4000)) @ unitary(4000)
+        # a = U diag(e^(s/2), e^(-s/2)) V: g = W diag(e^(t/2), e^(-t/2)) U*
+        # puts g a at distance s + t, for t = dist - s, and where that is
+        # negative, g = W diag(e^(t/2), e^(-t/2)) U* puts it at s - |t|
+        u, sv, _ = np.linalg.svd(gens)
+        s = 2.0 * np.log(sv[:, 0])
+        which = rng.integers(0, len(gens), 8000)
+        t = dist - s[which] + rng.uniform(-1e-9, 1e-9, 8000) * dist
+        lined = stretch(np.abs(t))
+        lined[t < 0] = lined[t < 0][:, ::-1, ::-1]
+        edge = unitary(8000) @ lined @ u[which].conj().transpose(0, 2, 1)
+        frontier = np.concatenate([spread, edge[np.abs(t) <= dist]])
+        frontier = frontier[gr._orbit_dists(frontier) <= dist]
+        oracle = np.einsum("fij,kjl->fkil", frontier, gens).reshape(-1, 2, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = gr._orbit_dists(oracle)
+        exact = (d <= dist) & np.isfinite(d)
+        near = gr._within_reach(
+            gr._columns(frontier), gr._letter_forms(gens), gr._reach_cuts(gens, dist)
+        ).ravel()
+        assert exact.any() and not exact.all()
+        # products within 1e-8 of the horizon on both sides
+        assert ((d > dist) & (d < dist + 1e-8)).any() and (exact & (d > dist - 1e-8)).any()
+        assert not (exact & ~near).any()
+        # the estimate cuts: on letters of squared norm below 1e6 (all of
+        # four builtins', none of infinite_fuchsian's, whose cuts leave
+        # room for the rounding of entries up to 1e90) it keeps little
+        # beyond what the exact test keeps
+        small = np.tile((np.abs(gens) ** 2).sum(axis=(1, 2)) < 1e6, len(frontier))
+        assert (near & small).sum() <= (exact & small).sum() + 0.01 * len(near)
+
+    def test_nan_and_inf_estimates_reach_the_exact_test(self):
+        gens = gr._generator_stack(gr.builtin_group("apollonian"))
+        rows = np.array(
+            [np.eye(2), np.full((2, 2), np.nan), np.eye(2) * 1e160, [[1e200, 0.0], [0.0, 1e-200]]],
+            dtype=complex,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            near = gr._within_reach(
+                gr._columns(rows), gr._letter_forms(gens), gr._reach_cuts(gens, 10.0)
+            )
+        assert near.all()
+
+    def test_word_length_walk_skips_nothing(self, monkeypatch):
+        g = gr.builtin_group("apollonian")
+        assert np.isinf(gr._reach_cuts(gr._generator_stack(g), math.inf)).all()
+        within = gr._within_reach
+        masks = []
+
+        def spy(cols, forms, cut):
+            near = within(cols, forms, cut)
+            masks.append(near.copy())
+            return near
+
+        monkeypatch.setattr(gr, "_within_reach", spy)
+        gr.enumerate_orbit(g, max_word_length=5)
+        assert masks and all(m.all() for m in masks)
 
     def test_requires_some_budget(self):
         g = gr.builtin_group("schottky")
@@ -1175,13 +1268,24 @@ class TestHoroballs:
 
     def test_overlap_scan_matches_all_pairs_on_shuffled_families(self):
         rng = np.random.default_rng(8)
-        overlapping = 0
+        overlapping = straddling = 0
         for trial in range(30):
             n = int(rng.integers(2, 120))
             bases = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            sizes = 10.0 ** rng.uniform(-4, -0.5, n)  # several octaves
+            sizes = 2.0 ** rng.uniform(-14, -0.5, n)  # over 13 octaves
+            # overlapping pairs a hair either side of a band edge
+            edge = 2.0 ** (gr.BAND_OCTAVES * -int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(0, 3))):
+                at = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+                pair = edge * np.array([1.0 - 1e-9, 1.0 + 1e-9]) * rng.uniform(0.5, 2.0, 2)
+                gap = math.sqrt(pair[0] * pair[1]) * rng.uniform(0.5, 1.0)
+                bases = np.append(bases, [at, at + gap * np.exp(2j * np.pi * rng.random())])
+                sizes = np.append(sizes, pair)
+            n = len(sizes)
             want = _brute_overlap_ratio(bases, sizes)
             overlapping += want > 1.0
+            band = np.floor(np.log2(sizes) / gr.BAND_OCTAVES)
+            straddling += len(np.unique(band)) > 1 and want > 1.0
             for _ in range(3):
                 perm = rng.permutation(n)
                 got = gr._max_overlap_ratio(bases[perm], sizes[perm])
@@ -1190,7 +1294,27 @@ class TestHoroballs:
                     assert got == pytest.approx(want, rel=1e-12)
                 else:
                     assert got <= want * (1.0 + 1e-12)
-        assert overlapping >= 10
+        assert overlapping >= 10 and straddling >= 10
+
+    @pytest.mark.parametrize("family", ["random", "apollonian_6"])
+    def test_overlap_scan_scales_exactly_under_dyadic_squeezes(self, monkeypatch, family):
+        # a squeeze by 2^-k moves members across band edges, and scales a
+        # worst ratio that stays at or above 1 by exactly 4^-k
+        if family == "random":
+            rng = np.random.default_rng(9)
+            bases = rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)
+            sizes = 2.0 ** rng.uniform(-16, -1, 300)
+            # deep overlaps: ratios of about 2,000 and 5,000
+            bases[1], bases[3] = bases[0] + sizes[0] / 45.0, bases[2] + 1j * sizes[2] / 70.0
+            sizes[1], sizes[3] = sizes[0], sizes[2]
+        else:
+            # the raw family at 6 (worst 6.25), swollen by 2^10
+            bases, sizes = _squeeze_input(monkeypatch, "apollonian", 6.0)
+            sizes = sizes * 2.0**10
+        worst = gr._max_overlap_ratio(bases, sizes)
+        assert worst >= 4.0**5
+        for k in range(6):
+            assert gr._max_overlap_ratio(bases, sizes * 2.0**-k) * 4.0**k == worst
 
     def test_no_cusps_raises(self):
         g = gr.builtin_group("schottky")
