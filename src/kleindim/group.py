@@ -45,9 +45,16 @@ DEFAULT_SLACK = 2.5
 EXPAND_PRODUCTS = 200_000
 # products formed at a time, so their temporaries stay in cache
 PAIR_BLOCK = 1024
+# products hashed at a time, so that a chunk's (n, 8) key rows and their
+# float parts never exist whole
+HASH_BLOCK = 4096
 # relative slack per unit squared letter norm of the norm prefilter
 # (see _reach_cuts)
 REACH_MARGIN = 1e-12
+# the walk's hashes of recent levels fold into the sorted array of all
+# older ones once they outnumber this share of it, so that a level
+# merges its new hashes into a small array rather than a large one
+RECENT_SHARE = 0.125
 # size octaves per KD tree of a horoball family's overlap scan and
 # deepest-member lookup: wider bands mean fewer trees to join, but
 # wider search radii for their smaller members
@@ -170,17 +177,44 @@ def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
 def _key_hashes(mats: np.ndarray) -> np.ndarray:
     """64-bit hash of each :func:`hg._key_ints` row: every word is xored in
     and the state mixed by the splitmix64 finalizer, a bijection that
-    carries every bit into every other."""
-    ints = hg._key_ints(mats).view(np.uint64)
-    h = np.zeros(len(ints), dtype=np.uint64)
-    for k in range(8):
-        h ^= ints[:, k]
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        h *= np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return h.view(np.int64)
+    carries every bit into every other.  Rows are hashed ``HASH_BLOCK``
+    at a time, so that a chunk's key rows never exist all at once."""
+    out = np.zeros(len(mats), dtype=np.uint64)
+    for s in range(0, len(mats), HASH_BLOCK):
+        ints = hg._key_ints(mats[s : s + HASH_BLOCK]).view(np.uint64)
+        h = out[s : s + HASH_BLOCK]
+        for k in range(8):
+            h ^= ints[:, k]
+            h ^= h >> np.uint64(30)
+            h *= np.uint64(0xBF58476D1CE4E5B9)
+            h ^= h >> np.uint64(27)
+            h *= np.uint64(0x94D049BB133111EB)
+            h ^= h >> np.uint64(31)
+    return out.view(np.int64)
+
+
+def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``keys`` and the index of each one's
+    first occurrence, as ``np.unique(keys, return_index=True)`` gives
+    them, by an unstable quicksort and each run's lowest index."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    first = np.minimum.reduceat(order, starts)
+    del order  # before the values are gathered, to hold no more than np.unique
+    return ordered[starts], first
+
+
+def _unseen(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the sorted ``keys`` absent from the non-empty sorted
+    array ``seen``; sorted keys make each binary search start near where
+    the previous one ended."""
+    at = np.searchsorted(seen, keys)
+    at[at == len(seen)] = 0  # beyond the largest: cannot match
+    return seen[at] != keys
 
 
 def _orbit_dists(mats: np.ndarray) -> np.ndarray:
@@ -370,16 +404,23 @@ def enumerate_orbit(
     elements reached only through overshooting prefixes are still found
     as long as the overshoot is under the slack.  Two products are the
     same element when their :func:`hg._key_ints` rows agree; the walk
-    keeps the rows' 64-bit :func:`_key_hashes` in one sorted array of
-    every element seen.
+    keeps the rows' 64-bit :func:`_key_hashes` of every element seen in
+    two sorted arrays, ``visited`` and a smaller ``recent``.  Each level
+    merges its new hashes into ``recent``, which folds into ``visited``
+    once it holds more than ``RECENT_SHARE`` of its length, so a level
+    pays for the recent hashes and not for everything seen; each chunk
+    searches both arrays (``recent`` only when it is not empty).  Within
+    a chunk and across a level's chunks, a duplicate resolves to its
+    first row-major occurrence (:func:`_first_of_each`).
 
     When ``max_elements`` or ``max_word_length`` stops the walk early,
     ``truncated`` is set and ``t_valid`` drops to the smallest distance of
     an unexpanded element less the slack: an element within that horizon
     reached through prefixes overshooting it by less than the slack is
     found, the same promise an untruncated walk makes for ``max_dist``.
-    The element budget is checked between levels and between chunks of
-    ``EXPAND_PRODUCTS`` candidate products.
+    The element budget counts ``visited`` and ``recent`` together and is
+    checked between levels and between chunks of ``EXPAND_PRODUCTS``
+    candidate products.
 
     Only the candidates g a that can land inside the expansion horizon
     are multiplied: a few flops per (row, letter) estimate ||g a||^2 from
@@ -405,7 +446,10 @@ def enumerate_orbit(
     letter_ids = np.arange(n_letters, dtype=np.uint8)
 
     ident = np.eye(2, dtype=complex)
+    # every element seen: the sorted hashes of older levels (the head of
+    # buf) and the sorted hashes of recent ones
     visited = buf = _key_hashes(ident[None])
+    recent = visited[:0]
     acc_m = [ident[None].copy()]
     acc_dist = [np.zeros(1)]
     acc_len = [np.zeros(1, dtype=np.int32)]
@@ -425,7 +469,8 @@ def enumerate_orbit(
             truncated = True
             horizon = min(horizon, float(frontier_dist.min()))
             break
-        if len(visited) >= max_elements:
+        n_seen = len(visited) + len(recent)
+        if n_seen >= max_elements:
             truncated = True
             horizon = min(horizon, float(frontier_dist.min()))
             break
@@ -434,7 +479,7 @@ def enumerate_orbit(
         n_lvl = 0  # the level's new elements so far, chunk duplicates included
         stopped = False
         for start in range(0, len(frontier), chunk_rows):
-            if len(visited) + n_lvl >= max_elements and start > 0:
+            if n_seen + n_lvl >= max_elements and start > 0:
                 truncated = True
                 horizon = min(horizon, float(frontier_dist[start:].min()))
                 stopped = True
@@ -457,13 +502,12 @@ def enumerate_orbit(
                 continue
             cand = _canonicalize_signs(cand)
             hashes = _key_hashes(cand)
-            # the unique hashes come sorted, so each binary search starts
-            # near where the previous one ended; then restore row order
-            uniq, first = np.unique(hashes, return_index=True)
-            at = np.searchsorted(visited, uniq)
-            at[at == len(visited)] = 0  # beyond the largest: cannot match
-            first = first[visited[at] != uniq]
-            first.sort()
+            uniq, first = _first_of_each(hashes)
+            fresh = _unseen(visited, uniq)
+            if len(recent):
+                fresh &= _unseen(recent, uniq)
+            first = first[fresh]
+            first.sort()  # back to row order
             if not len(first):
                 continue
             rows = rows[first]
@@ -484,19 +528,24 @@ def enumerate_orbit(
         new_last = np.concatenate(lvl_last)
         new_hash = np.concatenate(lvl_hash)
         # chunks were deduplicated locally; a duplicate can straddle chunks
-        new_hash, cross = np.unique(new_hash, return_index=True)
+        new_hash, cross = _first_of_each(new_hash)
         if len(cross) < len(new_m):
             cross.sort()
             new_m, new_dist, new_last = new_m[cross], new_dist[cross], new_last[cross]
-        # visited is the sorted head of buf, which grows geometrically, so
-        # a level does not pay for a fresh copy of everything seen; the
-        # stable sort (timsort) merges the two sorted runs in one pass
-        end = len(visited) + len(new_hash)
-        if end > len(buf):
-            buf = np.concatenate([visited, np.empty(end, dtype=np.int64)])
-        buf[len(visited) : end] = new_hash
-        visited = buf[:end]
-        visited.sort(kind="stable")
+        # the stable sort (timsort) merges two sorted runs in one pass
+        recent = np.concatenate([recent, new_hash])
+        recent.sort(kind="stable")
+        if len(recent) > RECENT_SHARE * len(visited):
+            # visited is the sorted head of buf, which grows
+            # geometrically, so a fold does not pay for a fresh copy of
+            # everything seen
+            end = len(visited) + len(recent)
+            if end > len(buf):
+                buf = np.concatenate([visited, np.empty(end, dtype=np.int64)])
+            buf[len(visited) : end] = recent
+            visited = buf[:end]
+            visited.sort(kind="stable")
+            recent = visited[:0]
 
         report = new_dist <= report_dist
         acc_m.append(new_m[report])
@@ -866,6 +915,12 @@ class HoroballFamily:
         return depth, rank
 
 
+def _xy(z: np.ndarray) -> np.ndarray:
+    """Complex points as an (n, 2) float view of their real and
+    imaginary parts."""
+    return np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
+
+
 def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
     """One KD tree over the bases of each band of ``BAND_OCTAVES`` size
     octaves, bands counted from size 1: (tree, member indices in
@@ -886,7 +941,7 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
     band /= BAND_OCTAVES
     np.floor(band, out=band)
     band = band.astype(np.int16)  # the octaves of doubles fit
-    xy = np.ascontiguousarray(bases).view(np.float64).reshape(-1, 2)
+    xy = _xy(bases)
     for b in np.unique(band):
         idx = np.flatnonzero(band == b)
         # unbalanced, uncompacted trees build faster and find the same pairs
@@ -895,15 +950,18 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
     return bins
 
 
-def _horoball_images(mats: np.ndarray, p: complex) -> tuple[np.ndarray, np.ndarray]:
+def _horoball_images(
+    mats: np.ndarray, p: complex, scale: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Images (bases, sizes) of the tangent horoball of diameter 1 at the
-    finite point p under every matrix.  Image sizes are exact, via the
-    derivative formula.  An image based at infinity raises
-    :class:`CuspDetectionError`.
+    finite point p under every matrix, whose :func:`_entry_scales` are
+    ``scale``.  Image sizes are exact, via the derivative formula.  An
+    image based at infinity raises :class:`CuspDetectionError`.
     """
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, dd = mats[:, 1, 0], mats[:, 1, 1]
-    scale = np.abs(mats).max(axis=(1, 2))
+    if scale is None:
+        scale = _entry_scales(mats)
     den = c * p + dd
     if (np.abs(den) <= 1e-13 * scale * max(1.0, abs(p))).any():
         raise CuspDetectionError(_AT_INFINITY)
@@ -952,7 +1010,52 @@ def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
     return worst
 
 
-def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
+def _entry_scales(mats: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix."""
+    return np.abs(mats).max(axis=(1, 2))
+
+
+def _may_join(mats: np.ndarray, pts: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Indices of the matrices that may carry one of the points ``pts``
+    into the cell of another (see :func:`_premerge_refs`).
+
+    A row g = [[a, b], [c, d]] with c != 0 carries every point p to
+    g(p) = a/c - (ad - bc) / (c (c p + d)), within the spread
+    |ad - bc| / (|c|^2 rho) of its centre a/c, where rho is the distance
+    from its pole -d/c to the nearest point.  The row is skipped when
+    the nearest point to the centre lies farther than twice the spread
+    plus 100 ``CUSP_CLUSTER_TOL`` (points sharing a cell lie within 1.5
+    ``CUSP_CLUSTER_TOL`` of each other) plus ``err``.  The spread's
+    numerator adds a bound on the rounding of ad - bc, and ``err``
+    bounds, ten times over, the rounding of the images that the exact
+    path computes and of the centre; where the pole lies within rounding
+    of a point, ``err`` outgrows every distance to the points and the
+    row is kept.  Rows with c = 0, or a non-finite centre or pole, or
+    any non-finite entry, are kept.
+    """
+    a, b, c, d = (mats[:, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        centre, pole = a / c, -d / c
+        rows = np.flatnonzero(np.isfinite(centre) & np.isfinite(pole))
+        tree = cKDTree(_xy(pts))
+        rho = tree.query(_xy(pole[rows]))[0]
+        dist = tree.query(_xy(centre[rows]))[0]
+        a, b, c, d, m = a[rows], b[rows], c[rows], d[rows], scale[rows]
+        spread = np.abs(a * d - b * c)
+        spread += 1e-15 * m * m
+        c = np.abs(c)
+        spread /= c * c * rho
+        reach = 1.0 + np.abs(pts).max()
+        err = 1e-14 * (1.0 + m * reach / (c * rho)) * (reach + np.abs(centre[rows]) + spread)
+        far = dist > 2.0 * spread + 100.0 * CUSP_CLUSTER_TOL + err
+    keep = np.ones(len(mats), dtype=bool)
+    keep[rows[far]] = False
+    return np.flatnonzero(keep)
+
+
+def _premerge_refs(
+    mats: np.ndarray, refs: list, scale: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Component labels of the cusp references joined by a single
     enumerated element, each the smallest reference of its component.
 
@@ -964,14 +1067,18 @@ def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
     for orbit pairs whose connecting element was not enumerated.  An
     image joins a finite reference when it is the same point by the
     :func:`_cells` rule at ``CUSP_CLUSTER_TOL``; an image at infinity
-    joins nothing.
+    joins nothing.  Only the matrices that :func:`_may_join` keeps, those
+    whose images of the references can come near one, are mapped;
+    ``scale`` holds the matrices' :func:`_entry_scales`.
     """
     if len(refs) < 2:
         return np.arange(len(refs))
-    a, b, c, dd = (np.ascontiguousarray(mats[:, r, s]) for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    tol = np.abs(mats).max(axis=(1, 2))
-    tol *= 1e-12
+    if scale is None:
+        scale = _entry_scales(mats)
     pts = np.array([p for p, _ in refs], dtype=complex)
+    rows = _may_join(mats, pts, scale)
+    a, b, c, dd = (mats[rows, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    tol = scale[rows] * 1e-12
     lookup = _cell_lookup(pts, CUSP_CLUSTER_TOL)
     src, dst = [], []
     for i, p in enumerate(pts):
@@ -1064,10 +1171,11 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
         raise CuspDetectionError("no parabolic elements found; the group has no cusps")
 
     refs = [(hg._hs_boundary(cu.point), cu.rank) for cu in cusps.cusps]
+    scale = _entry_scales(orbit.matrices)
 
-    active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs))
+    active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs, scale))
     while True:
-        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active)
+        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active, scale)
         keep = _dedup_and_find_conflict(bases, sizes, ref_of)
         if not isinstance(keep, tuple):
             break
@@ -1095,12 +1203,13 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
     )
 
 
-def _raw_family(mats, refs, active):
+def _raw_family(mats, refs, active, scale):
     """Unit reference horoballs at every active reference, pushed around by
-    every matrix: (bases, sizes, ref_of)."""
+    every matrix, whose :func:`_entry_scales` are ``scale``: (bases,
+    sizes, ref_of)."""
     bases_l, sizes_l, ref_l = [], [], []
     for ri in active:
-        fb, fs = _horoball_images(mats, refs[ri][0])
+        fb, fs = _horoball_images(mats, refs[ri][0], scale)
         bases_l.append(fb)
         sizes_l.append(fs)
         ref_l.append(np.full(len(fs), ri, dtype=np.int32))
@@ -1125,31 +1234,87 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
     return keep
 
 
+def _dense_ranks(c: np.ndarray) -> int:
+    """Replace the int64 values ``c``, in place, by their ranks among the
+    distinct values of ``c``; returns the number of distinct values."""
+    if not len(c):
+        return 0
+    order = np.argsort(c)
+    ordered = c[order]
+    new = ordered[1:] != ordered[:-1]
+    ordered[0] = 0
+    ordered[1:] = new
+    del new
+    # in place: a cumsum from bool into int64 would buffer a whole copy
+    np.cumsum(ordered, out=ordered)
+    c[order] = ordered
+    return int(ordered[-1]) + 1
+
+
+def _lead_first(order, new_group, sizes):
+    """Move each cell's leader to the front of its run in ``order``, in
+    place: the member of largest size and, on ties, lowest index, the
+    member a stable sort by falling size would put first (NaN sizes
+    last).  Only the runs of two or more members are searched."""
+    multi = ~new_group
+    multi[:-1] |= multi[1:]
+    sub = np.flatnonzero(multi)
+    del multi
+    if not len(sub):
+        return
+    idx = order[sub]
+    s = sizes[idx]
+    starts = np.flatnonzero(new_group[sub])
+    counts = np.diff(starts, append=len(sub))
+    # the lowest index among each run's largest sizes; fmax skips NaN,
+    # and in a run of NaN sizes only the lowest index leads
+    top = np.fmax.reduceat(s, starts).repeat(counts)
+    top = (s == top) | np.isnan(top)
+    del s
+    lead = np.minimum.reduceat(np.where(top, idx, np.iinfo(np.intp).max), starts)
+    del top
+    at = sub[np.flatnonzero(idx == lead.repeat(counts))]
+    first = sub[starts]
+    order[first], order[at] = order[at], order[first]
+
+
 def _dedup_pass(bases, sizes, frac, rows=None):
     """One grid pass over the sorted indices ``rows`` (default all):
     (sorted indices kept, None), or (None, index pairs (cell leader,
-    member) whose sizes disagree).  The cells are computed for every
-    entry and then taken at the rows, and each temporary is freed once
-    used, so that a pass holds about five row-sized arrays at a time."""
+    member) whose sizes disagree).
+
+    Each row's cell gets one exact int64 key, rank0 * n1 + rank1 from
+    the dense ranks of its two :func:`_cells` indices (n1 distinct
+    second indices), below the squared row count whatever the indices'
+    range; one quicksort groups the cells.  Each cell's leader is its
+    member of largest size and, on ties, lowest index
+    (:func:`_lead_first`), the member a sort by cell and falling size
+    puts first.  A row is kept when it leads its cell or its size
+    disagrees with the leader's.  The cells are computed for every entry
+    and then taken at the rows, and each temporary is freed once used,
+    so that a pass holds about four row-sized arrays at a time."""
 
     def take(a):
         return a if rows is None else a[rows]
 
     c0, c1 = _cells(bases, DEDUP_GRID, frac)
     c0 = take(c0)
+    _dense_ranks(c0)
     c1 = take(c1)
-    order = np.lexsort((-take(sizes), c1, c0))
-    n = len(order)
-    # a new cell starts where either sorted coordinate changes
-    new_group = np.ones(n, dtype=bool)
-    c0 = c0[order]
-    np.not_equal(c0[1:], c0[:-1], out=new_group[1:])
-    del c0
-    c1 = c1[order]
-    new_group[1:] |= c1[1:] != c1[:-1]
+    c0 *= _dense_ranks(c1)
+    c0 += c1
     del c1
+    order = np.argsort(c0)
+    n = len(order)
+    # a new cell starts where the sorted key changes
+    new_group = np.ones(n, dtype=bool)
+    key = c0[order]
+    del c0
+    np.not_equal(key[1:], key[:-1], out=new_group[1:])
+    del key
     if rows is not None:
         order = rows[order]
+    _lead_first(order, new_group, sizes)
     sizes = sizes[order]
     # each row's cell leader, the last cell start at or before it
     lead = np.arange(n)

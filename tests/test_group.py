@@ -543,6 +543,56 @@ class TestEnumeration:
         want = gr._key_hashes(full.matrices[full.dists <= orb.t_valid])
         assert set(want.tolist()) <= have
 
+    def test_hashes_do_not_depend_on_the_block(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 3 * gr.HASH_BLOCK + 5
+        mats = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        mats *= 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+        blocked = gr._key_hashes(mats)
+        monkeypatch.setattr(gr, "HASH_BLOCK", n)
+        assert blocked.tobytes() == gr._key_hashes(mats).tobytes()
+        assert len(set(blocked.tolist())) == n
+
+    def test_first_of_each_equals_unique(self):
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 2, 7, 1000, 50_000):
+            # few distinct values, spread over the whole int64 range
+            keys = rng.integers(-20, 20, n) * np.int64(1 << 58) + rng.integers(0, 3, n)
+            want_vals, want_first = np.unique(keys, return_index=True)
+            vals, first = gr._first_of_each(keys)
+            assert vals.tobytes() == want_vals.tobytes()
+            assert first.dtype == want_first.dtype
+            assert np.array_equal(first, want_first)
+
+    @pytest.mark.parametrize(
+        "name, rows, dist, budget, want",
+        [
+            ("parabolic_cusp_fuchsian", 3, 11.0, 500, "f3cb80a667347f82"),
+            ("parabolic_cusp_fuchsian", 3, 11.0, 1000, "24bfe63867ba5d65"),
+            ("parabolic_cusp_fuchsian", None, 11.0, 2_000_000, "a4a238f0f683c7b7"),
+            ("apollonian", 7, 7.5, 500, "4068a6b9fcfe9faf"),
+            ("apollonian", None, 9.0, 3000, "3efc9e1cd54e6fef"),
+        ],
+    )
+    def test_walk_does_not_depend_on_when_recent_hashes_fold(
+        self, monkeypatch, name, rows, dist, budget, want
+    ):
+        # digests recorded from the walk that merged every level into one
+        # sorted array of all hashes.  A share of 0 folds every level at
+        # once, as that walk did, and an infinite one never folds.  At the
+        # default share parabolic_cusp_fuchsian's walk leaves levels
+        # unfolded, and its budget of 1000 cuts a level while recent
+        # hashes wait; apollonian's walk grows fast enough to fold at
+        # every level
+        g = gr.builtin_group(name)
+        if rows is not None:
+            monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * 2 * g.n_generators)
+        for share in (0.0, gr.RECENT_SHARE, 0.5, math.inf):
+            monkeypatch.setattr(gr, "RECENT_SHARE", share)
+            orb = gr.enumerate_orbit(g, dist, max_elements=budget)
+            got = _sha(orb.matrices, orb.dists, orb.word_lengths, orb.t_valid, orb.truncated)
+            assert got == want
+
     def test_word_length_budget(self):
         g = gr.builtin_group("schottky")
         orb = gr.enumerate_orbit(g, max_dist=50.0, max_word_length=2)
@@ -1144,6 +1194,94 @@ class TestHoroballs:
             with pytest.raises(gr.CuspDetectionError, match="beyond the integer grid"):
                 dedup(b, s, r)
 
+    @staticmethod
+    def _crowded_family(rng, n):
+        # a few distinct cells of the first grid, two cells apart and
+        # jittered within one, so that the offset grid splits some; sizes
+        # tied exactly, within the tolerance and beyond it, and NaN
+        span = int(rng.integers(1, 30))
+        at = rng.integers(0, span, size=(n, 2)) * 2.0 + rng.uniform(0.0, 0.9, size=(n, 2))
+        b = (at * gr.DEDUP_GRID) @ np.array([1.0, 1j])
+        s = [0.25, 0.5, 0.5 * (1 - 1e-7), 0.5 * (1 + 3e-7), 1e-10, 4e-10, np.nan]
+        s = rng.choice(s, size=n)
+        return b, s
+
+    def test_dedup_matches_the_oracle_on_crowded_cells(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(2, 3000))
+            b, s = self._crowded_family(rng, n)
+            r = rng.integers(0, 3, size=n).astype(np.int32)
+            if rng.random() < 0.5:
+                # one reference, macroscopic sizes that agree: the exact
+                # ties and near ties decide what is kept
+                r[:] = 0
+                big = s > 1e-9
+                s[big] = rng.choice([0.5, 0.5 * (1 - 1e-7), 0.5 * (1 + 3e-7)], size=big.sum())
+            want = _oracle_dedup(b, s, r)
+            outcomes.add(isinstance(want, tuple))
+            _assert_same_dedup(gr._dedup_and_find_conflict(b, s, r), want)
+        assert outcomes == {True, False}
+
+    def test_dedup_pass_on_rows_matches_the_oracle(self):
+        # the second pass reads a subset of the rows; with every entry its
+        # own reference, the oracle's merge pairs are (leader, member) rows
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n = int(rng.integers(1, 2000))
+            b, s = self._crowded_family(rng, n)
+            if trial % 2:
+                s[s > 1e-9] = 0.5  # no conflicts: the kept rows decide
+            rows = np.flatnonzero(rng.random(n) < rng.uniform(0.0, 1.0))
+            if trial < 4:
+                rows = rows[: trial % 2]  # no rows, and one row
+            ids = np.arange(n, dtype=np.int32)
+            for frac in (0.0, 0.5):
+                keep, pairs = gr._dedup_pass(b, s, frac, rows)
+                want = _oracle_dedup_pass(b[rows], s[rows], ids[rows], frac)
+                if isinstance(want, tuple):
+                    assert keep is None
+                    assert sorted({(int(i), int(j)) for i, j in pairs}) == want[1]
+                else:
+                    assert pairs is None
+                    assert keep.dtype == rows.dtype
+                    assert np.array_equal(keep, rows[want])
+
+    def test_dedup_leader_is_the_lowest_index_among_the_largest(self):
+        # one cell whose three largest sizes tie exactly at rows 1, 3, 4
+        b = np.full(6, 0.25 + 0.5j)
+        s = np.array([0.3, 0.5, 0.2, 0.5, 0.5, 0.5 * (1 - 1e-7)])
+        r = np.arange(6, dtype=np.int32)
+        want = _oracle_dedup(b, s, r)
+        assert want == ("merge", [(1, 0), (1, 2)])
+        _assert_same_dedup(gr._dedup_and_find_conflict(b, s, r), want)
+        # microscopic sizes prove nothing: the leader and the sizes that
+        # disagree with it are kept
+        s *= 1e-9
+        keep = gr._dedup_and_find_conflict(b, s, r)
+        assert keep.tolist() == [0, 1, 2]
+        _assert_same_dedup(keep, _oracle_dedup(b, s, r))
+
+    def test_dedup_keeps_cells_apart_beyond_a_word_of_indices(self):
+        # rows 0 and 1 lie 2^32 cells apart along the imaginary axis, rows
+        # 2 and 3 along the real one; a key made of the two raw indices'
+        # low 32 bits each would put each pair in one cell, where their
+        # sizes conflict
+        g = gr.DEDUP_GRID
+        ij = np.array([[3, 5], [3, 5 + 2**32], [7, 1], [7 + 2**32, 1]])
+        b = ((ij + 0.5) * g) @ np.array([1.0, 1j])
+        s = np.array([0.5, 0.25, 0.5, 0.25])
+        r = np.arange(4, dtype=np.int32)
+        for frac in (0.0, 0.5):
+            c0, c1 = gr._cells(b, g, frac)
+            assert np.array_equal(np.column_stack([c0, c1]) - ij, np.full((4, 2), int(2 * frac)))
+            packed = (c0 << np.int64(32)) | (c1 & np.int64(0xFFFFFFFF))
+            assert packed[0] == packed[1] and packed[2] == packed[3]
+        want = _oracle_dedup(b, s, r)
+        assert want.tolist() == [0, 1, 2, 3]
+        _assert_same_dedup(gr._dedup_and_find_conflict(b, s, r), want)
+
     def test_family_build_memory_is_bounded(self, monkeypatch):
         # tracemalloc sees numpy's buffers, so the peak is deterministic;
         # full-width copies of the raw family in the dedup reach about
@@ -1242,6 +1380,87 @@ class TestHoroballs:
             _assert_same_premerge(mats, refs)
         # ref 2, reached only from more than a cell away, stays alone
         assert [want.find(i) for i in range(len(refs))] == [0, 0, 2, 0, 0, 0]
+
+    def test_premerge_prefilter_keeps_every_row_that_can_join(self, monkeypatch):
+        # each trial: one row that carries a reference to within 0.5 to 3
+        # cells of another on both axes, to whole and half cells (the edges
+        # of both grid offsets) or to under half a cell, among rows that
+        # carry nothing near a reference and rows the prefilter must keep
+        # (a pole on a reference, c = 0, NaN and inf entries); labels must
+        # be the oracle's, and the carrying row must reach the exact
+        # arithmetic
+        tol = gr.CUSP_CLUSTER_TOL
+        rng = np.random.default_rng(13)
+        # references away from the origin's cells, where the oracle packs
+        # NaN images
+        pts = (0.2 + 0.7 * rng.random(8)) * np.exp(2j * np.pi * rng.random(8))
+        refs = [(complex(p), 1) for p in pts]
+        kept = []
+        may_join = gr._may_join
+
+        def spy(mats, points, scale):
+            rows = may_join(mats, points, scale)
+            kept.append(rows)
+            return rows
+
+        monkeypatch.setattr(gr, "_may_join", spy)
+
+        def translation(t):
+            return np.array([[1.0, t], [0.0, 1.0]], dtype=complex)
+
+        def fixing_zero(c, det=1.0):
+            # z -> lam z / (c z + det / lam), c != 0
+            lam = np.exp(rng.uniform(-2.0, 2.0) + 2j * np.pi * rng.random())
+            return np.array([[lam, 0.0], [c, det / lam]])
+
+        def random_c(low, high):
+            return np.exp(2j * np.pi * rng.random()) * 10.0 ** rng.uniform(low, high)
+
+        n_joined, kinds = 0, set()
+        for trial in range(300):
+            i, j = rng.choice(len(pts), 2, replace=False)
+            off = rng.uniform(0.5, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+            if trial % 3 == 0:
+                off = rng.integers(-6, 7, 2) * 0.5
+            elif trial % 3 == 1:
+                off = rng.uniform(-0.45, 0.45, 2)
+            target = pts[j] + complex(*off) * tol
+            kind = trial % 5
+            kinds.add(kind)
+            if kind == 0:  # c = 0
+                carry = translation(target - pts[i])
+            else:
+                det = {1: 1.0, 2: 1.0, 3: 2.5, 4: 1.0}[kind]
+                core = fixing_zero(random_c(-2, 2), det)
+                carry = translation(target) @ core @ translation(-pts[i])
+                if kind == 4:
+                    carry = carry * 3.0  # the same map, determinant 9
+            far = [
+                translation(complex(*rng.uniform(-1, 1, 2)))
+                @ fixing_zero(random_c(1, 2.5))
+                @ translation(complex(*rng.uniform(-1, 1, 2)))
+                for _ in range(20)
+            ]
+            special = [
+                # a pole exactly on a reference: rho = 0
+                np.array([[2.0, -2.0 * pts[i] - 1.0], [1.0, -pts[i]]]),
+                np.full((2, 2), np.nan),
+                np.array([[np.inf, 0.0], [1.0, 1.0]]),
+                np.array([[1.0, np.inf], [1.0, 1.0]]),
+                np.array([[1.0, 0.3], [np.nan, 1.0]]),
+            ]
+            mats = np.array([carry, *far, *special], dtype=complex)
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                want = _oracle_premerge_refs(mats, refs).labels()
+                got = gr._premerge_refs(mats, refs)
+            assert got.tolist() == want
+            rows = kept.pop()
+            assert rows[0] == 0  # the carrying row
+            assert set(range(len(mats) - len(special), len(mats))) <= set(rows.tolist())
+            n_joined += want != list(range(len(refs)))
+            assert len(rows) < len(mats)
+        # both outcomes of a carried reference occur
+        assert 50 < n_joined < 250
 
     def test_premerge_keeps_references_apart_by_whole_words_of_cells(self):
         # an image of reference 0 lands 2^32 cells up the imaginary axis
