@@ -97,12 +97,11 @@ def main() -> None:
     t0 = time.perf_counter()
     box = ed.box_dimension(cloud).value
     row("box", box, pred.dim_H)
-    hi = ed.assouad_dimension(cloud, n_centers=cfg.n_centers, seed=cfg.seed).value
-    row("assouad", hi, pred.dim_A)
-    lo = ed.lower_dimension(
-        cloud, ratios=(4.0, 8.0, 16.0), n_centers=cfg.n_centers, seed=cfg.seed
-    ).value
-    row("lower", lo, pred.dim_L)
+    assouad, lower = ed.window_sweep(
+        cloud, [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))], cfg.n_centers, cfg.seed
+    )
+    row("assouad", assouad.extreme("assouad").value, pred.dim_A)
+    row("lower", lower.extreme("lower").value, pred.dim_L)
 
     extras = np.array([point for _, _, point in p.cusp_points])
     upper, _ = ps.regularity_exponents(

@@ -13,6 +13,7 @@ budgets.  Exit codes: 0 success or all rows pass, 1 usage error,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -478,18 +479,15 @@ def _verify_geometrically_finite(p, tol, seed, report):
         scales = np.geomspace(extent / 16.0, bottom, 10)
         return [ed.box_dimension(cloud, scales=scales).value]
 
-    def assouad():
-        return [ed.assouad_dimension(p.cloud, seed=seed).value]
-
-    def lower():
-        # smaller ratios push the window floor deep enough that the thin
-        # cusp horns, where the lower dimension is attained, are seen;
-        # the wide default window never leaves the typical part
-        return [ed.lower_dimension(p.cloud, ratios=(4.0, 8.0, 16.0), seed=seed).value]
-
+    # smaller ratios push the lower window's floor deep enough that the
+    # thin cusp horns, where the lower dimension is attained, are seen;
+    # the wide default window never leaves the typical part
+    windows = functools.cache(
+        lambda: ed.window_sweep(p.cloud, [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))], seed=seed)
+    )
     _add_rows(report, ["dim_H"], predicted, tol, box)
-    _add_rows(report, ["dim_A"], predicted, tol, assouad)
-    _add_rows(report, ["dim_L"], predicted, tol, lower)
+    _add_rows(report, ["dim_A"], predicted, tol, lambda: [windows()[0].extreme("assouad").value])
+    _add_rows(report, ["dim_L"], predicted, tol, lambda: [windows()[1].extreme("lower").value])
 
     # measure stages: deep-band empirical measure, regularity sweep in
     # the window the finite budget actually supports, local dimensions
@@ -569,10 +567,12 @@ def _verify_geometrically_infinite(g, cloud, tol, seed, report):
         "geometrically infinite: closed-form dimension profile not applicable",
     )
     predicted = {"box": float(g.metadata.get("beta", 1.0)), "lower": 0.0, "assouad": 1.0}
+    # both extremes read the same windows
+    windows = functools.cache(lambda: ed.window_sweep(cloud, [(None, (8.0, 64.0))], seed=seed)[0])
     rows = (
         ("box", "ge", lambda: [ed.box_dimension(cloud).value]),
-        ("lower", "le", lambda: [ed.lower_dimension(cloud, seed=seed).value]),
-        ("assouad", "ge", lambda: [ed.assouad_dimension(cloud, seed=seed).value]),
+        ("lower", "le", lambda: [windows().extreme("lower").value]),
+        ("assouad", "ge", lambda: [windows().extreme("assouad").value]),
     )
     for name, direction, estimate in rows:
         _add_rows(report, [name], predicted, tol, estimate, direction)

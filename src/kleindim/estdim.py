@@ -19,11 +19,23 @@ scales, which cancels the window's multiplicative constant (a ball
 that is nearly full at one scale no longer reads as inflated
 dimension).
 
-The window sweep computes each ball's covering counts from the ball's
-shell, not from all its points.  The grid offsets of ``covering_count``
+One window sweep (:func:`window_sweep`) serves every ratio set that a
+caller reads one cloud with: the sets share the sampled centres, each
+centre's distances are computed and sorted once, and a (radius, ratio)
+that two sets share is counted once.  ``assouad_dimension`` and
+``lower_dimension`` are one-set readers of it.  Each set comes back as
+arrays over (centre, radius) (:class:`Windows`): covering counts, ball
+populations and exponents fitted for all windows at once.  The array
+fit may round apart from scipy's in the last bit, so it only picks the
+candidates: every window within ``EXTREME_SLACK`` of the array extreme
+is fitted again exactly, and the repr of its witness breaks ties.
+
+The sweep computes each ball's covering counts from the ball's shell,
+not from all its points.  The grid offsets of ``covering_count``
 depend on the scale alone, so every (radius, ratio, offset) grid labels
-the cells of the whole cloud once.  For a ball B(x, R) and a grid of
-side r, a count splits into two parts:
+the cells of the whole cloud once, with the cell ranks that
+``covering_count`` counts (:func:`_dense_labels`).  For a ball B(x, R)
+and a grid of side r, a count splits into two parts:
 
 * the occupied cells wholly inside the ball, counted once per grid and
   centre from the grid's sorted cell keys, row by row;
@@ -44,13 +56,17 @@ witness equals that of ``covering_count`` on the ball's points:
 
 The points of a centre's largest ball are sorted by squared distance
 once; each smaller ball is a prefix of that order and each shell a
-slice of it.  A d = 1 cloud is a single grid row of the same code.
+slice of it.  A grid keeps its labels in the narrowest unsigned dtype
+that holds them, and a shell's labels are offset into one shared
+numbering as they are gathered.  A d = 1 cloud is a single grid row of
+the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,6 +81,19 @@ BOX_SCALES = 12
 GROWTH_WINDOW = 3.5
 # the growth fit errors when its stderr exceeds this share of the slope
 GROWTH_MAX_REL_STDERR = 0.1
+# a grid whose key span holds at most this many keys per point ranks its
+# cells through an occupancy mask, five bytes a key, rather than by a
+# sort of its points; the finest grids of the distance-9.5 gasket sample
+# span 21 keys a point and sort, the coarser ones take the mask
+DENSE_SPAN = 16
+# window slopes within this of the array extreme are fitted again one by
+# one, since the array fit may round apart from it in the last bit
+EXTREME_SLACK = 1e-12
+# why a window set reads nothing when no radius or centre is left
+_UNRESOLVED = (
+    "no sample window resolves every requested ratio above twice the "
+    "resolution; supply coarser radii or smaller ratios"
+)
 
 
 @dataclass
@@ -159,6 +188,27 @@ def _grid_offsets(r: float, d: int, offsets: int = GRID_OFFSETS) -> list:
     ]
 
 
+def _dense_labels(keys: np.ndarray) -> tuple:
+    """(occupied, labels, below) of the non-negative int64 cell ``keys``:
+    the distinct keys in increasing order, each key's index among them
+    (``np.unique``'s inverse), and a function that maps an array of keys
+    to the number of distinct keys below each.
+
+    A span of at most ``DENSE_SPAN`` keys per point is ranked through an
+    occupancy mask and its running sum; a wider one, by sorting.  Both
+    give the same ranks."""
+    span = int(keys.max()) + 1
+    if span > DENSE_SPAN * len(keys):
+        occupied, labels = np.unique(keys, return_inverse=True)
+        return occupied, labels, partial(np.searchsorted, occupied)
+    mask = np.zeros(span, dtype=bool)
+    mask[keys] = True
+    below = np.zeros(span + 1, dtype=np.int32)
+    np.cumsum(mask, dtype=np.int32, out=below[1:])
+    # clipped, a key past the span has every occupied key below it
+    return np.flatnonzero(mask), below[keys], partial(below.take, mode="clip")
+
+
 def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) -> int:
     """Number of r-grid cells hit, minimized over a few grid offsets.
 
@@ -169,7 +219,7 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
         return 0
     plane = _plane(coords)
     return min(
-        len(np.unique(_cell_keys(plane, r, off)[0]))
+        len(_dense_labels(_cell_keys(plane, r, off)[0])[0])
         for off in _grid_offsets(r, coords.shape[1], offsets)
     )
 
@@ -286,15 +336,15 @@ def _inner_columns(du, u1, rho2):
 def _sweep_grid(plane, centers, r, offset, rho2, reach):
     """One grid of the window sweep: side r, shifted by ``offset``.
 
-    Returns the dense cell label of each point (a column of ``plane``);
-    the row and column of each label; each centre's (row, column)
-    position u0, u1 in cell units; and per centre, the number of
-    occupied cells wholly inside its ball of squared radius ``rho2`` in
-    cell units.  A ball meets no row more than ``reach`` rows from its
-    centre's.
+    Returns the cell label of each point (a column of ``plane``), in the
+    narrowest unsigned dtype that holds it; the row and column of each
+    label; each centre's (row, column) position u0, u1 in cell units;
+    and per centre, the number of occupied cells wholly inside its ball
+    of squared radius ``rho2`` in cell units.  A ball meets no row more
+    than ``reach`` rows from its centre's.
     """
     keys, low, width = _cell_keys(plane, r, offset)
-    occupied, labels = np.unique(keys, return_inverse=True)
+    occupied, labels, below = _dense_labels(keys)
     rows, cols = np.divmod(occupied, width)
     nrows = int(rows[-1]) + 1
     u = (centers - offset) / r - low
@@ -303,79 +353,114 @@ def _sweep_grid(plane, centers, r, offset, rho2, reach):
     lo, hi = _inner_columns(near_rows - u[:, :1], u[:, 1:], rho2)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, width - 1)
     start = near_rows.astype(np.int64) * width
-    hits = np.searchsorted(occupied, start + hi.astype(np.int64), "right")
-    hits -= np.searchsorted(occupied, start + lo.astype(np.int64), "left")
+    hits = below(start + hi.astype(np.int64) + 1) - below(start + lo.astype(np.int64))
     inner = np.where(lo <= hi, hits, 0).sum(axis=1)
     narrow = np.min_scalar_type(max(nrows, width))
-    rows, cols = rows.astype(narrow), cols.astype(narrow)
-    return labels.astype(np.int32), rows, cols, u[:, 0], u[:, 1], inner
+    labels = labels.astype(np.min_scalar_type(len(occupied) - 1))
+    return labels, rows.astype(narrow), cols.astype(narrow), u[:, 0], u[:, 1], inner
 
 
-def _sweep_grids(plane, d, centers, radii, ratios) -> tuple:
-    """The grids of a window sweep, one per (radius, ratio, offset) and
-    numbered in that order; cell labels run on from one grid to the next.
+def _sweep_counts(cloud: PointCloud, centers: np.ndarray, pairs: list) -> tuple:
+    """Covering counts of the balls B(x, R) at scale R / q for every
+    centre x and every (R, q) in ``pairs``, each equal to
+    ``covering_count`` on the ball's points.
 
-    Returns per (radius, ratio) the (offset, point) labels; each label's
-    row and column; each grid's first label and squared ball radius in
-    cell units; and the (centre, grid) arrays of u0, u1 and inner counts
-    of :func:`_sweep_grid`.
+    Returns (counts, radii, ball_points): ``counts[c, k]`` for centre c
+    and pair k; the distinct radii, increasing; and ``ball_points[c, j]``,
+    the number of points within ``radii[j]`` of centre c.
+
+    Each (R, q) has one grid per offset of ``covering_count``, and every
+    grid labels the cells of the whole cloud once.  A count is the
+    number of occupied cells wholly inside the ball, counted per grid
+    and centre, plus the number of other cells that hold points of the
+    ball's shell; the module docstring says why that is exact.
     """
+    plane = _plane(cloud.coords)
     plane_centers = _plane(centers).T
-    labels, parts, first, rho2 = [], [], [], []
+    # per pair, the (offset, point) labels local to each grid, and the
+    # offset of each grid's labels among those of all grids
+    tables, firsts = [], []
+    cell_rows, cell_cols, u0, u1, inner, rho2 = [], [], [], [], [], []
     n_labels = 0
-    for R in radii:
-        for q in ratios:
-            per_offset = []
-            for off in _grid_offsets(R / q, d):
-                # a whisker inside the ball: a cell found inside holds
-                # only points that the ball's own test admits
-                rho = R * (1.0 - 1e-9) / (R / q)
-                part = _sweep_grid(plane, plane_centers, R / q, off, rho * rho, math.ceil(q) + 2)
-                per_offset.append(part[0] + n_labels)
-                first.append(n_labels)
-                n_labels += len(part[1])
-                parts.append(part[1:])
-                rho2.append(rho * rho)
-            labels.append(np.stack(per_offset))
-    rows, cols, u0, u1, inner = zip(*parts)
-    return (
-        labels,
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.array(first),
-        np.array(rho2),
-        np.column_stack(u0),
-        np.column_stack(u1),
-        np.column_stack(inner),
+    for R, q in pairs:
+        per_offset = []
+        for off in _grid_offsets(R / q, cloud.d):
+            # a whisker inside the ball: a cell found inside holds only
+            # points that the ball's own test admits
+            rho = R * (1.0 - 1e-9) / (R / q)
+            part = _sweep_grid(plane, plane_centers, R / q, off, rho * rho, math.ceil(q) + 2)
+            per_offset.append(part[0])
+            firsts.append(n_labels)
+            n_labels += len(part[1])
+            for out, value in zip((cell_rows, cell_cols, u0, u1, inner), part[1:]):
+                out.append(value)
+            rho2.append(rho * rho)
+        tables.append(np.stack(per_offset))
+    firsts = np.array(firsts, dtype=np.intp).reshape(len(pairs), -1, 1)
+    grid_of = np.repeat(
+        np.arange(len(rho2), dtype=np.min_scalar_type(len(rho2) - 1)),
+        [len(rows) for rows in cell_rows],
     )
+    cell_rows, cell_cols = np.concatenate(cell_rows), np.concatenate(cell_cols)
+    u0, u1, inner = np.column_stack(u0), np.column_stack(u1), np.column_stack(inner)
+    rho2 = np.array(rho2)
+
+    cols = plane[2 - cloud.d :]
+    radii = sorted({R for R, _ in pairs})
+    pair_radius = np.searchsorted(radii, [R for R, _ in pairs])
+    sq_radii = np.array([R * R for R in radii])
+    # a point nearer the centre than R - sqrt(2) r lies in a cell wholly
+    # inside the ball; the margin keeps rounding on that side, and below
+    # ratio sqrt(2) no point does
+    inside = np.array([R - math.sqrt(2.0) * R / q - 1e-6 * R for R, q in pairs])
+    bounds = np.concatenate([sq_radii, np.where(inside > 0.0, inside * inside, -1.0)])
+    counts = np.empty((len(centers), len(pairs)), dtype=np.int64)
+    ball_points = np.empty((len(centers), len(radii)), dtype=np.int64)
+    stamp = np.empty(n_labels, dtype=np.int32)
+    steps = np.arange(0, dtype=np.int32)
+    shell = np.empty(0, dtype=np.intp)
+    for c, center in enumerate(centers):
+        d2 = _sq_dists(cols, center)
+        near = np.flatnonzero(d2 <= sq_radii[-1])
+        near_d2 = d2[near]
+        order = np.argsort(near_d2)
+        near = near[order]
+        # every ball holds its centre, so no prefix is empty
+        ends = np.searchsorted(near_d2[order], bounds, side="right")
+        ball_points[c] = ends[: len(radii)]
+        starts = ends[len(radii) :]
+        ends = ends[pair_radius]
+        sizes = firsts.shape[1] * (ends - starts)
+        stops = np.cumsum(sizes).tolist()
+        if stops[-1] > len(shell):
+            shell = np.empty(stops[-1], dtype=np.intp)
+            steps = np.arange(stops[-1], dtype=np.int32)
+        # the global labels of every (radius, ratio) shell, offset by offset
+        for table, first, s, e, stop, size in zip(
+            tables, firsts, starts.tolist(), ends.tolist(), stops, sizes.tolist()
+        ):
+            if size:
+                out = shell[stop - size : stop].reshape(len(first), -1)
+                np.add(table.take(near[s:e], axis=1), first, out=out)
+        labels = shell[: stops[-1]]
+        # exactly one write to each label survives, whatever order the
+        # repeated writes land in, so the survivors are the distinct cells
+        stamp[labels] = steps[: len(labels)]
+        cells = labels[stamp.take(labels) == steps[: len(labels)]]
+        g = grid_of[cells]
+        lo, hi = _inner_columns(cell_rows[cells] - u0[c, g], u1[c, g], rho2[g])
+        col = cell_cols[cells]
+        outer = np.bincount(g[(col < lo) | (col > hi)], minlength=len(rho2))
+        counts[c] = (inner[c] + outer).reshape(len(pairs), -1).min(axis=1)
+    return counts, radii, ball_points
 
 
-def _window_slopes(
-    cloud: PointCloud,
-    radii: Optional[Sequence[float]],
-    ratios: Sequence[float],
-    n_centers: int,
-    seed: int,
-):
-    """All (slope, witness) pairs of local covering exponents.
-
-    A window is a centre x with an outer radius R; its exponent comes
-    from the covering counts of B(x, R) at the inner scales r = R/q
-    over the requested ratios q.  One ratio gives the plain quotient
-    log N / log(R/r).  Several ratios give the least-squares slope of
-    log N against log(R/r), so the window's multiplicative constant
-    drops out instead of polluting the exponent by log C / log q.
-
-    A window only contributes when every requested inner scale sits
-    above the resolution floor; mixing windows fitted over different
-    scale sets would make the extrema incomparable.
-
-    The counts equal ``covering_count`` on each ball's points.  Each is
-    the number of occupied cells wholly inside the ball, counted per
-    grid and centre, plus the number of other cells that hold points of
-    the ball's shell; the module docstring says why that is exact.
-    """
-    coords = cloud.coords
+def _window_ladder(cloud: PointCloud, radii, ratios) -> tuple:
+    """(radii, ratios) of one set's windows: the ratios sorted, and the
+    radii in the given order, or eight from a quarter of the extent
+    down, less those whose smallest inner scale falls below the floor.
+    Raises ``ValueError`` for ratios that cannot form a window and when
+    no radius is left."""
     floor = MIN_SCALE_FACTOR * cloud.resolution
     ratios = sorted(float(q) for q in ratios)
     if not ratios or ratios[0] <= 1.0:
@@ -385,85 +470,153 @@ def _window_slopes(
     if radii is None:
         top = cloud.extent() / 4.0
         lo = floor * ratios[-1]
-        if top <= lo:
-            radii = [top]
-        else:
-            radii = np.geomspace(top, lo, 8)
+        radii = [top] if top <= lo else np.geomspace(top, lo, 8)
     radii = [float(R) for R in radii]
     radii = [R for R in radii if R / ratios[-1] >= floor * (1.0 - 1e-9)]
-    centers = coords[_farthest_point_sample(coords, n_centers, seed)]
-    if not radii or len(centers) == 0:
-        raise ValueError(
-            "no sample window resolves every requested ratio above twice "
-            "the resolution; supply coarser radii or smaller ratios"
-        )
-    plane = _plane(coords)
-    labels, cell_rows, cell_cols, first, rho2, u0, u1, inner = _sweep_grids(
-        plane, cloud.d, centers, radii, ratios
-    )
-    stamp = np.empty(len(cell_rows), dtype=np.int32)
-    steps = np.arange(0, dtype=np.int32)
+    if not radii:
+        raise ValueError(_UNRESOLVED)
+    return radii, ratios
 
-    cols = plane[2 - cloud.d :]
+
+def _array_slopes(counts: np.ndarray, ratios: Sequence[float]) -> np.ndarray:
+    """The exponents of windows whose counts run along the last axis, all
+    at once: within a few ulps of :meth:`Windows.window`'s exact fit."""
     log_q = np.log(ratios)
-    sq_radii = np.array([R * R for R in radii])
-    # a point nearer the centre than R - sqrt(2) r lies in a cell wholly
-    # inside the ball; the margin keeps rounding on that side, and below
-    # ratio sqrt(2) no point does
-    inside = np.array([R - math.sqrt(2.0) * R / q - 1e-6 * R for R in radii for q in ratios])
-    sq_inside = np.where(inside > 0.0, inside * inside, -1.0)
-    windows = [[] for _ in radii]
-    for ci, center in enumerate(centers):
-        d2 = _sq_dists(cols, center)
-        near = np.flatnonzero(d2 <= sq_radii.max())
-        order = np.argsort(d2[near])
-        near = near[order]
-        near_d2 = d2[near]
-        # every ball holds its centre, so no prefix is empty
-        ends = np.searchsorted(near_d2, sq_radii, side="right").tolist()
-        starts = np.searchsorted(near_d2, sq_inside, side="right").tolist()
-        # the shells of every (radius, ratio) at once, each through the
-        # labels of its grids
-        shell = np.concatenate(
-            [
-                np.take(per_offset, near[s : ends[i // len(ratios)]], axis=1).ravel()
-                for i, (per_offset, s) in enumerate(zip(labels, starts))
-            ]
+    y = np.log(counts)
+    if len(ratios) == 1:
+        return y[..., 0] / log_q[0]
+    xc = log_q - log_q.mean()
+    return (y - y.mean(axis=-1, keepdims=True)) @ xc / (xc @ xc)
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """The sample windows of one ratio set: every centre x with every
+    outer radius R, read at the inner scales R / q of the set's ratios.
+
+    ``counts[c, i, j]`` is the covering count of B(centers[c], radii[i])
+    at scale radii[i] / ratios[j], ``ball_points[c, i]`` the number of
+    points in that ball, and ``slopes[c, i]`` the window's exponent as
+    fitted for every window at once.  A set without a window to read
+    holds the reason in ``error`` and no arrays.
+    """
+
+    cloud: PointCloud
+    ratios: tuple = ()
+    radii: tuple = ()
+    centers: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
+    ball_points: Optional[np.ndarray] = None
+    slopes: Optional[np.ndarray] = None
+    error: str = ""
+
+    def window(self, c: int, i: int) -> tuple:
+        """(exponent, witness) of the window at centre c and radius i,
+        the exponent fitted as scipy's ``linregress`` fits it."""
+        R = self.radii[i]
+        counts = self.counts[c, i].tolist()
+        scales = [R / q for q in self.ratios]
+        log_q = np.log(self.ratios)
+        witness = {"center": self.centers[c].tolist(), "R": R}
+        if len(self.ratios) == 1:
+            slope = math.log(counts[0]) / log_q[0]
+            witness.update(r=scales[0], count=counts[0])
+        else:
+            slope = _lstsq_slope(log_q, np.log(counts))
+            witness.update(scales=scales, counts=counts)
+        witness["ball_points"] = int(self.ball_points[c, i])
+        return slope, witness
+
+    def extreme(self, method: str) -> DimensionEstimate:
+        """The ``assouad`` estimate, the largest window exponent, or the
+        ``lower`` one, the smallest; the ``repr`` of the witness breaks
+        ties, and windows count radius by radius, centre by centre.
+
+        The array exponents pick the candidates; each window within
+        ``EXTREME_SLACK`` of their extreme is fitted again exactly.
+        Raises ``ValueError`` for a cloud of fewer than two points and
+        for a set without a window."""
+        sign = {"assouad": -1.0, "lower": 1.0}[method]
+        _require_two_points(self.cloud, method)
+        if self.error:
+            raise ValueError(self.error)
+        keys = sign * self.slopes.T.ravel()
+        n = len(self.centers)
+        best, witness = min(
+            (self.window(k % n, k // n) for k in np.flatnonzero(keys <= keys.min() + EXTREME_SLACK)),
+            key=lambda t: (sign * t[0], repr(t[1])),
         )
-        if len(shell) > len(steps):
-            steps = np.arange(len(shell), dtype=np.int32)
-        # exactly one write to each label survives, whatever order the
-        # repeated writes land in, so the survivors are the distinct cells
-        stamp[shell] = steps[: len(shell)]
-        cells = shell[stamp[shell] == steps[: len(shell)]]
-        g = np.searchsorted(first, cells, side="right") - 1
-        lo, hi = _inner_columns(cell_rows[cells] - u0[ci, g], u1[ci, g], rho2[g])
-        col = cell_cols[cells]
-        outer = np.bincount(g[(col < lo) | (col > hi)], minlength=len(rho2))
-        per_grid = inner[ci] + outer
-        per_window = per_grid.reshape(len(radii), len(ratios), -1).min(axis=2).tolist()
-        for R, m, counts, out in zip(radii, ends, per_window, windows):
-            scales = [R / q for q in ratios]
-            if len(ratios) == 1:
-                slope = math.log(counts[0]) / log_q[0]
-                witness = {
-                    "center": center.tolist(),
-                    "R": R,
-                    "r": scales[0],
-                    "count": counts[0],
-                    "ball_points": m,
-                }
-            else:
-                slope = _lstsq_slope(log_q, np.log(counts))
-                witness = {
-                    "center": center.tolist(),
-                    "R": R,
-                    "scales": scales,
-                    "counts": counts,
-                    "ball_points": m,
-                }
-            out.append((slope, witness))
-    return [w for out in windows for w in out]
+        return DimensionEstimate(
+            value=float(np.clip(best, 0.0, self.cloud.d)),
+            method=method,
+            diagnostics={"slope_raw": best, "witness": witness, "n_samples": keys.size},
+        )
+
+
+def window_sweep(
+    cloud: PointCloud,
+    sets: Sequence[tuple],
+    n_centers: int = 512,
+    seed: int = 0,
+) -> list:
+    """The :class:`Windows` of each (radii, ratios) set in ``sets``.
+
+    A window is a centre x with an outer radius R; its exponent comes
+    from the covering counts of B(x, R) at the inner scales r = R/q
+    over the set's ratios q.  One ratio gives the plain quotient
+    log N / log(R/r).  Several ratios give the least-squares slope of
+    log N against log(R/r), so the window's multiplicative constant
+    drops out instead of polluting the exponent by log C / log q.
+    Radii None give eight from a quarter of the extent down to the
+    floor times the largest ratio.
+
+    A window only contributes when every inner scale of its set sits
+    above the resolution floor; mixing windows fitted over different
+    scale sets would make the extrema incomparable.  A set left without
+    a window, or with ratios that form none, gets its reason in
+    ``error`` while the other sets read.
+
+    Every set reads the same centres, a farthest-point sample of
+    ``n_centers`` points.  One sweep serves all sets: each centre's
+    distances are computed and sorted once, and a (radius, ratio) that
+    several sets share is counted once.
+    """
+    ladders = []
+    for radii, ratios in sets:
+        try:
+            ladders.append(_window_ladder(cloud, radii, ratios))
+        except ValueError as e:
+            ladders.append(e)
+    usable = [ladder for ladder in ladders if not isinstance(ladder, ValueError)]
+    centers = cloud.coords[:0]
+    if usable and cloud.n >= 2:
+        centers = cloud.coords[_farthest_point_sample(cloud.coords, n_centers, seed)]
+    if not len(centers):
+        # no centre to read a window at
+        errors = [str(e) if isinstance(e, ValueError) else _UNRESOLVED for e in ladders]
+        return [Windows(cloud, error=error) for error in errors]
+    pairs = sorted({(R, q) for radii, ratios in usable for R in radii for q in ratios})
+    counts, radii_swept, ball_points = _sweep_counts(cloud, centers, pairs)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    out = []
+    for ladder in ladders:
+        if isinstance(ladder, ValueError):
+            out.append(Windows(cloud, error=str(ladder)))
+            continue
+        radii, ratios = ladder
+        set_counts = counts[:, [[index[R, q] for q in ratios] for R in radii]]
+        out.append(
+            Windows(
+                cloud,
+                tuple(ratios),
+                tuple(radii),
+                centers,
+                set_counts,
+                ball_points[:, np.searchsorted(radii_swept, radii)],
+                _array_slopes(set_counts, ratios),
+            )
+        )
+    return out
 
 
 def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -509,21 +662,6 @@ def _linear_fit(x, y) -> tuple:
     return float(slope), float(r), float(stderr)
 
 
-def _extreme_window(cloud, radii, ratios, n_centers, seed, method, sign):
-    """The window slope that ``sign`` times the slope makes smallest, the
-    ``repr`` of its witness breaking ties.  A cloud of fewer than two
-    points has no window to read and raises ``ValueError``."""
-    _require_two_points(cloud, method)
-    slopes = _window_slopes(cloud, radii, ratios, n_centers, seed)
-    slopes.sort(key=lambda t: (sign * t[0], repr(t[1])))
-    best, witness = slopes[0]
-    return DimensionEstimate(
-        value=float(np.clip(best, 0.0, cloud.d)),
-        method=method,
-        diagnostics={"slope_raw": best, "witness": witness, "n_samples": len(slopes)},
-    )
-
-
 def assouad_dimension(
     cloud: PointCloud,
     radii: Optional[Sequence[float]] = None,
@@ -531,8 +669,9 @@ def assouad_dimension(
     n_centers: int = 512,
     seed: int = 0,
 ) -> DimensionEstimate:
-    """Assouad dimension estimate: worst-case local covering exponent."""
-    return _extreme_window(cloud, radii, ratios, n_centers, seed, "assouad", -1.0)
+    """Assouad dimension estimate: worst-case local covering exponent
+    (:func:`window_sweep`, :meth:`Windows.extreme`)."""
+    return window_sweep(cloud, [(radii, ratios)], n_centers, seed)[0].extreme("assouad")
 
 
 def lower_dimension(
@@ -542,8 +681,9 @@ def lower_dimension(
     n_centers: int = 512,
     seed: int = 0,
 ) -> DimensionEstimate:
-    """Lower dimension estimate: best-case (thinnest) local covering exponent."""
-    return _extreme_window(cloud, radii, ratios, n_centers, seed, "lower", 1.0)
+    """Lower dimension estimate: best-case (thinnest) local covering
+    exponent (:func:`window_sweep`, :meth:`Windows.extreme`)."""
+    return window_sweep(cloud, [(radii, ratios)], n_centers, seed)[0].extreme("lower")
 
 
 # ---------------------------------------------------------------------------

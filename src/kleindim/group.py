@@ -51,6 +51,9 @@ HASH_BLOCK = 4096
 # relative slack per unit squared letter norm of the norm prefilter
 # (see _reach_cuts)
 REACH_MARGIN = 1e-12
+# chunks of fewer frontier rows skip the norm prefilter: its fixed cost,
+# about eight numpy calls, exceeds the products it saves there
+REACH_MIN_ROWS = 64
 # the walk's hashes of recent levels fold into the sorted array of all
 # older ones once they outnumber this share of it, so that a level
 # merges its new hashes into a small array rather than a large one
@@ -431,7 +434,8 @@ def enumerate_orbit(
     (:func:`_pair_products`, bit for bit einsum's) and then kept by the
     exact distance test are those a walk multiplying every candidate
     keeps, in the same order.  A walk bounded by ``max_word_length``
-    alone skips nothing.
+    alone skips nothing, and neither does a chunk of fewer than
+    ``REACH_MIN_ROWS`` rows, whose products the exact test alone decides.
     """
     if max_dist is None and max_word_length is None:
         raise ValueError("need max_dist or max_word_length")
@@ -488,7 +492,8 @@ def enumerate_orbit(
             # no letter undoes the previous one, and products whose norm
             # estimate lies beyond the horizon are never formed
             near = letter_ids != (frontier_last[start : start + chunk_rows, None] ^ 1)
-            near &= _within_reach(cols, forms, cut)
+            if cols.shape[1] >= REACH_MIN_ROWS:
+                near &= _within_reach(cols, forms, cut)
             rows = np.flatnonzero(near)
             cand = _pair_products(cols, planes, rows)
             dists = _orbit_dists(cand)

@@ -149,8 +149,9 @@ def test_criterion_02_growth_exponent(deep):
 
 
 def test_criterion_03_gasket_dimension_suite(deep):
-    hi = ed.assouad_dimension(deep.cloud).value
-    lo = ed.lower_dimension(deep.cloud, ratios=(4.0, 8.0, 16.0)).value
+    assouad, lower = ed.window_sweep(deep.cloud, [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))])
+    hi = assouad.extreme("assouad").value
+    lo = lower.extreme("lower").value
     extras = np.array([point for _, _, point in deep.cusp_points])
     upper, _ = ps.regularity_exponents(
         deep.measure,
@@ -479,8 +480,9 @@ def test_criterion_08_infinite_group_example():
         10,
     )
     box = ed.box_dimension(cloud, scales=scales).value
-    lo = ed.lower_dimension(cloud).value
-    hi = ed.assouad_dimension(cloud).value
+    windows = ed.window_sweep(cloud, [(None, (8.0, 64.0))])[0]
+    lo = windows.extreme("lower").value
+    hi = windows.extreme("assouad").value
     ok = box >= beta - 0.1 and lo <= 0.2 and hi >= 0.9
     report(
         "criterion 08 infinite group example",

@@ -657,6 +657,26 @@ class TestVerify:
         code = cli.main(["verify", group, "--budget-dist", "8", "--out", out])
         assert (code, report_rows(out)) == VERIFY_MATRIX_AT_8[group]
 
+    @pytest.mark.parametrize(
+        "argv", [["apollonian", "--budget-dist", "8"], ["infinite_fuchsian"]], ids=lambda a: a[0]
+    )
+    def test_both_extremes_read_one_sweep(self, tmp_path, monkeypatch, argv):
+        # dim_A and dim_L (lower and assouad on the infinite branch) read
+        # the windows of one sweep of the cloud
+        calls = []
+        sweep_counts = ed._sweep_counts
+
+        def counted(*args):
+            calls.append(args)
+            return sweep_counts(*args)
+
+        monkeypatch.setattr(ed, "_sweep_counts", counted)
+        cli.main(["verify", *argv, "--out", str(tmp_path / "report.txt")])
+        extremes = ("dim_A", "dim_L", "lower", "assouad")
+        rows = [s for name, s in report_rows(str(tmp_path / "report.txt")) if name in extremes]
+        assert len(calls) == 1
+        assert len(rows) == 2 and not any(s.startswith("error") for s in rows)
+
     def test_flat_cusp_profile_is_an_error_row(self, tmp_path):
         # at depth 8 the 103-atom measure puts the same atoms in all 13
         # balls of the cusp window; the flat profile used to read a slope

@@ -21,6 +21,7 @@ from scipy.stats import linregress
 
 from kleindim import estdim as ed
 from kleindim import group as gr
+from kleindim.pipeline import Pipeline
 
 
 def cantor_cloud(depth: int) -> ed.PointCloud:
@@ -101,6 +102,19 @@ class TestCoveringCount:
         assert 1 <= n <= len(pts)
         perm = rng.permutation(len(pts))
         assert ed.covering_count(pts[perm], r) == n
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 40, 10**6, 2**40]))
+    def test_dense_labels_match_unique(self, seed, span):
+        # small spans take the occupancy mask, wide ones the sort
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, span, int(rng.integers(1, 300)))
+        occupied, labels, below = ed._dense_labels(keys)
+        want_occupied, want_labels = np.unique(keys, return_inverse=True)
+        assert np.array_equal(occupied, want_occupied)
+        assert np.array_equal(labels, want_labels)
+        probe = np.concatenate([keys, keys + 1, [-3, 0, keys.max() + 2, span + 5]])
+        assert np.array_equal(below(probe), np.searchsorted(occupied, probe))
 
     def test_min_over_offsets_helps(self):
         # points straddling an aligned cell wall: offset 0 needs two
@@ -338,49 +352,181 @@ def lattice_cloud(side: int) -> ed.PointCloud:
     )
 
 
+def all_windows(windows: ed.Windows) -> list:
+    """Every (exponent, witness) of one set, radius by radius."""
+    n = len(windows.centers)
+    return [windows.window(c, i) for i in range(len(windows.radii)) for c in range(n)]
+
+
+SWEEP_CASES = [
+    (cantor_cloud(9), None, (16.0,)),
+    (cantor_cloud(9), None, (4.0, 8.0, 16.0)),
+    (random_cloud(1, 600, 1), None, (8.0, 64.0)),
+    (random_cloud(2, 900, 2), None, (8.0, 64.0)),
+    (random_cloud(3, 900, 2), None, (5.0,)),
+    # 0.001 and 0.01 sit below the floor at ratio 64 and are skipped
+    (random_cloud(4, 700, 2), [0.4, 0.001, 0.2, 0.2, 0.01, 0.15], (8.0, 64.0)),
+    (lattice_cloud(30), [13.0, 5.0, 10.0, 2.0, 1.0], (2.0, 4.0)),
+    (lattice_cloud(30), [5.0, 13.0], (8.0,)),
+    # below ratio sqrt(2) no point lies nearer the centre than
+    # R - sqrt(2) r, and the shell is the whole ball
+    (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.2,)),
+    (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.3, 2.0)),
+    (random_cloud(5, 700, 2), None, (1.1, 1.4)),
+    # R - sqrt(2) r runs through lattice points whose cells reach
+    # the sphere: the shell must start before them
+    (lattice_cloud(30), [math.sqrt(2.0) * k for k in (5, 10, 3)], (5 * math.sqrt(2.0),)),
+    (line_cloud(60), [12.0, 7.0, 5.0, 3.0, 2.0], (2.0, 5.0)),
+    (line_cloud(60), [12.0, 7.0, 3.0, 1.0], (1.5,)),
+    (strip_cloud(6, 900), None, (8.0, 64.0)),
+    (strip_cloud(6, 900), None, (4.0, 8.0, 16.0)),
+]
+
+
+def assert_same_windows(got: ed.Windows, want: ed.Windows) -> None:
+    """Counts, ball populations and array slopes bit for bit, and both
+    extremes with their witnesses."""
+    assert (got.ratios, got.radii) == (want.ratios, want.radii)
+    for name in ("centers", "counts", "ball_points", "slopes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for method in ("assouad", "lower"):
+        a, b = got.extreme(method), want.extreme(method)
+        assert repr((a.value, a.diagnostics)) == repr((b.value, b.diagnostics))
+
+
+# the extremes of lattice_cloud(30) at radii 13, 5, 10, 2 and ratios 2, 4
+# (40 centres, seed 0) as the sort of every window's (slope, witness repr)
+# picked them: two windows tie at the top and 40 at the bottom
+TIED_EXTREMES = (
+    {
+        "slope_raw": 1.8231222379159209,
+        "witness": {
+            "center": [5.0, 9.0], "R": 10.0, "scales": [5.0, 2.5], "counts": [13, 46],
+            "ball_points": 261,
+        },
+        "n_samples": 160,
+    },
+    {
+        "slope_raw": 0.0,
+        "witness": {
+            "center": [0.0, 0.0], "R": 2.0, "scales": [1.0, 0.5], "counts": [6, 6],
+            "ball_points": 6,
+        },
+        "n_samples": 160,
+    },
+)  # fmt: skip
+
+
 class TestWindowSweep:
-    @pytest.mark.parametrize(
-        "cloud, radii, ratios",
-        [
-            (cantor_cloud(9), None, (16.0,)),
-            (cantor_cloud(9), None, (4.0, 8.0, 16.0)),
-            (random_cloud(1, 600, 1), None, (8.0, 64.0)),
-            (random_cloud(2, 900, 2), None, (8.0, 64.0)),
-            (random_cloud(3, 900, 2), None, (5.0,)),
-            # 0.001 and 0.01 sit below the floor at ratio 64 and are skipped
-            (random_cloud(4, 700, 2), [0.4, 0.001, 0.2, 0.2, 0.01, 0.15], (8.0, 64.0)),
-            (lattice_cloud(30), [13.0, 5.0, 10.0, 2.0, 1.0], (2.0, 4.0)),
-            (lattice_cloud(30), [5.0, 13.0], (8.0,)),
-            # below ratio sqrt(2) no point lies nearer the centre than
-            # R - sqrt(2) r, and the shell is the whole ball
-            (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.2,)),
-            (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.3, 2.0)),
-            (random_cloud(5, 700, 2), None, (1.1, 1.4)),
-            # R - sqrt(2) r runs through lattice points whose cells reach
-            # the sphere: the shell must start before them
-            (lattice_cloud(30), [math.sqrt(2.0) * k for k in (5, 10, 3)], (5 * math.sqrt(2.0),)),
-            (line_cloud(60), [12.0, 7.0, 5.0, 3.0, 2.0], (2.0, 5.0)),
-            (line_cloud(60), [12.0, 7.0, 3.0, 1.0], (1.5,)),
-            (strip_cloud(6, 900), None, (8.0, 64.0)),
-            (strip_cloud(6, 900), None, (4.0, 8.0, 16.0)),
-        ],
-    )
+    @pytest.mark.parametrize("cloud, radii, ratios", SWEEP_CASES)
     def test_matches_per_ball_oracle(self, cloud, radii, ratios):
         for seed in (0, 7):
-            got = ed._window_slopes(cloud, radii, ratios, 40, seed)
+            windows = ed.window_sweep(cloud, [(radii, ratios)], 40, seed)[0]
+            got = all_windows(windows)
             want = window_slopes_oracle(cloud, radii, ratios, 40, seed)
             assert got == want
             assert repr(got) == repr(want)
+            # the array exponents that pick the extremes' candidates stay
+            # far inside the slack of their exact fits
+            exact = np.array([slope for slope, _ in got]).reshape(windows.slopes.T.shape)
+            assert np.abs(windows.slopes.T - exact).max() <= 1e-3 * ed.EXTREME_SLACK
+            # each extreme is the first window of the oracle's list sorted
+            # by (signed slope, repr of the witness)
+            for method, sign in (("assouad", -1.0), ("lower", 1.0)):
+                slope, witness = min(want, key=lambda t: (sign * t[0], repr(t[1])))
+                est = windows.extreme(method)
+                assert repr((est.diagnostics["slope_raw"], est.diagnostics["witness"])) == repr(
+                    (slope, witness)
+                )
+                assert est.diagnostics["n_samples"] == len(want)
+
+    @pytest.mark.parametrize("cloud, radii, ratios", SWEEP_CASES)
+    def test_several_sets_match_one_set_sweeps(self, cloud, radii, ratios):
+        sets = [(radii, ratios), (None, (4.0, 8.0, 16.0)), (None, (8.0, 64.0))]
+        for got, (radii_i, ratios_i) in zip(ed.window_sweep(cloud, sets, 40, 7), sets):
+            want = ed.window_sweep(cloud, [(radii_i, ratios_i)], 40, 7)[0]
+            assert_same_windows(got, want)
+
+    def test_several_sets_match_on_the_gasket(self):
+        # the cloud that verify reads at distance 9.5, with its two sets
+        cloud = Pipeline(gr.builtin_group("apollonian"), 9.5).cloud
+        sets = [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))]
+        both = ed.window_sweep(cloud, sets, 128, 3)
+        for got, one in zip(both, sets):
+            assert_same_windows(got, ed.window_sweep(cloud, [one], 128, 3)[0])
+
+    def test_ties_keep_their_witness(self):
+        # the lattice ties dozens of windows at both extremes; the repr of
+        # the witness picks one, as it did when every window was sorted
+        cloud = lattice_cloud(30)
+        windows = ed.window_sweep(cloud, [([13.0, 5.0, 10.0, 2.0], (2.0, 4.0))], 40, 0)[0]
+        exact = [slope for slope, _ in all_windows(windows)]
+        hi = ed.assouad_dimension(cloud, [13.0, 5.0, 10.0, 2.0], (2.0, 4.0), 40, 0)
+        lo = ed.lower_dimension(cloud, [13.0, 5.0, 10.0, 2.0], (2.0, 4.0), 40, 0)
+        assert exact.count(max(exact)) > 1 and exact.count(min(exact)) > 1
+        assert (hi.diagnostics, lo.diagnostics) == TIED_EXTREMES
+
+    def test_extremes_refit_windows_near_the_array_extreme(self):
+        # counts (22, 32) and (44, 64) at ratios 8 and 64 fit slopes one
+        # ulp apart, and the array fit over one centre and eight radii
+        # (numpy 2.4, x86-64) orders them the other way round; each
+        # extreme must be the exact one, whatever the array fit says
+        cloud = random_cloud(2, 900, 2)
+        radii = tuple(0.4 / 2**i for i in range(8))
+        for method, filler, want in (("lower", (1, 64), 0), ("assouad", (5, 5), 1)):
+            counts = np.array([[(22, 32), (44, 64)] + [filler] * 6])
+            windows = ed.Windows(
+                cloud, (8.0, 64.0), radii, cloud.coords[:1], counts, np.full((1, 8), 90),
+                ed._array_slopes(counts, (8.0, 64.0)),
+            )  # fmt: skip
+            exact = [slope for slope, _ in all_windows(windows)]
+            assert exact[0] < exact[1]
+            est = windows.extreme(method)
+            assert est.diagnostics["slope_raw"] == exact[want]
+            assert est.diagnostics["witness"]["counts"] == list(counts[0, want])
+
+    def test_unresolvable_set_errors_alone(self):
+        cloud = random_cloud(2, 900, 2)
+        # 0.05 / 64 lies below twice the resolution; equal ratios fit no slope
+        sets = [([0.05], (64.0,)), (None, (8.0, 8.0)), (None, (8.0, 64.0))]
+        thin, equal, good = ed.window_sweep(cloud, sets, 40, 0)
+        with pytest.raises(ValueError, match="no sample window resolves every requested ratio"):
+            thin.extreme("assouad")
+        with pytest.raises(ValueError, match="several ratios must not all be equal"):
+            equal.extreme("lower")
+        want = ed.window_sweep(cloud, [(None, (8.0, 64.0))], 40, 0)[0]
+        assert_same_windows(good, want)
+
+    def test_identical_sets_build_their_grids_once(self, monkeypatch):
+        calls = []
+        sweep_grid = ed._sweep_grid
+
+        def counted(*args):
+            calls.append(args[2])
+            return sweep_grid(*args)
+
+        monkeypatch.setattr(ed, "_sweep_grid", counted)
+        cloud = random_cloud(2, 900, 2)
+        one = ed.window_sweep(cloud, [(None, (8.0, 64.0))], 40, 0)
+        n_one = len(calls)
+        two = ed.window_sweep(cloud, [(None, (8.0, 64.0)), (None, (8.0, 64.0))], 40, 0)
+        assert n_one == 8 * 2 * ed.GRID_OFFSETS
+        assert len(calls) == 2 * n_one
+        for got in two:
+            assert_same_windows(got, one[0])
 
     def test_memory_stays_below_int64_labels(self):
         # one int64 label per point and grid alone reaches 31 (Assouad)
-        # and 43 (lower) times the coordinates on this cloud
+        # and 43 (lower) times the coordinates on this cloud; a sweep of
+        # both sets holds no more than the two alone
         cloud = gr.sample_limit_set(gr.builtin_group("apollonian"), target_resolution=1e-3)
-        for ratios, bound in (((8.0, 64.0), 30), ((4.0, 8.0, 16.0), 40)):
+        assouad, lower = (None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))
+        for sets, bound in (([assouad], 30), ([lower], 40), ([assouad, lower], 30 + 40)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                ed._window_slopes(cloud, None, ratios, 64, 0)
+                ed.window_sweep(cloud, sets, 64, 0)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
