@@ -40,7 +40,9 @@ def main() -> None:
     family, measure = p.family, p.measure
     ctx = ps.GMFContext(delta=delta, family=family)
 
+    # cusp_points sizes are those of the unsqueezed family
     size, cusp, _ = p.cusp_points[0]
+    size *= family.theta
     print(f"group={args.group} delta={delta:.4f} "
           f"deepest cusp at {cusp.point.coords} rank={cusp.rank} size={size:.4f}")
 

@@ -25,12 +25,11 @@ is a :class:`CuspDetectionError` that names ``bounded_model``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import hypgeom as hg
 from .estdim import PointCloud
@@ -81,6 +80,9 @@ DEDUP_SIZE_REL_TOL = 1e-6
 # buckets over the targets' real span that prefilter the points a cell
 # lookup tests
 CELL_BUCKETS = 1 << 16
+# points per block of the brute-force nearest-reference search, whose
+# two block-sized temporaries then stay in cache
+NEAREST_BLOCK = 1 << 14
 
 
 class NonDiscreteError(ValueError):
@@ -838,11 +840,13 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
 
 @dataclass
 class HoroballFamily:
-    """Disjoint family of horoballs over the detected cusp orbits.
+    """Family of horoballs over the detected cusp orbits.
 
     ``bases``/``sizes`` describe the horoballs (tangent-point diameter
     convention), all based at finite points.  ``theta`` is the dyadic
-    squeeze that was applied to the raw family to make it disjoint.
+    squeeze that was applied to the raw family to make it disjoint;
+    theta = 1 means the family is not squeezed, and its members may
+    overlap (:func:`unsqueezed_horoballs`).
     """
 
     bases: np.ndarray
@@ -939,6 +943,10 @@ def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
     point at height h lies inside a member only within sqrt(s_max h) of
     its base (:meth:`HoroballFamily.deepest`).
     """
+    # the one scipy import of the package: only a family's overlap scan
+    # and deepest-member lookups build KD trees
+    from scipy.spatial import cKDTree
+
     bins = []
     if len(sizes) == 0:
         return bins
@@ -1020,6 +1028,26 @@ def _entry_scales(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats).max(axis=(1, 2))
 
 
+def _nearest_distance(z: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each complex point ``z`` to the nearest of the few
+    complex points ``pts``, as cKDTree's nearest-neighbour query computes
+    it: the square root of the least dx^2 + dy^2.  Each block of
+    ``NEAREST_BLOCK`` points meets the points ``pts`` one at a time."""
+    out = np.full(len(z), np.inf)
+    sq, dy = np.empty(NEAREST_BLOCK), np.empty(NEAREST_BLOCK)
+    for a in range(0, len(z), NEAREST_BLOCK):
+        w = z[a : a + NEAREST_BLOCK]
+        best, s, t = out[a : a + len(w)], sq[: len(w)], dy[: len(w)]
+        for p in pts.tolist():
+            np.subtract(w.real, p.real, out=s)
+            s *= s
+            np.subtract(w.imag, p.imag, out=t)
+            t *= t
+            s += t
+            np.minimum(best, s, out=best)
+    return np.sqrt(out, out=out)
+
+
 def _may_join(mats: np.ndarray, pts: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Indices of the matrices that may carry one of the points ``pts``
     into the cell of another (see :func:`_premerge_refs`).
@@ -1042,9 +1070,8 @@ def _may_join(mats: np.ndarray, pts: np.ndarray, scale: np.ndarray) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         centre, pole = a / c, -d / c
         rows = np.flatnonzero(np.isfinite(centre) & np.isfinite(pole))
-        tree = cKDTree(_xy(pts))
-        rho = tree.query(_xy(pole[rows]))[0]
-        dist = tree.query(_xy(centre[rows]))[0]
+        rho = _nearest_distance(pole[rows], pts)
+        dist = _nearest_distance(centre[rows], pts)
         a, b, c, d, m = a[rows], b[rows], c[rows], d[rows], scale[rows]
         spread = np.abs(a * d - b * c)
         spread += 1e-15 * m * m
@@ -1158,19 +1185,18 @@ def _squeeze_theta(bases: np.ndarray, sizes: np.ndarray) -> float:
     )
 
 
-def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
-    """Invariant disjoint horoball family from enumerated group elements.
+def unsqueezed_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
+    """Invariant horoball family from enumerated group elements, before
+    its squeeze (theta = 1).
 
     One unit reference horoball is placed at a representative of each
     detected cusp orbit and pushed around by every enumerated element.
     If two references turn out to generate horoballs at the same base
     point with different sizes, that proves the two detected orbits are
     really one; the later reference is dropped and construction restarts.
-    Finally every member is shrunk by one dyadic theta = 2^-m: the
-    smallest m that makes the members pairwise disjoint and keeps the base
-    point at height 1 outside all of them.  An overlap scan of the
-    squeezed family accepts theta; it is the only scan when the base point
-    decides m, and a second one runs only when the overlap decides.
+    Members may overlap; :func:`squeeze_horoballs` makes them disjoint.
+    A dyadic squeeze scales every size exactly, so the members' order by
+    size is that of the squeezed family.
     """
     if not cusps.has_cusps:
         raise CuspDetectionError("no parabolic elements found; the group has no cusps")
@@ -1193,19 +1219,31 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
                 "parabolic detection is unreliable for this input"
             )
         active = _fold_refs(refs, active, _components(len(refs), i, j))
-    bases, sizes = bases[keep], sizes[keep]
-    ranks = np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]]
-
-    theta = _squeeze_theta(bases, sizes)
-    sizes *= theta
     return HoroballFamily(
-        bases=bases,
-        sizes=sizes,
-        ranks=ranks,
+        bases=bases[keep],
+        sizes=sizes[keep],
+        ranks=np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]],
         d=orbit.d,
-        theta=theta,
         n_references=len(active),
     )
+
+
+def squeeze_horoballs(family: HoroballFamily) -> HoroballFamily:
+    """The family with every size shrunk by one dyadic theta = 2^-m: the
+    smallest m that makes the members pairwise disjoint and keeps the
+    base point at height 1 outside all of them (:func:`_squeeze_theta`).
+    An overlap scan of the squeezed family accepts theta; it is the only
+    scan when the base point decides m, and a second one runs only when
+    the overlap decides."""
+    theta = _squeeze_theta(family.bases, family.sizes)
+    # the squeezed sizes need trees of their own
+    return replace(family, sizes=family.sizes * theta, theta=theta, _bins=None)
+
+
+def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
+    """Invariant disjoint horoball family from enumerated group elements:
+    :func:`unsqueezed_horoballs`, then :func:`squeeze_horoballs`."""
+    return squeeze_horoballs(unsqueezed_horoballs(orbit, cusps))
 
 
 def _raw_family(mats, refs, active, scale):

@@ -6,6 +6,12 @@ Callers read only the stages they need, in the order they need them,
 so a run that fails at the growth fit never builds a cloud, and the
 horoball family is not held in memory before something reads it.
 
+The horoballs come in two stages: the family before its dyadic
+squeeze, and the squeezed, disjoint family on top of it.  The cusps'
+order by horoball size comes from the first, since a dyadic squeeze
+scales every size exactly; only a reader of the disjoint family itself
+pays for the squeeze's overlap scan.
+
 Every stage calls through the module attributes of ``group``,
 ``estdim`` and ``psmeasure``, so a caller that wraps those attributes
 sees each stage's call.
@@ -81,8 +87,14 @@ class Pipeline:
         return gr.find_cusps(self.orbit)
 
     @cached_property
+    def unsqueezed(self) -> gr.HoroballFamily:
+        """The horoball family before its squeeze (theta = 1)."""
+        return gr.unsqueezed_horoballs(self.orbit, self.cusps)
+
+    @cached_property
     def family(self) -> gr.HoroballFamily:
-        return gr.standard_horoballs(self.orbit, self.cusps)
+        """The disjoint horoball family: :attr:`unsqueezed`, squeezed."""
+        return gr.squeeze_horoballs(self.unsqueezed)
 
     @cached_property
     def cloud(self) -> ed.PointCloud:
@@ -96,5 +108,7 @@ class Pipeline:
 
     @cached_property
     def cusp_points(self) -> list:
-        """The cusps as :func:`deepest_cusp_points` rows."""
-        return deepest_cusp_points(self.cusps, self.family)
+        """The cusps as :func:`deepest_cusp_points` rows of the
+        unsqueezed family: the order and points of the squeezed family's
+        rows, with every size 1 / ``family.theta`` times as large."""
+        return deepest_cusp_points(self.cusps, self.unsqueezed)

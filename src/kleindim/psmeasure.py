@@ -5,7 +5,9 @@ approximated by weighting every enumerated orbit point g(o) with
 exp(-s d(o, g(o))) for the exponent s = (1 + S_MARGIN) delta just above
 the critical exponent, normalizing, and placing each weight at the
 boundary projection of g(o).  The weak limit s -> delta is replaced by
-that fixed margin.
+that fixed margin.  The measure's declared resolution reads the median
+distance from an atom to its eighth-nearest other atom, found exactly
+on grids in numpy (``_kth_neighbour_median``).
 
 The second half of the module is the measure-formula machinery: the
 escape depth rho(z, t) and cusp rank k(z, t) of geodesic ray points
@@ -34,10 +36,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import hypgeom as hg
-from .estdim import _farthest_point_sample, _linear_fit, _sq_dists, poincare_exponent
+from .estdim import _farthest_point_sample, _linear_fit, _plane, _sq_dists, poincare_exponent
 from .group import (
     Cusp,
     GroupPresentation,
@@ -62,6 +63,18 @@ S_MARGIN = 0.05
 MIN_RATIO = 8.0
 # squeezing factors of the shadow mass check
 SQUEEZE_THETAS = (1.0, 0.5, 0.25, 0.125)
+# the declared resolution of a measure reads the distance from each atom
+# to its KNN_K-th nearest atom, itself included
+KNN_K = 9
+# the k-th neighbour median (see _kth_neighbour_median) solves about this
+# many sampled atoms to bracket the median, this many standard deviations
+# of a sample median's rank wide on either side, and forms about this
+# many candidate pairs at a time, which bounds its memory
+KNN_SAMPLE = 2048
+KNN_BRACKET = 5.0
+KNN_PAIRS = 1 << 17
+# the (row, column) offsets of a cell's 3x3 block
+_BLOCK = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
 
 
 class MeasureScaleError(ValueError):
@@ -139,6 +152,189 @@ def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
     return merged, w
 
 
+def _spread_bits(v: np.ndarray) -> np.ndarray:
+    """The low 31 bits of each int64 moved to its even bits: one
+    coordinate's share of a Morton key."""
+    v = v & 0x7FFFFFFF
+    for shift, mask in (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    ):
+        v = (v | (v << shift)) & mask
+    return v
+
+
+def _block_pairs(xy: np.ndarray, pos: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Candidate pairs of the queries ``pos``, columns of the sorted
+    coordinates ``xy``, with the points of the position ranges
+    [start, end) in their rows.  Yields (a, b, q, d2) for consecutive
+    runs pos[a:b] of about ``KNN_PAIRS`` pairs: each pair's query index
+    in the run and its squared distance, summed in coordinate order as
+    cKDTree sums it."""
+    counts = (end - start).sum(axis=1)
+    cum = np.cumsum(counts)
+    bounds = np.searchsorted(cum, np.arange(0, int(cum[-1]), KNN_PAIRS), "right")
+    bounds = np.unique(np.append(bounds, len(pos))).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lens = (end[a:b] - start[a:b]).ravel()
+        stop = np.cumsum(lens)
+        cand = np.arange(int(stop[-1])) + np.repeat(start[a:b].ravel() - stop + lens, lens)
+        q = np.repeat(np.arange(b - a), counts[a:b])
+        at = pos[a:b][q]
+        d2 = (xy[0][at] - xy[0][cand]) ** 2
+        d2 += (xy[1][at] - xy[1][cand]) ** 2
+        yield a, b, q, d2
+
+
+def _kth_smallest(q: np.ndarray, d2: np.ndarray, k: int) -> tuple:
+    """(queries, values): the k-th smallest of each query's ``d2`` values,
+    for the queries of the sorted ``q``, each with k values or more."""
+    order = np.lexsort((d2, q))
+    q = q[order]
+    first = np.flatnonzero(np.diff(q, prepend=-1))
+    return q[first], d2[order[first + k - 1]]
+
+
+def _exact_kth_sq(plane: np.ndarray, rows: np.ndarray, k: int, fine: float) -> np.ndarray:
+    """The squared distances from the points ``rows`` of ``plane``
+    (columns of :func:`estdim._plane` coordinates, at least k) to their
+    k-th nearest points, themselves included, in increasing order.
+
+    The points are sorted once by the Morton key of their cell in a grid
+    of side ``fine``, where every cell of a coarser level l, of side
+    fine 2^l, is one run of keys.  Each query climbs the levels until k
+    points of its 3x3 block of level-l cells lie within fine 2^l, less a
+    margin for the rounding of the cells: every point that near lies in
+    the block, so the k-th smallest of those distances is exact.  A grid
+    2^24 times finer than the points' span resolves every query by
+    level 25."""
+    low = plane.min(axis=1, keepdims=True)
+    ij = np.floor((plane - low) / fine).astype(np.int64)
+    key = _spread_bits(ij[0]) | (_spread_bits(ij[1]) << 1)
+    order = np.argsort(key)
+    key, ij, xy = key[order], ij[:, order], plane[:, order]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    del order
+
+    def blocks(pos, level):
+        shift = level[:, None]
+        a = (ij[0][pos][:, None] >> shift) + _BLOCK[0]
+        b = (ij[1][pos][:, None] >> shift) + _BLOCK[1]
+        first = ((_spread_bits(a) | (_spread_bits(b) << 1)) << (2 * shift)).T
+        # one offset at a time, the keys of queries in key order mostly rise
+        start = np.searchsorted(key, first).T
+        end = np.searchsorted(key, first + (1 << (2 * shift)).T).T
+        # no cell lies before the grid's first row or column
+        np.copyto(end, start, where=(a < 0) | (b < 0))
+        return start, end
+
+    pos = np.sort(rank[rows])
+    # start one level below the lowest whose cell holds k points that
+    # are neighbours in key order: the keys of the first and last of k
+    # such points differ in no bit above that level's
+    first = np.clip(pos[:, None] - np.arange(k), 0, len(key) - k)
+    bits = np.frexp((key[first] ^ key[first + k - 1]).astype(float))[1]
+    level = np.maximum((bits.min(axis=1) + 1) // 2 - 1, 0).astype(np.int64)
+    del first, bits
+    kth = np.empty(len(pos))
+    todo = np.arange(len(pos))
+    while len(todo):
+        start, end = blocks(pos[todo], level[todo])
+        short = []
+        for a, b, q, d2 in _block_pairs(xy, pos[todo], start, end):
+            side = np.ldexp(fine * (1.0 - 1e-6), level[todo[a:b]])
+            near = d2 <= (side * side)[q]
+            q, d2 = q[near], d2[near]
+            enough = np.bincount(q, minlength=b - a) >= k
+            near = enough[q]
+            done, values = _kth_smallest(q[near], d2[near], k)
+            kth[todo[a + done]] = values
+            short.append(a + np.flatnonzero(~enough))
+        todo = todo[np.concatenate(short)]
+        level[todo] += 1
+    kth.sort()
+    return kth
+
+
+def _kth_neighbour_median(coords: np.ndarray, k: int) -> float:
+    """Median over the points of the distance to the k-th nearest point,
+    itself included: ``np.median(cKDTree(coords).query(coords, k)[0][:,
+    -1])`` bit for bit.  Fewer than k points, or a non-finite
+    coordinate, raise ``ValueError``.
+
+    Distances are compared squared, summed in coordinate order as
+    cKDTree sums them; only the one or two middle values are rooted.
+    Up to ``2 KNN_SAMPLE`` points are solved one by one
+    (:func:`_exact_kth_sq`).  Above that, a strided sample of about
+    ``KNN_SAMPLE`` points is solved, and its order statistics lo and hi,
+    ``KNN_BRACKET`` standard deviations of a sample median's rank either
+    side of the middle, most likely bracket the median.  One pass over a
+    grid of side sqrt(hi) (:func:`_bracket_pass`) puts every point's
+    squared k-th distance below lo, above hi or in [lo, hi], by counting
+    the points of its 3x3 block within each bound, and reads the values
+    in [lo, hi] off the block.  When the middle ranks fall among those,
+    the median is read off their sorted values; when the bracket missed,
+    every point is solved one by one."""
+    plane = _plane(coords)
+    n = plane.shape[1]
+    if n < k or not np.isfinite(plane).all():
+        raise ValueError(f"a k-th neighbour median needs {k} or more finite points")
+    extent = float((plane.max(axis=1) - plane.min(axis=1)).max())
+    # the finest grid either pass uses, so that keys fit 64 bits
+    fine = extent * 2.0**-24 if extent > 0 else 1.0
+    middle = [(n - 1) // 2, n // 2]
+    kth = None
+    if n > 2 * KNN_SAMPLE:
+        sample = _exact_kth_sq(plane, np.arange(0, n, n // KNN_SAMPLE), k, fine)
+        m = len(sample)
+        half = KNN_BRACKET * math.sqrt(m) / 2.0
+        lo = sample[max(int(m / 2.0 - half), 0)]
+        hi = sample[min(math.ceil(m / 2.0 + half), m - 1)]
+        n_below, inside = _bracket_pass(plane, k, lo, hi, max(math.sqrt(hi) * (1.0 + 1e-5), fine))
+        if n_below <= middle[0] and middle[1] < n_below + len(inside):
+            kth = np.sort(inside)[[r - n_below for r in middle]]
+    if kth is None:
+        kth = _exact_kth_sq(plane, np.arange(n), k, fine)[middle]
+    return float(np.median(np.sqrt(kth)))
+
+
+def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) -> tuple:
+    """(the number of points whose squared k-th distance lies below
+    ``lo``, the squared k-th distances that lie in [lo, hi]), read off
+    the 3x3 blocks of a row-major grid of ``side`` a whisker above
+    sqrt(hi), which hold every point within sqrt(hi)."""
+    cells = np.floor((plane - plane.min(axis=1, keepdims=True)) / side).astype(np.int64)
+    # an empty column ends each row, so no block wraps onto a point
+    width = int(cells[1].max()) + 2
+    key = cells[0] * width + cells[1]
+    del cells
+    order = np.argsort(key)
+    key, xy = key[order], plane[:, order]
+    del order
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    # each cell's block is three runs of three keys; searched one row of
+    # the block at a time, the keys arrive in increasing order
+    row_start = key[first] + np.array([[-width - 1], [-1], [width - 1]])
+    start = np.searchsorted(key, row_start).T
+    end = np.searchsorted(key, row_start + 3).T
+    del row_start
+    cell = np.repeat(np.arange(len(first)), np.diff(first, append=len(key)))
+    n_below, inside = 0, []
+    for a, b, q, d2 in _block_pairs(xy, np.arange(len(key)), start[cell], end[cell]):
+        near = d2 <= hi
+        q, d2 = q[near], d2[near]
+        below = np.bincount(q[d2 < lo], minlength=b - a) >= k
+        n_below += int(below.sum())
+        between = ~below & (np.bincount(q, minlength=b - a) >= k)
+        near = between[q]
+        inside.append(_kth_smallest(q[near], d2[near], k)[1])
+    return n_below, np.concatenate(inside)
+
+
 def patterson_measure(
     group: GroupPresentation,
     orbit: OrbitData,
@@ -197,8 +393,7 @@ def patterson_measure(
         # ball masses are only smooth above the atom spacing, so the
         # declared reliable scale is the typical distance to the 8th
         # nearest atom, not the finer set-sampling resolution
-        nn = cKDTree(coords).query(coords, k=9)[0][:, -1]
-        resolution = max(resolution, 2.0 * float(np.median(nn)))
+        resolution = max(resolution, 2.0 * _kth_neighbour_median(coords, KNN_K))
     return EmpiricalMeasure(
         coords=coords,
         weights=weights,

@@ -358,7 +358,7 @@ def test_criterion_06a_depth_dichotomies():
 
 def test_criterion_06b_squeeze_slope(deep):
     size, cusp, _ = deep.cusp_points[0]
-    H = hg.Horoball(cusp.point, size, cusp.rank)
+    H = hg.Horoball(cusp.point, size * deep.family.theta, cusp.rank)
     rows = ps.squeeze_mass_check(deep.ctx, deep.measure, H)
     slope = float(
         linregress(

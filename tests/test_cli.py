@@ -8,6 +8,7 @@ second) or a deliberately starved orbit budget.
 """
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -434,14 +435,35 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
-    def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs about a second and 35 MB in every process
-        code = "import sys, kleindim.cli; print('scipy.stats' in sys.modules)"
+    def test_import_leaves_scipy_stats_out(self, tmp_path):
+        # scipy.stats costs about a second and 35 MB in every process, and
+        # scipy.spatial 0.3 s and 36 MB; only the squeezed horoball family
+        # builds KD trees, and verify reads the unsqueezed one
+        code = (
+            "import json, sys\n"
+            "import kleindim\n"
+            "import kleindim.cli as cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = {'import': scipy_modules()}\n"
+            "for g in sys.argv[1:]:\n"
+            "    cli.main(['verify', g, '--budget-dist', '8', '--out', g + '.txt'])\n"
+            "    loaded[g] = scipy_modules()\n"
+            "print(json.dumps(loaded))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code, *VERIFY_MATRIX_AT_8],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {name: [] for name in ["import", *VERIFY_MATRIX_AT_8]}
 
 
 class TestGenerate:
@@ -734,7 +756,7 @@ class TestVerify:
         def fail(*args, **kwargs):
             raise gr.CuspDetectionError("no family")
 
-        monkeypatch.setattr(gr, "standard_horoballs", fail)
+        monkeypatch.setattr(gr, "unsqueezed_horoballs", fail)
         out = str(tmp_path / "report.txt")
         assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
         no_window = "error (budget leaves no trusted regularity window; raise --budget-dist)"

@@ -387,6 +387,13 @@ def _assert_same_premerge(mats, refs):
     assert got.tolist() == _oracle_premerge_refs(mats, refs).labels()
 
 
+def _kdtree_nearest_distance(z, pts):
+    """The premerge's nearest-reference distance as first written, by a
+    KD-tree query over the references."""
+    tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+    return tree.query(np.column_stack([z.real, z.imag]))[0]
+
+
 def _brute_overlap_ratio(bases, sizes):
     """max s_i s_j / |p_i - p_j|^2 over all pairs."""
     worst = 0.0
@@ -1318,6 +1325,32 @@ class TestHoroballs:
     def test_premerge_matches_the_oracle_on_builtin_references(self, digest_pipelines, case):
         _, (mats, refs) = digest_pipelines[case]
         _assert_same_premerge(mats, refs)
+
+    @pytest.mark.parametrize(
+        "case", [("apollonian", 9.5), ("apollonian", 10.5), ("rank2_cusp", 8.0)],
+        ids=lambda c: f"{c[0]}_{c[1]}",
+    )
+    def test_may_join_keeps_the_kd_tree_rows(self, digest_pipelines, monkeypatch, case):
+        if case in digest_pipelines:
+            _, (mats, refs) = digest_pipelines[case]
+        else:
+            p = Pipeline(gr.builtin_group(case[0]), case[1])
+            mats = p.orbit.matrices
+            refs = [(hg._hs_boundary(cu.point), cu.rank) for cu in p.cusps.cusps]
+        pts = np.array([z for z, _ in refs], dtype=complex)
+        # the centres and poles whose nearest reference _may_join reads
+        a, c, d = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.concatenate([a / c, -d / c])
+        z = z[np.isfinite(z)]
+        assert len(z) > gr.NEAREST_BLOCK
+        got = gr._nearest_distance(z, pts)
+        assert got.tobytes() == _kdtree_nearest_distance(z, pts).tobytes()
+
+        scale = gr._entry_scales(mats)
+        rows = gr._may_join(mats, pts, scale)
+        monkeypatch.setattr(gr, "_nearest_distance", _kdtree_nearest_distance)
+        assert np.array_equal(rows, gr._may_join(mats, pts, scale))
 
     @pytest.mark.parametrize("span", [1.4, 3e-7], ids=["wide", "narrow"])
     def test_premerge_matches_the_oracle_on_synthetic_references(self, span):

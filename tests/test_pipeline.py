@@ -69,7 +69,19 @@ def test_reading_the_cloud_leaves_the_family_unbuilt():
     p = Pipeline(gr.builtin_group("apollonian"), 8.0)
     assert p.cloud.n > 0
     assert "orbit" in vars(p)
-    assert "family" not in vars(p) and "cusp_points" not in vars(p)
+    assert not {"unsqueezed", "family", "cusp_points"} & set(vars(p))
+
+
+@pytest.mark.parametrize("dist", [8.0, 9.5])
+@pytest.mark.parametrize("name", ["apollonian", "rank2_cusp", "parabolic_cusp_fuchsian"])
+def test_cusp_points_keep_the_squeezed_family_order(name, dist):
+    p = Pipeline(gr.builtin_group(name), dist)
+    rows = p.cusp_points
+    assert "family" not in vars(p)
+    family = gr.standard_horoballs(p.orbit, p.cusps)
+    want = deepest_cusp_points(p.cusps, family)
+    assert family.theta < 1.0
+    _assert_same_rows([(s * family.theta, c, x) for s, c, x in rows], want)
 
 
 @pytest.mark.parametrize("name", ["apollonian", "parabolic_cusp_fuchsian"])

@@ -365,6 +365,80 @@ class TestPattersonMeasure:
             ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=1e-12)
 
 
+def kdtree_kth_median(coords, k=9):
+    """The declared-resolution statistic as first written, on scipy's
+    KD tree: the median distance to the k-th nearest atom."""
+    return float(np.median(cKDTree(coords).query(coords, k=k)[0][:, -1]))
+
+
+def two_clusters(n_each: int) -> np.ndarray:
+    """A tight cluster at the origin on the even rows and a loose one a
+    hundred units away on the odd rows: a sample of even stride sees only
+    the tight one, so the median lies outside its bracket."""
+    rng = np.random.default_rng(3)
+    coords = np.empty((2 * n_each, 2))
+    coords[0::2] = rng.uniform(0.0, 1e-3, (n_each, 2))
+    coords[1::2] = rng.uniform(100.0, 101.0, (n_each, 2))
+    return coords
+
+
+class TestKthNeighbourMedian:
+    """``_kth_neighbour_median`` against the KD-tree statistic, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name, dist", [("apollonian", 8.0), ("rank2_cusp", 8.0), ("parabolic_cusp_fuchsian", 11.0)]
+    )
+    def test_builtin_measures(self, name, dist):
+        coords = Pipeline(gr.builtin_group(name), dist).measure.coords
+        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.random.default_rng(0).uniform(-1.0, 1.0, (16, 2)),
+            np.random.default_rng(1).uniform(-1.0, 1.0, (16, 1)),
+            # d = 1 above the sample size, with spacings over six decades
+            np.cumsum(10.0 ** np.random.default_rng(2).uniform(-6.0, 0.0, 10_000))[:, None],
+            # every interior point has its 9th distance tied at sqrt(2)
+            np.stack(np.meshgrid(np.arange(70.0), np.arange(70.0)), axis=-1).reshape(-1, 2),
+            np.stack(np.meshgrid(np.arange(70.0), np.arange(70.0)), axis=-1).reshape(-1, 2) * 0.1,
+            # d = 2 on one line of cells: the grid's rows hold one column
+            np.column_stack([np.random.default_rng(4).uniform(0.0, 1.0, 5_000), np.zeros(5_000)]),
+        ],
+        ids=["n16", "n16_d1", "d1_wide", "lattice", "lattice_tenths", "one_column"],
+    )
+    def test_synthetic_points(self, monkeypatch, coords):
+        solved = self._spy(monkeypatch)
+        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
+        # one solve: every point up to twice the sample size, else the
+        # sample, whose bracket then holds the median
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("coords", [np.zeros((8, 2)), np.array([[0.0, np.nan]] * 16)])
+    def test_too_few_or_non_finite_points_are_an_error(self, coords):
+        with pytest.raises(ValueError, match="9 or more finite points"):
+            ps._kth_neighbour_median(coords, 9)
+
+    def test_missed_bracket_solves_every_point(self, monkeypatch):
+        coords = two_clusters(2 * ps.KNN_SAMPLE + 1)
+        solved = self._spy(monkeypatch)
+        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
+        assert solved == [ps.KNN_SAMPLE + 1, len(coords)]
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """The number of points of each ``_exact_kth_sq`` call."""
+        solved = []
+        exact = ps._exact_kth_sq
+
+        def spy(plane, rows, k, fine):
+            solved.append(len(rows))
+            return exact(plane, rows, k, fine)
+
+        monkeypatch.setattr(ps, "_exact_kth_sq", spy)
+        return solved
+
+
 class TestMeasureFormula:
     def test_gmf_arithmetic(self):
         # horoball of size e^-5 at 0: the vertical ray toward 0 has

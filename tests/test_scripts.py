@@ -30,11 +30,16 @@ def test_gasket_survey_quick():
     assert "profile flags:" in proc.stdout
 
 
-@pytest.mark.parametrize("group", ["apollonian", "rank2_cusp", "parabolic_cusp_fuchsian"])
+# the deepest cusp's horoball size in the squeezed, disjoint family
+DEEPEST_SIZE_AT_8 = {"apollonian": "1.5625", "rank2_cusp": "0.5000", "parabolic_cusp_fuchsian": "0.5000"}
+
+
+@pytest.mark.parametrize("group", list(DEEPEST_SIZE_AT_8))
 def test_cusp_diagnostics(group):
     proc = run_script("cusp_diagnostics.py", "--group", group, "--dist", "8")
     assert proc.returncode == 0, proc.stderr
     assert f"group={group}" in proc.stdout
+    assert proc.stdout.splitlines()[0].endswith(f" size={DEEPEST_SIZE_AT_8[group]}")
 
 
 def test_phase_figures(tmp_path):
