@@ -33,8 +33,8 @@ is fitted again exactly, and the repr of its witness breaks ties.
 The sweep computes each ball's covering counts from the ball's shell,
 not from all its points.  The grid offsets of ``covering_count``
 depend on the scale alone, so every (radius, ratio, offset) grid labels
-the cells of the whole cloud once, with the cell ranks that
-``covering_count`` counts (:func:`_dense_labels`).  For a ball B(x, R)
+the cells of the whole cloud once, with the ranks of its cell keys
+(:func:`_grid_keys`) that ``covering_count`` counts.  For a ball B(x, R)
 and a grid of side r, a count splits into two parts:
 
 * the occupied cells wholly inside the ball, counted once per grid and
@@ -160,21 +160,38 @@ def _plane(coords: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _cell_keys(plane: np.ndarray, r: float, offset: np.ndarray) -> tuple:
-    """(keys, low, width) of the r-grid shifted by ``offset``.
-
-    A point, a column of ``plane``, lies in the cell of row a and column
-    b: its two coordinates floored in units of r, less ``low``, the
-    grid's lowest occupied (row, column).  Its key is a * width + b.
-    Raises ``ValueError`` when the keys would not fit in 64 bits."""
-    cells = np.floor((plane - offset[:, None]) / r)
-    low = cells.min(axis=1)
-    high = cells.max(axis=1)
-    nrows, width = high - low + 1.0
-    if not (np.abs([low, high]).max() < 2.0**62 and nrows * width < 2.0**62):
+def _grid_cells(plane: np.ndarray, r: float) -> np.ndarray:
+    """The int64 indices floor(plane / r) of the r-grid cells holding the
+    points, the columns of ``plane``; ``ValueError`` past 2^62 in size."""
+    cells = plane / r
+    np.floor(cells, out=cells)
+    if not -(2.0**62) < cells.min() <= cells.max() < 2.0**62:
         raise ValueError(f"a grid of side {r:g} has too many cells for 64-bit keys")
-    cells = cells.astype(np.int64) - low.astype(np.int64)[:, None]
-    return cells[0] * int(width) + cells[1], low, int(width)
+    return cells.astype(np.int64)
+
+
+def _grid_keys(c0: np.ndarray, c1: np.ndarray) -> tuple:
+    """(keys, width): the package's one rule for keying grid cells.
+
+    Each cell-index pair (c0[i], c1[i]), within 2^62 of zero, gets one
+    exact int64 key, equal exactly where the pairs are and sorting as they
+    do by (c0, c1).  Below 2^62 cells (the spans max - min + 1 of c0 and
+    c1 multiplied) a key packs as (c0 - min c0) width + c1 - min c1,
+    written over ``c0``, width being the span of c1; a wider grid ranks,
+    rank0 m1 + rank1 by the dense ranks of c0 and c1 (m1 distinct c1),
+    width 0."""
+    if not len(c0):
+        return c0, 1
+    low0, low1 = int(c0.min()), int(c1.min())
+    width = int(c1.max()) - low1 + 1
+    if (int(c0.max()) - low0 + 1) * width < 2**62:
+        c0 -= low0
+        c0 *= width
+        c0 += c1
+        c0 -= low1
+        return c0, width
+    distinct1, rank1 = np.unique(c1, return_inverse=True)
+    return np.unique(c0, return_inverse=True)[1] * len(distinct1) + rank1, 0
 
 
 def _grid_offsets(r: float, d: int, offsets: int = GRID_OFFSETS) -> list:
@@ -219,7 +236,7 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
         return 0
     plane = _plane(coords)
     return min(
-        len(_dense_labels(_cell_keys(plane, r, off)[0])[0])
+        len(_dense_labels(_grid_keys(*_grid_cells(plane - off[:, None], r))[0])[0])
         for off in _grid_offsets(r, coords.shape[1], offsets)
     )
 
@@ -343,7 +360,11 @@ def _sweep_grid(plane, centers, r, offset, rho2, reach):
     of squared radius ``rho2`` in cell units.  A ball meets no row more
     than ``reach`` rows from its centre's.
     """
-    keys, low, width = _cell_keys(plane, r, offset)
+    cells = _grid_cells(plane - offset[:, None], r)
+    low = cells.min(axis=1)
+    keys, width = _grid_keys(*cells)
+    if not width:  # rows and columns are read off packed keys
+        raise ValueError(f"a grid of side {r:g} has too many cells for 64-bit keys")
     occupied, labels, below = _dense_labels(keys)
     rows, cols = np.divmod(occupied, width)
     nrows = int(rows[-1]) + 1

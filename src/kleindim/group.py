@@ -14,7 +14,8 @@ reference horoball per detected cusp orbit, shrunk by the dyadic factor
 that makes it disjoint), and limit set sampling by radial projection.
 Cusp detection and the family decide when two boundary points are the
 same point by one rule, stated at :func:`_cells`, and group what is the
-same by one components helper, :func:`_components`.
+same by one components helper, :func:`_components`; every grid cell the
+module groups is keyed by the package's one rule, ``estdim._grid_keys``.
 
 Cusps and horoball families exist only in the bounded chart of
 :func:`bounded_model`, where infinity is not a limit point: every cusp
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import hypgeom as hg
-from .estdim import PointCloud
+from .estdim import PointCloud, _grid_cells, _grid_keys, _plane
 
 # more than this many distinct elements within distance 1/2 of the base
 # point is taken as proof of non-discreteness
@@ -626,12 +627,12 @@ def _cells(z: np.ndarray, side: float, frac: float) -> tuple[np.ndarray, np.ndar
 def _cell_lookup(targets: np.ndarray, side: float):
     """The lookup ``pairs(z)`` of index pairs (i, j) with z[i] the same
     point as targets[j] by the :func:`_cells` rule: at each offset, every
-    point is paired with the lowest target in its cell.  The targets'
-    cells and the reach map below are built once, for every ``z`` looked
-    up.  Only points whose real part falls in a bucket within 2 side of
-    some target's, and whose imaginary part lies within a cell of the
-    targets' span, are looked up; the others, NaN included, pair with
-    nothing and never reach the range guard."""
+    point is paired with the lowest target in its cell by ``estdim._grid_keys``.
+    The targets' cells and the reach map below are built once, for every
+    ``z`` looked up.  Only points whose real part falls in a bucket within
+    2 side of some target's, and whose imaginary part lies within a cell
+    of the targets' span, are looked up; the others, NaN included, pair
+    with nothing and never reach the range guard."""
     none = np.empty(0, dtype=np.intp)
     n = len(targets)
     if not n:
@@ -656,7 +657,7 @@ def _cell_lookup(targets: np.ndarray, side: float):
     np.add.at(edges, bucket(targets.real + reach) + 1, -1)
     near = np.cumsum(edges) > 0
     y_lo, y_hi = targets.imag.min() - side, targets.imag.max() + side
-    target_cells = [np.column_stack(_cells(targets, side, frac)) for frac in (0.0, 0.5)]
+    target_cells = [_cells(targets, side, frac) for frac in (0.0, 0.5)]
 
     def pairs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not len(z):
@@ -665,11 +666,11 @@ def _cell_lookup(targets: np.ndarray, side: float):
         y = z.imag[rows]
         rows = rows[(y >= y_lo) & (y <= y_hi)]
         pairs_i, pairs_j = [none], [none]
-        for frac, cells in zip((0.0, 0.5), target_cells):
-            cells = np.concatenate([cells, np.column_stack(_cells(z[rows], side, frac))])
+        for frac, (t0, t1) in zip((0.0, 0.5), target_cells):
+            c0, c1 = _cells(z[rows], side, frac)
+            keys = _grid_keys(np.concatenate([t0, c0]), np.concatenate([t1, c1]))[0]
             # equal ids are equal cells
-            _, ids = np.unique(cells, axis=0, return_inverse=True)
-            ids = ids.ravel()
+            _, ids = np.unique(keys, return_inverse=True)
             lowest = np.full(ids.max() + 1, n)
             np.minimum.at(lowest, ids[:n], np.arange(n))
             j = lowest[ids[n:]]
@@ -1277,23 +1278,6 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
     return keep
 
 
-def _dense_ranks(c: np.ndarray) -> int:
-    """Replace the int64 values ``c``, in place, by their ranks among the
-    distinct values of ``c``; returns the number of distinct values."""
-    if not len(c):
-        return 0
-    order = np.argsort(c)
-    ordered = c[order]
-    new = ordered[1:] != ordered[:-1]
-    ordered[0] = 0
-    ordered[1:] = new
-    del new
-    # in place: a cumsum from bool into int64 would buffer a whole copy
-    np.cumsum(ordered, out=ordered)
-    c[order] = ordered
-    return int(ordered[-1]) + 1
-
-
 def _lead_first(order, new_group, sizes):
     """Move each cell's leader to the front of its run in ``order``, in
     place: the member of largest size and, on ties, lowest index, the
@@ -1326,33 +1310,27 @@ def _dedup_pass(bases, sizes, frac, rows=None):
     (sorted indices kept, None), or (None, index pairs (cell leader,
     member) whose sizes disagree).
 
-    Each row's cell gets one exact int64 key, rank0 * n1 + rank1 from
-    the dense ranks of its two :func:`_cells` indices (n1 distinct
-    second indices), below the squared row count whatever the indices'
-    range; one quicksort groups the cells.  Each cell's leader is its
-    member of largest size and, on ties, lowest index
-    (:func:`_lead_first`), the member a sort by cell and falling size
-    puts first.  A row is kept when it leads its cell or its size
-    disagrees with the leader's.  The cells are computed for every entry
-    and then taken at the rows, and each temporary is freed once used,
-    so that a pass holds about four row-sized arrays at a time."""
+    Each row's cell gets its exact key from its two :func:`_cells`
+    indices by ``estdim._grid_keys``, packed in place where it can; one
+    quicksort groups the cells.  Each cell's leader is its member of
+    largest size and, on ties, lowest index (:func:`_lead_first`), the
+    member a sort by cell and falling size puts first.  A row is kept
+    when it leads its cell or its size disagrees with the leader's.  The
+    cells are computed for every entry and then taken at the rows, and
+    each temporary is freed once used, so that a pass holds about four
+    row-sized arrays at a time."""
 
     def take(a):
         return a if rows is None else a[rows]
 
     c0, c1 = _cells(bases, DEDUP_GRID, frac)
-    c0 = take(c0)
-    _dense_ranks(c0)
-    c1 = take(c1)
-    c0 *= _dense_ranks(c1)
-    c0 += c1
-    del c1
-    order = np.argsort(c0)
+    key = _grid_keys(take(c0), take(c1))[0]
+    del c0, c1
+    order = np.argsort(key)
     n = len(order)
     # a new cell starts where the sorted key changes
     new_group = np.ones(n, dtype=bool)
-    key = c0[order]
-    del c0
+    key = key[order]
     np.not_equal(key[1:], key[:-1], out=new_group[1:])
     del key
     if rows is not None:
@@ -1426,15 +1404,6 @@ def _planar_coords(pts: np.ndarray, d: int) -> np.ndarray:
             )
         return pts.real[:, None]
     return np.column_stack([pts.real, pts.imag])
-
-
-def _cell_keys(coords: np.ndarray, cell: float) -> np.ndarray:
-    """One int64 key per row naming its cell of side ``cell``; distinct
-    while the cell indices fit in 32 bits."""
-    cells = np.floor(coords / cell).astype(np.int64)
-    if coords.shape[1] == 1:
-        return cells[:, 0]
-    return (cells[:, 0] << np.int64(32)) ^ (cells[:, 1] & np.int64(0xFFFFFFFF))
 
 
 def sample_limit_set(
@@ -1513,7 +1482,8 @@ def sample_limit_set(
 
     coords = _planar_coords(pts, group.d)
     # deduplicate on a grid much finer than the resolution
-    _, first = np.unique(_cell_keys(coords, resolution / 16.0), return_index=True)
+    keys = _grid_keys(*_grid_cells(_plane(coords), resolution / 16.0))[0]
+    _, first = np.unique(keys, return_index=True)
     first.sort()
     coords = coords[first]
 

@@ -38,13 +38,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import hypgeom as hg
-from .estdim import _farthest_point_sample, _linear_fit, _plane, _sq_dists, poincare_exponent
+from .estdim import _farthest_point_sample, _grid_cells, _grid_keys, _linear_fit, _plane
+from .estdim import _sq_dists, poincare_exponent
 from .group import (
     Cusp,
     GroupPresentation,
     HoroballFamily,
     OrbitData,
-    _cell_keys,
     _planar_coords,
     enumerate_orbit,  # noqa: F401
 )
@@ -140,7 +140,11 @@ class EmpiricalMeasure:
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
     """Merge atoms sharing a grid cell into their centre of mass."""
-    keys = _cell_keys(coords, cell)
+    c0, c1 = _grid_cells(_plane(coords), cell)
+    if coords.shape[1] == 2:
+        # by real cell, then imaginary with non-negative first: verify draws atoms by index
+        c1[c1 < 0] += int(c1.max()) - int(c1.min()) + 1
+    keys = _grid_keys(c0, c1)[0]
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     k = len(counts)
     w = np.zeros(k)
@@ -210,7 +214,8 @@ def _exact_kth_sq(plane: np.ndarray, rows: np.ndarray, k: int, fine: float) -> n
     margin for the rounding of the cells: every point that near lies in
     the block, so the k-th smallest of those distances is exact.  A grid
     2^24 times finer than the points' span resolves every query by
-    level 25."""
+    level 25.  The climb needs Morton keys, not the row-major ones of
+    ``estdim._grid_keys``: each coarser cell must be one run of keys."""
     low = plane.min(axis=1, keepdims=True)
     ij = np.floor((plane - low) / fine).astype(np.int64)
     key = _spread_bits(ij[0]) | (_spread_bits(ij[1]) << 1)
@@ -306,7 +311,8 @@ def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) 
     """(the number of points whose squared k-th distance lies below
     ``lo``, the squared k-th distances that lie in [lo, hi]), read off
     the 3x3 blocks of a row-major grid of ``side`` a whisker above
-    sqrt(hi), which hold every point within sqrt(hi)."""
+    sqrt(hi), which hold every point within sqrt(hi).  The keys are not
+    ``estdim._grid_keys``' packed ones: each row needs one more, empty, column."""
     cells = np.floor((plane - plane.min(axis=1, keepdims=True)) / side).astype(np.int64)
     # an empty column ends each row, so no block wraps onto a point
     width = int(cells[1].max()) + 2

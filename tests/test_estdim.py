@@ -116,11 +116,58 @@ class TestCoveringCount:
         probe = np.concatenate([keys, keys + 1, [-3, 0, keys.max() + 2, span + 5]])
         assert np.array_equal(below(probe), np.searchsorted(occupied, probe))
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        # (n0, n1) spans of the two indices; the grid packs below 2^62
+        # cells and ranks from there
+        st.sampled_from(
+            [(1, 1), (5, 40), (2**20, 3), (2**31, 2**31 - 1), (2**31, 2**31), (2**61, 2**61)]
+        ),
+    )
+    def test_grid_keys_are_exact_and_ordered(self, seed, spans):
+        rng = np.random.default_rng(seed)
+        (n0, n1), lim = spans, 2**61
+        low = [int(rng.integers(-lim, lim - n)) for n in spans]
+        # a few distinct pairs, the corners of the span among them, each
+        # repeated, so that rows share a first index, a second or both
+        pool = np.array(
+            [low, [low[0] + n0 - 1, low[1] + n1 - 1]]
+            + [[a + int(rng.integers(0, n)) for a, n in zip(low, spans)] for _ in range(6)],
+            dtype=np.int64,
+        )
+        pool[4, 0], pool[5, 1] = pool[2, 0], pool[3, 1]
+        rows = np.append(rng.integers(0, len(pool), int(rng.integers(0, 200))), [0, 1])
+        rows = rng.permutation(rows)
+        c0, c1 = pool[rows].T
+        keys, width = ed._grid_keys(c0.copy(), c1.copy())
+        assert keys.dtype == np.int64
+        same_cell = (c0[:, None] == c0) & (c1[:, None] == c1)
+        assert np.array_equal(keys[:, None] == keys, same_cell)
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort((c1, c0)))
+        if n0 * n1 < 2**62:
+            assert width == n1
+            assert np.array_equal(keys, (c0 - low[0]) * n1 + (c1 - low[1]))
+        else:
+            assert width == 0
+            assert keys.max() < len(keys) ** 2
+        empty = np.empty(0, dtype=np.int64)
+        assert len(ed._grid_keys(empty, empty.copy())[0]) == 0
+
+    def test_wide_grids_are_counted_but_not_swept(self):
+        # 1e18 cells a side: covering counts rank the cells, while the
+        # sweep, which reads rows and columns off packed keys, refuses
+        pts = np.array([[0.0, 0.0], [1e9, 1e9], [1.0, 2.0], [3.0, 1.0]])
+        assert ed.covering_count(pts, 1e-9) == 4
+        cloud = ed.PointCloud(coords=pts, d=2, resolution=1e-6)
+        with pytest.raises(ValueError, match="has too many cells"):
+            ed.assouad_dimension(cloud)
+
     def test_min_over_offsets_helps(self):
         # points straddling an aligned cell wall: offset 0 needs two
         # cells, some shift needs only one
         pts = np.array([[0.999], [1.001]])
-        aligned = len(np.unique(ed._cell_keys(ed._plane(pts), 1.0, np.zeros(2))[0]))
+        aligned = len(np.unique(ed._grid_keys(*ed._grid_cells(ed._plane(pts), 1.0))[0]))
         assert aligned == 2
         assert ed.covering_count(pts, 1.0, offsets=8) == 1
 

@@ -8,6 +8,7 @@ temporary directory, so a change that breaks the benchmark's contract
 fails here too.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -39,3 +40,23 @@ def test_traced_operation_runs_through_the_wrapped_layers(args, tmp_path):
     assert out["rc"] in (0, 2, 3)
     for key in ("group.enumerate_orbit", "psmeasure.patterson_measure"):
         assert out["trace"][key]["calls"] >= 1, key
+
+
+def test_gasket_rows_pass_the_benchmark_check(tmp_path):
+    # the gasket-verify answer at seed 0, held to reference.json by the
+    # benchmark's own check: seeded rows such as inf_lower_loc read atoms
+    # by index, so a change of atom order fails here
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "op.py"), "--kind", "verify"]
+    cmd += ["--group", "apollonian", "--budget-dist", "9.5", "--seed", "0", "--trace", "0"]
+    cmd += ["--workdir", str(tmp_path), "--result", str(tmp_path / "result.json")]
+    threads = str(run.BLAS_THREADS)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["MKL_NUM_THREADS"] = threads
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
+    rows = run.read_report(str(tmp_path / "apollonian_verify.txt"))
+    assert rows is not None, proc.stderr
+    assert run.check_rows(rows, run.load_reference()["seeds"]["0"]) == []

@@ -358,6 +358,49 @@ class TestPattersonMeasure:
         assert banded.provenance["n_dropped"] > full.provenance["n_dropped"]
         assert banded.n < full.n
 
+    def test_cells_a_word_apart_stay_apart(self):
+        # rows 0 and 1 lie 2^32 cells apart on the imaginary axis, rows 2
+        # and 3 on the real one, at the cell side of both the sampler's
+        # dedup and the atom grid; a key made of the cells' low 32 bits
+        # put each pair in one cell
+        t = 10.0
+        res = 2.0 * math.exp(-t)
+        cell = res / ps.ATOM_GRID_FACTOR
+        ij = np.array([[3, 5], [3, 5 + 2**32], [7, 1], [7 + 2**32, 1]])
+        w = ((ij + 0.5) * cell) @ np.array([1.0, 1j])
+        # z -> s^2 z + w carries the base point to height s^2 above w
+        s = 1e-6
+        mats = np.array([[[s, wk / s], [0.0, 1.0 / s]] for wk in w], dtype=complex)
+        g = gr.GroupPresentation((hg.MobiusMap(np.array([[1.0, 1.0], [0.0, 1.0]])),), d=2)
+        orbit = gr.OrbitData(
+            matrices=mats,
+            dists=np.full(4, t),
+            word_lengths=np.ones(4, dtype=np.int32),
+            t_valid=t,
+            truncated=False,
+            d=2,
+            group=g,
+        )
+        proj = orbit.boundary_projections()[0]
+        assert np.array_equal(np.floor(np.column_stack([proj.real, proj.imag]) / cell), ij)
+        cloud = gr.sample_limit_set(g, res, orbit=orbit)
+        assert cloud.resolution == res
+        assert cloud.n == 4
+        assert ps.patterson_measure(g, orbit, band=math.inf, delta_hat=1.0).n == 4
+
+    def test_atoms_keep_their_cell_order(self):
+        # verify draws its typical point and regularity centres by atom
+        # index: atoms come by real cell, then by imaginary cell with the
+        # non-negative ones first, which a plain (real, imaginary) order
+        # would not keep
+        p = Pipeline(gr.builtin_group("apollonian"), 8.0)
+        mu = p.measure
+        cell = max(2.0 * math.exp(-p.orbit.t_valid), 1e-14) / ps.ATOM_GRID_FACTOR
+        c0, c1 = np.floor(mu.coords / cell).T
+        assert len(set(zip(c0.tolist(), c1.tolist()))) == mu.n
+        assert np.array_equal(np.lexsort((c1, c1 < 0, c0)), np.arange(mu.n))
+        assert not np.array_equal(np.lexsort((c1, c0)), np.arange(mu.n))
+
     def test_empty_band_is_an_error(self):
         # an untruncated orbit has no atom within 1e-12 of the horizon
         g = gr.builtin_group("apollonian")
