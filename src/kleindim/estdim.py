@@ -543,7 +543,7 @@ class Windows:
             slope = math.log(counts[0]) / log_q[0]
             witness.update(r=scales[0], count=counts[0])
         else:
-            slope = _lstsq_slope(log_q, np.log(counts))
+            slope = _linear_fit(log_q, np.log(counts))[0]
             witness.update(scales=scales, counts=counts)
         witness["ball_points"] = int(self.ball_points[c, i])
         return slope, witness
@@ -638,17 +638,6 @@ def window_sweep(
             )
         )
     return out
-
-
-def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y on x, rounded exactly as scipy's
-    ``linregress`` rounds it on the window sweep's few-point fits: mean
-    cross product over mean square.  Longer or degenerate fits can round
-    apart from it; they use :func:`_linear_fit`."""
-    n = len(x)
-    xc = x - np.mean(x)
-    yc = y - np.mean(y)
-    return float((np.dot(xc, yc) * (1.0 / n)) / (np.dot(xc, xc) * (1.0 / n)))
 
 
 def _linear_fit(x, y) -> tuple:

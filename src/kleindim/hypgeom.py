@@ -4,10 +4,11 @@ Points live in hyperbolic space H^(d+1) with boundary dimension d = 1
 (Fuchsian setting, boundary a line) or d = 2 (Kleinian setting, boundary
 a plane).  Coordinates are ``(w_1, ..., w_d, h)`` in R^d x (0, inf) with
 height last and metric |dx| / h; boundary points are points of R^d or
-the point at infinity.  A Moebius map is an ordinary 2x2 real (d=1) or
-complex (d=2) matrix of determinant one acting by fractional-linear
-transformations on the boundary and by the quaternionic extension on
-interior points.
+the point at infinity, but horoballs and geodesic rays are based at
+finite points only, in the bounded chart.  A Moebius map is an ordinary
+2x2 real (d=1) or complex (d=2) matrix of determinant one acting by
+fractional-linear transformations on the boundary and by the
+quaternionic extension on interior points.
 """
 
 from __future__ import annotations
@@ -156,15 +157,14 @@ def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def geodesic_points(z: np.ndarray, t: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Halfspace coordinates (w, h) of the points at distance t from the
-    height-1 point above 0 along the rays toward the boundary points z
-    (complex, inf for infinity) of R^d: w -> -1/(w - z) sends z to
-    infinity, the base point's image is lifted by e^t there and
-    w -> z - 1/w maps it back.  Each step is Python's complex arithmetic
-    written out on real and imaginary parts, so one point or many give
-    the same bits on any CPU."""
+    height-1 point above 0 along the rays toward the finite boundary
+    points z (complex) of R^d: w -> -1/(w - z) sends z to infinity, the
+    base point's image is lifted by e^t there and w -> z - 1/w maps it
+    back.  Each step is Python's complex arithmetic written out on real
+    and imaginary parts, so one point or many give the same bits on any
+    CPU."""
     lift = np.array([math.exp(s) for s in t.tolist()])
-    up = np.isinf(z)
-    pr, pi = np.where(up, 0.0, z.real), np.where(up, 0.0, z.imag)
+    pr, pi = z.real, z.imag
     # the base point under w -> -1/(w - z)
     den = _abs2(pr, pi) + 1.0
     wr, wi = pr / den, -pi / den
@@ -176,7 +176,6 @@ def geodesic_points(z: np.ndarray, t: np.ndarray, d: int) -> tuple[np.ndarray, n
     re = ((x * wr + y * wi) + pr * h * h) / den
     im = ((y * wr - x * wi) + pi * h * h) / den
     h /= den
-    re[up], im[up], h[up] = 0.0, 0.0, lift[up]
     if d == 1:
         im[:] = 0.0
     return re + 1j * im, h
@@ -184,12 +183,12 @@ def geodesic_points(z: np.ndarray, t: np.ndarray, d: int) -> tuple[np.ndarray, n
 
 def geodesic_point(z: BoundaryPoint, t: float) -> InteriorPoint:
     """Point at distance t from the height-1 point above 0 along the
-    geodesic ray toward z: the one-point case of :func:`geodesic_points`."""
+    geodesic ray toward the finite point z: the one-point case of
+    :func:`geodesic_points`.  Infinity raises ModelError."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    d = 2 if z.is_infinity else z.d
-    zc = _hs_boundary(z)
-    w, h = geodesic_points(np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)]), d)
+    d = z.d
+    w, h = geodesic_points(np.array([_hs_boundary(z)], dtype=complex), np.array([float(t)]), d)
     return _interior_from_hs(complex(w[0]), float(h[0]), d)
 
 
@@ -433,13 +432,12 @@ def _boundary_fixed_points(g: MobiusMap, d: int) -> tuple[BoundaryPoint, ...]:
 
 @dataclass(frozen=True)
 class Horoball:
-    """Horoball tangent at ``base``.
+    """Horoball tangent at the finite boundary point ``base``.
 
-    ``size`` is the Euclidean diameter for a finite base point and the
-    height of the bounding horizontal plane when the base is infinity
-    (the horoball is then everything above that plane).  ``rank``
-    tags the rank of the parabolic fixed point when the horoball belongs
-    to a cusp family; purely geometric horoballs default to 1.
+    ``size`` is its Euclidean diameter.  ``rank`` tags the rank of the
+    parabolic fixed point when the horoball belongs to a cusp family;
+    purely geometric horoballs default to 1.  A base at infinity raises
+    ModelError: horoballs live in the bounded chart.
     """
 
     base: BoundaryPoint
@@ -447,31 +445,21 @@ class Horoball:
     rank: int = 1
 
     def __post_init__(self) -> None:
+        _finite_base(self.base)
         if self.size <= 0:
             raise ValueError("horoball size must be positive")
         if self.rank < 1:
             raise ValueError("rank is a positive integer")
 
-def _horoball_dim(H: Horoball, d: Optional[int] = None) -> int:
-    if not H.base.is_infinity:
-        return H.base.d
-    return 2 if d is None else d
 
-
-def _horosphere_sample(H: Horoball, d: Optional[int] = None) -> InteriorPoint:
-    """An interior point lying exactly on the horosphere."""
-    if H.base.is_infinity:
-        return InteriorPoint((0.0,) * _horoball_dim(H, d) + (H.size,))
-    return InteriorPoint(tuple(H.base.coords) + (H.size,))
-
-
-def _horoball_through(base: BoundaryPoint, x: InteriorPoint, rank: int) -> Horoball:
-    """The horoball at ``base`` whose horosphere passes through x."""
-    w, h = _hs_interior(x)
-    p = _hs_boundary(base)
-    if p is None:
-        return Horoball(base, h, rank)
-    return Horoball(base, (abs(w - p) ** 2 + h * h) / h, rank)
+def _finite_base(p: BoundaryPoint) -> complex:
+    """A horoball base as a complex number; infinity raises ModelError."""
+    if p.is_infinity:
+        raise ModelError(
+            "a horoball at infinity; horoballs live in the bounded chart, "
+            "so conjugate the group with group.bounded_model first"
+        )
+    return _hs_boundary(p)
 
 
 def escape_depth(x: InteriorPoint, H: Horoball) -> float:
@@ -481,13 +469,9 @@ def escape_depth(x: InteriorPoint, H: Horoball) -> float:
     Moebius map and reading off log(height / plane height) there.
     """
     w, h = _hs_interior(x)
-    p = _hs_boundary(H.base)
-    if p is None:
-        plane = H.size
-    else:
-        g = _mobius_to_infinity(p)
-        w, h = _apply_interior_mat(g.matrix, w, h)
-        plane = 1.0 / H.size
+    g = _mobius_to_infinity(_hs_boundary(H.base))
+    w, h = _apply_interior_mat(g.matrix, w, h)
+    plane = 1.0 / H.size
     if h <= plane:
         return 0.0
     return math.log(h / plane)
@@ -496,23 +480,20 @@ def escape_depth(x: InteriorPoint, H: Horoball) -> float:
 def squeeze(H: Horoball, theta: float) -> Horoball:
     """Shrink a horoball toward its base point: |theta H| = theta |H|.
 
-    Equivalently the set of points of H at escape depth >= log(1/theta),
-    so for an infinity-based horoball the plane height divides by theta.
+    Equivalently the set of points of H at escape depth >= log(1/theta).
     """
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
-    if H.base.is_infinity:
-        return Horoball(H.base, H.size / theta, H.rank)
     return Horoball(H.base, H.size * theta, H.rank)
 
 
-def apply_horoball(g: MobiusMap, H: Horoball, d: Optional[int] = None) -> Horoball:
-    """Image horoball g(H)."""
-    d = _horoball_dim(H, d)
-    w2 = _apply_boundary_mat(g.matrix, _hs_boundary(H.base))
-    new_base = _boundary_from_hs(w2, d)
-    img = apply(g, _horosphere_sample(H, d))
-    return _horoball_through(new_base, img, rank=H.rank)
+def apply_horoball(g: MobiusMap, H: Horoball) -> Horoball:
+    """Image horoball g(H): the horoball at g(base) through the image of
+    the horosphere's top point.  Raises ModelError where g sends the
+    base to infinity."""
+    base = apply(g, H.base)
+    w, h = _hs_interior(apply(g, InteriorPoint(H.base.coords + (H.size,))))
+    return Horoball(base, (abs(w - _finite_base(base)) ** 2 + h * h) / h, H.rank)
 
 
 def horoball_crossing_times(z: BoundaryPoint, H: Horoball) -> Optional[tuple[float, float]]:
@@ -523,13 +504,8 @@ def horoball_crossing_times(z: BoundaryPoint, H: Horoball) -> Optional[tuple[flo
     of H (the ray never leaves).  Returns None when the ray misses H.
     Requires the height-1 point above 0 to lie outside the horoball.
     """
-    p = _hs_boundary(H.base)
-    if p is None:
-        g = identity_map()
-        plane = H.size
-    else:
-        g = _mobius_to_infinity(p)
-        plane = 1.0 / H.size
+    g = _mobius_to_infinity(_hs_boundary(H.base))
+    plane = 1.0 / H.size
     wb, hb = _apply_interior_mat(g.matrix, 0j, 1.0)
     if hb >= plane:
         raise ValueError("base point lies inside the horoball")
@@ -583,8 +559,6 @@ def shadow(H: Horoball) -> BoundaryBall:
     ShadowError if the base point lies in H or the shadow is unbounded.
     """
     q = _hs_boundary(H.base)
-    if q is None:
-        raise ShadowError("a horoball at infinity casts an unbounded shadow")
     D = H.size
     sin_alpha = D / (1.0 + abs(q) ** 2)
     if sin_alpha >= 1.0:

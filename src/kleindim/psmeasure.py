@@ -19,7 +19,9 @@ upper-regularity behaviour near a cusp.
 
 All Euclidean ball masses are planar halfspace-model masses; groups
 whose limit set is unbounded should be conjugated into a bounded chart
-first (see ``group.bounded_model``).  Every one of them is read by
+first (see ``group.bounded_model``).  Every point the module reads, the
+centre of a ball, the endpoint of a ray or the centre of a horoball
+sum, is a finite point of that chart (``_point_coords``).  Every one of them is read by
 ``_ball_masses``: per centre, one pass of ``estdim._sq_dists`` over the
 atoms (the membership test of the window sweep), the atoms of the
 largest ball kept in atom-index order, and each radius's mass summed
@@ -409,19 +411,29 @@ def patterson_measure(
     )
 
 
-def _center_coords(measure: EmpiricalMeasure, x) -> np.ndarray:
-    """A query centre as a planar coordinate row matching the measure."""
-    if isinstance(x, hg.BoundaryPoint):
-        if x.is_infinity:
-            raise ValueError("ball masses near infinity are not defined; "
-                             "conjugate to a bounded chart first")
-        row = np.asarray(x.coords, dtype=float)
-    elif isinstance(x, complex):
-        row = np.asarray([x.real, x.imag]) if measure.d == 2 else np.asarray([x.real])
-    else:
-        row = np.asarray(x, dtype=float).ravel()
-    if len(row) != measure.d:
-        raise ValueError(f"centre needs {measure.d} coordinates, got {len(row)}")
+def _point_coords(z, d: int) -> np.ndarray:
+    """The d coordinates of a finite boundary point, given as a
+    :class:`~kleindim.hypgeom.BoundaryPoint`, a complex number (real for
+    d = 1) or a sequence of floats.
+
+    Infinity, any other coordinate count and a non-finite coordinate
+    raise ValueError: ball masses, rays and horoball sums live in the
+    bounded chart (``group.bounded_model``).
+    """
+    if isinstance(z, hg.BoundaryPoint):
+        if z.is_infinity:
+            raise ValueError(
+                "the point at infinity is outside the bounded chart; "
+                "conjugate the group with group.bounded_model first"
+            )
+        z = z.coords
+    elif isinstance(z, complex):
+        z = [z.real] if d == 1 and z.imag == 0.0 else [z.real, z.imag]
+    row = np.asarray(z, dtype=float).ravel()
+    if len(row) != d or not np.isfinite(row).all():
+        raise ValueError(
+            f"a point of the bounded chart needs {d} finite coordinates, got {row.tolist()}"
+        )
     return row
 
 
@@ -429,7 +441,7 @@ def ball_mass(measure: EmpiricalMeasure, x, r: float) -> float:
     """Total weight within Euclidean distance r of the centre."""
     if not (r > 0):
         raise ValueError("radius must be positive")
-    row = _center_coords(measure, x)
+    row = _point_coords(x, measure.d)
     return float(_ball_masses(measure, row[None, :], [r])[0, 0])
 
 
@@ -503,10 +515,8 @@ def k_and_rho(ctx: GMFContext, z, t: float) -> tuple[int, float]:
     """
     if not (t > 0):
         raise ValueError("t must be positive")
-    zc = hg._hs_boundary(_as_boundary(z, ctx.family.d))
-    k, rho = _ray_ranks_depths(
-        ctx, np.array([math.inf if zc is None else zc], dtype=complex), np.array([float(t)])
-    )
+    zc = complex(*_point_coords(z, ctx.family.d))
+    k, rho = _ray_ranks_depths(ctx, np.array([zc]), np.array([float(t)]))
     return int(k[0]), float(rho[0])
 
 
@@ -518,16 +528,6 @@ def gmf_value(ctx: GMFContext, z, t: float) -> float:
     """
     k, rho = k_and_rho(ctx, z, t)
     return math.exp(-float(t) * ctx.delta - rho * (ctx.delta - k))
-
-
-def _as_boundary(z, d: int) -> hg.BoundaryPoint:
-    if isinstance(z, hg.BoundaryPoint):
-        return z
-    if isinstance(z, complex):
-        coords = (z.real, z.imag) if d == 2 else (z.real,)
-        return hg.BoundaryPoint(coords)
-    row = np.asarray(z, dtype=float).ravel()
-    return hg.BoundaryPoint(tuple(row[:d]))
 
 
 @dataclass(frozen=True)
@@ -740,7 +740,7 @@ def local_dimension(
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not (0 < t0 < t1):
         raise ValueError("need 0 < t_min < t_max")
-    row = _center_coords(measure, z)
+    row = _point_coords(z, measure.d)
     if math.exp(-t1) < measure.resolution:
         raise MeasureScaleError(
             f"window reaches e^-{t1:.3g} below the reliable resolution "
@@ -786,7 +786,7 @@ def horoball_sum(ctx: GMFContext, z, t: float, T: float) -> float:
     """
     if not (T > t > 0):
         raise ValueError("need T > t > 0")
-    zc = hg._hs_boundary(_as_boundary(z, ctx.family.d))
+    zc = complex(*_point_coords(z, ctx.family.d))
     hi = math.exp(-float(t))
     lo = math.exp(-float(T))
     sel = (
@@ -900,8 +900,8 @@ def ureg_witness(
 
     # rotate the cusp to infinity: the horoball becomes a height plane
     M = hg._mobius_to_infinity(p)
-    Hc = hg.apply_horoball(M, H_p, d=d)
-    eta = float(Hc.size)
+    # M's denominator c w + d is exactly 0 at the horosphere's top point
+    eta = H_p.size / (H_p.size * H_p.size)
     ob = hg.apply(M, hg.origin(d))
     wo, ho = hg._hs_interior(ob)
     zc = hg._hs_boundary(hg.apply(M, zb))

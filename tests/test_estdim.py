@@ -583,16 +583,6 @@ class TestWindowSweep:
         with pytest.raises(ValueError):
             ed.assouad_dimension(cantor_cloud(9), ratios=(8.0, 8.0))
 
-    @settings(max_examples=200)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
-    def test_lstsq_slope_matches_linregress(self, seed, n):
-        rng = np.random.default_rng(seed)
-        x = np.log(np.sort(rng.uniform(1.01, 5000.0, n)))
-        y = np.log(rng.integers(1, 10_000, n).astype(float))
-        if x[0] == x[-1]:
-            return
-        assert ed._lstsq_slope(x, y) == linregress(x, y).slope
-
 
 class TestLinearFit:
     """``_linear_fit`` against scipy's ``linregress``, bit for bit."""

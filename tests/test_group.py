@@ -944,7 +944,7 @@ class TestHoroballs:
             den = g.matrix[1, 0] * p + g.matrix[1, 1]
             if abs(den) < 0.1:
                 continue
-            img = hg.apply_horoball(g, ball, d=2)
+            img = hg.apply_horoball(g, ball)
             fb, fs = gr._horoball_images(g.matrix[None], p)
             assert len(fs) == 1
             got = complex(img.base.coords[0], img.base.coords[1])

@@ -84,7 +84,7 @@ def test_interior_point_validation():
 
 def test_geodesic_point_radial_norm():
     # the point at time t along a ray from the base point is at distance t
-    for z in (bd(0.0, 0.0), bd(0.6, -1.3), bd(2.5), hg.infinity()):
+    for z in (bd(0.0, 0.0), bd(0.6, -1.3), bd(2.5)):
         for t in (0.25, 1.0, 3.0, 8.0):
             p = hg.geodesic_point(z, t)
             assert hg.hyp_distance(hg.origin(p.d), p) == pytest.approx(t, abs=1e-9)
@@ -100,21 +100,12 @@ def test_geodesic_point_distance_and_projection_consistency():
         assert hg.hyp_distance(back, x) < 1e-8
 
 
-def test_geodesic_toward_infinity_goes_straight_up():
-    p = hg.geodesic_point(hg.infinity(), 2.0)
-    assert p.coords[:2] == (0.0, 0.0)
-    assert p.coords[2] == pytest.approx(math.e**2)
-
-
 def _oracle_geodesic_point(z, t, d):
     """geodesic_point as first written: Python complex arithmetic on the
     matrices of the map sending z to infinity and of its inverse.  Kept
     as the oracle of the vectorized ray points."""
     wb, hb = hg._hs_interior(hg.origin(d))
-    zc = hg._hs_boundary(z)
-    if zc is None:
-        return hg._interior_from_hs(wb, hb * math.exp(t), d)
-    g = hg._mobius_to_infinity(zc)
+    g = hg._mobius_to_infinity(hg._hs_boundary(z))
     wb2, hb2 = hg._apply_interior_mat(g.matrix, wb, hb)
     w3, h3 = hg._apply_interior_mat(g.inverse().matrix, wb2, hb2 * math.exp(t))
     return hg._interior_from_hs(w3, h3, d)
@@ -123,13 +114,13 @@ def _oracle_geodesic_point(z, t, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_geodesic_points_equal_the_scalar_oracle(d):
     rng = np.random.default_rng(d)
-    zs = [hg.infinity(), bd(*[0.0] * d)]
+    zs = [bd(*[0.0] * d)]
     zs += [bd(*rng.uniform(-3, 3, size=d)) for _ in range(300)]
     ts = rng.uniform(0.0, 12.0, size=len(zs))
     want = [_oracle_geodesic_point(z, t, d) for z, t in zip(zs, ts)]
-    assert [hg.geodesic_point(z, t) for z, t in zip(zs[1:], ts[1:])] == want[1:]
+    assert [hg.geodesic_point(z, t) for z, t in zip(zs, ts)] == want
     # many points at once give the same bits as one at a time
-    zc = [math.inf if z.is_infinity else hg._hs_boundary(z) for z in zs]
+    zc = [hg._hs_boundary(z) for z in zs]
     w, h = hg.geodesic_points(np.array(zc, dtype=complex), ts, d)
     got = [hg._interior_from_hs(complex(wi), float(hi), d) for wi, hi in zip(w, h)]
     assert got == want
@@ -263,10 +254,6 @@ def test_loxodromic_fixed_points_are_fixed():
 
 
 def test_escape_depth_examples():
-    H0 = hg.Horoball(hg.infinity(), 1.0)
-    assert hg.escape_depth(hs(5.0, 1.0, math.e**2), H0) == pytest.approx(2.0)
-    assert hg.escape_depth(hs(0.0, 0.0, 0.5), H0) == 0.0
-
     H1 = hg.Horoball(bd(0.0, 0.0), 1.0)
     assert hg.escape_depth(hs(0.0, 0.0, math.exp(-2.0)), H1) == pytest.approx(2.0)
     assert hg.escape_depth(hs(0.0, 0.0, 1.0), H1) == pytest.approx(0.0, abs=1e-12)
@@ -299,7 +286,6 @@ def test_escape_depth_is_equivariant(seed):
 def test_squeeze_scales_size_and_shifts_depth():
     H = hg.Horoball(bd(0.0, 0.0), 1.0)
     assert hg.squeeze(H, 0.25).size == 0.25
-    assert hg.squeeze(hg.Horoball(hg.infinity(), 2.0), 0.5).size == 4.0
     x = hs(0.02, 0.0, 0.2)
     d0 = hg.escape_depth(x, H)
     d1 = hg.escape_depth(x, hg.squeeze(H, 0.5))
@@ -392,10 +378,6 @@ def test_shadow_rim_is_exact(d, size):
 def test_shadow_errors():
     with pytest.raises(hg.ShadowError):
         hg.shadow(hg.Horoball(bd(0.0, 0.0), 5.0))
-    # horoball around the viewpoint's own projection direction, seen from
-    # below: its shadow is a neighbourhood of infinity
-    with pytest.raises(hg.ShadowError):
-        hg.shadow(hg.Horoball(hg.infinity(), 3.0))
 
 
 def test_shadow_radius_comparable_to_size():
@@ -437,13 +419,42 @@ def test_crossing_times_match_sampled_ray():
 def test_crossing_misses():
     H = hg.Horoball(bd(0.0, 0.0), 0.5)
     assert hg.horoball_crossing_times(bd(3.0, 0.0), H) is None
-    Hinf = hg.Horoball(hg.infinity(), 3.0)
-    assert hg.horoball_crossing_times(bd(0.3, 0.1), Hinf) is None
     with pytest.raises(ValueError):
         hg.horoball_crossing_times(bd(0.0, 0.0), hg.Horoball(bd(0.0, 0.0), 5.0))
 
 
-def test_crossing_inf_based_horoball():
-    Hinf = hg.Horoball(hg.infinity(), 2.0)
-    ts = hg.horoball_crossing_times(hg.infinity(), Hinf)
-    assert ts[0] == pytest.approx(math.log(2.0)) and math.isinf(ts[1])
+
+# ---------------------------------------------------------------------------
+# the bounded chart
+# ---------------------------------------------------------------------------
+
+
+# every former use of a horoball at infinity or a ray toward it
+AT_INFINITY = {
+    "horoball": lambda: hg.Horoball(hg.infinity(), 1.0),
+    "escape_depth": lambda: hg.escape_depth(hs(5.0, 1.0, 7.0), hg.Horoball(hg.infinity(), 1.0)),
+    "squeeze": lambda: hg.squeeze(hg.Horoball(hg.infinity(), 2.0), 0.5),
+    "shadow": lambda: hg.shadow(hg.Horoball(hg.infinity(), 3.0)),
+    "crossing": lambda: hg.horoball_crossing_times(bd(0.3, 0.1), hg.Horoball(hg.infinity(), 3.0)),
+    "geodesic_point": lambda: hg.geodesic_point(hg.infinity(), 2.0),
+    "apply_horoball": lambda: hg.apply_horoball(
+        hg._mobius_to_infinity(0.25 - 0.5j), hg.Horoball(bd(0.25, -0.5), 0.3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AT_INFINITY))
+def test_infinity_is_outside_the_bounded_chart(case):
+    with pytest.raises(hg.ModelError):
+        AT_INFINITY[case]()
+
+
+@given(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans(),
+    st.floats(1e-6, 1e3),
+)
+def test_top_point_height_after_sending_the_base_to_infinity(x, y, line, size):
+    # the exact arithmetic ureg_witness reads the horoball's plane height by
+    p = complex(x, 0.0 if line else y)
+    g = hg._mobius_to_infinity(p)
+    assert size / (size * size) == hg._apply_interior_mat(g.matrix, p, size)[1]

@@ -98,14 +98,10 @@ def _oracle_k_and_rho(ctx, z, t):
     """k_and_rho as first written, with the geodesic_point of the time
     inlined (Python complex arithmetic on Moebius matrices), then a
     one-point ``deepest``.  Kept as the oracle of the batched ray points."""
-    zc = hg._hs_boundary(ps._as_boundary(z, ctx.family.d))
     w, h = hg._hs_interior(hg.origin(ctx.family.d))
-    if zc is None:
-        h *= math.exp(t)
-    else:
-        g = hg._mobius_to_infinity(zc)
-        w, h = hg._apply_interior_mat(g.matrix, w, h)
-        w, h = hg._apply_interior_mat(g.inverse().matrix, w, h * math.exp(t))
+    g = hg._mobius_to_infinity(complex(z))
+    w, h = hg._apply_interior_mat(g.matrix, w, h)
+    w, h = hg._apply_interior_mat(g.inverse().matrix, w, h * math.exp(t))
     w = complex(w.real, w.imag if ctx.family.d == 2 else 0.0)
     depth, rank = ctx.family.deepest(np.asarray([w]), np.asarray([h]))
     if depth[0] > 0.0:
@@ -205,6 +201,34 @@ class TestEmpiricalMeasure:
         a = ps.EmpiricalMeasure(coords=coords, weights=w, d=1, resolution=0.1)
         b = ps.EmpiricalMeasure(coords=coords, weights=w * lam, d=1, resolution=0.1)
         assert np.allclose(a.weights, b.weights, rtol=1e-12)
+
+
+# the five entry points that read a boundary point, on a plane measure
+# and a plane family
+POINT_ENTRIES = {
+    "ball_mass": lambda ctx, mu, z: ps.ball_mass(mu, z, 0.1),
+    "local_dimension": lambda ctx, mu, z: ps.local_dimension(mu, z, t_window=(1.0, 3.0)),
+    "k_and_rho": lambda ctx, mu, z: ps.k_and_rho(ctx, z, 1.0),
+    "gmf_value": lambda ctx, mu, z: ps.gmf_value(ctx, z, 1.0),
+    "horoball_sum": lambda ctx, mu, z: ps.horoball_sum(ctx, z, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POINT_ENTRIES))
+def test_points_outside_the_bounded_chart_raise(entry):
+    grid = np.linspace(0.0, 1.0, 101)
+    coords = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    mu = ps.EmpiricalMeasure(
+        coords=coords, weights=np.full(len(coords), 1.0 / len(coords)), d=2, resolution=0.01
+    )
+    ctx = ps.GMFContext(delta=1.5, family=single_ball_family(0.05))
+    read = POINT_ENTRIES[entry]
+    for z in ([0.3, 0.2], 0.3 + 0.2j, hg.BoundaryPoint((0.3, 0.2))):
+        read(ctx, mu, z)
+    bad = [hg.infinity(), [0.3], [0.3, 0.2, 0.1], hg.BoundaryPoint((0.3,)), (math.nan, 0.2)]
+    for z in bad:
+        with pytest.raises(ValueError, match="bounded chart"):
+            read(ctx, mu, z)
 
 
 class TestBallMass:
@@ -552,12 +576,11 @@ class TestMeasureFormula:
         )
         ctx = ps.GMFContext(delta=1.5, family=fam)
         rng = np.random.default_rng(9)
-        # the ray straight up toward infinity, which meets no member, and
         # the two bases at depths 0.5 .. 8, then random rays
         grid = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0]
-        points = [z for z in (hg.infinity(), 0.3 + 0.2j, -0.4 + 0.1j) for _ in grid]
+        points = [z for z in (0.3 + 0.2j, -0.4 + 0.1j) for _ in grid]
         points += [complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(200)]
-        ts = np.concatenate([grid * 3, rng.uniform(0.2, 8.0, size=200)])
+        ts = np.concatenate([grid * 2, rng.uniform(0.2, 8.0, size=200)])
         want = [_oracle_k_and_rho(ctx, z, t) for z, t in zip(points, ts)]
         assert {k for k, _ in want} == {0, 1, 2}
         assert [ps.k_and_rho(ctx, z, t) for z, t in zip(points, ts)] == want
