@@ -675,37 +675,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text: str) -> float:
-    """Argument type for the distance budget: a number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _checked(kind, noun: str, ok, rule: str):
+    """Argument type: ``text`` read as ``kind`` (``noun`` names what it
+    must be) and accepted where ``ok`` holds, which ``rule`` states."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
 
-def _unit_fraction(text: str) -> float:
-    """Argument type for the target resolution: a number in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """Argument type for element budgets: an integer above zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+    return parse
 
 
 # one definition per flag; each subcommand registers the flags it reads
@@ -713,9 +696,18 @@ _FLAGS = {
     "--config": dict(help="builtin name or JSON config path"),
     "--out": dict(help="output file path"),
     "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-    "--budget-words": dict(type=_positive_int, help="orbit enumeration element budget"),
-    "--budget-dist": dict(type=_positive_float, help="orbit enumeration distance budget"),
-    "--resolution": dict(type=_unit_fraction, help="target sampling resolution, in (0, 1)"),
+    "--budget-words": dict(
+        type=_checked(int, "an integer", lambda v: v > 0, "must be positive"),
+        help="orbit enumeration element budget",
+    ),
+    "--budget-dist": dict(
+        type=_checked(float, "a number", lambda v: v > 0, "must be positive"),
+        help="orbit enumeration distance budget",
+    ),
+    "--resolution": dict(
+        type=_checked(float, "a number", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+        help="target sampling resolution, in (0, 1)",
+    ),
     "--scales": dict(help="R_MIN:R_MAX:COUNT, the estimator's radii or plot's delta grid"),
     "--tolerance": dict(
         action="append",

@@ -12,6 +12,8 @@ On top of the enumeration sit parabolic/cusp detection with rank
 computation, construction of a disjoint invariant horoball family (one
 reference horoball per detected cusp orbit, shrunk by the dyadic factor
 that makes it disjoint), and limit set sampling by radial projection.
+The sign rule, projections and fixed points applied to whole orbits
+are ``hypgeom``'s array functions; no copy of them lives here.
 Cusp detection and the family decide when two boundary points are the
 same point by one rule, stated at :func:`_cells`, and group what is the
 same by one components helper, :func:`_components`; every grid cell the
@@ -155,29 +157,13 @@ def bounded_model(group: GroupPresentation) -> tuple[GroupPresentation, hg.Mobiu
     gap = group.metadata.get("gap_point")
     if gap is None:
         return group, hg.identity_map()
-    p = complex(gap)
-    q = hg.MobiusMap(np.array([[0.0, -1.0], [1.0, -p]], dtype=complex))
+    q = hg._mobius_to_infinity(complex(gap))
     return conjugated_presentation(group, q), q
 
 
 # ---------------------------------------------------------------------------
-# vectorized canonical form and identification keys
+# identification keys
 # ---------------------------------------------------------------------------
-
-
-def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
-    """Vectorized PSL sign fix matching MobiusMap's canonical form, in place."""
-    flat = mats.reshape(len(mats), 4)
-    scale = np.abs(flat).max(axis=1)
-    tol = hg.ENTRY_TOL * scale
-    big = np.abs(flat) > tol[:, None]
-    first = np.argmax(big, axis=1)
-    v = flat[np.arange(len(flat)), first]
-    use_re = np.abs(v.real) > tol
-    s = np.where(use_re, np.sign(v.real), np.sign(v.imag))
-    s[s == 0] = 1.0
-    mats *= s[:, None, None]
-    return mats
 
 
 def _key_hashes(mats: np.ndarray) -> np.ndarray:
@@ -267,22 +253,9 @@ class OrbitData:
         return w, 1.0 / big_d
 
     def boundary_projections(self) -> tuple[np.ndarray, np.ndarray]:
-        """Radial projections of the orbit points from the base point.
-
-        Returns (projections, finite_mask); rows with finite_mask False
-        project to infinity and carry no planar coordinate.
-        """
-        w, h = self.orbit_points()
-        sep = np.abs(w)
-        vertical = sep < 1e-14
-        sep_safe = np.where(vertical, 1.0, sep)
-        m = (sep_safe**2 + h**2 - 1.0) / (2.0 * sep_safe)
-        hyp = np.hypot(m, 1.0)
-        ep = np.where(m >= 0, m + hyp, 1.0 / (hyp - m))
-        proj = ep * w / sep_safe
-        proj[vertical] = 0.0
-        finite = ~(vertical & (h >= 1.0))
-        return proj, finite
+        """:func:`hg.boundary_projections` of the orbit points: (projections,
+        finite_mask), rows with finite_mask False at infinity."""
+        return hg.boundary_projections(*self.orbit_points())
 
 
 def _columns(mats: np.ndarray) -> np.ndarray:
@@ -508,7 +481,7 @@ def enumerate_orbit(
                 rows, cand, dists = rows[keep], cand[keep], dists[keep]
             if not len(rows):
                 continue
-            cand = _canonicalize_signs(cand)
+            cand = hg._canonicalize_signs(cand)
             hashes = _key_hashes(cand)
             uniq, first = _first_of_each(hashes)
             fresh = _unseen(visited, uniq)
@@ -767,12 +740,9 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     if n_para == 0:
         return CuspSummary((), None, None, 0, orbit.truncated)
 
-    a, c = pm[:, 0, 0], pm[:, 1, 0]
-    dd = pm[:, 1, 1]
-    scale = np.abs(pm).max(axis=(1, 2))
-    if (np.abs(c) <= hg.ENTRY_TOL * scale).any():
+    at_inf, fp, _ = hg.fixed_points(pm, group.d)
+    if at_inf.any():
         raise CuspDetectionError(_AT_INFINITY)
-    fp = (a - dd) / (2.0 * c)
 
     # one lookup per distinct fixed point value, by its first parabolic
     vals, first, inv = np.unique(fp, return_index=True, return_inverse=True)
@@ -1369,27 +1339,11 @@ def _loxodromic_fixed_points(orbit: OrbitData) -> np.ndarray:
     lox = (orbit.word_lengths > 0) & (np.abs(tr2 - 4.0) > hg.PARABOLIC_TOL) & (
         seg > hg.PARABOLIC_TOL
     )
-    mm = m[lox]
-    if not len(mm):
-        return np.empty(0, dtype=complex)
-    a, b = mm[:, 0, 0], mm[:, 0, 1]
-    c, dd = mm[:, 1, 0], mm[:, 1, 1]
-    scale = np.abs(mm).max(axis=(1, 2))
-    disc = np.sqrt((a - dd) ** 2 + 4.0 * b * c)
-    cz = np.abs(c) <= hg.ENTRY_TOL * scale
-    c_safe = np.where(cz, 1.0, c)
-    r1 = (a - dd + disc) / (2.0 * c_safe)
-    r2 = (a - dd - disc) / (2.0 * c_safe)
-    # c = 0: one fixed point at infinity (dropped), the other at b/(d-a)
-    ad = np.abs(a - dd) > hg.ENTRY_TOL * scale
-    alt = np.where(cz & ad, b / np.where(cz & ad, dd - a, 1.0), np.nan)
-    pts = np.concatenate([r1[~cz], r2[~cz], alt[cz & ad]])
-    pts = pts[~np.isnan(pts)]
-    if orbit.d == 1:
-        pts = pts[np.abs(pts.imag) <= 1e-7 * np.maximum(1.0, np.abs(pts))].real.astype(
-            complex
-        )
-    return pts
+    # the first roots, the second roots, then the finite roots of the
+    # maps that fix infinity
+    at_inf, _, roots = hg.fixed_points(m[lox], orbit.d)
+    pts = np.concatenate([roots[~at_inf, 0], roots[~at_inf, 1], roots[at_inf, 0]])
+    return pts[~np.isnan(pts)]
 
 
 def _planar_coords(pts: np.ndarray, d: int) -> np.ndarray:

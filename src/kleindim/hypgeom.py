@@ -9,6 +9,11 @@ finite points only, in the bounded chart.  A Moebius map is an ordinary
 2x2 real (d=1) or complex (d=2) matrix of determinant one acting by
 fractional-linear transformations on the boundary and by the
 quaternionic extension on interior points.
+
+The Moebius formulas that ``group`` applies to whole orbits live here
+only, each written once for arrays: the PSL sign rule, radial projection
+and boundary fixed points.  ``MobiusMap``, :func:`boundary_project` and
+:func:`classify` are their one-element case.
 """
 
 from __future__ import annotations
@@ -192,23 +197,36 @@ def geodesic_point(z: BoundaryPoint, t: float) -> InteriorPoint:
     return _interior_from_hs(complex(w[0]), float(h[0]), d)
 
 
+def boundary_projections(w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radial projections of the interior points (w complex, h): the
+    endpoints of the geodesic rays from the height-1 point above 0
+    through them.
+
+    Returns (projections, finite_mask).  Points straight above the base
+    point, itself included, project to infinity: their mask is False and
+    their projection carries no value.  Points straight below project
+    to 0.
+    """
+    sep = np.abs(w)
+    vertical = sep < 1e-14
+    sep_safe = np.where(vertical, 1.0, sep)
+    m = (sep_safe**2 + h**2 - 1.0) / (2.0 * sep_safe)
+    hyp = np.hypot(m, 1.0)
+    # endpoint on the far side of the point, stable for large negative m
+    ep = np.where(m >= 0, m + hyp, 1.0 / (hyp - m))
+    proj = ep * w / sep_safe
+    proj[vertical] = 0.0
+    return proj, ~(vertical & (h >= 1.0))
+
+
 def boundary_project(x: InteriorPoint) -> BoundaryPoint:
-    """Radial projection: endpoint of the geodesic ray from the height-1
-    point above 0 through x."""
-    wx, hx = _hs_interior(x)
-    sep = abs(wx)
-    if sep < 1e-14:
-        if abs(hx - 1.0) < 1e-14:
-            raise ValueError("cannot project the base point")
-        return _boundary_from_hs(0j if hx < 1.0 else None, x.d)
-    u = wx / sep
-    m = (sep * sep + hx * hx - 1.0) / (2.0 * sep)
-    # endpoint on the far side of x, stable for large negative m
-    if m >= 0:
-        ep = m + math.hypot(m, 1.0)
-    else:
-        ep = 1.0 / (math.hypot(m, 1.0) - m)
-    return _boundary_from_hs(ep * u, x.d)
+    """Radial projection of one point: the one-point case of
+    :func:`boundary_projections`.  The base point raises ValueError."""
+    w, h = _hs_interior(x)
+    if abs(w) < 1e-14 and abs(h - 1.0) < 1e-14:
+        raise ValueError("cannot project the base point")
+    proj, finite = boundary_projections(np.array([w]), np.array([h]))
+    return _boundary_from_hs(complex(proj[0]) if finite[0] else None, x.d)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +249,11 @@ class Classification:
 
 
 def _normalize_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.array(m, dtype=complex)
     if m.shape != (2, 2):
         raise ModelError("Moebius maps are 2x2 matrices")
+    if not np.isfinite(m).all():
+        raise ModelError("Moebius maps need finite entries")
     ad = m[0, 0] * m[1, 1]
     bc = m[0, 1] * m[1, 0]
     det = ad - bc
@@ -246,22 +266,24 @@ def _normalize_matrix(m: np.ndarray) -> np.ndarray:
         if abs(det) < max(1e-30, err):
             raise ModelError("singular matrix is not a Moebius map")
         m = m / np.sqrt(det)
-    return _canonical_sign(m)
+    return _canonicalize_signs(m[None])[0]
 
 
-def _canonical_sign(m: np.ndarray) -> np.ndarray:
-    """Fix the PSL sign: first nonzero entry gets positive real part
-    (positive imaginary part when the real part vanishes)."""
-    flat = m.reshape(-1)
-    scale = float(np.abs(flat).max())
-    for v in flat:
-        if abs(v) > ENTRY_TOL * scale:
-            if abs(v.real) > ENTRY_TOL * scale:
-                s = 1.0 if v.real > 0 else -1.0
-            else:
-                s = 1.0 if v.imag > 0 else -1.0
-            return m * s
-    raise ModelError("zero matrix")
+def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
+    """Fix the PSL sign of each matrix, in place: its first entry above
+    ENTRY_TOL times its largest gets positive real part, or positive
+    imaginary part where the real part is below that."""
+    flat = mats.reshape(len(mats), 4)
+    scale = np.abs(flat).max(axis=1)
+    tol = ENTRY_TOL * scale
+    big = np.abs(flat) > tol[:, None]
+    first = np.argmax(big, axis=1)
+    v = flat[np.arange(len(flat)), first]
+    use_re = np.abs(v.real) > tol
+    s = np.where(use_re, np.sign(v.real), np.sign(v.imag))
+    s[s == 0] = 1.0
+    mats *= s[:, None, None]
+    return mats
 
 
 def _key_ints(mats: np.ndarray) -> np.ndarray:
@@ -379,50 +401,53 @@ def classify(g: MobiusMap, d: Optional[int] = None) -> Classification:
         d = g.d
     if g.is_identity:
         return Classification(IsometryClass.IDENTITY, ())
+    at_inf, double, roots = fixed_points(g.matrix[None], d)
+    fixed = [None] if at_inf[0] else []
     t2 = g.trace_squared()
     gap4 = abs(t2 - 4.0)
     if gap4 <= PARABOLIC_TOL:
-        return Classification(IsometryClass.PARABOLIC, (_parabolic_fixed_point(g, d),))
-    # distance from tr^2 to the elliptic locus, the real segment [0, 4]
-    seg = math.hypot(t2.real - min(max(t2.real, 0.0), 4.0), t2.imag)
-    ambiguous = gap4 <= AMBIGUOUS_BAND or PARABOLIC_TOL < seg <= AMBIGUOUS_BAND
-    if seg <= PARABOLIC_TOL:
-        return Classification(IsometryClass.ELLIPTIC, _boundary_fixed_points(g, d), ambiguous)
-    return Classification(
-        IsometryClass.HYPERBOLIC_LOXODROMIC, _boundary_fixed_points(g, d), ambiguous
-    )
-
-
-def _parabolic_fixed_point(g: MobiusMap, d: int) -> BoundaryPoint:
-    m = g.matrix
-    scale = float(np.abs(m).max())
-    if abs(m[1, 0]) < ENTRY_TOL * scale:
-        return infinity()
-    return _boundary_from_hs((m[0, 0] - m[1, 1]) / (2.0 * m[1, 0]), d)
-
-
-def _boundary_fixed_points(g: MobiusMap, d: int) -> tuple[BoundaryPoint, ...]:
-    """Roots of the fixed-point equation that actually lie on the boundary."""
-    m = g.matrix
-    a, b, c, dd = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    scale = float(np.abs(m).max())
-    disc = np.sqrt(complex((a - dd) ** 2 + 4 * b * c))
-    pts: list[Optional[complex]] = []
-    if abs(c) < ENTRY_TOL * scale:
-        pts.append(None)
-        if abs(a - dd) > ENTRY_TOL * scale:
-            pts.append(complex(b / (dd - a)))
+        fixed = fixed or [double[0]]
+        kind, ambiguous = IsometryClass.PARABOLIC, False
     else:
-        pts.append(complex((a - dd + disc) / (2 * c)))
-        pts.append(complex((a - dd - disc) / (2 * c)))
-    out = []
-    for z in pts:
-        if d == 1 and z is not None and abs(z.imag) > 1e-7 * max(1.0, abs(z)):
-            continue  # interior fixed point of a real elliptic, not on the boundary
-        if d == 1 and z is not None:
-            z = complex(z.real, 0.0)
-        out.append(_boundary_from_hs(z, d))
-    return tuple(out)
+        fixed += [z for z in roots[0] if not np.isnan(z)]
+        # distance from tr^2 to the elliptic locus, the real segment [0, 4]
+        seg = math.hypot(t2.real - min(max(t2.real, 0.0), 4.0), t2.imag)
+        ambiguous = gap4 <= AMBIGUOUS_BAND or PARABOLIC_TOL < seg <= AMBIGUOUS_BAND
+        kind = IsometryClass.ELLIPTIC
+        if seg > PARABOLIC_TOL:
+            kind = IsometryClass.HYPERBOLIC_LOXODROMIC
+    return Classification(kind, tuple(_boundary_from_hs(z, d) for z in fixed), ambiguous)
+
+
+def fixed_points(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary fixed points of the maps z -> (az + b) / (cz + d) of the
+    matrices ``mats``: the roots of c z^2 + (d - a) z - b = 0.
+
+    Returns (at_inf, double, roots).  ``at_inf`` marks the maps whose c
+    vanishes, |c| <= ENTRY_TOL times their largest entry: they fix
+    infinity.  ``double`` is the parabolic double root (a - d) / 2c and
+    ``roots`` the (n, 2) pair (a - d +- sqrt((a - d)^2 + 4bc)) / 2c.
+    Where c vanishes, the finite fixed point b / (d - a), if a - d does
+    not vanish too, is ``roots[:, 0]``.  NaN marks a root that is
+    infinite or, for boundary dimension ``d`` = 1, off the real line: the
+    interior fixed point of a real elliptic.
+    """
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, dd = mats[:, 1, 0], mats[:, 1, 1]
+    tol = ENTRY_TOL * np.abs(mats).max(axis=(1, 2))
+    at_inf = np.abs(c) <= tol
+    c2 = 2.0 * np.where(at_inf, 1.0, c)
+    double = (a - dd) / c2
+    disc = np.sqrt((a - dd) ** 2 + 4.0 * b * c)
+    roots = np.stack([(a - dd + disc) / c2, (a - dd - disc) / c2], axis=1)
+    double[at_inf] = roots[at_inf] = np.nan
+    alt = at_inf & (np.abs(a - dd) > tol)
+    roots[alt, 0] = b[alt] / (dd[alt] - a[alt])
+    if d == 1:
+        off = ~(np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots)))
+        roots.imag = 0.0
+        roots[off] = np.nan
+    return at_inf, double, roots
 
 
 # ---------------------------------------------------------------------------

@@ -312,24 +312,24 @@ def _kth_neighbour_median(coords: np.ndarray, k: int) -> float:
 def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) -> tuple:
     """(the number of points whose squared k-th distance lies below
     ``lo``, the squared k-th distances that lie in [lo, hi]), read off
-    the 3x3 blocks of a row-major grid of ``side`` a whisker above
-    sqrt(hi), which hold every point within sqrt(hi).  The keys are not
-    ``estdim._grid_keys``' packed ones: each row needs one more, empty, column."""
-    cells = np.floor((plane - plane.min(axis=1, keepdims=True)) / side).astype(np.int64)
-    # an empty column ends each row, so no block wraps onto a point
-    width = int(cells[1].max()) + 2
-    key = cells[0] * width + cells[1]
-    del cells
+    the 3x3 blocks of a grid of ``side`` a whisker above sqrt(hi), which
+    hold every point within sqrt(hi).  The cells are keyed by
+    ``estdim._grid_keys``, and each block's columns are clamped to the
+    grid's span, so that no block wraps onto the next row."""
+    key, width = _grid_keys(*_grid_cells(plane - plane.min(axis=1, keepdims=True), side))
+    if not width:  # columns are read off packed keys
+        raise ValueError(f"a grid of side {side:g} has too many cells for 64-bit keys")
     order = np.argsort(key)
     key, xy = key[order], plane[:, order]
     del order
     first = np.flatnonzero(np.diff(key, prepend=-1))
-    # each cell's block is three runs of three keys; searched one row of
-    # the block at a time, the keys arrive in increasing order
-    row_start = key[first] + np.array([[-width - 1], [-1], [width - 1]])
-    start = np.searchsorted(key, row_start).T
-    end = np.searchsorted(key, row_start + 3).T
-    del row_start
+    # each cell's block is three runs of up to three keys; searched one
+    # row of the block at a time, the keys arrive in increasing order
+    col = key[first] % width
+    rows = np.array([[-width], [0], [width]])
+    start = np.searchsorted(key, key[first] - (col > 0) + rows).T
+    end = np.searchsorted(key, key[first] + 1 + (col < width - 1) + rows).T
+    del col
     cell = np.repeat(np.arange(len(first)), np.diff(first, append=len(key)))
     n_below, inside = 0, []
     for a, b, q, d2 in _block_pairs(xy, np.arange(len(key)), start[cell], end[cell]):

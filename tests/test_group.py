@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,6 +425,30 @@ _PARENT_DIGESTS = {
     ("parabolic_cusp_fuchsian", 8.0): ("f968cef343c28a69", "994db9718ec1aacf"),
 }
 
+# sha256 prefixes of Pipeline(group, dist).cloud's (coords, resolution)
+# and .measure's (coords, weights, resolution) for the _PARENT_DIGESTS
+# cases, recorded while group kept its own copies of the radial
+# projection and fixed-point arithmetic (numpy 2.4, x86-64); apollonian
+# at 6.0 holds no orbit point deep enough to sample
+_PARENT_CLOUD_DIGESTS = {
+    ("apollonian", 6.0): (None, "3224e9899677c32c"),
+    ("apollonian", 7.0): ("6a9c3ddab2327ff4", "e764da28f5e1ca52"),
+    ("apollonian", 8.0): ("2fb4c884f1db4809", "91da1b828c196955"),
+    ("apollonian", 9.5): ("c08eccbf30c01768", "7605b82357db0d9e"),
+    ("rank2_cusp", 8.0): ("8f5cc474035f48c9", "c9955fc419d67b3c"),
+    ("parabolic_cusp_fuchsian", 8.0): ("68116a0cacf89a53", "7ce5d1ca8ee48c10"),
+}
+
+# the same record of sample_limit_set's default clouds of
+# infinite_fuchsian, the fixed-point-sampling path, by (group
+# parameters, target resolution)
+_PARENT_FIXED_POINT_CLOUD_DIGESTS = {
+    ((), 1e-3): "f84d054fae0bf560",
+    ((), 1e-2): "4c3bd181d460f026",
+    ((("n_circles", 30),), 1e-3): "ce4e5e136cfae7ce",
+    ((("alpha", 0.2), ("beta", 0.5), ("n_circles", 60)), 1e-3): "c840d318273afbed",
+}
+
 
 @pytest.fixture(scope="module")
 def digest_pipelines():
@@ -490,6 +515,16 @@ class TestEnumeration:
             pt = hg.apply(hg.MobiusMap(orb.matrices[i]), base)
             assert abs(complex(pt.coords[0], pt.coords[1]) - w[i]) < 1e-12
             assert abs(pt.coords[2] - h[i]) < 1e-12
+
+    def test_projections_are_the_one_point_projection(self):
+        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 6.0)
+        w, h = orb.orbit_points()
+        proj, finite = orb.boundary_projections()
+        # the base point itself (word length 0) has no projection
+        for i in np.flatnonzero(orb.word_lengths > 0):
+            x = hg._interior_from_hs(complex(w[i]), float(h[i]), 2)
+            want = hg._boundary_from_hs(complex(proj[i]) if finite[i] else None, 2)
+            assert hg.boundary_project(x) == want
 
     def test_prune_agrees_with_unpruned_walk(self):
         g = gr.builtin_group("apollonian")
@@ -841,6 +876,14 @@ class TestCusps:
         assert cs.k_min == cs.k_max == 1
         cl = hg.classify(cs.cusps[0].generator, d=1)
         assert cl.kind is hg.IsometryClass.PARABOLIC
+
+    @pytest.mark.parametrize("name", ["apollonian", "parabolic_cusp_fuchsian", "rank2_cusp"])
+    def test_cusp_points_are_their_generators_fixed_points(self, name):
+        g, _ = gr.bounded_model(gr.builtin_group(name))
+        cs = gr.find_cusps(gr.enumerate_orbit(g, max_dist=7.0))
+        assert cs.cusps
+        for cu in cs.cusps:
+            assert hg.classify(cu.generator, g.d).fixed_points == (cu.point,)
 
     def test_apollonian_root_tangencies_found(self):
         g = gr.builtin_group("apollonian")
@@ -1576,6 +1619,51 @@ class TestHoroballs:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("case", list(_PARENT_DIGESTS), ids=lambda c: f"{c[0]}_{c[1]}")
+    def test_cloud_and_measure_match_the_recorded_digests(self, digest_pipelines, case):
+        p, _ = digest_pipelines[case]
+        want_cloud, want_measure = _PARENT_CLOUD_DIGESTS[case]
+        if want_cloud is not None:
+            assert _sha(p.cloud.coords, p.cloud.resolution) == want_cloud
+        m = p.measure
+        assert _sha(m.coords, m.weights, m.resolution) == want_measure
+
+    @pytest.mark.parametrize(
+        "params, resolution", list(_PARENT_FIXED_POINT_CLOUD_DIGESTS), ids=str
+    )
+    def test_fixed_point_clouds_match_the_recorded_digests(self, params, resolution):
+        g = gr.builtin_group("infinite_fuchsian", **dict(params))
+        cloud = gr.sample_limit_set(g, resolution)
+        want = _PARENT_FIXED_POINT_CLOUD_DIGESTS[params, resolution]
+        assert _sha(cloud.coords, cloud.resolution) == want
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("apollonian", {}),
+            ("parabolic_cusp_fuchsian", {}),
+            ("infinite_fuchsian", {"n_circles": 10}),
+        ],
+    )
+    def test_loxodromic_fixed_points_are_classifys(self, name, params):
+        g, _ = gr.bounded_model(gr.builtin_group(name, **params))
+        orb = gr.enumerate_orbit(g, max_word_length=3)
+        # each matrix as a map holds it, rescaled where its determinant drifted
+        maps = [hg.MobiusMap(m) for m in orb.matrices]
+        orb = replace(orb, matrices=np.stack([gm.matrix for gm in maps]))
+        want = [
+            hg._hs_boundary(p)
+            for gm, n in zip(maps, orb.word_lengths)
+            if n > 0
+            for cl in [hg.classify(gm, g.d)]
+            if cl.kind is hg.IsometryClass.HYPERBOLIC_LOXODROMIC
+            for p in cl.fixed_points
+            if not p.is_infinity
+        ]
+        got = gr._loxodromic_fixed_points(orb)
+        assert len(want) > 50
+        assert np.sort(got).tobytes() == np.sort(np.array(want, dtype=complex)).tobytes()
+
     def test_apollonian_cloud_lies_in_the_disk(self):
         g = gr.builtin_group("apollonian")
         cloud = gr.sample_limit_set(g, target_resolution=0.05)

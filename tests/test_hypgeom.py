@@ -133,6 +133,23 @@ def test_projection_vertical_cases():
         hg.boundary_project(hg.origin(2))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_projection_of_one_point_is_the_array_case(d):
+    rng = np.random.default_rng(20 + d)
+    w = rng.normal(size=300) + (1j * rng.normal(size=300) if d == 2 else 0.0)
+    h = np.exp(rng.uniform(-6.0, 6.0, size=300))
+    # straight above and straight below the base point, on and off the
+    # vertical by less than its 1e-14 tolerance, and just outside it
+    w = np.concatenate([w, [0.0, 0.0, 1e-15, 1e-15, 1e-13]])
+    h = np.concatenate([h, [4.0, 0.25, 2.0, 0.5, 0.5]])
+    proj, finite = hg.boundary_projections(w.astype(complex), h)
+    assert finite[-5:].tolist() == [False, True, False, True, True]
+    assert proj[-4] == proj[-2] == 0.0
+    for wi, hi, z, fin in zip(w, h, proj, finite):
+        got = hg.boundary_project(hg._interior_from_hs(complex(wi), float(hi), d))
+        assert got == hg._boundary_from_hs(complex(z) if fin else None, d)
+
+
 # ---------------------------------------------------------------------------
 # Moebius maps
 # ---------------------------------------------------------------------------
@@ -246,6 +263,77 @@ def test_loxodromic_fixed_points_are_fixed():
                 assert img.is_infinity
             else:
                 assert np.allclose(img.coords, fp.coords, atol=1e-6)
+
+
+# unit-determinant matrices, so that a map keeps its entries: leads that
+# are zero or below ENTRY_TOL times the largest entry, real and imaginary
+# leads, and a lead whose modulus counts but whose real part does not
+_SIGN_CASES = [
+    [[0.0, 1.0], [-1.0, 0.0]],
+    [[0.0, 1j], [1j, 0.0]],
+    [[1e-12, -1.0], [1.0, 0.0]],
+    [[1e-12j, 1.0], [-1.0, 0.0]],
+    [[1j, 0.0], [0.0, -1j]],
+    [[1e-12 + 1j, 0.0], [0.0, 1.0 / (1e-12 + 1j)]],
+    [[2.0, 1.0], [1.0, 1.0]],
+]
+
+
+def test_sign_rule_of_one_matrix_is_the_array_case():
+    mats = np.array(_SIGN_CASES, dtype=complex)
+    mats = np.concatenate([mats, -mats])
+    want = hg._canonicalize_signs(mats.copy())
+    got = np.stack([hg.MobiusMap(m).matrix for m in mats])
+    assert got.tobytes() == want.tobytes()
+    # one sign per PSL class: the first entry above ENTRY_TOL times the
+    # largest gets positive real part, or positive imaginary part where
+    # its real part is below that
+    n = len(_SIGN_CASES)
+    assert np.array_equal(want[:n], want[n:])
+    assert [complex(m[0, 1]) for m in want[:4]] == [1, 1j, 1, 1]
+    assert want[2, 0, 0] == -1e-12 and want[3, 0, 0] == 1e-12j
+    assert [complex(m[0, 0]) for m in want[4:n]] == [1j, 1e-12 + 1j, 2]
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.full((2, 2), np.nan)], ids=["zero", "nan"])
+def test_matrix_without_a_sign_is_an_error(m):
+    with pytest.raises(hg.ModelError):
+        hg.MobiusMap(m)
+
+
+_SQRT5 = math.sqrt(5.0)
+# (matrix, boundary dimension, its fixed points, None for infinity): c = 0
+# with a != d; a parabolic fixed at infinity and a finite one; |c| = 2e-9,
+# exactly ENTRY_TOL times the largest entry, which counts as vanishing;
+# a real elliptic, whose complex roots are dropped when d = 1 only; and
+# a hyperbolic with two finite roots
+_FIXED_CASES = [
+    ([[2.0, 1.0], [0.0, 0.5]], 2, [None, -2.0 / 3.0]),
+    ([[1.0, 1.0], [0.0, 1.0]], 1, [None]),
+    ([[1.0, 0.0], [1.0, 1.0]], 1, [0.0]),
+    ([[2.0, 0.0], [2e-9, 0.5]], 1, [None, 0.0]),
+    ([[0.0, -1.0], [1.0, 0.0]], 1, []),
+    ([[0.0, -1.0], [1.0, 0.0]], 2, [-1j, 1j]),
+    ([[2.0, 1.0], [1.0, 1.0]], 1, [(1.0 + _SQRT5) / 2.0, (1.0 - _SQRT5) / 2.0]),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fixed_points_of_one_map_are_the_array_case(d):
+    assert hg.ENTRY_TOL * 2.0 == 2e-9
+    cases = [(hg.MobiusMap(np.array(m)), want) for m, dim, want in _FIXED_CASES if dim == d]
+    at_inf, double, roots = hg.fixed_points(np.stack([g.matrix for g, _ in cases]), d)
+    for i, (g, want) in enumerate(cases):
+        cl = hg.classify(g, d)
+        finite = [double[i]] if cl.kind is hg.IsometryClass.PARABOLIC else roots[i]
+        expect = [None] if at_inf[i] else []
+        if not (at_inf[i] and cl.kind is hg.IsometryClass.PARABOLIC):
+            expect += [complex(z) for z in finite if not np.isnan(z)]
+        assert cl.fixed_points == tuple(hg._boundary_from_hs(z, d) for z in expect)
+        assert [z is None for z in expect] == [z is None for z in want]
+        assert [z for z in expect if z is not None] == pytest.approx(
+            [z for z in want if z is not None], abs=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
