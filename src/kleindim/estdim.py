@@ -60,6 +60,13 @@ slice of it.  A grid keeps its labels in the narrowest unsigned dtype
 that holds them, and a shell's labels are offset into one shared
 numbering as they are gathered.  A d = 1 cloud is a single grid row of
 the same code.
+
+The package's fixed-radius pair searches, the horoball family's overlap
+scan and deepest-member lookups and the k-th-neighbour bracket, are one
+pair join (:func:`_grid_pairs`): the points are sorted once by their
+:func:`_grid_keys` cells (:func:`_sorted_grid`), each query reads the key
+ranges of its block of cells, one range a row, and :func:`_block_pairs`
+expands the ranges into candidate pairs in bounded runs.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +93,12 @@ GROWTH_MAX_REL_STDERR = 0.1
 # sort of its points; the finest grids of the distance-9.5 gasket sample
 # span 21 keys a point and sort, the coarser ones take the mask
 DENSE_SPAN = 16
+# a pair join (see _grid_pairs) searches this many key ranges at a time
+# and forms about this many candidate pairs at a time, which bounds its
+# memory; its grid spans at most 2^GRID_SPAN_BITS cells a side
+JOIN_RANGES = 1 << 14
+JOIN_PAIRS = 1 << 17
+GRID_SPAN_BITS = 30
 # window slopes within this of the array extreme are fitted again one by
 # one, since the array fit may round apart from it in the last bit
 EXTREME_SLACK = 1e-12
@@ -192,6 +205,127 @@ def _grid_keys(c0: np.ndarray, c1: np.ndarray) -> tuple:
         return c0, width
     distinct1, rank1 = np.unique(c1, return_inverse=True)
     return np.unique(c0, return_inverse=True)[1] * len(distinct1) + rank1, 0
+
+
+class _Grid(NamedTuple):
+    """Points sorted by their cells in a grid of side ``side`` whose cell
+    (0, 0) holds ``origin``, the points' lowest coordinates: their cell
+    keys by :func:`_grid_keys`, rows of ``width`` cells, in increasing
+    order, their int32 indices in the input and their coordinates, as
+    two rows, in that order."""
+
+    origin: np.ndarray
+    side: float
+    width: int
+    key: np.ndarray
+    order: np.ndarray
+    xy: np.ndarray
+
+
+def _sorted_grid(plane: np.ndarray, side: float) -> _Grid:
+    """The points, the columns of ``plane``, sorted by their cells in a
+    grid of side ``side``, or coarser: at most 2^``GRID_SPAN_BITS``
+    cells a side, so that the keys pack."""
+    origin = plane.min(axis=1, keepdims=True)
+    extent = float((plane.max(axis=1) - origin[:, 0]).max())
+    side = max(side, extent * 2.0**-GRID_SPAN_BITS)
+    # a row at a time, so that one row's temporaries exist at once
+    cells = [_grid_cells(row - low, side) for row, low in zip(plane, origin[:, 0])]
+    key, width = _grid_keys(*cells)
+    del cells
+    order = np.argsort(key)
+    key = key[order]
+    order = order.astype(np.int32)
+    return _Grid(origin, side, width, key, order, plane[:, order])
+
+
+def _reach(grid: _Grid, radius: float) -> int:
+    """The cells m a query's block reaches either side of its own cell
+    in ``grid`` to hold every point within ``radius`` of the query,
+    with a margin for the rounding of the cells."""
+    return math.ceil(radius / grid.side * (1.0 + 1e-6))
+
+
+def _grid_pairs(grid: _Grid, radius: float, qxy: Optional[np.ndarray] = None):
+    """The package's one fixed-radius pair join: candidate pairs of query
+    points with the points of ``grid``, among them every pair within
+    ``radius``.
+
+    Each query point, a column of ``qxy``, meets the points of the block
+    of (2m + 1)^2 cells around its own (m by :func:`_reach`), clipped to
+    the grid's rows and columns, so that no block wraps onto the next
+    row.  With ``qxy`` None the grid's own points query, each meeting
+    only the points after it in key order: the rest of its cell and of
+    its row's part of the block, then the block's rows below, so that
+    each unordered pair of them comes once.  The queries go
+    ``JOIN_RANGES`` key ranges at a time to :func:`_block_pairs`, whose
+    (a, b, q, at, d2) are yielded with a and b counted over all queries
+    and ``at`` the grid's position of each pair's point.  Queries sorted
+    by their cells search the keys fastest."""
+    key, width = grid.key, grid.width
+    n_rows = int(key[-1]) // width + 1
+    m = _reach(grid, radius)
+    half = qxy is None
+    # the block's rows that can meet the grid, from its first one there
+    span = np.arange(min(m if half else 2 * m + 1, n_rows))[:, None]
+    n = len(key) if half else qxy.shape[1]
+    step = max(JOIN_RANGES // (len(span) + half), 1)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if half:
+            pts = grid.xy[:, lo:hi]
+            c0, c1 = np.divmod(key[lo:hi], width)
+            first = c0 + 1
+        else:
+            pts = qxy[:, lo:hi]
+            c = pts - grid.origin
+            c /= grid.side
+            np.floor(c, out=c)
+            # far off the grid, a query's block stays off it
+            np.maximum(c, -m - 1.0, out=c)
+            np.minimum(c, [[n_rows + m], [width + m]], out=c)
+            c0, c1 = c.astype(np.int64)
+            first = np.maximum(c0 - m, 0)
+        stop = np.minimum(c0 + m + 1, n_rows)
+        rows = first + span
+        rows *= width
+        start = rows + np.maximum(c1 - m, 0)
+        end = rows + np.minimum(c1 + m + 1, width)
+        np.copyto(end, start, where=rows >= stop * width)
+        # one row of the block at a time, sorted queries' keys rise
+        start, end = key.searchsorted(start), key.searchsorted(end)
+        if half:
+            own = key.searchsorted(c0 * width + np.minimum(c1 + m + 1, width))
+            start = np.vstack([np.arange(lo + 1, hi + 1), start])
+            end = np.vstack([own, end])
+        for a, b, q, at, d2 in _block_pairs(pts, grid.xy, start.T, end.T):
+            yield lo + a, lo + b, q, at, d2
+
+
+def _block_pairs(qxy: np.ndarray, xy: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Candidate pairs of the query points ``qxy`` (two rows) with the
+    points of the position ranges [start, end) of ``xy`` in their rows.
+    Yields (a, b, q, at, d2) for consecutive runs of queries a:b, of
+    about ``JOIN_PAIRS`` pairs, every pair of a query in one run: each
+    pair's query index in the run, its point's position in ``xy`` and
+    its squared distance, summed in coordinate order as cKDTree sums
+    it."""
+    lens = end - start
+    counts = lens.sum(axis=1)
+    cum = np.cumsum(counts)
+    if not len(cum):
+        return
+    bounds = np.searchsorted(cum, np.arange(0, int(cum[-1]), JOIN_PAIRS), "right")
+    bounds = sorted(set(bounds.tolist() + [len(cum)]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        run = lens[a:b].ravel()
+        stop = np.cumsum(run)
+        at = np.repeat(start[a:b].ravel() - stop + run, run)
+        at += np.arange(len(at))
+        q = np.repeat(np.arange(b - a, dtype=np.int32), counts[a:b])
+        d2 = (qxy[0][a:b][q] - xy[0][at]) ** 2
+        d2 += (qxy[1][a:b][q] - xy[1][at]) ** 2
+        yield a, b, q, at, d2
 
 
 def _grid_offsets(r: float, d: int, offsets: int = GRID_OFFSETS) -> list:

@@ -18,6 +18,9 @@ Cusp detection and the family decide when two boundary points are the
 same point by one rule, stated at :func:`_cells`, and group what is the
 same by one components helper, :func:`_components`; every grid cell the
 module groups is keyed by the package's one rule, ``estdim._grid_keys``.
+The family's overlap scan and deepest-member lookups search one grid per
+band of member sizes with the package's one pair join,
+``estdim._grid_pairs``.
 
 Cusps and horoball families exist only in the bounded chart of
 :func:`bounded_model`, where infinity is not a limit point: every cusp
@@ -29,13 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from . import hypgeom as hg
-from .estdim import PointCloud, _grid_cells, _grid_keys, _plane
+from .estdim import PointCloud, _grid_cells, _grid_keys, _grid_pairs, _plane, _reach, _sorted_grid
 
 # more than this many distinct elements within distance 1/2 of the base
 # point is taken as proof of non-discreteness
@@ -60,15 +62,10 @@ REACH_MIN_ROWS = 64
 # older ones once they outnumber this share of it, so that a level
 # merges its new hashes into a small array rather than a large one
 RECENT_SHARE = 0.125
-# size octaves per KD tree of a horoball family's overlap scan and
-# deepest-member lookup: wider bands mean fewer trees to join, but
-# wider search radii for their smaller members
+# size octaves per grid of a horoball family's overlap scan and
+# deepest-member lookup: wider bands mean fewer grids to join, but
+# more candidate pairs for their smaller members
 BAND_OCTAVES = 3
-# points per leaf of the KD trees a family keeps for deepest-member
-# lookups: fewer, bigger leaves than scipy's 16, which the overlap scan
-# keeps because its pair joins slow down with bigger leaves, hold a
-# third less memory and answer a lookup as fast
-DEEPEST_LEAFSIZE = 48
 # the dyadic squeeze of a horoball family stops at theta = 2^-MAX_SHRINK_STEPS
 MAX_SHRINK_STEPS = 40
 # cell side of the same-point rule (see _cells) for parabolic fixed
@@ -86,6 +83,8 @@ CELL_BUCKETS = 1 << 16
 # points per block of the brute-force nearest-reference search, whose
 # two block-sized temporaries then stay in cache
 NEAREST_BLOCK = 1 << 14
+# family members looked up at a time by HoroballFamily.members_at
+MEMBER_BLOCK = 1 << 16
 
 
 class NonDiscreteError(ValueError):
@@ -127,7 +126,7 @@ class GroupPresentation:
         for g in self.generators:
             if g.is_identity:
                 raise ValueError("identity is not a useful generator")
-            if self.d == 1 and float(np.abs(g.matrix.imag).max()) > 1e-10:
+            if self.d == 1 and g.d != 1:
                 raise ValueError("d=1 requires real generator matrices")
 
     @property
@@ -144,7 +143,7 @@ def conjugated_presentation(group: GroupPresentation, q: hg.MobiusMap) -> GroupP
     meta = {k: v for k, v in group.metadata.items() if k != "gap_point"}
     meta["conjugated"] = True
     d = group.d
-    if d == 1 and any(float(np.abs(g.matrix.imag).max()) > 1e-10 for g in gens):
+    if d == 1 and any(g.d != 1 for g in gens):
         d = 2  # a complex conjugator moves a Fuchsian group off the real line
     return GroupPresentation(gens, d, name=group.name, metadata=meta)
 
@@ -730,7 +729,7 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     tr2 = (m[:, 0, 0] + m[:, 1, 1]) ** 2
     nontrivial = orbit.word_lengths > 0
     para = nontrivial & (np.abs(tr2 - 4.0) <= hg.PARABOLIC_TOL)
-    not_ident = np.abs(m - np.eye(2)).max(axis=(1, 2)) > 1e-9
+    not_ident = np.abs(m - np.eye(2)).max(axis=(1, 2)) > hg.IDENTITY_TOL
     para &= not_ident
     pm = m[para]
     pd = orbit.dists[para]
@@ -844,54 +843,64 @@ class HoroballFamily:
         ``len(sizes)`` where none is.  Where two of the points share a
         cell, that cell's members go to the lower one."""
         points = np.asarray(points, dtype=complex).ravel()
-        # few points, many members: the members are looked up among the points
-        i, j = _cell_lookup(points, CUSP_CLUSTER_TOL)(self.bases)
+        # few points, many members: the members are looked up among the
+        # points, ``MEMBER_BLOCK`` at a time
+        lookup = _cell_lookup(points, CUSP_CLUSTER_TOL)
         member = np.full(len(points), len(self.sizes))
-        np.minimum.at(member, j, i)
+        for a in range(0, len(self.bases), MEMBER_BLOCK):
+            i, j = lookup(self.bases[a : a + MEMBER_BLOCK])
+            np.minimum.at(member, j, i + a)
         return member
 
-    def _octaves(self):
+    def _bands(self) -> list:
+        # [member indices, s_max, grid] per size band, each grid built
+        # when a lookup first needs it
         if self._bins is None:
-            self._bins = _size_octave_bins(self.bases, self.sizes, DEEPEST_LEAFSIZE)
+            self._bins = [[idx, s_max, None] for idx, s_max in _size_bands(self.sizes)]
         return self._bins
 
     def deepest(self, w: np.ndarray, h: np.ndarray):
         """Escape depth and cusp rank of the member containing each point.
 
         Points outside every member get depth 0 and rank 0.  The family
-        is disjoint, so "the" member is unambiguous.
+        is disjoint, so "the" member is unambiguous.  A point at height
+        h lies inside a member of size s only where h < s, and then only
+        within sqrt(s_max h) <= s_max of its base, s_max being the top
+        of the member's band; so only the bands above some point's
+        height are searched, each in its own grid.
         """
         w = np.asarray(w, dtype=complex).ravel()
         h = np.asarray(h, dtype=float).ravel()
         depth = np.zeros(len(w))
         rank = np.zeros(len(w), dtype=np.int32)
-        pts = np.column_stack([w.real, w.imag])
         # squared by the C library's pow, as a scalar h ** 2 is; numpy's
         # vector square h * h differs from it in the last bit for some h
         h_sq = np.array([x**2 for x in h.tolist()])
-        for tree, idx, s_max in self._octaves():
+        plane = np.array([w.real, w.imag])
+        for band in self._bands():
+            idx, s_max, grid = band
             cand = np.flatnonzero(h <= s_max)
             if not len(cand):
                 continue
-            radii = np.sqrt(np.maximum(s_max * h[cand], 0.0))
-            hits = tree.query_ball_point(pts[cand], radii)
-            counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-            # one row per (point, hit member)
-            pt = np.repeat(cand, counts)
-            gi = idx[np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=int(counts.sum()))]
-            q = np.abs(self.bases[gi] - w[pt]) ** 2 + h_sq[pt]
-            val = self.sizes[gi] * h[pt] / q
-            inside = val > 1.0
-            pt, gi, val = pt[inside], gi[inside], val[inside]
-            # per point, its largest value and, on ties, the lowest member
-            order = np.lexsort((gi, -val, pt))
-            first = order[np.flatnonzero(np.diff(pt[order], prepend=-1))]
-            # math.log: numpy's vector log may round differently
-            logs = np.array([math.log(v) for v in val[first].tolist()])
-            pt, gi = pt[first], gi[first]
-            deeper = logs > depth[pt]
-            depth[pt[deeper]] = logs[deeper]
-            rank[pt[deeper]] = self.ranks[gi[deeper]]
+            if grid is None:
+                band[2] = grid = _band_grid(self.bases, idx, s_max)
+            # one row per (point, candidate member); every row of a point
+            # in one run
+            for a, _, row, at, _ in _grid_pairs(grid, s_max, plane[:, cand]):
+                pt, gi = cand[a + row], grid.order[at]
+                q = np.abs(self.bases[gi] - w[pt]) ** 2 + h_sq[pt]
+                val = self.sizes[gi] * h[pt] / q
+                inside = val > 1.0
+                pt, gi, val = pt[inside], gi[inside], val[inside]
+                # per point, its largest value and, on ties, the lowest member
+                order = np.lexsort((gi, -val, pt))
+                first = order[np.flatnonzero(np.diff(pt[order], prepend=-1))]
+                # math.log: numpy's vector log may round differently
+                logs = np.array([math.log(v) for v in val[first].tolist()])
+                pt, gi = pt[first], gi[first]
+                deeper = logs > depth[pt]
+                depth[pt[deeper]] = logs[deeper]
+                rank[pt[deeper]] = self.ranks[gi[deeper]]
         return depth, rank
 
 
@@ -901,37 +910,37 @@ def _xy(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
 
 
-def _size_octave_bins(bases: np.ndarray, sizes: np.ndarray, leafsize: int = 16):
-    """One KD tree over the bases of each band of ``BAND_OCTAVES`` size
-    octaves, bands counted from size 1: (tree, member indices in
-    ascending order, s_max) per band, with every member's size below
-    s_max, the band's top.  Trees have ``leafsize`` points per leaf.
+def _size_bands(sizes: np.ndarray):
+    """The bands of ``BAND_OCTAVES`` size octaves, counted from size 1,
+    from the smallest: (int32 member indices, s_max) per band, with
+    every member's size below s_max, the band's top.
 
     Members of sizes s and t overlap or touch only within sqrt(s t) of
-    each other, so a search within the geometric mean of two bands' tops
-    finds every such pair (:func:`_max_overlap_ratio` then computes the
-    distance of every pair found from the bases, by one formula); a
-    point at height h lies inside a member only within sqrt(s_max h) of
-    its base (:meth:`HoroballFamily.deepest`).
+    each other (:func:`_max_overlap_ratio`); a point at height h lies
+    inside a member only within sqrt(s_max h) of its base
+    (:meth:`HoroballFamily.deepest`).
     """
-    # the one scipy import of the package: only a family's overlap scan
-    # and deepest-member lookups build KD trees
-    from scipy.spatial import cKDTree
-
-    bins = []
     if len(sizes) == 0:
-        return bins
+        return
     band = np.log2(sizes)
     band /= BAND_OCTAVES
     np.floor(band, out=band)
     band = band.astype(np.int16)  # the octaves of doubles fit
-    xy = _xy(bases)
     for b in np.unique(band):
-        idx = np.flatnonzero(band == b)
-        # unbalanced, uncompacted trees build faster and find the same pairs
-        tree = cKDTree(xy[idx], leafsize, balanced_tree=False, compact_nodes=False)
-        bins.append((tree, idx, float(2.0 ** (BAND_OCTAVES * (int(b) + 1)))))
-    return bins
+        s_max = float(2.0 ** (BAND_OCTAVES * (int(b) + 1)))
+        yield np.flatnonzero(band == b).astype(np.int32), s_max
+
+
+def _band_grid(bases: np.ndarray, idx: np.ndarray, s_max: float):
+    """The pair-join grid (``estdim._sorted_grid``) of the members
+    ``idx`` of one band, its ``order`` holding their indices.  Its side
+    is a whisker above the radius of the band's join with the next band
+    up, sqrt(2^BAND_OCTAVES) s_max, so that this join and the band's
+    join with itself both take 3x3 blocks however the cells round; a
+    finer grid would search more blocks that hold nothing."""
+    side = math.sqrt(2.0**BAND_OCTAVES) * s_max * (1.0 + 1e-5)
+    grid = _sorted_grid(_plane(_xy(bases[idx])), side)
+    return grid._replace(order=idx[grid.order])
 
 
 def _horoball_images(
@@ -955,42 +964,40 @@ def _horoball_images(
 def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
     """max over pairs of s_i s_j / |p_i - p_j|^2.
 
-    1.0 means tangency; above 1 means overlap.  Pairs are searched band
-    against band over the :func:`_size_octave_bins` trees, within the
-    geometric mean of the two bands' tops: a pair with ratio 1 or more
-    lies closer than sqrt(s_i s_j), so every such pair is found.  A band
-    is joined with itself once per pair, and every pair found, by either
-    join, has its |p_i - p_j|^2 computed from ``bases`` by one formula.
-    So the largest ratio at or above 1 does not depend on the bands,
-    and scaling every size by a power of two scales it exactly.
+    1.0 means tangency; above 1 means overlap.  Pairs are joined band
+    against band (:func:`_size_bands`) over one grid per band
+    (:func:`_band_grid`), each pair of bands in whichever direction
+    searches fewer key ranges and each band with itself once, and kept
+    within the geometric mean of the two bands' tops: a pair with ratio
+    1 or more lies closer than sqrt(s_i s_j), so every such pair is
+    kept.  Every pair kept has its |p_i - p_j|^2 computed from ``bases``
+    by one formula.  So the largest ratio at or above 1 does not depend
+    on the bands, and scaling every size by a power of two scales it
+    exactly.
     """
     worst = 0.0
     if len(sizes) < 2:
         return worst
-    bins = _size_octave_bins(bases, sizes)
-    for bi, (tree_i, idx_i, smax_i) in enumerate(bins):
-        for tree_j, idx_j, smax_j in bins[bi:]:
-            r = math.sqrt(smax_i * smax_j) * (1.0 + 1e-12)
-            if tree_j is tree_i:
-                pairs = tree_i.query_pairs(r, output_type="ndarray")
-                gi, gj = idx_i[pairs[:, 0]], idx_i[pairs[:, 1]]
-            else:
-                pairs = tree_i.sparse_distance_matrix(tree_j, r, output_type="ndarray")
-                gi, gj = idx_i[pairs["i"]], idx_j[pairs["j"]]
-            del pairs
-            if not len(gi):
-                continue
-            d = bases[gi]
-            d -= bases[gj]
-            d2 = d.real * d.real
-            d2 += d.imag * d.imag
-            del d
-            if (d2 == 0.0).any():
-                return math.inf
-            ratio = sizes[gi]
-            ratio *= sizes[gj]
-            ratio /= d2
-            worst = max(worst, float(ratio.max()))
+    grids = [(_band_grid(bases, idx, top), top) for idx, top in _size_bands(sizes)]
+    for bi, (grid_i, top_i) in enumerate(grids):
+        for grid_j, top_j in grids[bi:]:
+            r = math.sqrt(top_i * top_j) * (1.0 + 1e-12)
+            # of band j's points in band i's grid and band i's in band j's,
+            # the join that searches fewer key ranges runs
+            in_i = len(grid_j.key) * (2 * _reach(grid_i, r) + 1)
+            in_j = len(grid_i.key) * (2 * _reach(grid_j, r) + 1)
+            g, qg = (grid_i, grid_j) if in_i <= in_j else (grid_j, grid_i)
+            for a, _, q, at, d2 in _grid_pairs(g, r, None if g is qg else qg.xy):
+                near = d2 <= r * r
+                d2 = d2[near]
+                if not len(d2):
+                    continue
+                if (d2 == 0.0).any():
+                    return math.inf
+                ratio = sizes[g.order[at[near]]]
+                ratio *= sizes[qg.order[a + q[near]]]
+                ratio /= d2
+                worst = max(worst, float(ratio.max()))
     return worst
 
 
@@ -1207,7 +1214,7 @@ def squeeze_horoballs(family: HoroballFamily) -> HoroballFamily:
     scan when the base point decides m, and a second one runs only when
     the overlap decides."""
     theta = _squeeze_theta(family.bases, family.sizes)
-    # the squeezed sizes need trees of their own
+    # the squeezed sizes need grids of their own
     return replace(family, sizes=family.sizes * theta, theta=theta, _bins=None)
 
 

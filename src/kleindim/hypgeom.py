@@ -33,6 +33,12 @@ AMBIGUOUS_BAND = 10 * PARABOLIC_TOL
 ENTRY_TOL = 1e-9
 # identification grid for canonical matrices.
 MATRIX_GRID = 1e-9
+# a matrix whose entries all lie within this of the identity's is the
+# identity, for classify and for cusp detection alike
+IDENTITY_TOL = 1e-9
+# a matrix whose entries have imaginary parts at most this is real: a
+# Fuchsian (d = 1) map, for MobiusMap.d and for group presentations alike
+REAL_TOL = 1e-10
 
 # saturation bound for grid-rounded matrix entries (exact in float64)
 KEY_CLAMP = 2.0**62
@@ -322,11 +328,11 @@ class MobiusMap:
 
     @property
     def d(self) -> int:
-        return 1 if float(np.abs(self.matrix.imag).max()) < 1e-12 else 2
+        return 1 if float(np.abs(self.matrix.imag).max()) <= REAL_TOL else 2
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.abs(self.matrix - np.eye(2)).max() < 1e-12)
+        return bool(np.abs(self.matrix - np.eye(2)).max() <= IDENTITY_TOL)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         return MobiusMap(self.matrix @ other.matrix)

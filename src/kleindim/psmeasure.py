@@ -40,7 +40,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import hypgeom as hg
-from .estdim import _farthest_point_sample, _grid_cells, _grid_keys, _linear_fit, _plane
+from .estdim import _block_pairs, _farthest_point_sample, _grid_cells, _grid_keys, _grid_pairs
+from .estdim import _linear_fit, _plane, _sorted_grid
 from .estdim import _sq_dists, poincare_exponent
 from .group import (
     Cusp,
@@ -70,11 +71,9 @@ SQUEEZE_THETAS = (1.0, 0.5, 0.25, 0.125)
 KNN_K = 9
 # the k-th neighbour median (see _kth_neighbour_median) solves about this
 # many sampled atoms to bracket the median, this many standard deviations
-# of a sample median's rank wide on either side, and forms about this
-# many candidate pairs at a time, which bounds its memory
+# of a sample median's rank wide on either side
 KNN_SAMPLE = 2048
 KNN_BRACKET = 5.0
-KNN_PAIRS = 1 << 17
 # the (row, column) offsets of a cell's 3x3 block
 _BLOCK = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
 
@@ -173,28 +172,6 @@ def _spread_bits(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _block_pairs(xy: np.ndarray, pos: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Candidate pairs of the queries ``pos``, columns of the sorted
-    coordinates ``xy``, with the points of the position ranges
-    [start, end) in their rows.  Yields (a, b, q, d2) for consecutive
-    runs pos[a:b] of about ``KNN_PAIRS`` pairs: each pair's query index
-    in the run and its squared distance, summed in coordinate order as
-    cKDTree sums it."""
-    counts = (end - start).sum(axis=1)
-    cum = np.cumsum(counts)
-    bounds = np.searchsorted(cum, np.arange(0, int(cum[-1]), KNN_PAIRS), "right")
-    bounds = np.unique(np.append(bounds, len(pos))).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lens = (end[a:b] - start[a:b]).ravel()
-        stop = np.cumsum(lens)
-        cand = np.arange(int(stop[-1])) + np.repeat(start[a:b].ravel() - stop + lens, lens)
-        q = np.repeat(np.arange(b - a), counts[a:b])
-        at = pos[a:b][q]
-        d2 = (xy[0][at] - xy[0][cand]) ** 2
-        d2 += (xy[1][at] - xy[1][cand]) ** 2
-        yield a, b, q, d2
-
-
 def _kth_smallest(q: np.ndarray, d2: np.ndarray, k: int) -> tuple:
     """(queries, values): the k-th smallest of each query's ``d2`` values,
     for the queries of the sorted ``q``, each with k values or more."""
@@ -252,7 +229,7 @@ def _exact_kth_sq(plane: np.ndarray, rows: np.ndarray, k: int, fine: float) -> n
     while len(todo):
         start, end = blocks(pos[todo], level[todo])
         short = []
-        for a, b, q, d2 in _block_pairs(xy, pos[todo], start, end):
+        for a, b, q, _, d2 in _block_pairs(xy[:, pos[todo]], xy, start, end):
             side = np.ldexp(fine * (1.0 - 1e-6), level[todo[a:b]])
             near = d2 <= (side * side)[q]
             q, d2 = q[near], d2[near]
@@ -313,26 +290,11 @@ def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) 
     """(the number of points whose squared k-th distance lies below
     ``lo``, the squared k-th distances that lie in [lo, hi]), read off
     the 3x3 blocks of a grid of ``side`` a whisker above sqrt(hi), which
-    hold every point within sqrt(hi).  The cells are keyed by
-    ``estdim._grid_keys``, and each block's columns are clamped to the
-    grid's span, so that no block wraps onto the next row."""
-    key, width = _grid_keys(*_grid_cells(plane - plane.min(axis=1, keepdims=True), side))
-    if not width:  # columns are read off packed keys
-        raise ValueError(f"a grid of side {side:g} has too many cells for 64-bit keys")
-    order = np.argsort(key)
-    key, xy = key[order], plane[:, order]
-    del order
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    # each cell's block is three runs of up to three keys; searched one
-    # row of the block at a time, the keys arrive in increasing order
-    col = key[first] % width
-    rows = np.array([[-width], [0], [width]])
-    start = np.searchsorted(key, key[first] - (col > 0) + rows).T
-    end = np.searchsorted(key, key[first] + 1 + (col < width - 1) + rows).T
-    del col
-    cell = np.repeat(np.arange(len(first)), np.diff(first, append=len(key)))
+    hold every point within sqrt(hi): a pair join of the points with
+    themselves (:func:`estdim._grid_pairs`)."""
+    grid = _sorted_grid(plane, side)
     n_below, inside = 0, []
-    for a, b, q, d2 in _block_pairs(xy, np.arange(len(key)), start[cell], end[cell]):
+    for a, b, q, _, d2 in _grid_pairs(grid, math.sqrt(hi), grid.xy):
         near = d2 <= hi
         q, d2 = q[near], d2[near]
         below = np.bincount(q[d2 < lo], minlength=b - a) >= k

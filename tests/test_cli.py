@@ -7,6 +7,7 @@ infinitely generated builtin (whose pipeline finishes in about a
 second) or a deliberately starved orbit budget.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -437,18 +438,28 @@ class TestExitCodes:
 
     def test_import_leaves_scipy_stats_out(self, tmp_path):
         # scipy.stats costs about a second and 35 MB in every process, and
-        # scipy.spatial 0.3 s and 36 MB; only the squeezed horoball family
-        # builds KD trees, and verify reads the unsqueezed one
+        # scipy.spatial 0.3 s and 36 MB; the package loads neither, in
+        # verify or on the measure side: the squeezed horoball family, the
+        # drift of the measure formula and the deepest cusps
         code = (
             "import json, sys\n"
             "import kleindim\n"
             "import kleindim.cli as cli\n"
+            "import kleindim.group as gr\n"
+            "import kleindim.psmeasure as ps\n"
+            "from kleindim.pipeline import Pipeline, deepest_cusp_points\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "loaded = {'import': scipy_modules()}\n"
             "for g in sys.argv[1:]:\n"
             "    cli.main(['verify', g, '--budget-dist', '8', '--out', g + '.txt'])\n"
             "    loaded[g] = scipy_modules()\n"
+            "p = Pipeline(gr.builtin_group('apollonian'), 8.0)\n"
+            "family = gr.standard_horoballs(p.orbit, p.cusps)\n"
+            "ctx = ps.GMFContext(delta=p.delta, family=family)\n"
+            "ps.gmf_drift(ctx, p.measure, n_samples=50, seed=0)\n"
+            "deepest_cusp_points(p.cusps, family)\n"
+            "loaded['measure side'] = scipy_modules()\n"
             "print(json.dumps(loaded))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -463,7 +474,31 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded == {name: [] for name in ["import", *VERIFY_MATRIX_AT_8]}
+        assert loaded == {name: [] for name in ["import", *VERIFY_MATRIX_AT_8, "measure side"]}
+
+    def test_no_module_imports_scipy(self):
+        # scipy serves the tests alone: no module of the package imports
+        # it, and the runtime dependencies leave it out
+        tomllib = pytest.importorskip("tomllib")
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "scipy" for m in modules), name
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert not [dep for dep in project["dependencies"] if dep.startswith("scipy")]
+        assert [dep for dep in project["optional-dependencies"]["test"] if dep.startswith("scipy")]
 
 
 class TestGenerate:

@@ -91,12 +91,10 @@ def _squeeze_input(monkeypatch, name, dist):
     return got[0]
 
 
-def _default_tree_bins(bases, sizes, leafsize=16):
-    """The size-band bins on scipy's default (balanced, compact) trees,
-    whatever leaf size is asked for."""
+def _kd_tree_bins(bases, sizes):
+    """The size bands of ``gr._size_band_grids`` on scipy's KD trees:
+    (tree, member indices, s_max) per band, from the smallest."""
     bins = []
-    if len(sizes) == 0:
-        return bins
     band = np.floor(np.log2(sizes) / gr.BAND_OCTAVES).astype(int)
     for o in np.unique(band):
         idx = np.flatnonzero(band == o)
@@ -106,13 +104,40 @@ def _default_tree_bins(bases, sizes, leafsize=16):
     return bins
 
 
+def _oracle_overlap_ratio(bases, sizes):
+    """``gr._max_overlap_ratio`` on KD trees: every pair within the
+    geometric mean of two bands' tops, found by the trees' ball
+    searches, and the ratio of each by one formula."""
+    worst = 0.0
+    if len(sizes) < 2:
+        return worst
+    bins = _kd_tree_bins(bases, sizes)
+    for bi, (tree_i, idx_i, smax_i) in enumerate(bins):
+        for tree_j, idx_j, smax_j in bins[bi:]:
+            r = math.sqrt(smax_i * smax_j) * (1.0 + 1e-12)
+            if tree_j is tree_i:
+                pairs = tree_i.query_pairs(r, output_type="ndarray")
+                gi, gj = idx_i[pairs[:, 0]], idx_i[pairs[:, 1]]
+            else:
+                pairs = tree_i.sparse_distance_matrix(tree_j, r, output_type="ndarray")
+                gi, gj = idx_i[pairs["i"]], idx_j[pairs["j"]]
+            if not len(gi):
+                continue
+            d = bases[gi] - bases[gj]
+            d2 = d.real * d.real + d.imag * d.imag
+            if (d2 == 0.0).any():
+                return math.inf
+            worst = max(worst, float((sizes[gi] * sizes[gj] / d2).max()))
+    return worst
+
+
 def _oracle_deepest(fam, w, h):
-    """``HoroballFamily.deepest`` as first written: one ball query and
-    one argmax per point and size octave."""
+    """``HoroballFamily.deepest`` as first written: one KD-tree ball
+    query and one argmax per point and size band."""
     depth = np.zeros(len(w))
     rank = np.zeros(len(w), dtype=np.int32)
     pts = np.column_stack([w.real, w.imag])
-    for tree, idx, s_max in fam._octaves():
+    for tree, idx, s_max in _kd_tree_bins(fam.bases, fam.sizes):
         radii = np.sqrt(np.maximum(s_max * h, 0.0))
         for i in np.flatnonzero(h <= s_max):
             hits = tree.query_ball_point(pts[i], radii[i])
@@ -126,6 +151,20 @@ def _oracle_deepest(fam, w, h):
                 depth[i] = math.log(val[j])
                 rank[i] = fam.ranks[gi[j]]
     return depth, rank
+
+
+def _deepest_probes(fam):
+    """Points around the 200 largest members, as (sideways shift,
+    height) in diameters: near the top and half-way up off-centre
+    (inside), low beside the base and out to the side (outside); then a
+    grid over the chart."""
+    top = np.argsort(fam.sizes)[-200:]
+    offsets = ((0.0, 0.999), (0.3, 0.5), (0.5j, 0.05), (-0.6, 0.3))
+    w = np.concatenate([fam.bases[top] + dx * fam.sizes[top] for dx, _ in offsets])
+    h = np.concatenate([fam.sizes[top] * f for _, f in offsets])
+    axis = np.linspace(-1.2, 1.2, 13)
+    gx, gy, gh = np.meshgrid(axis, axis, [0.01, 0.1, 0.4])
+    return np.concatenate([w, (gx + 1j * gy).ravel()]), np.concatenate([h, gh.ravel()])
 
 
 def _oracle_dedup(bases, sizes, ref_of):
@@ -809,6 +848,47 @@ class TestPresentations:
         with pytest.raises(ValueError):
             gr.GroupPresentation((rot,), d=1)
 
+    def test_one_identity_tolerance(self):
+        # within hg.IDENTITY_TOL of the identity, every entry point reads
+        # the identity; just past it, a parabolic fixing infinity, which
+        # cusp detection sees and refuses in the unbounded chart
+        dilation = hg.MobiusMap(np.diag([2.0, 0.5]))
+        for entries in ([[1.0, 5e-10], [0.0, 1.0]], [[1.0, 0.0], [5e-10, 1.0]]):
+            near = hg.MobiusMap(np.array(entries))
+            assert near.is_identity
+            assert hg.classify(near).kind is hg.IsometryClass.IDENTITY
+            assert hg.classify(near, 1).kind is hg.IsometryClass.IDENTITY
+            with pytest.raises(ValueError, match="identity"):
+                gr.GroupPresentation((near, dilation), d=1)
+        past = hg.MobiusMap(np.array([[1.0, 2e-9], [0.0, 1.0]]))
+        assert not past.is_identity
+        cl = hg.classify(past, 1)
+        assert cl.kind is hg.IsometryClass.PARABOLIC
+        assert [p.is_infinity for p in cl.fixed_points] == [True]
+        orb = gr.enumerate_orbit(gr.GroupPresentation((past, dilation), d=1), max_word_length=1)
+        with pytest.raises(gr.CuspDetectionError, match="bounded_model"):
+            gr.find_cusps(orb)
+
+    @pytest.mark.parametrize("imag, d", [(5e-11, 1), (5e-10, 2)])
+    def test_one_realness_tolerance(self, imag, d):
+        # imaginary parts within hg.REAL_TOL are real for MobiusMap.d, for
+        # a presentation, for a conjugation and so for classify's guess
+        dilation = hg.MobiusMap(np.diag([2.0, 0.5]))
+        gen = hg.MobiusMap(np.array([[1.0, 1.0 + imag * 1j], [0.0, 1.0]]))
+        assert gen.d == d
+        if d == 1:
+            gr.GroupPresentation((gen, dilation), d=1)
+        else:
+            with pytest.raises(ValueError, match="real"):
+                gr.GroupPresentation((gen, dilation), d=1)
+        real = gr.GroupPresentation((hg.MobiusMap(np.array([[2.0, 1.0], [1.0, 1.0]])),), d=1)
+        q = hg.MobiusMap(np.array([[1.0, imag * 1j], [0.0, 1.0]]))
+        conj = gr.conjugated_presentation(real, q)
+        assert conj.d == d
+        assert [g.d for g in conj.generators] == [d]
+        fixed = hg.classify(conj.generators[0]).fixed_points
+        assert [len(p.coords) for p in fixed] == [d, d]
+
     def test_schottky_circle_validation(self):
         with pytest.raises(ValueError):
             gr.builtin_group("schottky", separation=1.5)
@@ -1134,29 +1214,39 @@ class TestHoroballs:
         assert float(second[0] / raw[0]) == theta
         assert check / (first_theta * first_theta) == scan(bases, raw)
 
-    def test_octave_tree_arguments_change_no_answer(self, monkeypatch):
-        orb = gr.enumerate_orbit(gr.builtin_group("apollonian"), 8.0)
-        fam = gr.standard_horoballs(orb, gr.find_cusps(orb))
-        # around the 200 largest members, as (sideways shift, height) in
-        # diameters: near the top and half-way up off-centre (inside),
-        # low beside the base and out to the side (outside); then a grid
-        top = np.argsort(fam.sizes)[-200:]
-        offsets = ((0.0, 0.999), (0.3, 0.5), (0.5j, 0.05), (-0.6, 0.3))
-        w = np.concatenate([fam.bases[top] + dx * fam.sizes[top] for dx, _ in offsets])
-        h = np.concatenate([fam.sizes[top] * f for _, f in offsets])
-        axis = np.linspace(-1.2, 1.2, 13)
-        gx, gy, gh = np.meshgrid(axis, axis, [0.01, 0.1, 0.4])
-        w = np.concatenate([w, (gx + 1j * gy).ravel()])
-        h = np.concatenate([h, gh.ravel()])
-        worst = gr._max_overlap_ratio(fam.bases, fam.sizes)
+    @pytest.mark.parametrize(
+        "name, dist",
+        [
+            ("apollonian", 8.0),
+            ("apollonian", 9.5),
+            ("apollonian", 10.5),
+            ("rank2_cusp", 8.0),
+            ("rank2_cusp", 9.5),
+            ("parabolic_cusp_fuchsian", 8.0),
+            ("parabolic_cusp_fuchsian", 9.5),
+        ],
+    )
+    def test_grid_joins_equal_the_kd_tree_oracles(self, digest_pipelines, monkeypatch, name, dist):
+        if (name, dist) in digest_pipelines:
+            p, _ = digest_pipelines[name, dist]
+        else:
+            p = Pipeline(gr.builtin_group(name), dist)
+        raw, fam = p.unsqueezed, p.family
+        # the raw family at 10.5 overlaps so deeply that a scan of it takes
+        # seconds either way; its squeezed scans are compared there
+        for sizes in (raw.sizes, fam.sizes) if dist < 10.5 else (fam.sizes,):
+            want = _oracle_overlap_ratio(raw.bases, sizes)
+            assert gr._max_overlap_ratio(raw.bases, sizes) == want
+        monkeypatch.setattr(gr, "_max_overlap_ratio", _oracle_overlap_ratio)
+        assert gr._squeeze_theta(raw.bases, raw.sizes.copy()) == fam.theta
+        w, h = _deepest_probes(fam)
         depth, rank = fam.deepest(w, h)
-        assert (depth > 0).sum() > 200 and (depth == 0).sum() > 200
-        monkeypatch.setattr(gr, "_size_octave_bins", _default_tree_bins)
-        fam._bins = None
-        assert gr._max_overlap_ratio(fam.bases, fam.sizes) == worst
-        ref_depth, ref_rank = fam.deepest(w, h)
-        assert np.array_equal(depth, ref_depth)
-        assert np.array_equal(rank, ref_rank)
+        assert (depth > 0).any() and (depth == 0).any()
+        if name == "apollonian":
+            assert (depth > 0).sum() > 200 and (depth == 0).sum() > 200
+        want_depth, want_rank = _oracle_deepest(fam, w, h)
+        assert depth.tobytes() == want_depth.tobytes()
+        assert np.array_equal(rank, want_rank)
 
     def test_batched_deepest_equals_the_per_point_loop(self):
         # points inside and beside the 2,000 largest members; a few of
