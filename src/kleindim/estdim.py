@@ -95,7 +95,8 @@ GROWTH_MAX_REL_STDERR = 0.1
 DENSE_SPAN = 16
 # a pair join (see _grid_pairs) searches this many key ranges at a time
 # and forms about this many candidate pairs at a time, which bounds its
-# memory; its grid spans at most 2^GRID_SPAN_BITS cells a side
+# memory; its grid spans at most 2^GRID_SPAN_BITS cells a side, and
+# takes the cells of JOIN_RANGES points at a time
 JOIN_RANGES = 1 << 14
 JOIN_PAIRS = 1 << 17
 GRID_SPAN_BITS = 30
@@ -225,18 +226,30 @@ class _Grid(NamedTuple):
 def _sorted_grid(plane: np.ndarray, side: float) -> _Grid:
     """The points, the columns of ``plane``, sorted by their cells in a
     grid of side ``side``, or coarser: at most 2^``GRID_SPAN_BITS``
-    cells a side, so that the keys pack."""
+    cells a side, so that the keys pack.
+
+    The columns are sorted in place, a row at a time, and ``plane``
+    becomes the grid's ``xy``.  The cells are computed ``JOIN_RANGES``
+    points at a time and the keys sorted in place, so that besides
+    ``plane`` the build holds at most two int64 arrays of one per point,
+    then the sorted keys, the int32 order and one row."""
     origin = plane.min(axis=1, keepdims=True)
     extent = float((plane.max(axis=1) - origin[:, 0]).max())
     side = max(side, extent * 2.0**-GRID_SPAN_BITS)
-    # a row at a time, so that one row's temporaries exist at once
-    cells = [_grid_cells(row - low, side) for row, low in zip(plane, origin[:, 0])]
-    key, width = _grid_keys(*cells)
-    del cells
+    n = plane.shape[1]
+    c0, c1 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for a in range(0, n, JOIN_RANGES):
+        c0[a : a + JOIN_RANGES], c1[a : a + JOIN_RANGES] = _grid_cells(
+            plane[:, a : a + JOIN_RANGES] - origin, side
+        )
+    key, width = _grid_keys(c0, c1)
+    del c0, c1
     order = np.argsort(key)
-    key = key[order]
+    key.sort()  # the values of key[order], with no second array
     order = order.astype(np.int32)
-    return _Grid(origin, side, width, key, order, plane[:, order])
+    for row in plane:
+        row[:] = row[order]
+    return _Grid(origin, side, width, key, order, plane)
 
 
 def _reach(grid: _Grid, radius: float) -> int:

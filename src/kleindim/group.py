@@ -359,6 +359,29 @@ def _pair_products(cols: np.ndarray, planes: np.ndarray, rows: np.ndarray) -> np
     return out.view(complex).reshape(-1, 2, 2)
 
 
+def _gather(pieces: list, rows: Optional[np.ndarray]) -> np.ndarray:
+    """The sorted rows ``rows`` (every row where None) of the
+    concatenation of the arrays ``pieces``, gathered into one array.
+    Each piece leaves the list once read, so that the pieces shrink as
+    the result fills and neither their concatenation nor a second
+    gathered copy ever exists."""
+    n = sum(map(len, pieces)) if rows is None else len(rows)
+    out = np.empty((n,) + pieces[0].shape[1:], dtype=pieces[0].dtype)
+    at = start = 0
+    for k, piece in enumerate(pieces):
+        pieces[k] = None
+        if rows is None:
+            out[at : at + len(piece)] = piece
+            at += len(piece)
+        else:
+            stop = int(np.searchsorted(rows, start + len(piece)))
+            # "clip" writes straight into ``out``; the default mode buffers
+            np.take(piece, rows[at:stop] - start, axis=0, out=out[at:stop], mode="clip")
+            at = stop
+        start += len(piece)
+    return out
+
+
 def _generator_stack(group: GroupPresentation) -> np.ndarray:
     mats = []
     for g in group.generators:
@@ -411,6 +434,15 @@ def enumerate_orbit(
     keeps, in the same order.  A walk bounded by ``max_word_length``
     alone skips nothing, and neither does a chunk of fewer than
     ``REACH_MIN_ROWS`` rows, whose products the exact test alone decides.
+
+    The working set is one copy of each level.  A level's chunks leave
+    their new elements as pieces; the expanded level is freed before the
+    next one is assembled, and :func:`_gather` moves the pieces into one
+    array, dropping each once read.  So the walk holds the elements
+    reported so far, one level with the pieces of the next (or, while
+    they are assembled, the pieces and the level they fill) and one
+    chunk's products, and at its end the reported elements twice, as
+    their per-level arrays are joined.
     """
     if max_dist is None and max_word_length is None:
         raise ValueError("need max_dist or max_word_length")
@@ -497,21 +529,24 @@ def enumerate_orbit(
             lvl_hash.append(hashes[first])
             n_lvl += len(first)
 
+        # the expanded level goes before the next one is assembled
+        del frontier
         if not lvl_dist:
             if stopped:
                 break
             frontier = np.empty((0, 2, 2), dtype=complex)
             continue
 
-        new_m = np.concatenate(lvl_m)
         new_dist = np.concatenate(lvl_dist)
         new_last = np.concatenate(lvl_last)
-        new_hash = np.concatenate(lvl_hash)
         # chunks were deduplicated locally; a duplicate can straddle chunks
-        new_hash, cross = _first_of_each(new_hash)
-        if len(cross) < len(new_m):
+        new_hash, cross = _first_of_each(np.concatenate(lvl_hash))
+        if len(cross) < len(new_dist):
             cross.sort()
-            new_m, new_dist, new_last = new_m[cross], new_dist[cross], new_last[cross]
+            new_dist, new_last = new_dist[cross], new_last[cross]
+        else:
+            cross = None
+        frontier = _gather(lvl_m, cross)
         # the stable sort (timsort) merges two sorted runs in one pass
         recent = np.concatenate([recent, new_hash])
         recent.sort(kind="stable")
@@ -528,7 +563,7 @@ def enumerate_orbit(
             recent = visited[:0]
 
         report = new_dist <= report_dist
-        acc_m.append(new_m[report])
+        acc_m.append(frontier if report.all() else frontier[report])
         acc_dist.append(new_dist[report])
         acc_len.append(np.full(int(report.sum()), level, dtype=np.int32))
 
@@ -540,7 +575,6 @@ def enumerate_orbit(
                 "almost certainly non-discrete"
             )
 
-        frontier = new_m
         frontier_last = new_last
         frontier_dist = new_dist
         if stopped:
@@ -904,12 +938,6 @@ class HoroballFamily:
         return depth, rank
 
 
-def _xy(z: np.ndarray) -> np.ndarray:
-    """Complex points as an (n, 2) float view of their real and
-    imaginary parts."""
-    return np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
-
-
 def _size_bands(sizes: np.ndarray):
     """The bands of ``BAND_OCTAVES`` size octaves, counted from size 1,
     from the smallest: (int32 member indices, s_max) per band, with
@@ -939,7 +967,12 @@ def _band_grid(bases: np.ndarray, idx: np.ndarray, s_max: float):
     join with itself both take 3x3 blocks however the cells round; a
     finer grid would search more blocks that hold nothing."""
     side = math.sqrt(2.0**BAND_OCTAVES) * s_max * (1.0 + 1e-5)
-    grid = _sorted_grid(_plane(_xy(bases[idx])), side)
+    # the members' coordinates go straight into the rows that the grid
+    # sorts in place and keeps
+    plane = np.empty((2, len(idx)))
+    plane[0] = bases.real[idx]
+    plane[1] = bases.imag[idx]
+    grid = _sorted_grid(plane, side)
     return grid._replace(order=idx[grid.order])
 
 
@@ -1175,16 +1208,21 @@ def unsqueezed_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily
     Members may overlap; :func:`squeeze_horoballs` makes them disjoint.
     A dyadic squeeze scales every size exactly, so the members' order by
     size is that of the squeezed family.
+
+    The working set is one raw family: :func:`_raw_family` writes every
+    reference's images into arrays of the raw family's size, the dedup
+    passes hold the working arrays of :func:`_dedup_pass` beside it, and
+    the kept members move down in place before the arrays shrink to
+    them, so no copy of the kept family exists beside the raw one.
     """
     if not cusps.has_cusps:
         raise CuspDetectionError("no parabolic elements found; the group has no cusps")
 
     refs = [(hg._hs_boundary(cu.point), cu.rank) for cu in cusps.cusps]
-    scale = _entry_scales(orbit.matrices)
 
-    active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs, scale))
+    active = _fold_refs(refs, range(len(refs)), _premerge_refs(orbit.matrices, refs))
     while True:
-        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active, scale)
+        bases, sizes, ref_of = _raw_family(orbit.matrices, refs, active)
         keep = _dedup_and_find_conflict(bases, sizes, ref_of)
         if not isinstance(keep, tuple):
             break
@@ -1197,13 +1235,21 @@ def unsqueezed_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily
                 "parabolic detection is unreliable for this input"
             )
         active = _fold_refs(refs, active, _components(len(refs), i, j))
-    return HoroballFamily(
-        bases=bases[keep],
-        sizes=sizes[keep],
-        ranks=np.array([rank for _, rank in refs], dtype=np.int32)[ref_of[keep]],
-        d=orbit.d,
-        n_references=len(active),
-    )
+    # the kept members move down in place, a block at a time: keep is
+    # ascending, so a block overwrites only rows already read; the arrays
+    # then shrink to the kept members, and ref_of becomes the ranks
+    rank_of = np.array([rank for _, rank in refs], dtype=np.int32)
+    n = len(keep)
+    for a in range(0, n, MEMBER_BLOCK):
+        at = keep[a : a + MEMBER_BLOCK]
+        bases[a : a + len(at)] = bases[at]
+        sizes[a : a + len(at)] = sizes[at]
+        ref_of[a : a + len(at)] = rank_of[ref_of[at]]
+    del keep
+    bases.resize(n)
+    sizes.resize(n)
+    ref_of.resize(n)
+    return HoroballFamily(bases=bases, sizes=sizes, ranks=ref_of, d=orbit.d, n_references=len(active))
 
 
 def squeeze_horoballs(family: HoroballFamily) -> HoroballFamily:
@@ -1224,17 +1270,19 @@ def standard_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily:
     return squeeze_horoballs(unsqueezed_horoballs(orbit, cusps))
 
 
-def _raw_family(mats, refs, active, scale):
+def _raw_family(mats, refs, active):
     """Unit reference horoballs at every active reference, pushed around by
-    every matrix, whose :func:`_entry_scales` are ``scale``: (bases,
-    sizes, ref_of)."""
-    bases_l, sizes_l, ref_l = [], [], []
-    for ri in active:
-        fb, fs = _horoball_images(mats, refs[ri][0], scale)
-        bases_l.append(fb)
-        sizes_l.append(fs)
-        ref_l.append(np.full(len(fs), ri, dtype=np.int32))
-    return np.concatenate(bases_l), np.concatenate(sizes_l), np.concatenate(ref_l)
+    every matrix: (bases, sizes, ref_of), one reference's images after
+    another, each written into arrays of the family's final size."""
+    n = len(mats)
+    scale = _entry_scales(mats)
+    bases = np.empty(n * len(active), dtype=complex)
+    sizes = np.empty(n * len(active))
+    for k, ri in enumerate(active):
+        bases[k * n : (k + 1) * n], sizes[k * n : (k + 1) * n] = _horoball_images(
+            mats, refs[ri][0], scale
+        )
+    return bases, sizes, np.repeat(np.array(active, dtype=np.int32), n)
 
 
 def _dedup_and_find_conflict(bases, sizes, ref_of):
@@ -1247,12 +1295,15 @@ def _dedup_and_find_conflict(bases, sizes, ref_of):
     ``DEDUP_SIZE_REL_TOL`` relative size.  Disagreeing macroscopic sizes
     from different references prove the referenced cusp orbits coincide.
     """
-    keep = None
-    for frac in (0.0, 0.5):
-        keep, pairs = _dedup_pass(bases, sizes, frac, keep)
-        if pairs is not None:
-            return ("merge", sorted({(int(ref_of[i]), int(ref_of[j])) for i, j in pairs}))
-    return keep
+    keep, pairs = _dedup_pass(bases, sizes, 0.0)
+    if pairs is None:
+        # the second pass holds the first one's rows throughout: as
+        # int32, they take half the bytes
+        keep = keep.astype(np.int32)
+        keep, pairs = _dedup_pass(bases, sizes, 0.5, keep)
+    if pairs is not None:
+        return ("merge", sorted({(int(ref_of[i]), int(ref_of[j])) for i, j in pairs}))
+    return keep.astype(np.intp)
 
 
 def _lead_first(order, new_group, sizes):
@@ -1275,7 +1326,7 @@ def _lead_first(order, new_group, sizes):
     top = np.fmax.reduceat(s, starts).repeat(counts)
     top = (s == top) | np.isnan(top)
     del s
-    lead = np.minimum.reduceat(np.where(top, idx, np.iinfo(np.intp).max), starts)
+    lead = np.minimum.reduceat(np.where(top, idx, np.iinfo(idx.dtype).max), starts)
     del top
     at = sub[np.flatnonzero(idx == lead.repeat(counts))]
     first = sub[starts]
@@ -1292,44 +1343,62 @@ def _dedup_pass(bases, sizes, frac, rows=None):
     quicksort groups the cells.  Each cell's leader is its member of
     largest size and, on ties, lowest index (:func:`_lead_first`), the
     member a sort by cell and falling size puts first.  A row is kept
-    when it leads its cell or its size disagrees with the leader's.  The
-    cells are computed for every entry and then taken at the rows, and
-    each temporary is freed once used, so that a pass holds about four
-    row-sized arrays at a time."""
+    when it leads its cell or its size disagrees with the leader's.
 
-    def take(a):
-        return a if rows is None else a[rows]
-
-    c0, c1 = _cells(bases, DEDUP_GRID, frac)
-    key = _grid_keys(take(c0), take(c1))[0]
+    The cells are computed at the rows only, and the cell starts, the
+    leaders and the size agreement ``MEMBER_BLOCK`` sorted rows at a
+    time.  So besides its inputs a pass holds two row-sized integer
+    arrays at a time (the two cell indices, then the keys and their
+    order, then the order and the kept rows), a row-sized mask, the
+    arrays of :func:`_lead_first` over the rows whose cell they share,
+    and blocks."""
+    n = len(bases) if rows is None else len(rows)
+    c0, c1 = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for a in range(0, n, MEMBER_BLOCK):
+        z = bases[a : a + MEMBER_BLOCK] if rows is None else bases[rows[a : a + MEMBER_BLOCK]]
+        c0[a : a + len(z)], c1[a : a + len(z)] = _cells(z, DEDUP_GRID, frac)
+    key = _grid_keys(c0, c1)[0]
     del c0, c1
     order = np.argsort(key)
-    n = len(order)
     # a new cell starts where the sorted key changes
     new_group = np.ones(n, dtype=bool)
-    key = key[order]
-    np.not_equal(key[1:], key[:-1], out=new_group[1:])
+    for a in range(0, n, MEMBER_BLOCK):
+        lo = max(a - 1, 0)
+        k = key[order[lo : a + MEMBER_BLOCK]]
+        np.not_equal(k[1:], k[:-1], out=new_group[lo + 1 : a + MEMBER_BLOCK])
     del key
     if rows is not None:
-        order = rows[order]
+        order = order.astype(rows.dtype, copy=False)
+        for a in range(0, n, MEMBER_BLOCK):
+            order[a : a + MEMBER_BLOCK] = rows[order[a : a + MEMBER_BLOCK]]
     _lead_first(order, new_group, sizes)
-    sizes = sizes[order]
-    # each row's cell leader, the last cell start at or before it
-    lead = np.arange(n)
-    lead[~new_group] = 0
-    np.maximum.accumulate(lead, out=lead)
-    lead_size = sizes[lead]
-    macro = (sizes > 1e-9) & (lead_size > 1e-9)
-    gap = np.subtract(sizes, lead_size, out=sizes)
-    np.abs(gap, out=gap)
-    lead_size *= DEDUP_SIZE_REL_TOL
-    odd = ~(gap <= lead_size)
-    del sizes, lead_size, gap
-    conflict = ~new_group & odd & macro
-    if conflict.any():
-        at = np.flatnonzero(conflict)
-        return None, np.column_stack([order[lead[at]], order[at]])
-    keep = order[new_group | odd]
+    # per block: each row's cell leader, the last cell start at or
+    # before it; a row whose size disagrees with its leader's is odd,
+    # and a conflict where both sizes are macroscopic
+    conflicts = []
+    lead_at = 0
+    for a in range(0, n, MEMBER_BLOCK):
+        start = new_group[a : a + MEMBER_BLOCK]
+        lead = np.arange(a, a + len(start))
+        lead[~start] = lead_at
+        np.maximum.accumulate(lead, out=lead)
+        lead_at = lead[-1]
+        size = sizes[order[a : a + len(start)]]
+        lead_size = sizes[order[lead]]
+        macro = (size > 1e-9) & (lead_size > 1e-9)
+        gap = np.subtract(size, lead_size, out=size)
+        np.abs(gap, out=gap)
+        lead_size *= DEDUP_SIZE_REL_TOL
+        odd = ~(gap <= lead_size)
+        conflict = ~start & odd & macro
+        if conflict.any():
+            at = np.flatnonzero(conflict)
+            conflicts.append(np.column_stack([order[lead[at]], order[a + at]]))
+        # the block's starts are read: the mask becomes the rows kept
+        start |= odd
+    if conflicts:
+        return None, np.concatenate(conflicts)
+    keep = order[new_group]
     keep.sort()
     return keep, None
 

@@ -280,9 +280,10 @@ def _canonicalize_signs(mats: np.ndarray) -> np.ndarray:
     ENTRY_TOL times its largest gets positive real part, or positive
     imaginary part where the real part is below that."""
     flat = mats.reshape(len(mats), 4)
-    scale = np.abs(flat).max(axis=1)
-    tol = ENTRY_TOL * scale
-    big = np.abs(flat) > tol[:, None]
+    mag = np.abs(flat)
+    tol = ENTRY_TOL * mag.max(axis=1)
+    big = mag > tol[:, None]
+    del mag
     first = np.argmax(big, axis=1)
     v = flat[np.arange(len(flat)), first]
     use_re = np.abs(v.real) > tol

@@ -292,7 +292,8 @@ def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) 
     the 3x3 blocks of a grid of ``side`` a whisker above sqrt(hi), which
     hold every point within sqrt(hi): a pair join of the points with
     themselves (:func:`estdim._grid_pairs`)."""
-    grid = _sorted_grid(plane, side)
+    # the grid sorts its points in place; the caller still reads plane
+    grid = _sorted_grid(plane.copy(), side)
     n_below, inside = 0, []
     for a, b, q, _, d2 in _grid_pairs(grid, math.sqrt(hi), grid.xy):
         near = d2 <= hi
@@ -340,9 +341,11 @@ def patterson_measure(
         raise ValueError("band must be positive")
     keep = finite & (orbit.dists >= orbit.t_valid - float(band))
     raw = np.exp(-s * (orbit.dists - float(orbit.dists.min())))
-    pts = proj[keep]
     wts = raw[keep]
-    if len(pts) == 0:
+    coords = _planar_coords(proj[keep], group.d)
+    # the whole orbit's projections and weights go before the atoms merge
+    del proj, finite, keep, raw
+    if len(wts) == 0:
         raise ValueError("the band excluded every atom; widen it")
 
     resolution = max(2.0 * math.exp(-orbit.t_valid), 1e-14)
@@ -351,14 +354,14 @@ def patterson_measure(
         "s": s,
         "delta_hat": delta_hat,
         "n_orbit": orbit.n,
-        "n_dropped": int((~keep).sum()),
+        "n_dropped": orbit.n - len(wts),
         "band": band,
         "t_valid": orbit.t_valid,
         "orbit_truncated": orbit.truncated,
     }
 
-    coords = _planar_coords(pts, group.d)
     coords, weights = _aggregate_atoms(coords, wts, resolution / ATOM_GRID_FACTOR)
+    del wts
     if len(coords) >= 16:
         # ball masses are only smooth above the atom spacing, so the
         # declared reliable scale is the typical distance to the 8th

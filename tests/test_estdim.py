@@ -10,7 +10,6 @@ inexact, points sit exactly on cell walls, and floor(p/r) flips.)
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,20 +562,15 @@ class TestWindowSweep:
         for got in two:
             assert_same_windows(got, one[0])
 
-    def test_memory_stays_below_int64_labels(self):
+    @pytest.mark.memory
+    def test_memory_stays_below_int64_labels(self, traced_peak):
         # one int64 label per point and grid alone reaches 31 (Assouad)
         # and 43 (lower) times the coordinates on this cloud; a sweep of
         # both sets holds no more than the two alone
         cloud = gr.sample_limit_set(gr.builtin_group("apollonian"), target_resolution=1e-3)
         assouad, lower = (None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))
         for sets, bound in (([assouad], 30), ([lower], 40), ([assouad, lower], 30 + 40)):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                ed.window_sweep(cloud, sets, 64, 0)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            peak, _ = traced_peak(ed.window_sweep, cloud, sets, 64, 0)
             assert peak <= bound * cloud.coords.nbytes
 
     def test_identical_ratios_raise(self):

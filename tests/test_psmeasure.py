@@ -11,7 +11,6 @@ to a constant instead of a tolerance band.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,23 +332,30 @@ class TestBallMassKernel:
                 assert (lower.value, lower.witness) == lo
                 assert repr(upper.witness) == repr(hi[1])
 
-    def test_regularity_memory_is_a_few_atom_arrays(self, gasket):
+    @pytest.mark.memory
+    def test_regularity_memory_is_a_few_atom_arrays(self, gasket, traced_peak):
         # the KD-tree sweep held a Python index list per centre, over
         # 150 times the atom array at this budget
         mu = gasket[4]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ps.regularity_exponents(
-                mu, radii=np.geomspace(mu.extent() / 4, mu.resolution * 8, 8)
-            )
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        radii = np.geomspace(mu.extent() / 4, mu.resolution * 8, 8)
+        peak, _ = traced_peak(ps.regularity_exponents, mu, radii=radii)
         assert peak <= 8 * mu.coords.nbytes
 
 
 class TestPattersonMeasure:
+    @pytest.mark.memory
+    def test_measure_memory_is_the_band_and_its_atoms(self, traced_peak):
+        # at this budget the measure that kept the whole orbit's
+        # projections and weights while its atoms merged peaked at 4.03
+        # times the orbit; dropping them first reads 3.38
+        p = Pipeline(gr.builtin_group("apollonian"), 9.5)
+        orbit = p.orbit
+        peak, mu = traced_peak(
+            ps.patterson_measure, p.group, orbit, band=p.band, delta_hat=p.delta
+        )
+        assert mu.coords.tobytes() == p.measure.coords.tobytes()
+        assert peak < 3.7 * (orbit.matrices.nbytes + orbit.dists.nbytes + orbit.word_lengths.nbytes)
+
     def test_orbit_without_finite_projection_is_an_error(self):
         # the identity alone projects the base point to infinity
         g = gr.builtin_group("schottky")
