@@ -95,12 +95,6 @@ class CuspDetectionError(ValueError):
     """Inconsistent parabolic data while building a horoball family."""
 
 
-_AT_INFINITY = (
-    "a cusp point at infinity; cusps and horoball families live in the "
-    "bounded chart, so conjugate the group with bounded_model first"
-)
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finitely many Moebius generators plus a boundary dimension.
@@ -775,7 +769,7 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
 
     at_inf, fp, _ = hg.fixed_points(pm, group.d)
     if at_inf.any():
-        raise CuspDetectionError(_AT_INFINITY)
+        raise CuspDetectionError(hg._AT_INFINITY)
 
     # one lookup per distinct fixed point value, by its first parabolic
     vals, first, inv = np.unique(fp, return_index=True, return_inverse=True)
@@ -788,12 +782,9 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     # a generator image of a fixed point joins the cluster whose cell it
     # lands in
     gens = _generator_stack(group)
-    ga, gb, gc, gd = (gens[:, r, s, None] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    gscale = np.abs(gens).max(axis=(1, 2))[:, None]
-    den = gc * vals + gd
-    if not (np.abs(den) > 1e-13 * gscale * np.maximum(1.0, np.abs(vals))).all():
-        raise CuspDetectionError(_AT_INFINITY)
-    img = (ga * vals + gb) / den
+    img, _, at_inf = hg.boundary_images(gens[:, None], vals)
+    if at_inf.any():
+        raise CuspDetectionError(hg._AT_INFINITY)
     qi, tj = lookup(img.ravel())
     comp = _components(
         n_para,
@@ -812,7 +803,7 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
         sel = order[np.arange(n_para) - np.repeat(starts, sizes) < RANK_SAMPLE]
         cl = cluster[sel]
         ms = pm[sel]
-        taus = -ms[:, 1, 0] / (ms[:, 1, 0] * fp[cl] + ms[:, 1, 1])
+        taus = -ms[:, 1, 0] / hg.boundary_images(ms, fp[cl])[1]
         starts, sizes = _runs(cl)
         run = np.repeat(np.arange(len(starts)), sizes)
         mag = np.abs(taus)
@@ -976,24 +967,6 @@ def _band_grid(bases: np.ndarray, idx: np.ndarray, s_max: float):
     return grid._replace(order=idx[grid.order])
 
 
-def _horoball_images(
-    mats: np.ndarray, p: complex, scale: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Images (bases, sizes) of the tangent horoball of diameter 1 at the
-    finite point p under every matrix, whose :func:`_entry_scales` are
-    ``scale``.  Image sizes are exact, via the derivative formula.  An
-    image based at infinity raises :class:`CuspDetectionError`.
-    """
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, dd = mats[:, 1, 0], mats[:, 1, 1]
-    if scale is None:
-        scale = _entry_scales(mats)
-    den = c * p + dd
-    if (np.abs(den) <= 1e-13 * scale * max(1.0, abs(p))).any():
-        raise CuspDetectionError(_AT_INFINITY)
-    return (a * p + b) / den, 1.0 / np.abs(den) ** 2
-
-
 def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
     """max over pairs of s_i s_j / |p_i - p_j|^2.
 
@@ -1032,11 +1005,6 @@ def _max_overlap_ratio(bases: np.ndarray, sizes: np.ndarray) -> float:
                 ratio /= d2
                 worst = max(worst, float(ratio.max()))
     return worst
-
-
-def _entry_scales(mats: np.ndarray) -> np.ndarray:
-    """The largest entry modulus of each matrix."""
-    return np.abs(mats).max(axis=(1, 2))
 
 
 def _nearest_distance(z: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -1096,9 +1064,7 @@ def _may_join(mats: np.ndarray, pts: np.ndarray, scale: np.ndarray) -> np.ndarra
     return np.flatnonzero(keep)
 
 
-def _premerge_refs(
-    mats: np.ndarray, refs: list, scale: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _premerge_refs(mats: np.ndarray, refs: list) -> np.ndarray:
     """Component labels of the cusp references joined by a single
     enumerated element, each the smallest reference of its component.
 
@@ -1111,24 +1077,19 @@ def _premerge_refs(
     image joins a finite reference when it is the same point by the
     :func:`_cells` rule at ``CUSP_CLUSTER_TOL``; an image at infinity
     joins nothing.  Only the matrices that :func:`_may_join` keeps, those
-    whose images of the references can come near one, are mapped;
-    ``scale`` holds the matrices' :func:`_entry_scales`.
+    whose images of the references can come near one, are mapped.
     """
     if len(refs) < 2:
         return np.arange(len(refs))
-    if scale is None:
-        scale = _entry_scales(mats)
+    scale = hg._entry_scales(mats)
     pts = np.array([p for p, _ in refs], dtype=complex)
     rows = _may_join(mats, pts, scale)
-    a, b, c, dd = (mats[rows, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    tol = scale[rows] * 1e-12
+    mats, scale = mats[rows], scale[rows]
     lookup = _cell_lookup(pts, CUSP_CLUSTER_TOL)
     src, dst = [], []
     for i, p in enumerate(pts):
-        den = c * p + dd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (a * p + b) / den
-        w[np.abs(den) <= tol] = np.nan
+        w, _, at_inf = hg.boundary_images(mats, p, scale)
+        w[at_inf] = np.nan
         j = lookup(w)[1]
         src.extend([i] * len(j))
         dst.extend(j.tolist())
@@ -1275,13 +1236,16 @@ def _raw_family(mats, refs, active):
     every matrix: (bases, sizes, ref_of), one reference's images after
     another, each written into arrays of the family's final size."""
     n = len(mats)
-    scale = _entry_scales(mats)
+    scale = hg._entry_scales(mats)
     bases = np.empty(n * len(active), dtype=complex)
     sizes = np.empty(n * len(active))
     for k, ri in enumerate(active):
-        bases[k * n : (k + 1) * n], sizes[k * n : (k + 1) * n] = _horoball_images(
-            mats, refs[ri][0], scale
-        )
+        try:
+            bases[k * n : (k + 1) * n], sizes[k * n : (k + 1) * n] = hg.horoball_images(
+                mats, refs[ri][0], scale=scale
+            )
+        except hg.ModelError:
+            raise CuspDetectionError(hg._AT_INFINITY) from None
     return bases, sizes, np.repeat(np.array(active, dtype=np.int32), n)
 
 

@@ -11,9 +11,10 @@ fractional-linear transformations on the boundary and by the
 quaternionic extension on interior points.
 
 The Moebius formulas that ``group`` applies to whole orbits live here
-only, each written once for arrays: the PSL sign rule, radial projection
-and boundary fixed points.  ``MobiusMap``, :func:`boundary_project` and
-:func:`classify` are their one-element case.
+only, each written once for arrays: the PSL sign rule, radial projection,
+boundary fixed points, and the boundary action with the one rule for an
+image at infinity (:func:`boundary_images`).  The scalar API is their
+one-element case.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ import numpy as np
 PARABOLIC_TOL = 1e-8
 # within 10x of the classification boundary we refuse to commit silently.
 AMBIGUOUS_BAND = 10 * PARABOLIC_TOL
-# relative threshold for treating a matrix entry as zero.
+# relative threshold for a zero matrix entry in the PSL sign rule; whether
+# an image is infinity is decided by INFINITY_TOL alone (boundary_images)
 ENTRY_TOL = 1e-9
+# the one at-infinity rule's tolerance, relative to the largest entry
+INFINITY_TOL = 1e-13
 # identification grid for canonical matrices.
 MATRIX_GRID = 1e-9
 # a matrix whose entries all lie within this of the identity's is the
@@ -42,6 +46,10 @@ REAL_TOL = 1e-10
 
 # saturation bound for grid-rounded matrix entries (exact in float64)
 KEY_CLAMP = 2.0**62
+_AT_INFINITY = (
+    "a cusp or horoball at infinity; cusps and horoballs live in the bounded "
+    "chart, so conjugate the group with group.bounded_model first"
+)
 
 
 class ModelError(ValueError):
@@ -360,18 +368,44 @@ def identity_map() -> MobiusMap:
     return MobiusMap(np.eye(2))
 
 
-def _apply_boundary_mat(m: np.ndarray, z: Optional[complex]) -> Optional[complex]:
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, dd = complex(m[1, 0]), complex(m[1, 1])
-    scale = max(abs(a), abs(b), abs(c), abs(dd))
+def _entry_scales(mats: np.ndarray) -> np.ndarray:
+    """The largest entry modulus of each matrix."""
+    return np.abs(mats).max(axis=(-2, -1))
+
+
+def boundary_images(
+    mats: np.ndarray, z: np.ndarray | complex | None, scale: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundary action of the matrices ``mats`` (..., 2, 2) on the
+    complex points ``z``, broadcast against them: (images, den, at_inf).
+
+    An image is (az + b) / (cz + d) and ``den`` is cz + d: at unit
+    determinant |g'(z)| = 1 / |den|^2.  ``at_inf`` is the one rule for an
+    image at infinity: |cz + d| <= INFINITY_TOL s max(1, |z|), s the
+    matrix's largest entry modulus (``scale`` if given).  ``z`` = None is
+    infinity: its image is a / c, ``den`` is c, and the rule reads
+    |c| <= INFINITY_TOL s, the limit of |cz + d| / |z|.  An image at
+    infinity carries no value.
+    """
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, dd = mats[..., 1, 0], mats[..., 1, 1]
+    if scale is None:
+        scale = _entry_scales(mats)
     if z is None:
-        if abs(c) < 1e-14 * scale:
-            return None
-        return a / c
-    denom = c * z + dd
-    if abs(denom) < 1e-14 * scale * max(1.0, abs(z)):
-        return None
-    return (a * z + b) / denom
+        den, reach = c, 1.0
+    else:
+        den, reach = c * z + dd, np.maximum(1.0, np.abs(z))
+    at_inf = np.abs(den) <= INFINITY_TOL * scale * reach
+    # the numerator after the rule, whose temporaries are gone by then
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (a if z is None else a * z + b) / den, den, at_inf
+
+
+def _apply_boundary_mat(m: np.ndarray, z: Optional[complex]) -> Optional[complex]:
+    """g(z) for one matrix and z complex or None (infinity), None for an
+    image at infinity: the one-element case of :func:`boundary_images`."""
+    w, _, at_inf = boundary_images(m[None], None if z is None else np.array([z], dtype=complex))
+    return None if at_inf[0] else complex(w[0])
 
 
 def _apply_interior_mat(m: np.ndarray, w: complex, h: float) -> tuple[complex, float]:
@@ -390,9 +424,7 @@ def apply(g: MobiusMap, p: InteriorPoint | BoundaryPoint):
         w2, h2 = _apply_interior_mat(g.matrix, w, h)
         return _interior_from_hs(w2, h2, p.d)
     d = g.d if p.is_infinity else p.d
-    w = _hs_boundary(p)
-    w2 = _apply_boundary_mat(g.matrix, w)
-    return _boundary_from_hs(w2, d)
+    return _boundary_from_hs(_apply_boundary_mat(g.matrix, _hs_boundary(p)), d)
 
 
 def classify(g: MobiusMap, d: Optional[int] = None) -> Classification:
@@ -430,25 +462,25 @@ def fixed_points(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     """Boundary fixed points of the maps z -> (az + b) / (cz + d) of the
     matrices ``mats``: the roots of c z^2 + (d - a) z - b = 0.
 
-    Returns (at_inf, double, roots).  ``at_inf`` marks the maps whose c
-    vanishes, |c| <= ENTRY_TOL times their largest entry: they fix
-    infinity.  ``double`` is the parabolic double root (a - d) / 2c and
-    ``roots`` the (n, 2) pair (a - d +- sqrt((a - d)^2 + 4bc)) / 2c.
+    Returns (at_inf, double, roots).  ``at_inf`` marks the maps that fix
+    infinity: their g(infinity) = a / c is infinity by the one rule of
+    :func:`boundary_images`.  ``double`` is the parabolic double root
+    (a - d) / 2c and ``roots`` the (n, 2) pair (a - d +- sqrt((a - d)^2 + 4bc)) / 2c.
     Where c vanishes, the finite fixed point b / (d - a), if a - d does
-    not vanish too, is ``roots[:, 0]``.  NaN marks a root that is
-    infinite or, for boundary dimension ``d`` = 1, off the real line: the
-    interior fixed point of a real elliptic.
+    not vanish on the same scale, is ``roots[:, 0]``.  NaN marks a root
+    that is infinite or, for boundary dimension ``d`` = 1, off the real
+    line: the interior fixed point of a real elliptic.
     """
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, dd = mats[:, 1, 0], mats[:, 1, 1]
-    tol = ENTRY_TOL * np.abs(mats).max(axis=(1, 2))
-    at_inf = np.abs(c) <= tol
+    scale = _entry_scales(mats)
+    at_inf = boundary_images(mats, None, scale)[2]
     c2 = 2.0 * np.where(at_inf, 1.0, c)
     double = (a - dd) / c2
     disc = np.sqrt((a - dd) ** 2 + 4.0 * b * c)
     roots = np.stack([(a - dd + disc) / c2, (a - dd - disc) / c2], axis=1)
     double[at_inf] = roots[at_inf] = np.nan
-    alt = at_inf & (np.abs(a - dd) > tol)
+    alt = at_inf & (np.abs(a - dd) > INFINITY_TOL * scale)
     roots[alt, 0] = b[alt] / (dd[alt] - a[alt])
     if d == 1:
         off = ~(np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots)))
@@ -477,21 +509,12 @@ class Horoball:
     rank: int = 1
 
     def __post_init__(self) -> None:
-        _finite_base(self.base)
+        if self.base.is_infinity:
+            raise ModelError(_AT_INFINITY)
         if self.size <= 0:
             raise ValueError("horoball size must be positive")
         if self.rank < 1:
             raise ValueError("rank is a positive integer")
-
-
-def _finite_base(p: BoundaryPoint) -> complex:
-    """A horoball base as a complex number; infinity raises ModelError."""
-    if p.is_infinity:
-        raise ModelError(
-            "a horoball at infinity; horoballs live in the bounded chart, "
-            "so conjugate the group with group.bounded_model first"
-        )
-    return _hs_boundary(p)
 
 
 def escape_depth(x: InteriorPoint, H: Horoball) -> float:
@@ -519,13 +542,24 @@ def squeeze(H: Horoball, theta: float) -> Horoball:
     return Horoball(H.base, H.size * theta, H.rank)
 
 
+def horoball_images(
+    mats: np.ndarray, p: complex, size: float = 1.0, scale: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images (bases, sizes) of the horoball of diameter ``size`` at the
+    finite point p: g(p) and |g'(p)| size = size / |cp + d|^2, exact for
+    horoballs, by :func:`boundary_images` (and its ``scale``).  An image
+    at infinity raises ModelError."""
+    bases, den, at_inf = boundary_images(mats, p, scale)
+    if at_inf.any():
+        raise ModelError(_AT_INFINITY)
+    return bases, size / np.abs(den) ** 2
+
+
 def apply_horoball(g: MobiusMap, H: Horoball) -> Horoball:
-    """Image horoball g(H): the horoball at g(base) through the image of
-    the horosphere's top point.  Raises ModelError where g sends the
-    base to infinity."""
-    base = apply(g, H.base)
-    w, h = _hs_interior(apply(g, InteriorPoint(H.base.coords + (H.size,))))
-    return Horoball(base, (abs(w - _finite_base(base)) ** 2 + h * h) / h, H.rank)
+    """Image horoball g(H): the one-element case of :func:`horoball_images`,
+    which raises ModelError where g sends the base to infinity."""
+    bases, sizes = horoball_images(g.matrix[None], _hs_boundary(H.base), H.size)
+    return Horoball(_boundary_from_hs(complex(bases[0]), H.base.d), float(sizes[0]), H.rank)
 
 
 def horoball_crossing_times(z: BoundaryPoint, H: Horoball) -> Optional[tuple[float, float]]:

@@ -1078,32 +1078,72 @@ class TestCusps:
         assert len(cs.cusps) == len(points)
         assert all(cu.n_conjugates == 1 for cu in cs.cusps)
 
+    @pytest.mark.parametrize("name", sorted(gr._BUILTINS) + ["sampler"])
+    def test_boundary_action_clears_the_at_infinity_rule(self, name, monkeypatch):
+        # on every builtin's bounded-chart orbit at distance 8, and on
+        # infinite_fuchsian's default sampler walk, no non-identity
+        # element comes near fixing infinity (|c| against its largest
+        # entry) and no element comes near sending a cusp reference to
+        # infinity (|cp + d| against the rule's scale): the margins read
+        # 0.067 and 5.9e-3 at their smallest, so which value between
+        # 1e-14 and 1e-9 hg.INFINITY_TOL takes moves no product bit.  A
+        # builtin that comes within this floor of the rule needs a look.
+        # infinite_fuchsian's walk at distance 8 holds only the identity,
+        # so its sampler's walk stands in for it
+        floor = 1e-6
+        if name == "sampler":
+            walks = []
+            walk = gr.enumerate_orbit
+
+            def spy(*args, **kwargs):
+                walks.append(walk(*args, **kwargs))
+                return walks[-1]
+
+            monkeypatch.setattr(gr, "enumerate_orbit", spy)
+            gr.sample_limit_set(gr.builtin_group("infinite_fuchsian"))
+            orbit, points = walks[-1], []
+        else:
+            p = Pipeline(gr.builtin_group(name), 8.0)
+            orbit, points = p.orbit, [hg._hs_boundary(cu.point) for cu in p.cusps.cusps]
+        mats = orbit.matrices
+        scale = hg._entry_scales(mats)
+        moving = orbit.word_lengths > 0
+        assert moving.any() == (name != "infinite_fuchsian")
+        assert np.min(np.abs(mats[moving, 1, 0]) / scale[moving], initial=1.0) > floor
+        for z in points:
+            den = hg.boundary_images(mats, z, scale)[1]
+            assert (np.abs(den) / (scale * max(1.0, abs(z)))).min() > floor
+        assert bool(points) == (name in ("apollonian", "parabolic_cusp_fuchsian", "rank2_cusp"))
+
 
 class TestHoroballs:
     def test_image_sizes_match_scalar_oracle(self):
+        # apply_horoball is the one-element case of the family's array
+        # images, bit for bit; z -> -1/z takes the horoball of size s at 2
+        # to the one of size s/4 at -1/2
         rng = np.random.default_rng(11)
         p = 0.3 + 0.7j
         ball = hg.Horoball(hg.BoundaryPoint((p.real, p.imag)), 1.0)
-        for _ in range(30):
+        maps = []
+        while len(maps) < 30:
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            if abs(np.linalg.det(m)) < 0.1:
-                continue
-            g = hg.MobiusMap(m)
-            den = g.matrix[1, 0] * p + g.matrix[1, 1]
-            if abs(den) < 0.1:
-                continue
+            if abs(np.linalg.det(m)) >= 0.1:
+                maps.append(hg.MobiusMap(m))
+        fb, fs = hg.horoball_images(np.stack([g.matrix for g in maps]), p)
+        for g, base, size in zip(maps, fb, fs):
             img = hg.apply_horoball(g, ball)
-            fb, fs = gr._horoball_images(g.matrix[None], p)
-            assert len(fs) == 1
-            got = complex(img.base.coords[0], img.base.coords[1])
-            assert abs(got - fb[0]) < 1e-9 * max(1.0, abs(fb[0]))
-            assert abs(img.size - fs[0]) < 1e-9 * fs[0]
+            assert complex(*img.base.coords) == base and img.size == size
+        inv = hg.MobiusMap(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        img = hg.apply_horoball(inv, hg.Horoball(hg.BoundaryPoint((2.0,)), 0.3))
+        assert (img.base.coords, img.size) == ((-0.5,), 0.3 / 4.0)
 
     def test_image_at_infinity_raises(self):
         p = 0.25 - 0.5j
         mats = np.stack([np.eye(2, dtype=complex), hg._mobius_to_infinity(p).matrix])
+        with pytest.raises(hg.ModelError, match="bounded_model"):
+            hg.horoball_images(mats, p)
         with pytest.raises(gr.CuspDetectionError, match="bounded_model"):
-            gr._horoball_images(mats, p)
+            gr._raw_family(mats, [(p, 1)], [0])
 
     def test_apollonian_family_disjoint_and_self_healed(self):
         g = gr.builtin_group("apollonian")
@@ -1516,7 +1556,7 @@ class TestHoroballs:
         got = gr._nearest_distance(z, pts)
         assert got.tobytes() == _kdtree_nearest_distance(z, pts).tobytes()
 
-        scale = gr._entry_scales(mats)
+        scale = hg._entry_scales(mats)
         rows = gr._may_join(mats, pts, scale)
         monkeypatch.setattr(gr, "_nearest_distance", _kdtree_nearest_distance)
         assert np.array_equal(rows, gr._may_join(mats, pts, scale))

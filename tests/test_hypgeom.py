@@ -303,15 +303,17 @@ def test_matrix_without_a_sign_is_an_error(m):
 
 _SQRT5 = math.sqrt(5.0)
 # (matrix, boundary dimension, its fixed points, None for infinity): c = 0
-# with a != d; a parabolic fixed at infinity and a finite one; |c| = 2e-9,
-# exactly ENTRY_TOL times the largest entry, which counts as vanishing;
-# a real elliptic, whose complex roots are dropped when d = 1 only; and
-# a hyperbolic with two finite roots
+# with a != d; a parabolic fixed at infinity and a finite one; |c| =
+# 2e-13, exactly INFINITY_TOL times the largest entry, which counts as
+# vanishing, and |c| = 2e-9, which does not; a real elliptic, whose
+# complex roots are dropped when d = 1 only; and a hyperbolic with two
+# finite roots
 _FIXED_CASES = [
     ([[2.0, 1.0], [0.0, 0.5]], 2, [None, -2.0 / 3.0]),
     ([[1.0, 1.0], [0.0, 1.0]], 1, [None]),
     ([[1.0, 0.0], [1.0, 1.0]], 1, [0.0]),
-    ([[2.0, 0.0], [2e-9, 0.5]], 1, [None, 0.0]),
+    ([[2.0, 0.0], [2e-13, 0.5]], 1, [None, 0.0]),
+    ([[2.0, 0.0], [2e-9, 0.5]], 1, [7.5e8, 0.0]),
     ([[0.0, -1.0], [1.0, 0.0]], 1, []),
     ([[0.0, -1.0], [1.0, 0.0]], 2, [-1j, 1j]),
     ([[2.0, 1.0], [1.0, 1.0]], 1, [(1.0 + _SQRT5) / 2.0, (1.0 - _SQRT5) / 2.0]),
@@ -320,7 +322,7 @@ _FIXED_CASES = [
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_fixed_points_of_one_map_are_the_array_case(d):
-    assert hg.ENTRY_TOL * 2.0 == 2e-9
+    assert hg.INFINITY_TOL * 2.0 == 2e-13
     cases = [(hg.MobiusMap(np.array(m)), want) for m, dim, want in _FIXED_CASES if dim == d]
     at_inf, double, roots = hg.fixed_points(np.stack([g.matrix for g, _ in cases]), d)
     for i, (g, want) in enumerate(cases):
@@ -332,8 +334,85 @@ def test_fixed_points_of_one_map_are_the_array_case(d):
         assert cl.fixed_points == tuple(hg._boundary_from_hs(z, d) for z in expect)
         assert [z is None for z in expect] == [z is None for z in want]
         assert [z for z in expect if z is not None] == pytest.approx(
-            [z for z in want if z is not None], abs=1e-12
+            [z for z in want if z is not None], rel=1e-15, abs=1e-12
         )
+
+
+def test_boundary_image_of_one_map_is_the_array_case():
+    # random maps at random points; cz + d a hair below, at and above the
+    # at-infinity rule at z = 0 (scale 1, reach 1), at z = 2 (reach 2)
+    # and exactly 0 at a pole; the zero matrix; and NaN or infinite
+    # entries.  Each scalar image has the bits of its row of the array
+    # call, None marking the rule's images at infinity, and no division
+    # warns
+    rng = np.random.default_rng(17)
+    tol = hg.INFINITY_TOL
+    edges = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)]
+    mats = [random_mobius(rng).matrix for _ in range(40)]
+    zs = list(rng.normal(size=40) + 1j * rng.normal(size=40))
+    for t in edges:
+        mats += [np.array([[1.0, 1.0], [1.0, t]]), np.array([[1.0, 1.0], [0.0, 2.0 * t]])]
+        zs += [0.0, 2.0]
+    mats += [np.array([[2.0, 1.0], [1.0, -zs[0]]]), np.zeros((2, 2))]
+    zs += [zs[0], 0.5]
+    odd = [
+        np.full((2, 2), np.nan),
+        np.array([[np.inf, 0.0], [1.0, 1.0]]),
+        np.array([[1.0, np.inf], [1.0, 1.0]]),
+        np.array([[1.0, 0.3], [np.nan, 1.0]]),
+    ]
+    mats = np.array(mats + odd, dtype=complex)
+    zs = np.array(zs + [0.3 + 0.2j] * len(odd), dtype=complex)
+    n = len(mats) - len(odd)
+    w, den, at_inf = hg.boundary_images(mats[:n], zs[:n])
+    assert at_inf[40:46].tolist() == [True, True] * 2 + [False, False]
+    assert at_inf[46:].all() and not at_inf[:40].any()
+    assert (den == mats[:n, 1, 0] * zs[:n] + mats[:n, 1, 1]).all()
+    scalar = [hg._apply_boundary_mat(m, z) for m, z in zip(mats[:n], zs[:n])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        wo, _, odd_inf = hg.boundary_images(mats[n:], zs[n:])
+        scalar += [hg._apply_boundary_mat(m, z) for m, z in zip(mats[n:], zs[n:])]
+    assert odd_inf.tolist() == [False, True, True, False]
+    w, at_inf = np.concatenate([w, wo]), np.concatenate([at_inf, odd_inf])
+    for got, image, inf in zip(scalar, w, at_inf):
+        assert (got is None) == inf
+        if not inf:
+            assert np.array([got]).tobytes() == np.array([image]).tobytes()
+    # and at infinity: the image a / c, infinity where |c| is within the
+    # rule at reach 1
+    ends = np.array([[[1.0, 1.0], [t, 1.0]] for t in edges] + [mats[0]], dtype=complex)
+    w, den, at_inf = hg.boundary_images(ends, None)
+    assert at_inf.tolist() == [True, True, False, False]
+    assert (den == ends[:, 1, 0]).all()
+    for m, image, inf in zip(ends, w, at_inf):
+        assert hg._apply_boundary_mat(m, None) == (None if inf else complex(image))
+
+
+# ROADMAP item 14's matrices, each with the one answer that every entry
+# point gives: its class, the fixed points of fixed_points (none at
+# infinity) and the image of infinity, which is finite.  The first lies
+# within IDENTITY_TOL, so classify calls it the identity
+_ITEM_14 = [
+    ([[1.0, 0.0], [5e-10, 1.0]], hg.IsometryClass.IDENTITY, [0.0], 2e9),
+    ([[1.0, 0.0], [2e-9, 1.0]], hg.IsometryClass.PARABOLIC, [0.0], 5e8),
+    ([[2.0, 0.0], [2e-9, 0.5]], hg.IsometryClass.HYPERBOLIC_LOXODROMIC, [7.5e8, 0.0], 1e9),
+]
+
+
+@pytest.mark.parametrize("m, kind, fixed, image", _ITEM_14, ids=["identity", "parabolic", "hyperbolic"])
+def test_near_identity_maps_get_one_answer_everywhere(m, kind, fixed, image):
+    g = hg.MobiusMap(np.array(m))
+    assert g.matrix[1, 0] == m[1][0]
+    at_inf, double, roots = hg.fixed_points(g.matrix[None], 1)
+    assert not at_inf[0]
+    finite = roots[0] if kind is hg.IsometryClass.HYPERBOLIC_LOXODROMIC else double
+    assert finite.tolist() == pytest.approx(fixed, rel=1e-15)
+    cl = hg.classify(g, 1)
+    assert cl.kind is kind
+    want = () if kind is hg.IsometryClass.IDENTITY else fixed
+    assert [bp.coords[0] for bp in cl.fixed_points] == pytest.approx(want, rel=1e-15)
+    assert hg.apply(g, hg.infinity()).coords == pytest.approx((image,), rel=1e-15)
+    assert hg._apply_boundary_mat(g.matrix, None) == pytest.approx(image, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
