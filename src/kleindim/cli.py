@@ -36,9 +36,7 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-# verification constants: the deep-band width for the empirical measure
-# and the default orbit budgets the report tolerances were tuned at
-VERIFY_BAND = 3.5
+# the default orbit budgets the report tolerances were tuned at
 DEFAULT_BUDGET_DIST = 11.0
 DEFAULT_BUDGET_WORDS = 4_000_000
 DEFAULT_RESOLUTION = 1e-3
@@ -586,16 +584,14 @@ def cmd_verify(args) -> int:
     budget_words = args.budget_words or DEFAULT_BUDGET_WORDS
     resolution = args.resolution or DEFAULT_RESOLUTION
 
-    p = Pipeline(
-        g0, budget_dist, words=budget_words, resolution=resolution, band=VERIFY_BAND
-    )
+    p = Pipeline(g0, budget_dist, words=budget_words, resolution=resolution)
     finite = p.group.metadata.get("geometrically_finite", True)
     report = VerificationReport(
         group=g0.name or "custom",
         environment={"budget_words": budget_words, "resolution": resolution, "seed": seed},
     )
     if finite:
-        report.environment.update(band=VERIFY_BAND, budget_dist=budget_dist)
+        report.environment.update(band=p.band, budget_dist=budget_dist)
 
     try:
         if finite:

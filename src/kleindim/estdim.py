@@ -341,14 +341,14 @@ def _block_pairs(qxy: np.ndarray, xy: np.ndarray, start: np.ndarray, end: np.nda
         yield a, b, q, at, d2
 
 
-def _grid_offsets(r: float, d: int, offsets: int = GRID_OFFSETS) -> list:
+def _grid_offsets(r: float, d: int) -> list:
     """The grid offsets tried at scale r for a d-dimensional cloud, as
     offsets of its :func:`_plane`: zero, then deterministic uniform
     shifts, so they depend on r and d alone."""
     rng = np.random.default_rng(12345)
     return [
         np.zeros(2) if i == 0 else np.append(np.zeros(2 - d), rng.uniform(0.0, r, d))
-        for i in range(max(1, offsets))
+        for i in range(GRID_OFFSETS)
     ]
 
 
@@ -373,7 +373,7 @@ def _dense_labels(keys: np.ndarray) -> tuple:
     return np.flatnonzero(mask), below[keys], partial(below.take, mode="clip")
 
 
-def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) -> int:
+def covering_count(coords: np.ndarray, r: float) -> int:
     """Number of r-grid cells hit, minimized over a few grid offsets.
 
     The minimum over offsets removes the worst of the grid alignment
@@ -384,7 +384,7 @@ def covering_count(coords: np.ndarray, r: float, offsets: int = GRID_OFFSETS) ->
     plane = _plane(coords)
     return min(
         len(_dense_labels(_grid_keys(*_grid_cells(plane - off[:, None], r))[0])[0])
-        for off in _grid_offsets(r, coords.shape[1], offsets)
+        for off in _grid_offsets(r, coords.shape[1])
     )
 
 

@@ -117,11 +117,10 @@ class GroupPresentation:
         if self.d not in (1, 2):
             raise ValueError("boundary dimension must be 1 or 2")
         object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.is_identity:
-                raise ValueError("identity is not a useful generator")
-            if self.d == 1 and g.d != 1:
-                raise ValueError("d=1 requires real generator matrices")
+        if hg.isometry_kinds(np.stack([g.matrix for g in self.generators]))[0].any():
+            raise ValueError("identity is not a useful generator")
+        if self.d == 1 and any(g.d != 1 for g in self.generators):
+            raise ValueError("d=1 requires real generator matrices")
 
     @property
     def n_generators(self) -> int:
@@ -753,13 +752,8 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     group = orbit.group
     if group is None:
         raise ValueError("orbit does not reference its group presentation")
-    m = orbit.matrices
-    tr2 = (m[:, 0, 0] + m[:, 1, 1]) ** 2
-    nontrivial = orbit.word_lengths > 0
-    para = nontrivial & (np.abs(tr2 - 4.0) <= hg.PARABOLIC_TOL)
-    not_ident = np.abs(m - np.eye(2)).max(axis=(1, 2)) > hg.IDENTITY_TOL
-    para &= not_ident
-    pm = m[para]
+    para = (orbit.word_lengths > 0) & hg.isometry_kinds(orbit.matrices)[1]
+    pm = orbit.matrices[para]
     pd = orbit.dists[para]
     plen = orbit.word_lengths[para]
     n_para = len(pm)
@@ -767,7 +761,8 @@ def find_cusps(orbit: OrbitData) -> CuspSummary:
     if n_para == 0:
         return CuspSummary((), None, None, 0, orbit.truncated)
 
-    at_inf, fp, _ = hg.fixed_points(pm, group.d)
+    at_inf, roots = hg.fixed_points(pm, group.d)
+    fp = roots[:, 0]
     if at_inf.any():
         raise CuspDetectionError(hg._AT_INFINITY)
 
@@ -1207,9 +1202,12 @@ def unsqueezed_horoballs(orbit: OrbitData, cusps: CuspSummary) -> HoroballFamily
         sizes[a : a + len(at)] = sizes[at]
         ref_of[a : a + len(at)] = rank_of[ref_of[at]]
     del keep
-    bases.resize(n)
-    sizes.resize(n)
-    ref_of.resize(n)
+    # no view of the three arrays exists here, so the shrink skips numpy's
+    # reference count check: a profiler or tracer holding this frame's
+    # locals would fail it
+    bases.resize(n, refcheck=False)
+    sizes.resize(n, refcheck=False)
+    ref_of.resize(n, refcheck=False)
     return HoroballFamily(bases=bases, sizes=sizes, ranks=ref_of, d=orbit.d, n_references=len(active))
 
 
@@ -1374,14 +1372,10 @@ def _dedup_pass(bases, sizes, frac, rows=None):
 
 def _loxodromic_fixed_points(orbit: OrbitData) -> np.ndarray:
     m = orbit.matrices
-    tr2 = (m[:, 0, 0] + m[:, 1, 1]) ** 2
-    seg = np.hypot(tr2.real - np.clip(tr2.real, 0.0, 4.0), tr2.imag)
-    lox = (orbit.word_lengths > 0) & (np.abs(tr2 - 4.0) > hg.PARABOLIC_TOL) & (
-        seg > hg.PARABOLIC_TOL
-    )
+    lox = (orbit.word_lengths > 0) & hg.isometry_kinds(m)[2]
     # the first roots, the second roots, then the finite roots of the
     # maps that fix infinity
-    at_inf, _, roots = hg.fixed_points(m[lox], orbit.d)
+    at_inf, roots = hg.fixed_points(m[lox], orbit.d)
     pts = np.concatenate([roots[~at_inf, 0], roots[~at_inf, 1], roots[at_inf, 0]])
     return pts[~np.isnan(pts)]
 
@@ -1390,7 +1384,7 @@ def _planar_coords(pts: np.ndarray, d: int) -> np.ndarray:
     """Complex boundary points as coordinate rows: one column (the real
     part) when d=1, two when d=2."""
     if d == 1:
-        bad = np.abs(pts.imag) > 1e-7 * np.maximum(1.0, np.abs(pts))
+        bad = np.abs(pts.imag) > hg.REAL_LINE_TOL * np.maximum(1.0, np.abs(pts))
         if bad.any():
             raise ValueError(
                 "projections left the real line for a d=1 group; "
@@ -1450,15 +1444,12 @@ def sample_limit_set(
 
     n_fixed = 0
     if include_fixed_points:
-        fps = _loxodromic_fixed_points(orbit)
-        gen_fps = [
-            hg._hs_boundary(bp)
-            for g in group.generators
-            for bp in hg.classify(g, d=group.d).fixed_points
-            if not bp.is_infinity
-        ]
-        n_fixed = len(fps) + len(gen_fps)
-        pts = np.concatenate([pts, fps, np.asarray(gen_fps, dtype=complex)])
+        # the loxodromic elements' fixed points, then the generators' finite
+        # fixed points in generator order
+        gen_fps = hg.fixed_points(np.stack([g.matrix for g in group.generators]), group.d)[1]
+        fps = np.concatenate([_loxodromic_fixed_points(orbit), gen_fps[~np.isnan(gen_fps)]])
+        n_fixed = len(fps)
+        pts = np.concatenate([pts, fps])
 
     if not len(pts):
         raise ValueError(

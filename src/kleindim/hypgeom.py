@@ -11,10 +11,10 @@ fractional-linear transformations on the boundary and by the
 quaternionic extension on interior points.
 
 The Moebius formulas that ``group`` applies to whole orbits live here
-only, each written once for arrays: the PSL sign rule, radial projection,
-boundary fixed points, and the boundary action with the one rule for an
-image at infinity (:func:`boundary_images`).  The scalar API is their
-one-element case.
+only, each written once for arrays: the PSL sign rule, the trace
+classification (:func:`isometry_kinds`), radial projection, boundary fixed
+points, and the boundary action with the one rule for an image at infinity
+(:func:`boundary_images`).  The scalar API is their one-element case.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ IDENTITY_TOL = 1e-9
 # a matrix whose entries have imaginary parts at most this is real: a
 # Fuchsian (d = 1) map, for MobiusMap.d and for group presentations alike
 REAL_TOL = 1e-10
+# |imag z| <= REAL_LINE_TOL max(1, |z|) puts z on the real line (d = 1)
+REAL_LINE_TOL = 1e-7
+# this near the axis over 0 (and height 1), a point is above (at) the base point
+VERTICAL_TOL = 1e-14
 
 # saturation bound for grid-rounded matrix entries (exact in float64)
 KEY_CLAMP = 2.0**62
@@ -222,7 +226,7 @@ def boundary_projections(w: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.n
     to 0.
     """
     sep = np.abs(w)
-    vertical = sep < 1e-14
+    vertical = sep < VERTICAL_TOL
     sep_safe = np.where(vertical, 1.0, sep)
     m = (sep_safe**2 + h**2 - 1.0) / (2.0 * sep_safe)
     hyp = np.hypot(m, 1.0)
@@ -237,7 +241,7 @@ def boundary_project(x: InteriorPoint) -> BoundaryPoint:
     """Radial projection of one point: the one-point case of
     :func:`boundary_projections`.  The base point raises ValueError."""
     w, h = _hs_interior(x)
-    if abs(w) < 1e-14 and abs(h - 1.0) < 1e-14:
+    if abs(w) < VERTICAL_TOL and abs(h - 1.0) < VERTICAL_TOL:
         raise ValueError("cannot project the base point")
     proj, finite = boundary_projections(np.array([w]), np.array([h]))
     return _boundary_from_hs(complex(proj[0]) if finite[0] else None, x.d)
@@ -341,7 +345,7 @@ class MobiusMap:
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.abs(self.matrix - np.eye(2)).max() <= IDENTITY_TOL)
+        return bool(isometry_kinds(self.matrix[None])[0][0])
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         return MobiusMap(self.matrix @ other.matrix)
@@ -358,10 +362,6 @@ class MobiusMap:
         """Identification key: the :func:`_key_ints` row of the canonical
         matrix."""
         return _key_ints(self.matrix[None]).tobytes()
-
-    def trace_squared(self) -> complex:
-        tr = self.matrix[0, 0] + self.matrix[1, 1]
-        return complex(tr * tr)
 
 
 def identity_map() -> MobiusMap:
@@ -427,66 +427,74 @@ def apply(g: MobiusMap, p: InteriorPoint | BoundaryPoint):
     return _boundary_from_hs(_apply_boundary_mat(g.matrix, _hs_boundary(p)), d)
 
 
-def classify(g: MobiusMap, d: Optional[int] = None) -> Classification:
-    """Trace classification with explicit tolerance handling.
+def isometry_kinds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trace classification of the matrices ``mats`` (n, 2, 2) as the
+    masks (identity, parabolic, loxodromic, ambiguous).  Entries within
+    IDENTITY_TOL of the identity's make the identity; another map is
+    parabolic where |tr^2 - 4| <= PARABOLIC_TOL, else loxodromic where tr^2
+    lies farther than that from the elliptic locus [0, 4], else elliptic,
+    and ambiguous within AMBIGUOUS_BAND of a class boundary."""
+    tr2 = (mats[:, 0, 0] + mats[:, 1, 1]) ** 2
+    gap4 = np.abs(tr2 - 4.0)
+    near4 = gap4 <= PARABOLIC_TOL
+    identity = np.abs(mats - np.eye(2)).max(axis=(1, 2)) <= IDENTITY_TOL
+    seg = np.hypot(tr2.real - np.clip(tr2.real, 0.0, 4.0), tr2.imag)
+    off_seg = seg > PARABOLIC_TOL
+    ambiguous = ~near4 & ((gap4 <= AMBIGUOUS_BAND) | (off_seg & (seg <= AMBIGUOUS_BAND)))
+    return identity, near4 & ~identity, ~near4 & off_seg, ambiguous
 
-    Parabolic means tr^2 = 4 within 1e-8 (and g is not the identity in
-    PSL); verdicts within ten times that tolerance of a class boundary are
-    flagged ambiguous rather than silently committed.  ``d`` overrides the
-    guessed boundary dimension: a real elliptic matrix has no boundary
-    fixed points as a Fuchsian element but an axis pair as a Kleinian one.
-    """
+
+def classify(g: MobiusMap, d: Optional[int] = None) -> Classification:
+    """Trace classification, the one-element case of :func:`isometry_kinds`,
+    with the map's :func:`fixed_points`.  ``d`` overrides the guessed
+    boundary dimension: a real elliptic matrix has no boundary fixed
+    points as a Fuchsian element but an axis pair as a Kleinian one."""
     if d is None:
         d = g.d
-    if g.is_identity:
+    identity, parabolic, loxodromic, ambiguous = isometry_kinds(g.matrix[None])
+    if identity[0]:
         return Classification(IsometryClass.IDENTITY, ())
-    at_inf, double, roots = fixed_points(g.matrix[None], d)
-    fixed = [None] if at_inf[0] else []
-    t2 = g.trace_squared()
-    gap4 = abs(t2 - 4.0)
-    if gap4 <= PARABOLIC_TOL:
-        fixed = fixed or [double[0]]
-        kind, ambiguous = IsometryClass.PARABOLIC, False
-    else:
-        fixed += [z for z in roots[0] if not np.isnan(z)]
-        # distance from tr^2 to the elliptic locus, the real segment [0, 4]
-        seg = math.hypot(t2.real - min(max(t2.real, 0.0), 4.0), t2.imag)
-        ambiguous = gap4 <= AMBIGUOUS_BAND or PARABOLIC_TOL < seg <= AMBIGUOUS_BAND
-        kind = IsometryClass.ELLIPTIC
-        if seg > PARABOLIC_TOL:
-            kind = IsometryClass.HYPERBOLIC_LOXODROMIC
-    return Classification(kind, tuple(_boundary_from_hs(z, d) for z in fixed), ambiguous)
+    at_inf, roots = fixed_points(g.matrix[None], d)
+    fixed = [None] * int(at_inf[0]) + [z for z in roots[0] if not np.isnan(z)]
+    kind = IsometryClass.HYPERBOLIC_LOXODROMIC if loxodromic[0] else IsometryClass.ELLIPTIC
+    if parabolic[0]:
+        kind = IsometryClass.PARABOLIC
+    return Classification(kind, tuple(_boundary_from_hs(z, d) for z in fixed), bool(ambiguous[0]))
 
 
-def fixed_points(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fixed_points(mats: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Boundary fixed points of the maps z -> (az + b) / (cz + d) of the
     matrices ``mats``: the roots of c z^2 + (d - a) z - b = 0.
 
-    Returns (at_inf, double, roots).  ``at_inf`` marks the maps that fix
+    Returns (at_inf, roots).  ``at_inf`` marks the maps that fix
     infinity: their g(infinity) = a / c is infinity by the one rule of
-    :func:`boundary_images`.  ``double`` is the parabolic double root
-    (a - d) / 2c and ``roots`` the (n, 2) pair (a - d +- sqrt((a - d)^2 + 4bc)) / 2c.
-    Where c vanishes, the finite fixed point b / (d - a), if a - d does
-    not vanish on the same scale, is ``roots[:, 0]``.  NaN marks a root
-    that is infinite or, for boundary dimension ``d`` = 1, off the real
-    line: the interior fixed point of a real elliptic.
+    :func:`boundary_images`.  ``roots`` is the (n, 2) pair
+    (a - d +- sqrt((a - d)^2 + 4bc)) / 2c; where c vanishes, b / (d - a)
+    if a - d does not on the same scale.  The identity and the parabolics
+    of :func:`isometry_kinds` have one root, (a - d) / 2c, or none where
+    they fix infinity.  NaN marks a root that is absent, infinite or, for
+    boundary dimension ``d`` = 1, off the real line: the interior fixed
+    point of a real elliptic.
     """
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, dd = mats[:, 1, 0], mats[:, 1, 1]
     scale = _entry_scales(mats)
     at_inf = boundary_images(mats, None, scale)[2]
     c2 = 2.0 * np.where(at_inf, 1.0, c)
-    double = (a - dd) / c2
     disc = np.sqrt((a - dd) ** 2 + 4.0 * b * c)
     roots = np.stack([(a - dd + disc) / c2, (a - dd - disc) / c2], axis=1)
-    double[at_inf] = roots[at_inf] = np.nan
+    roots[at_inf] = np.nan
     alt = at_inf & (np.abs(a - dd) > INFINITY_TOL * scale)
     roots[alt, 0] = b[alt] / (dd[alt] - a[alt])
+    double = np.logical_or(*isometry_kinds(mats)[:2])
+    roots[double] = np.nan
+    double &= ~at_inf
+    roots[double, 0] = (a[double] - dd[double]) / c2[double]
     if d == 1:
-        off = ~(np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots)))
+        off = ~(np.abs(roots.imag) <= REAL_LINE_TOL * np.maximum(1.0, np.abs(roots)))
         roots.imag = 0.0
         roots[off] = np.nan
-    return at_inf, double, roots
+    return at_inf, roots
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +587,7 @@ def horoball_crossing_times(z: BoundaryPoint, H: Horoball) -> Optional[tuple[flo
     if zc is None:  # ray into the base point of H
         return math.log(plane / hb), math.inf
     sep = abs(zc - wb)
-    if sep < 1e-14:
+    if sep < VERTICAL_TOL:
         return None  # vertical ray downwards at the base's own projection
     m = (sep * sep - hb * hb) / (2.0 * sep)  # circle centre along the ray direction
     rc = math.hypot(m, hb)

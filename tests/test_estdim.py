@@ -168,7 +168,7 @@ class TestCoveringCount:
         pts = np.array([[0.999], [1.001]])
         aligned = len(np.unique(ed._grid_keys(*ed._grid_cells(ed._plane(pts), 1.0))[0]))
         assert aligned == 2
-        assert ed.covering_count(pts, 1.0, offsets=8) == 1
+        assert ed.covering_count(pts, 1.0) == 1
 
 
     @pytest.mark.parametrize(

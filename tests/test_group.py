@@ -1,8 +1,11 @@
 """Tests for group presentations, orbit enumeration, cusps, horoballs."""
 
+import cProfile
 import hashlib
 import math
+import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1145,6 +1148,29 @@ class TestHoroballs:
         with pytest.raises(gr.CuspDetectionError, match="bounded_model"):
             gr._raw_family(mats, [(p, 1)], [0])
 
+    @pytest.mark.parametrize("hook", ["cProfile", "settrace"])
+    def test_family_build_runs_under_a_profiler_or_tracer(self, hook):
+        # a profile or trace hook holds the frame's locals, which numpy's
+        # default resize check counts as references to the family's arrays
+        orb = gr.enumerate_orbit(gr.bounded_model(gr.builtin_group("apollonian"))[0], 8.0)
+        cs = gr.find_cusps(orb)
+        want = gr.unsqueezed_horoballs(orb, cs)
+        if hook == "cProfile":
+            prof = cProfile.Profile()
+            prof.enable()
+            stop = prof.disable
+        else:
+            old = sys.gettrace()
+            sys.settrace(lambda *args: None)
+            stop = partial(sys.settrace, old)
+        try:
+            got = gr.unsqueezed_horoballs(orb, cs)
+        finally:
+            stop()
+        for name in ("bases", "sizes", "ranks"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.n_references == want.n_references
+
     def test_apollonian_family_disjoint_and_self_healed(self):
         g = gr.builtin_group("apollonian")
         orb = gr.enumerate_orbit(g, max_dist=7.0)
@@ -1829,6 +1855,21 @@ class TestSampling:
         got = gr._loxodromic_fixed_points(orb)
         assert len(want) > 50
         assert np.sort(got).tobytes() == np.sort(np.array(want, dtype=complex)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(gr._BUILTINS))
+    def test_generator_fixed_points_are_classifys(self, name):
+        # classify's fixed points, one generator at a time, are the oracle
+        # of the array case on the generator stack
+        raw = gr.builtin_group(name)
+        for g in (raw, gr.bounded_model(raw)[0]):
+            want = [
+                hg._hs_boundary(p)
+                for gen in g.generators
+                for p in hg.classify(gen, d=g.d).fixed_points
+                if not p.is_infinity
+            ]
+            got = hg.fixed_points(np.stack([gen.matrix for gen in g.generators]), g.d)[1]
+            assert np.array_equal(got[~np.isnan(got)], np.array(want, dtype=complex))
 
     def test_apollonian_cloud_lies_in_the_disk(self):
         g = gr.builtin_group("apollonian")

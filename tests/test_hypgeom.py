@@ -5,13 +5,16 @@ brute-force horosphere projection and ray-horoball crossings for shadows,
 and dense ray sampling for horoball crossing times.
 """
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kleindim import group as gr
 from kleindim import hypgeom as hg
 
 
@@ -250,6 +253,127 @@ def test_classify_near_boundary_flags_ambiguity():
     assert c.ambiguous
 
 
+def oracle_kind(m):
+    """Beardon's trace rule on one matrix in Python scalars: (kind,
+    ambiguous).  The identity has every entry within IDENTITY_TOL of the
+    identity matrix's; otherwise tr^2 within PARABOLIC_TOL of 4 is
+    parabolic, within it of the real segment [0, 4] elliptic, and any
+    other loxodromic; a non-parabolic verdict within AMBIGUOUS_BAND of a
+    class boundary is ambiguous."""
+    m = [[complex(x) for x in row] for row in m]
+    if max(abs(m[i][j] - (1.0 if i == j else 0.0)) for i in range(2) for j in range(2)) <= hg.IDENTITY_TOL:
+        return hg.IsometryClass.IDENTITY, False
+    t2 = (m[0][0] + m[1][1]) ** 2
+    gap4 = abs(t2 - 4.0)
+    if gap4 <= hg.PARABOLIC_TOL:
+        return hg.IsometryClass.PARABOLIC, False
+    seg = abs(complex(t2.real - min(max(t2.real, 0.0), 4.0), t2.imag))
+    ambiguous = gap4 <= hg.AMBIGUOUS_BAND or hg.PARABOLIC_TOL < seg <= hg.AMBIGUOUS_BAND
+    if seg > hg.PARABOLIC_TOL:
+        return hg.IsometryClass.HYPERBOLIC_LOXODROMIC, ambiguous
+    return hg.IsometryClass.ELLIPTIC, ambiguous
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.inf if k > 0 else -math.inf)
+    return float(x)
+
+
+def _edge_matrices():
+    """Unit-determinant matrices at the edges of the trace rule, kept
+    exactly by MobiusMap.  [[t, -1], [1, 0]] has trace t: real t whose
+    computed t^2 lies the nearest steps either side of 4 +- PARABOLIC_TOL
+    and 4 +- AMBIGUOUS_BAND; t = 2 + iy and t = 1 + iy, whose t^2 rounds
+    to exactly 4 + 4iy and 1 + 2iy, so that |t^2 - 4| or the distance to
+    [0, 4] is PARABOLIC_TOL or AMBIGUOUS_BAND exactly and one ulp either
+    side; entries IDENTITY_TOL from the identity's and one ulp past; real
+    and complex elliptics."""
+    mats = []
+    for edge in (hg.PARABOLIC_TOL, hg.AMBIGUOUS_BAND):
+        for t2 in (4.0 + edge, 4.0 - edge):
+            mats += [[[_ulps(math.sqrt(t2), k), -1.0], [1.0, 0.0]] for k in range(-2, 3)]
+        for re, im in ((2.0, edge / 4.0), (1.0, edge / 2.0)):
+            mats += [[[re + 1j * _ulps(im, k), -1.0], [1.0, 0.0]] for k in (-1, 0, 1)]
+    for e in (hg.IDENTITY_TOL, _ulps(hg.IDENTITY_TOL, 1)):
+        mats += [[[1.0, e], [0.0, 1.0]], [[1.0, 0.0], [1j * e, 1.0]]]
+        mats += [[[1.0 + e, 0.0], [0.0, 1.0 / (1.0 + e)]]]
+    for theta in (0.5, math.pi / 2.0, 3.0):
+        c, s = math.cos(theta), math.sin(theta)
+        mats += [[[c, -s], [s, c]], [[complex(c, s), 0.0], [0.0, complex(c, -s)]]]
+    return mats
+
+
+def test_classify_is_the_one_element_case_of_isometry_kinds():
+    maps = [hg.MobiusMap(np.array(m)) for m in _edge_matrices()]
+    for g, m in zip(maps, _edge_matrices()):
+        assert np.array_equal(g.matrix, m) or np.array_equal(g.matrix, -np.array(m))
+    identity, parabolic, loxodromic, ambiguous = hg.isometry_kinds(np.stack([g.matrix for g in maps]))
+    seen = set()
+    for i, g in enumerate(maps):
+        kind, flag = oracle_kind(g.matrix)
+        seen.add((kind, flag))
+        assert g.is_identity == identity[i] == (kind is hg.IsometryClass.IDENTITY)
+        assert parabolic[i] == (kind is hg.IsometryClass.PARABOLIC)
+        assert loxodromic[i] == (kind is hg.IsometryClass.HYPERBOLIC_LOXODROMIC)
+        assert ambiguous[i] == flag
+        for d in (1, 2):
+            cl = hg.classify(g, d)
+            assert (cl.kind, cl.ambiguous) == (kind, flag)
+    # every verdict of the rule occurs among the edge cases
+    assert len(seen) == 6
+
+
+@pytest.mark.parametrize(
+    "name, walk",
+    [(name, {"max_dist": 8.0}) for name in sorted(gr._BUILTINS)]
+    + [("infinite_fuchsian", {"max_word_length": 2})],
+    ids=str,
+)
+def test_isometry_kinds_match_the_trace_rule_on_builtin_orbits(name, walk):
+    orb = gr.enumerate_orbit(gr.builtin_group(name), **walk)
+    masks = hg.isometry_kinds(orb.matrices)
+    kinds = [oracle_kind(m) for m in orb.matrices]
+    for mask, kind in zip(masks[:3], ("IDENTITY", "PARABOLIC", "HYPERBOLIC_LOXODROMIC")):
+        assert mask.tolist() == [k is hg.IsometryClass[kind] for k, _ in kinds]
+    assert masks[3].tolist() == [flag for _, flag in kinds]
+    # the identity is the walk's first element and its only identity
+    assert masks[0].tolist() == (orb.word_lengths == 0).tolist()
+
+
+def test_only_isometry_kinds_reads_the_classification_tolerances():
+    # the trace rule and the identity test are written once: no module
+    # but hypgeom reads their tolerances, and in hypgeom no function but
+    # isometry_kinds
+    names = {"PARABOLIC_TOL", "AMBIGUOUS_BAND", "IDENTITY_TOL"}
+
+    def reads(node):
+        found = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                found.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                found.add(n.attr)
+            elif isinstance(n, ast.alias):
+                found.add(n.name)
+        return found & names
+
+    package = os.path.dirname(os.path.abspath(hg.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        if name != "hypgeom.py":
+            assert not reads(tree), name
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name != "isometry_kinds":
+                assert not reads(top), top.name
+    # the scan sees bare and module-qualified reads
+    assert reads(ast.parse("isometry_kinds = PARABOLIC_TOL + hg.IDENTITY_TOL")) == names - {"AMBIGUOUS_BAND"}
+
+
 def test_loxodromic_fixed_points_are_fixed():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -303,19 +427,23 @@ def test_matrix_without_a_sign_is_an_error(m):
 
 _SQRT5 = math.sqrt(5.0)
 # (matrix, boundary dimension, its fixed points, None for infinity): c = 0
-# with a != d; a parabolic fixed at infinity and a finite one; |c| =
+# with a != d; a parabolic fixed at infinity, one whose a - d would give
+# a finite root b / (d - a) if it were not parabolic, and a finite one; |c| =
 # 2e-13, exactly INFINITY_TOL times the largest entry, which counts as
 # vanishing, and |c| = 2e-9, which does not; a real elliptic, whose
-# complex roots are dropped when d = 1 only; and a hyperbolic with two
-# finite roots
+# complex roots are dropped when d = 1 only, as is the double root i of a
+# complex parabolic; and a hyperbolic with two finite roots
 _FIXED_CASES = [
     ([[2.0, 1.0], [0.0, 0.5]], 2, [None, -2.0 / 3.0]),
     ([[1.0, 1.0], [0.0, 1.0]], 1, [None]),
+    ([[1.0 + 1e-9, 1.0], [0.0, 1.0 / (1.0 + 1e-9)]], 1, [None]),
     ([[1.0, 0.0], [1.0, 1.0]], 1, [0.0]),
     ([[2.0, 0.0], [2e-13, 0.5]], 1, [None, 0.0]),
     ([[2.0, 0.0], [2e-9, 0.5]], 1, [7.5e8, 0.0]),
     ([[0.0, -1.0], [1.0, 0.0]], 1, []),
     ([[0.0, -1.0], [1.0, 0.0]], 2, [-1j, 1j]),
+    ([[1.0 - 1j, -1.0], [-1.0, 1.0 + 1j]], 1, []),
+    ([[1.0 - 1j, -1.0], [-1.0, 1.0 + 1j]], 2, [1j]),
     ([[2.0, 1.0], [1.0, 1.0]], 1, [(1.0 + _SQRT5) / 2.0, (1.0 - _SQRT5) / 2.0]),
 ]
 
@@ -324,14 +452,10 @@ _FIXED_CASES = [
 def test_fixed_points_of_one_map_are_the_array_case(d):
     assert hg.INFINITY_TOL * 2.0 == 2e-13
     cases = [(hg.MobiusMap(np.array(m)), want) for m, dim, want in _FIXED_CASES if dim == d]
-    at_inf, double, roots = hg.fixed_points(np.stack([g.matrix for g, _ in cases]), d)
+    at_inf, roots = hg.fixed_points(np.stack([g.matrix for g, _ in cases]), d)
     for i, (g, want) in enumerate(cases):
-        cl = hg.classify(g, d)
-        finite = [double[i]] if cl.kind is hg.IsometryClass.PARABOLIC else roots[i]
-        expect = [None] if at_inf[i] else []
-        if not (at_inf[i] and cl.kind is hg.IsometryClass.PARABOLIC):
-            expect += [complex(z) for z in finite if not np.isnan(z)]
-        assert cl.fixed_points == tuple(hg._boundary_from_hs(z, d) for z in expect)
+        expect = [None] * int(at_inf[i]) + [complex(z) for z in roots[i] if not np.isnan(z)]
+        assert hg.classify(g, d).fixed_points == tuple(hg._boundary_from_hs(z, d) for z in expect)
         assert [z is None for z in expect] == [z is None for z in want]
         assert [z for z in expect if z is not None] == pytest.approx(
             [z for z in want if z is not None], rel=1e-15, abs=1e-12
@@ -403,10 +527,9 @@ _ITEM_14 = [
 def test_near_identity_maps_get_one_answer_everywhere(m, kind, fixed, image):
     g = hg.MobiusMap(np.array(m))
     assert g.matrix[1, 0] == m[1][0]
-    at_inf, double, roots = hg.fixed_points(g.matrix[None], 1)
+    at_inf, roots = hg.fixed_points(g.matrix[None], 1)
     assert not at_inf[0]
-    finite = roots[0] if kind is hg.IsometryClass.HYPERBOLIC_LOXODROMIC else double
-    assert finite.tolist() == pytest.approx(fixed, rel=1e-15)
+    assert roots[0][~np.isnan(roots[0])].tolist() == pytest.approx(fixed, rel=1e-15)
     cl = hg.classify(g, 1)
     assert cl.kind is kind
     want = () if kind is hg.IsometryClass.IDENTITY else fixed
