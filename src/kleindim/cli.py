@@ -36,9 +36,8 @@ EXIT_USAGE = 1
 EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
-# the default orbit budgets the report tolerances were tuned at
+# the default distance budget the report tolerances were tuned at
 DEFAULT_BUDGET_DIST = 11.0
-DEFAULT_BUDGET_WORDS = 4_000_000
 DEFAULT_RESOLUTION = 1e-3
 
 DEFAULT_TOLERANCES = {
@@ -387,15 +386,13 @@ def _sample_cloud(g: gr.GroupPresentation, args) -> ed.PointCloud:
     """Sample ``g`` in its bounded chart, the chart ``verify`` measures,
     within the budgets given on the command line."""
     resolution = args.resolution or DEFAULT_RESOLUTION
-    kwargs = {}
-    if args.budget_words:
-        kwargs["max_elements"] = args.budget_words
-    if args.budget_dist:
-        kwargs["max_dist"] = args.budget_dist
     # sample at half the requested scale so the file over-resolves its
     # declared target instead of meeting it marginally
     return gr.sample_limit_set(
-        gr.bounded_model(g)[0], target_resolution=resolution / 2.0, **kwargs
+        gr.bounded_model(g)[0],
+        target_resolution=resolution / 2.0,
+        max_elements=args.budget_words,
+        max_dist=args.budget_dist,
     )
 
 
@@ -581,14 +578,13 @@ def cmd_verify(args) -> int:
     tol = _parse_tolerances(args.tolerance)
     seed = args.seed
     budget_dist = args.budget_dist or DEFAULT_BUDGET_DIST
-    budget_words = args.budget_words or DEFAULT_BUDGET_WORDS
     resolution = args.resolution or DEFAULT_RESOLUTION
 
-    p = Pipeline(g0, budget_dist, words=budget_words, resolution=resolution)
+    p = Pipeline(g0, budget_dist, words=args.budget_words, resolution=resolution)
     finite = p.group.metadata.get("geometrically_finite", True)
     report = VerificationReport(
         group=g0.name or "custom",
-        environment={"budget_words": budget_words, "resolution": resolution, "seed": seed},
+        environment={"budget_words": p.words, "resolution": resolution, "seed": seed},
     )
     if finite:
         report.environment.update(band=p.band, budget_dist=budget_dist)
@@ -610,7 +606,7 @@ def cmd_verify(args) -> int:
             # identity.  The cloud comes from the sampler's own walk
             # (spectral-gap retry to distance ~426, 316 elements) and the
             # 1,016 fixed points of those elements, which the report records
-            cloud = gr.sample_limit_set(p.group, resolution, max_elements=budget_words)
+            cloud = gr.sample_limit_set(p.group, resolution, max_elements=p.words)
             report.environment.update(
                 (key, cloud.meta[key]) for key in ("n_orbit", "t_valid", "n_fixed_points")
             )
@@ -694,7 +690,8 @@ _FLAGS = {
     "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
     "--budget-words": dict(
         type=_checked(int, "an integer", lambda v: v > 0, "must be positive"),
-        help="orbit enumeration element budget",
+        default=gr.DEFAULT_BUDGET_WORDS,
+        help="orbit enumeration element budget (default %(default)s)",
     ),
     "--budget-dist": dict(
         type=_checked(float, "a number", lambda v: v > 0, "must be positive"),

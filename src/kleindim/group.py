@@ -45,6 +45,9 @@ NONDISCRETE_COUNT = 500
 NONDISCRETE_RADIUS = 0.5
 # distance slack for expanding words whose prefixes overshoot the target
 DEFAULT_SLACK = 2.5
+# the one default element budget of every orbit walk: enumerate_orbit,
+# sample_limit_set, Pipeline and the CLI's --budget-words
+DEFAULT_BUDGET_WORDS = 4_000_000
 # candidate products (frontier rows times letters) per vectorized chunk
 EXPAND_PRODUCTS = 200_000
 # products formed at a time, so their temporaries stay in cache
@@ -387,7 +390,7 @@ def enumerate_orbit(
     group: GroupPresentation,
     max_dist: Optional[float] = None,
     *,
-    max_elements: int = 2_000_000,
+    max_elements: int = DEFAULT_BUDGET_WORDS,
     max_word_length: Optional[int] = None,
     slack: float = DEFAULT_SLACK,
 ) -> OrbitData:
@@ -412,9 +415,16 @@ def enumerate_orbit(
     an unexpanded element less the slack: an element within that horizon
     reached through prefixes overshooting it by less than the slack is
     found, the same promise an untruncated walk makes for ``max_dist``.
-    The element budget counts ``visited`` and ``recent`` together and is
-    checked between levels and between chunks of ``EXPAND_PRODUCTS``
-    candidate products.
+    Both caps are checked at one place, the start of every chunk of
+    ``EXPAND_PRODUCTS`` candidate products, a level's first included; the
+    element budget counts ``visited``, ``recent`` and the level's new
+    elements so far, and the word-length cap binds at a level's first
+    chunk.  The default budget, ``DEFAULT_BUDGET_WORDS``, is the one
+    ``verify``, ``generate`` and ``plot`` share.  On a cusped group a
+    budget stop collapses ``t_valid`` far below ``max_dist``: the walk is
+    breadth-first, so the short elements at the end of long parabolic
+    chains are still unexpanded when the budget runs out (the bounded
+    gasket at distance 11 stops at ``t_valid`` 2.125 at the default).
 
     Only the candidates g a that can land inside the expansion horizon
     are multiplied: a few flops per (row, letter) estimate ||g a||^2 from
@@ -462,6 +472,7 @@ def enumerate_orbit(
     frontier_last = np.array([255], dtype=np.uint8)  # 255: no previous letter
     frontier_dist = np.zeros(1)
 
+    max_level = math.inf if max_word_length is None else max_word_length
     truncated = False
     horizon = math.inf
     level = 0
@@ -469,24 +480,13 @@ def enumerate_orbit(
 
     while len(frontier):
         level += 1
-        if max_word_length is not None and level > max_word_length:
-            truncated = True
-            horizon = min(horizon, float(frontier_dist.min()))
-            break
         n_seen = len(visited) + len(recent)
-        if n_seen >= max_elements:
-            truncated = True
-            horizon = min(horizon, float(frontier_dist.min()))
-            break
-
         lvl_m, lvl_dist, lvl_last, lvl_hash = [], [], [], []
         n_lvl = 0  # the level's new elements so far, chunk duplicates included
-        stopped = False
         for start in range(0, len(frontier), chunk_rows):
-            if n_seen + n_lvl >= max_elements and start > 0:
+            if level > max_level or n_seen + n_lvl >= max_elements:
                 truncated = True
-                horizon = min(horizon, float(frontier_dist[start:].min()))
-                stopped = True
+                horizon = float(frontier_dist[start:].min())
                 break
             cols = _columns(frontier[start : start + chunk_rows])
             # no letter undoes the previous one, and products whose norm
@@ -524,11 +524,8 @@ def enumerate_orbit(
 
         # the expanded level goes before the next one is assembled
         del frontier
-        if not lvl_dist:
-            if stopped:
-                break
-            frontier = np.empty((0, 2, 2), dtype=complex)
-            continue
+        if not lvl_dist:  # nothing new: the walk is done, or was stopped
+            break
 
         new_dist = np.concatenate(lvl_dist)
         new_last = np.concatenate(lvl_last)
@@ -570,7 +567,7 @@ def enumerate_orbit(
 
         frontier_last = new_last
         frontier_dist = new_dist
-        if stopped:
+        if truncated:
             # the level just created was never expanded either
             horizon = min(horizon, float(new_dist.min()))
             break
@@ -1398,7 +1395,7 @@ def sample_limit_set(
     group: GroupPresentation,
     target_resolution: float = 1e-3,
     *,
-    max_elements: int = 2_000_000,
+    max_elements: int = DEFAULT_BUDGET_WORDS,
     max_dist: Optional[float] = None,
     orbit: Optional[OrbitData] = None,
 ) -> PointCloud:

@@ -58,7 +58,7 @@ class Pipeline:
         group: gr.GroupPresentation,
         dist: float,
         *,
-        words: int = 4_000_000,
+        words: int = gr.DEFAULT_BUDGET_WORDS,
         resolution: float = 1e-3,
         band: float = 3.5,
     ) -> None:

@@ -357,6 +357,14 @@ class TestExitCodes:
     def test_generate_rejects_double_config(self):
         assert cli.main(["generate", "apollonian", "--config", "apollonian"]) == 1
 
+    def test_generate_shares_verify_element_budget(self, tmp_path, capsys):
+        # the old default of 2,000,000 stopped this walk short and wrote
+        # 23,984 points at a declared resolution of 0.031
+        out = str(tmp_path / "gasket.json")
+        assert cli.main(["generate", "apollonian", "--budget-dist", "10", "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert "achieved resolution 0.0005 (requested 0.001), orbit_truncated=False" in printed
+
     def test_generate_unknown_group(self, capsys):
         assert cli.main(["generate", "not_a_group"]) == 1
         assert "unknown builtin" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Tests for group presentations, orbit enumeration, cusps, horoballs."""
 
+import ast
 import cProfile
 import hashlib
 import math
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import kleindim.cli as cli
 import kleindim.hypgeom as hg
 from kleindim import group as gr
 from kleindim.pipeline import Pipeline
@@ -453,6 +456,21 @@ def _sha(*parts):
     return h.hexdigest()[:16]
 
 
+def _fold_digests(monkeypatch, name, rows, dist, **caps):
+    """The digests of one walk at four shares of recent hashes, from a
+    share of 0, which folds every level at once, to one that never
+    folds; ``rows`` frontier rows per chunk, or the default chunks."""
+    g = gr.builtin_group(name)
+    if rows is not None:
+        monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * 2 * g.n_generators)
+    got = set()
+    for share in (0.0, gr.RECENT_SHARE, 0.5, math.inf):
+        monkeypatch.setattr(gr, "RECENT_SHARE", share)
+        orb = gr.enumerate_orbit(g, dist, **caps)
+        got.add(_sha(orb.matrices, orb.dists, orb.word_lengths, orb.t_valid, orb.truncated))
+    return got
+
+
 # sha256 prefixes of (matrices, dists, word_lengths, t_valid) and of
 # (bases, sizes, ranks, theta, n_references) from Pipeline(group, dist),
 # recorded from the walk with a hash-ordered visited lookup and the
@@ -693,14 +711,42 @@ class TestEnumeration:
         # unfolded, and its budget of 1000 cuts a level while recent
         # hashes wait; apollonian's walk grows fast enough to fold at
         # every level
-        g = gr.builtin_group(name)
-        if rows is not None:
-            monkeypatch.setattr(gr, "EXPAND_PRODUCTS", rows * 2 * g.n_generators)
-        for share in (0.0, gr.RECENT_SHARE, 0.5, math.inf):
-            monkeypatch.setattr(gr, "RECENT_SHARE", share)
-            orb = gr.enumerate_orbit(g, dist, max_elements=budget)
-            got = _sha(orb.matrices, orb.dists, orb.word_lengths, orb.t_valid, orb.truncated)
-            assert got == want
+        assert _fold_digests(monkeypatch, name, rows, dist, max_elements=budget) == {want}
+
+    @pytest.mark.parametrize(
+        "name, rows, dist, budget, words, want",
+        [
+            # the budget binds at the start of level 1 (only the identity
+            # is seen), exactly at the start of level 4 (397 seen) with
+            # seven-row chunks, and exactly at the start of level 6
+            # (10,615 seen) with one chunk per level
+            ("apollonian", 7, 7.5, 1, None, "9c95b99668e386fa"),
+            ("apollonian", 7, 7.5, 397, None, "d581dada0d87f075"),
+            ("apollonian", None, 7.5, 10615, None, "dde0d8385d66f604"),
+            # the budget binds mid-level 5, at its chunk from frontier row
+            # 483 and, as chunk duplicates count, at its chunk from 2114
+            ("apollonian", 7, 7.5, 5000, None, "82ceb93a5d84692e"),
+            ("apollonian", 7, 7.5, 10615, None, "8ec9b091fba21290"),
+            # the word-length cap binds at a level's first chunk: alone at
+            # level 4, there together with the budget, at level 41 of a
+            # walk that leaves recent hashes unfolded, and not at all when
+            # the budget binds mid-level first
+            ("apollonian", 7, 7.5, None, 3, "d581dada0d87f075"),
+            ("apollonian", 7, 7.5, 397, 3, "d581dada0d87f075"),
+            ("parabolic_cusp_fuchsian", 3, 11.0, None, 40, "c81d54e1cc8ca2e6"),
+            ("apollonian", 7, 7.5, 5000, 6, "82ceb93a5d84692e"),
+        ],
+    )
+    def test_one_stop_check_keeps_every_truncated_walk(
+        self, monkeypatch, name, rows, dist, budget, words, want
+    ):
+        # digests recorded from the walk that checked its caps at each
+        # level's start and, apart, before each later chunk of a level;
+        # a budget of None is the default one
+        caps = {"max_word_length": words}
+        if budget is not None:
+            caps["max_elements"] = budget
+        assert _fold_digests(monkeypatch, name, rows, dist, **caps) == {want}
 
     def test_word_length_budget(self):
         g = gr.builtin_group("schottky")
@@ -851,6 +897,49 @@ class TestEnumeration:
         g = gr.GroupPresentation((t1, t2), d=1, name="dense")
         with pytest.raises(gr.NonDiscreteError):
             gr.enumerate_orbit(g, max_dist=4.0)
+
+
+def test_every_element_budget_defaults_to_the_one_constant():
+    # the walk's element budget has one default: no function of the
+    # package gives a budget parameter a default but DEFAULT_BUDGET_WORDS,
+    # which group alone defines, and the CLI's --budget-words reads it
+    budgets = {"max_elements", "words"}
+
+    def other_defaults(tree):
+        found = []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args
+            pairs = list(zip(params[len(params) - len(a.defaults) :], a.defaults))
+            pairs += [(p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for p, d in pairs:
+                name = d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+                if p.arg in budgets and name != "DEFAULT_BUDGET_WORDS":
+                    found.append(p.arg)
+        return found
+
+    package = os.path.dirname(os.path.abspath(gr.__file__))
+    defined = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        assert not other_defaults(tree), name
+        defined += [
+            name
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "DEFAULT_BUDGET_WORDS" for t in n.targets)
+        ]
+    assert defined == ["group.py"]
+    assert cli._FLAGS["--budget-words"]["default"] is gr.DEFAULT_BUDGET_WORDS
+    # the scan sees literal defaults, positional and keyword-only
+    src = "def f(words=4_000_000, *, max_elements=gr.DEFAULT_BUDGET_WORDS, n=2): pass"
+    assert other_defaults(ast.parse(src)) == ["words"]
+    assert other_defaults(ast.parse("def f(*, max_elements=2_000_000): pass")) == ["max_elements"]
 
 
 class TestPresentations:
@@ -1933,6 +2022,16 @@ class TestSampling:
         assert len(cloud.coords) > 0
         assert cloud.meta["t_valid"] == orb.t_valid
         assert cloud.resolution == 2.0 * math.exp(-orb.t_valid)
+
+    def test_default_budget_completes_the_gasket_to_10(self):
+        # the walk's one default budget is verify's 4,000,000; the
+        # sampler's old default of 2,000,000 stopped this walk at t_valid
+        # 4.17 and declared a resolution of 0.031
+        g, _ = gr.bounded_model(gr.builtin_group("apollonian"))
+        cloud = gr.sample_limit_set(g, 5e-4, max_dist=10.0)
+        assert not cloud.meta["orbit_truncated"]
+        assert cloud.meta["t_valid"] == 10.0
+        assert cloud.resolution == 5e-4
 
     def test_resolution_validation(self):
         g = gr.builtin_group("schottky")
