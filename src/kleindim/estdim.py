@@ -20,46 +20,33 @@ that is nearly full at one scale no longer reads as inflated
 dimension).
 
 One window sweep (:func:`window_sweep`) serves every ratio set that a
-caller reads one cloud with: the sets share the sampled centres, each
-centre's distances are computed and sorted once, and a (radius, ratio)
-that two sets share is counted once.  ``assouad_dimension`` and
-``lower_dimension`` are one-set readers of it.  Each set comes back as
-arrays over (centre, radius) (:class:`Windows`): covering counts, ball
-populations and exponents fitted for all windows at once.  The array
-fit may round apart from scipy's in the last bit, so it only picks the
-candidates: every window within ``EXTREME_SLACK`` of the array extreme
-is fitted again exactly, and the repr of its witness breaks ties.
+caller reads one cloud with: the sets share the sampled centres, and a
+(radius, ratio) that two sets share is counted once.
+``assouad_dimension`` and ``lower_dimension`` are one-set readers of
+it.  Each set comes back as arrays over (centre, radius)
+(:class:`Windows`): counts and exponents fitted for all windows at
+once.  The array fit may round apart from scipy's in the last bit, so
+it only picks the candidates: every window within ``EXTREME_SLACK`` of
+the array extreme is fitted again exactly, and the repr of its witness
+breaks ties.
 
-The sweep computes each ball's covering counts from the ball's shell,
-not from all its points.  The grid offsets of ``covering_count``
-depend on the scale alone, so every (radius, ratio, offset) grid labels
-the cells of the whole cloud once, with the ranks of its cell keys
-(:func:`_grid_keys`) that ``covering_count`` counts.  For a ball B(x, R)
-and a grid of side r, a count splits into two parts:
+The count of a window B(x, R) at scale r = R / q is the number of
+occupied r-cells whose closed squares meet the closed ball, the fewest
+over the grid offsets of ``covering_count``.  Each such cell holds a
+point within R + sqrt(2) r of x, and each point of the ball lies in
+one, so the count lies between ``covering_count`` on the points of
+B(x, R) and on those of B(x, R + sqrt(2) r).  The larger ball lies in
+B(x, (1 + sqrt(2) / q) R), and balls of radius R and of a fixed
+multiple of R define the same Assouad and lower dimensions (Fraser,
+*Assouad Dimension and Fractal Geometry*, 2020).
 
-* the occupied cells wholly inside the ball, counted once per grid and
-  centre from the grid's sorted cell keys, row by row;
-* the other cells among the points of the shell, the ball's points
-  farther than R - sqrt(2) r from x: distinct labels found by one
-  scatter and one gather, less those of inner cells.
-
-A cell has diameter sqrt(2) r, so a point nearer x than R - sqrt(2) r
-lies in an inner cell, and every point of a cell that is not inner
-lies in the shell.  The split is exact, so every count, slope and
-witness equals that of ``covering_count`` on the ball's points:
-
-* one evaluation of one formula decides whether a cell is inner in both
-  parts, so rounding cannot put a cell in both or in neither;
-* the inner test runs 1e-9 R inside the ball and the shell starts
-  1e-6 R early, so neither rounds a point to the wrong side while the
-  coordinates stay within about 10^6 R of the origin.
-
-The points of a centre's largest ball are sorted by squared distance
-once; each smaller ball is a prefix of that order and each shell a
-slice of it.  A grid keeps its labels in the narrowest unsigned dtype
-that holds them, and a shell's labels are offset into one shared
-numbering as they are gathered.  A d = 1 cloud is a single grid row of
-the same code.
+The offsets depend on the scale alone, so every (radius, ratio,
+offset) grid sorts the cell keys of the whole cloud once
+(:func:`_grid_keys`, :func:`_dense_labels`), and every centre reads
+its count off them at once, one key range a grid row
+(:func:`_meeting_columns`).  The ball reaches ``MEET_MARGIN`` R past
+R, so no rounding drops the cell of a point the ball's own test
+admits.  A d = 1 cloud is a single grid row of the same code.
 
 The package's fixed-radius pair searches, the horoball family's overlap
 scan and deepest-member lookups and the k-th-neighbour bracket, are one
@@ -100,6 +87,10 @@ DENSE_SPAN = 16
 JOIN_RANGES = 1 << 14
 JOIN_PAIRS = 1 << 17
 GRID_SPAN_BITS = 30
+# a window's ball reaches this share of its radius past it, so that
+# rounding never drops the cell of a point that the ball's own test
+# admits while the coordinates stay within about 10^6 R of the origin
+MEET_MARGIN = 1e-9
 # window slopes within this of the array extreme are fitted again one by
 # one, since the array fit may round apart from it in the last bit
 EXTREME_SLACK = 1e-12
@@ -353,24 +344,23 @@ def _grid_offsets(r: float, d: int) -> list:
 
 
 def _dense_labels(keys: np.ndarray) -> tuple:
-    """(occupied, labels, below) of the non-negative int64 cell ``keys``:
-    the distinct keys in increasing order, each key's index among them
-    (``np.unique``'s inverse), and a function that maps an array of keys
-    to the number of distinct keys below each.
+    """(distinct, below) of the non-negative int64 cell ``keys``: the
+    number of distinct keys, and a function that maps an array of keys
+    to the number of distinct keys below each, a key's dense label.
 
     A span of at most ``DENSE_SPAN`` keys per point is ranked through an
     occupancy mask and its running sum; a wider one, by sorting.  Both
     give the same ranks."""
     span = int(keys.max()) + 1
     if span > DENSE_SPAN * len(keys):
-        occupied, labels = np.unique(keys, return_inverse=True)
-        return occupied, labels, partial(np.searchsorted, occupied)
+        occupied = np.unique(keys)
+        return len(occupied), partial(np.searchsorted, occupied)
     mask = np.zeros(span, dtype=bool)
     mask[keys] = True
     below = np.zeros(span + 1, dtype=np.int32)
     np.cumsum(mask, dtype=np.int32, out=below[1:])
     # clipped, a key past the span has every occupied key below it
-    return np.flatnonzero(mask), below[keys], partial(below.take, mode="clip")
+    return int(below[-1]), partial(below.take, mode="clip")
 
 
 def covering_count(coords: np.ndarray, r: float) -> int:
@@ -383,7 +373,7 @@ def covering_count(coords: np.ndarray, r: float) -> int:
         return 0
     plane = _plane(coords)
     return min(
-        len(_dense_labels(_grid_keys(*_grid_cells(plane - off[:, None], r))[0])[0])
+        _dense_labels(_grid_keys(*_grid_cells(plane - off[:, None], r))[0])[0]
         for off in _grid_offsets(r, coords.shape[1])
     )
 
@@ -484,143 +474,65 @@ def _farthest_point_sample(coords: np.ndarray, k: int, seed: int) -> np.ndarray:
     return pool[np.asarray(chosen)]
 
 
-def _inner_columns(du, u1, rho2):
-    """(lo, hi), the columns of the grid cells in one row that lie wholly
-    inside a ball: those whose far corner does.  Units are cells; the
-    ball has squared radius ``rho2`` about (u0, u1), and ``du`` is the
-    row's index less u0.  A row without such a cell has lo > hi.
+def _meeting_columns(du, u1, rho2):
+    """(lo, hi), the columns of the grid cells in one row whose closed
+    squares meet a closed ball.  Units are cells; the ball has squared
+    radius ``rho2`` about (u0, u1), and ``du`` is the row's index less
+    u0.  A row that the ball misses has lo > hi.
 
-    Both parts of a window count (see the module docstring) call this
-    one evaluation, so rounding cannot put a cell in both or in neither.
-    """
-    half = np.sqrt(np.maximum(rho2 - np.maximum(np.abs(du), np.abs(du + 1.0)) ** 2, 0.0))
-    return np.ceil(u1 - half), np.floor(u1 + half) - 1.0
+    This one evaluation decides which cells meet a window's ball."""
+    # from u0 to the row's nearest edge; 0 in the row that holds u0
+    gap = np.maximum(np.maximum(du, -1.0 - du), 0.0)
+    left = rho2 - gap * gap
+    half = np.sqrt(np.maximum(left, 0.0))
+    lo = np.ceil(u1 - half) - 1.0
+    return lo, np.where(left >= 0.0, np.floor(u1 + half), lo - 1.0)
 
 
-def _sweep_grid(plane, centers, r, offset, rho2, reach):
-    """One grid of the window sweep: side r, shifted by ``offset``.
+def _grid_meeting_counts(plane, centers, R, q, offset):
+    """Per centre x, a row of ``centers``, the number of occupied cells of
+    one grid, side r = R / q shifted by ``offset``, whose closed squares
+    meet the ball B(x, R (1 + ``MEET_MARGIN``)).  The points are the
+    columns of ``plane``.
 
-    Returns the cell label of each point (a column of ``plane``), in the
-    narrowest unsigned dtype that holds it; the row and column of each
-    label; each centre's (row, column) position u0, u1 in cell units;
-    and per centre, the number of occupied cells wholly inside its ball
-    of squared radius ``rho2`` in cell units.  A ball meets no row more
-    than ``reach`` rows from its centre's.
-    """
+    Every centre reads the grid's sorted cell keys at once, one range of
+    :func:`_meeting_columns` a row."""
+    r = R / q
     cells = _grid_cells(plane - offset[:, None], r)
     low = cells.min(axis=1)
+    nrows = int(cells[0].max() - low[0]) + 1
     keys, width = _grid_keys(*cells)
     if not width:  # rows and columns are read off packed keys
         raise ValueError(f"a grid of side {r:g} has too many cells for 64-bit keys")
-    occupied, labels, below = _dense_labels(keys)
-    rows, cols = np.divmod(occupied, width)
-    nrows = int(rows[-1]) + 1
+    below = _dense_labels(keys)[1]
     u = (centers - offset) / r - low
+    rho = q * (1.0 + MEET_MARGIN)
+    # a ball meets no row more than this many rows from its centre's
+    reach = math.ceil(q) + 2
     span = min(2 * reach + 1, nrows)
     near_rows = np.clip(np.floor(u[:, :1]) - reach, 0, nrows - span) + np.arange(span)
-    lo, hi = _inner_columns(near_rows - u[:, :1], u[:, 1:], rho2)
+    lo, hi = _meeting_columns(near_rows - u[:, :1], u[:, 1:], rho * rho)
     lo, hi = np.maximum(lo, 0), np.minimum(hi, width - 1)
     start = near_rows.astype(np.int64) * width
     hits = below(start + hi.astype(np.int64) + 1) - below(start + lo.astype(np.int64))
-    inner = np.where(lo <= hi, hits, 0).sum(axis=1)
-    narrow = np.min_scalar_type(max(nrows, width))
-    labels = labels.astype(np.min_scalar_type(len(occupied) - 1))
-    return labels, rows.astype(narrow), cols.astype(narrow), u[:, 0], u[:, 1], inner
+    return np.where(lo <= hi, hits, 0).sum(axis=1)
 
 
-def _sweep_counts(cloud: PointCloud, centers: np.ndarray, pairs: list) -> tuple:
-    """Covering counts of the balls B(x, R) at scale R / q for every
-    centre x and every (R, q) in ``pairs``, each equal to
-    ``covering_count`` on the ball's points.
-
-    Returns (counts, radii, ball_points): ``counts[c, k]`` for centre c
-    and pair k; the distinct radii, increasing; and ``ball_points[c, j]``,
-    the number of points within ``radii[j]`` of centre c.
-
-    Each (R, q) has one grid per offset of ``covering_count``, and every
-    grid labels the cells of the whole cloud once.  A count is the
-    number of occupied cells wholly inside the ball, counted per grid
-    and centre, plus the number of other cells that hold points of the
-    ball's shell; the module docstring says why that is exact.
-    """
+def _window_counts(cloud: PointCloud, centers: np.ndarray, pairs: list) -> np.ndarray:
+    """``counts[c, k]``, the count of the window at centre c and the k-th
+    (R, q) of ``pairs``: the occupied (R / q)-cells whose closed squares
+    meet the closed ball B(x, R), fewest over the offsets of
+    ``covering_count``.  The sweep holds one grid at a time."""
     plane = _plane(cloud.coords)
     plane_centers = _plane(centers).T
-    # per pair, the (offset, point) labels local to each grid, and the
-    # offset of each grid's labels among those of all grids
-    tables, firsts = [], []
-    cell_rows, cell_cols, u0, u1, inner, rho2 = [], [], [], [], [], []
-    n_labels = 0
-    for R, q in pairs:
-        per_offset = []
-        for off in _grid_offsets(R / q, cloud.d):
-            # a whisker inside the ball: a cell found inside holds only
-            # points that the ball's own test admits
-            rho = R * (1.0 - 1e-9) / (R / q)
-            part = _sweep_grid(plane, plane_centers, R / q, off, rho * rho, math.ceil(q) + 2)
-            per_offset.append(part[0])
-            firsts.append(n_labels)
-            n_labels += len(part[1])
-            for out, value in zip((cell_rows, cell_cols, u0, u1, inner), part[1:]):
-                out.append(value)
-            rho2.append(rho * rho)
-        tables.append(np.stack(per_offset))
-    firsts = np.array(firsts, dtype=np.intp).reshape(len(pairs), -1, 1)
-    grid_of = np.repeat(
-        np.arange(len(rho2), dtype=np.min_scalar_type(len(rho2) - 1)),
-        [len(rows) for rows in cell_rows],
-    )
-    cell_rows, cell_cols = np.concatenate(cell_rows), np.concatenate(cell_cols)
-    u0, u1, inner = np.column_stack(u0), np.column_stack(u1), np.column_stack(inner)
-    rho2 = np.array(rho2)
-
-    cols = plane[2 - cloud.d :]
-    radii = sorted({R for R, _ in pairs})
-    pair_radius = np.searchsorted(radii, [R for R, _ in pairs])
-    sq_radii = np.array([R * R for R in radii])
-    # a point nearer the centre than R - sqrt(2) r lies in a cell wholly
-    # inside the ball; the margin keeps rounding on that side, and below
-    # ratio sqrt(2) no point does
-    inside = np.array([R - math.sqrt(2.0) * R / q - 1e-6 * R for R, q in pairs])
-    bounds = np.concatenate([sq_radii, np.where(inside > 0.0, inside * inside, -1.0)])
     counts = np.empty((len(centers), len(pairs)), dtype=np.int64)
-    ball_points = np.empty((len(centers), len(radii)), dtype=np.int64)
-    stamp = np.empty(n_labels, dtype=np.int32)
-    steps = np.arange(0, dtype=np.int32)
-    shell = np.empty(0, dtype=np.intp)
-    for c, center in enumerate(centers):
-        d2 = _sq_dists(cols, center)
-        near = np.flatnonzero(d2 <= sq_radii[-1])
-        near_d2 = d2[near]
-        order = np.argsort(near_d2)
-        near = near[order]
-        # every ball holds its centre, so no prefix is empty
-        ends = np.searchsorted(near_d2[order], bounds, side="right")
-        ball_points[c] = ends[: len(radii)]
-        starts = ends[len(radii) :]
-        ends = ends[pair_radius]
-        sizes = firsts.shape[1] * (ends - starts)
-        stops = np.cumsum(sizes).tolist()
-        if stops[-1] > len(shell):
-            shell = np.empty(stops[-1], dtype=np.intp)
-            steps = np.arange(stops[-1], dtype=np.int32)
-        # the global labels of every (radius, ratio) shell, offset by offset
-        for table, first, s, e, stop, size in zip(
-            tables, firsts, starts.tolist(), ends.tolist(), stops, sizes.tolist()
-        ):
-            if size:
-                out = shell[stop - size : stop].reshape(len(first), -1)
-                np.add(table.take(near[s:e], axis=1), first, out=out)
-        labels = shell[: stops[-1]]
-        # exactly one write to each label survives, whatever order the
-        # repeated writes land in, so the survivors are the distinct cells
-        stamp[labels] = steps[: len(labels)]
-        cells = labels[stamp.take(labels) == steps[: len(labels)]]
-        g = grid_of[cells]
-        lo, hi = _inner_columns(cell_rows[cells] - u0[c, g], u1[c, g], rho2[g])
-        col = cell_cols[cells]
-        outer = np.bincount(g[(col < lo) | (col > hi)], minlength=len(rho2))
-        counts[c] = (inner[c] + outer).reshape(len(pairs), -1).min(axis=1)
-    return counts, radii, ball_points
+    for k, (R, q) in enumerate(pairs):
+        grids = [
+            _grid_meeting_counts(plane, plane_centers, R, q, off)
+            for off in _grid_offsets(R / q, cloud.d)
+        ]
+        counts[:, k] = np.min(grids, axis=0)
+    return counts
 
 
 def _window_ladder(cloud: PointCloud, radii, ratios) -> tuple:
@@ -662,11 +574,12 @@ class Windows:
     """The sample windows of one ratio set: every centre x with every
     outer radius R, read at the inner scales R / q of the set's ratios.
 
-    ``counts[c, i, j]`` is the covering count of B(centers[c], radii[i])
-    at scale radii[i] / ratios[j], ``ball_points[c, i]`` the number of
-    points in that ball, and ``slopes[c, i]`` the window's exponent as
-    fitted for every window at once.  A set without a window to read
-    holds the reason in ``error`` and no arrays.
+    ``counts[c, i, j]`` is the window count of B(centers[c], radii[i])
+    at scale r = radii[i] / ratios[j]: the occupied r-cells whose closed
+    squares meet the closed ball (see the module docstring), and
+    ``slopes[c, i]`` the window's exponent as fitted for every window at
+    once.  A set without a window to read holds the reason in ``error``
+    and no arrays.
     """
 
     cloud: PointCloud
@@ -674,13 +587,13 @@ class Windows:
     radii: tuple = ()
     centers: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
-    ball_points: Optional[np.ndarray] = None
     slopes: Optional[np.ndarray] = None
     error: str = ""
 
     def window(self, c: int, i: int) -> tuple:
         """(exponent, witness) of the window at centre c and radius i,
-        the exponent fitted as scipy's ``linregress`` fits it."""
+        the exponent fitted as scipy's ``linregress`` fits it; the
+        witness's ``ball_points`` counts the points of the ball."""
         R = self.radii[i]
         counts = self.counts[c, i].tolist()
         scales = [R / q for q in self.ratios]
@@ -692,7 +605,8 @@ class Windows:
         else:
             slope = _linear_fit(log_q, np.log(counts))[0]
             witness.update(scales=scales, counts=counts)
-        witness["ball_points"] = int(self.ball_points[c, i])
+        d2 = _sq_dists(self.cloud.coords.T, self.centers[c])
+        witness["ball_points"] = int(np.count_nonzero(d2 <= R * R))
         return slope, witness
 
     def extreme(self, method: str) -> DimensionEstimate:
@@ -730,8 +644,9 @@ def window_sweep(
     """The :class:`Windows` of each (radii, ratios) set in ``sets``.
 
     A window is a centre x with an outer radius R; its exponent comes
-    from the covering counts of B(x, R) at the inner scales r = R/q
-    over the set's ratios q.  One ratio gives the plain quotient
+    from its counts at the inner scales r = R/q over the set's ratios
+    q, each the number of occupied r-cells that meet the ball B(x, R)
+    (see the module docstring).  One ratio gives the plain quotient
     log N / log(R/r).  Several ratios give the least-squares slope of
     log N against log(R/r), so the window's multiplicative constant
     drops out instead of polluting the exponent by log C / log q.
@@ -745,9 +660,10 @@ def window_sweep(
     ``error`` while the other sets read.
 
     Every set reads the same centres, a farthest-point sample of
-    ``n_centers`` points.  One sweep serves all sets: each centre's
-    distances are computed and sorted once, and a (radius, ratio) that
-    several sets share is counted once.
+    ``n_centers`` points.  One sweep serves all sets: a (radius, ratio)
+    that several sets share is counted once, and each grid is built
+    once for every centre.  Only the extremes' candidate windows count
+    the points of their balls, for the witness.
     """
     ladders = []
     for radii, ratios in sets:
@@ -764,7 +680,7 @@ def window_sweep(
         errors = [str(e) if isinstance(e, ValueError) else _UNRESOLVED for e in ladders]
         return [Windows(cloud, error=error) for error in errors]
     pairs = sorted({(R, q) for radii, ratios in usable for R in radii for q in ratios})
-    counts, radii_swept, ball_points = _sweep_counts(cloud, centers, pairs)
+    counts = _window_counts(cloud, centers, pairs)
     index = {pair: k for k, pair in enumerate(pairs)}
     out = []
     for ladder in ladders:
@@ -780,7 +696,6 @@ def window_sweep(
                 tuple(radii),
                 centers,
                 set_counts,
-                ball_points[:, np.searchsorted(radii_swept, radii)],
                 _array_slopes(set_counts, ratios),
             )
         )

@@ -729,13 +729,13 @@ class TestVerify:
         # dim_A and dim_L (lower and assouad on the infinite branch) read
         # the windows of one sweep of the cloud
         calls = []
-        sweep_counts = ed._sweep_counts
+        window_counts = ed._window_counts
 
         def counted(*args):
             calls.append(args)
-            return sweep_counts(*args)
+            return window_counts(*args)
 
-        monkeypatch.setattr(ed, "_sweep_counts", counted)
+        monkeypatch.setattr(ed, "_window_counts", counted)
         cli.main(["verify", *argv, "--out", str(tmp_path / "report.txt")])
         extremes = ("dim_A", "dim_L", "lower", "assouad")
         rows = [s for name, s in report_rows(str(tmp_path / "report.txt")) if name in extremes]

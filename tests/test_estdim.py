@@ -108,10 +108,10 @@ class TestCoveringCount:
         # small spans take the occupancy mask, wide ones the sort
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, span, int(rng.integers(1, 300)))
-        occupied, labels, below = ed._dense_labels(keys)
-        want_occupied, want_labels = np.unique(keys, return_inverse=True)
-        assert np.array_equal(occupied, want_occupied)
-        assert np.array_equal(labels, want_labels)
+        distinct, below = ed._dense_labels(keys)
+        occupied, labels = np.unique(keys, return_inverse=True)
+        assert distinct == len(occupied)
+        assert np.array_equal(below(keys), labels)
         probe = np.concatenate([keys, keys + 1, [-3, 0, keys.max() + 2, span + 5]])
         assert np.array_equal(below(probe), np.searchsorted(occupied, probe))
 
@@ -324,35 +324,69 @@ class TestPoincareExponent:
         assert 1.0 < est.value < 1.6
 
 
-def window_slopes_oracle(cloud, radii, ratios, n_centers, seed):
-    """The window sweep as a per-ball loop: a KD-tree query per radius,
-    ``covering_count`` per ball and scale, scipy's fit per window, and
-    centres from a norm-based farthest-point sample."""
+def oracle_centers(cloud, n_centers, seed):
+    """The sweep's centres from a norm-based farthest-point sample;
+    clouds here stay below the 50k points where the sample subsamples."""
     coords = cloud.coords
-    floor = ed.MIN_SCALE_FACTOR * cloud.resolution
-    ratios = sorted(float(q) for q in ratios)
-    if radii is None:
-        top = cloud.extent() / 4.0
-        lo = floor * ratios[-1]
-        radii = [top] if top <= lo else np.geomspace(top, lo, 8)
-    # clouds here stay below the 50k points where the sample subsamples
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(len(coords)))]
     dist = np.linalg.norm(coords - coords[chosen[0]], axis=1)
     for _ in range(min(n_centers, len(coords)) - 1):
         chosen.append(int(np.argmax(dist)))
         dist = np.minimum(dist, np.linalg.norm(coords - coords[chosen[-1]], axis=1))
-    centers = coords[chosen]
-    tree = cKDTree(coords)
+    return coords[chosen]
+
+
+def oracle_radii(cloud, radii, ratios):
+    """The sweep's radius ladder, less the radii below the floor."""
+    floor = ed.MIN_SCALE_FACTOR * cloud.resolution
+    if radii is None:
+        top = cloud.extent() / 4.0
+        lo = floor * ratios[-1]
+        radii = [top] if top <= lo else np.geomspace(top, lo, 8)
+    return [float(R) for R in radii if R / ratios[-1] >= floor * (1.0 - 1e-9)]
+
+
+def meeting_counts(cloud, centers, R, q):
+    """The window count by brute force: per offset grid, every occupied
+    cell is tested against each centre's ball by the sweep's own
+    ``_meeting_columns``, and the fewest over the offsets is kept."""
+    plane, r = ed._plane(cloud.coords), R / q
+    rho = q * (1.0 + ed.MEET_MARGIN)
+    best = None
+    for off in ed._grid_offsets(r, cloud.d):
+        cells = ed._grid_cells(plane - off[:, None], r)
+        low = cells.min(axis=1)
+        row, col = np.unique((cells - low[:, None]).T, axis=0).T
+        counts = []
+        for u in (ed._plane(centers).T - off) / r - low:
+            lo, hi = ed._meeting_columns(row - u[0], u[1], rho * rho)
+            counts.append(int(np.count_nonzero((lo <= col) & (col <= hi))))
+        best = counts if best is None else np.minimum(best, counts).tolist()
+    return best
+
+
+def ball_counts(cloud, centers, R, r):
+    """``covering_count`` at scale r on the points of each ball B(x, R),
+    as a KD-tree finds them."""
+    balls = cKDTree(cloud.coords).query_ball_point(centers, R)
+    return [ed.covering_count(cloud.coords[idx], r) for idx in balls]
+
+
+def window_slopes_oracle(cloud, radii, ratios, n_centers, seed):
+    """The window sweep as a per-window loop: ``meeting_counts`` per
+    radius and ratio, scipy's fit per window, a KD-tree's ball
+    population per witness, and centres from :func:`oracle_centers`."""
+    ratios = sorted(float(q) for q in ratios)
+    centers = oracle_centers(cloud, n_centers, seed)
+    tree = cKDTree(cloud.coords)
     log_q = np.log(ratios)
     out = []
-    for R in radii:
-        R = float(R)
+    for R in oracle_radii(cloud, radii, ratios):
         scales = [R / q for q in ratios]
-        if scales[-1] < floor * (1.0 - 1e-9):
-            continue
+        per_ratio = [meeting_counts(cloud, centers, R, q) for q in ratios]
         for ci, idx in enumerate(tree.query_ball_point(centers, R)):
-            counts = [ed.covering_count(coords[idx], r) for r in scales]
+            counts = [c[ci] for c in per_ratio]
             witness = {"center": centers[ci].tolist(), "R": R}
             if len(ratios) == 1:
                 slope = math.log(counts[0]) / log_q[0]
@@ -414,13 +448,11 @@ SWEEP_CASES = [
     (random_cloud(4, 700, 2), [0.4, 0.001, 0.2, 0.2, 0.01, 0.15], (8.0, 64.0)),
     (lattice_cloud(30), [13.0, 5.0, 10.0, 2.0, 1.0], (2.0, 4.0)),
     (lattice_cloud(30), [5.0, 13.0], (8.0,)),
-    # below ratio sqrt(2) no point lies nearer the centre than
-    # R - sqrt(2) r, and the shell is the whole ball
+    # ratios near 1: most cells that a ball meets straddle its sphere
     (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.2,)),
     (lattice_cloud(30), [13.0, 5.0, 2.0, 1.0], (1.3, 2.0)),
     (random_cloud(5, 700, 2), None, (1.1, 1.4)),
-    # R - sqrt(2) r runs through lattice points whose cells reach
-    # the sphere: the shell must start before them
+    # lattice points whose cells' corners lie exactly on the sphere
     (lattice_cloud(30), [math.sqrt(2.0) * k for k in (5, 10, 3)], (5 * math.sqrt(2.0),)),
     (line_cloud(60), [12.0, 7.0, 5.0, 3.0, 2.0], (2.0, 5.0)),
     (line_cloud(60), [12.0, 7.0, 3.0, 1.0], (1.5,)),
@@ -430,10 +462,10 @@ SWEEP_CASES = [
 
 
 def assert_same_windows(got: ed.Windows, want: ed.Windows) -> None:
-    """Counts, ball populations and array slopes bit for bit, and both
-    extremes with their witnesses."""
+    """Counts and array slopes bit for bit, and both extremes with their
+    witnesses."""
     assert (got.ratios, got.radii) == (want.ratios, want.radii)
-    for name in ("centers", "counts", "ball_points", "slopes"):
+    for name in ("centers", "counts", "slopes"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     for method in ("assouad", "lower"):
@@ -443,21 +475,21 @@ def assert_same_windows(got: ed.Windows, want: ed.Windows) -> None:
 
 # the extremes of lattice_cloud(30) at radii 13, 5, 10, 2 and ratios 2, 4
 # (40 centres, seed 0) as the sort of every window's (slope, witness repr)
-# picked them: two windows tie at the top and 40 at the bottom
+# picked them: two windows tie at the top and 23 at the bottom
 TIED_EXTREMES = (
     {
-        "slope_raw": 1.8231222379159209,
+        "slope_raw": 1.8845227825800643,
         "witness": {
-            "center": [5.0, 9.0], "R": 10.0, "scales": [5.0, 2.5], "counts": [13, 46],
+            "center": [5.0, 9.0], "R": 10.0, "scales": [5.0, 2.5], "counts": [13, 48],
             "ball_points": 261,
         },
         "n_samples": 160,
     },
     {
-        "slope_raw": 0.0,
+        "slope_raw": -0.37196877738695805,
         "witness": {
-            "center": [0.0, 0.0], "R": 2.0, "scales": [1.0, 0.5], "counts": [6, 6],
-            "ball_points": 6,
+            "center": [10.0, 11.0], "R": 2.0, "scales": [1.0, 0.5], "counts": [22, 17],
+            "ball_points": 13,
         },
         "n_samples": 160,
     },
@@ -467,6 +499,8 @@ TIED_EXTREMES = (
 class TestWindowSweep:
     @pytest.mark.parametrize("cloud, radii, ratios", SWEEP_CASES)
     def test_matches_per_ball_oracle(self, cloud, radii, ratios):
+        # the oracle tests every occupied cell of every grid; the sweep
+        # reads one key range a row
         for seed in (0, 7):
             windows = ed.window_sweep(cloud, [(radii, ratios)], 40, seed)[0]
             got = all_windows(windows)
@@ -486,6 +520,21 @@ class TestWindowSweep:
                     (slope, witness)
                 )
                 assert est.diagnostics["n_samples"] == len(want)
+
+    @pytest.mark.parametrize("cloud, radii, ratios", SWEEP_CASES)
+    def test_counts_lie_between_the_ball_and_its_enlargement(self, cloud, radii, ratios):
+        # every point of B(x, R) lies in a cell that meets it, and every
+        # cell that meets it lies in B(x, R + sqrt(2) r); the upper ball
+        # is widened by 1e-6 R, for the count's MEET_MARGIN and rounding
+        ratios = sorted(ratios)
+        windows = ed.window_sweep(cloud, [(radii, ratios)], 40, 0)[0]
+        for i, R in enumerate(windows.radii):
+            for j, q in enumerate(ratios):
+                r = R / q
+                got = windows.counts[:, i, j].tolist()
+                inner = ball_counts(cloud, windows.centers, R, r)
+                outer = ball_counts(cloud, windows.centers, R * (1.0 + 1e-6) + math.sqrt(2.0) * r, r)
+                assert all(a <= b <= c for a, b, c in zip(inner, got, outer)), (R, q)
 
     @pytest.mark.parametrize("cloud, radii, ratios", SWEEP_CASES)
     def test_several_sets_match_one_set_sweeps(self, cloud, radii, ratios):
@@ -523,7 +572,7 @@ class TestWindowSweep:
         for method, filler, want in (("lower", (1, 64), 0), ("assouad", (5, 5), 1)):
             counts = np.array([[(22, 32), (44, 64)] + [filler] * 6])
             windows = ed.Windows(
-                cloud, (8.0, 64.0), radii, cloud.coords[:1], counts, np.full((1, 8), 90),
+                cloud, (8.0, 64.0), radii, cloud.coords[:1], counts,
                 ed._array_slopes(counts, (8.0, 64.0)),
             )  # fmt: skip
             exact = [slope for slope, _ in all_windows(windows)]
@@ -546,13 +595,13 @@ class TestWindowSweep:
 
     def test_identical_sets_build_their_grids_once(self, monkeypatch):
         calls = []
-        sweep_grid = ed._sweep_grid
+        grid_counts = ed._grid_meeting_counts
 
         def counted(*args):
-            calls.append(args[2])
-            return sweep_grid(*args)
+            calls.append(args[2:4])
+            return grid_counts(*args)
 
-        monkeypatch.setattr(ed, "_sweep_grid", counted)
+        monkeypatch.setattr(ed, "_grid_meeting_counts", counted)
         cloud = random_cloud(2, 900, 2)
         one = ed.window_sweep(cloud, [(None, (8.0, 64.0))], 40, 0)
         n_one = len(calls)
@@ -565,13 +614,19 @@ class TestWindowSweep:
     @pytest.mark.memory
     def test_memory_stays_below_int64_labels(self, traced_peak):
         # one int64 label per point and grid alone reaches 31 (Assouad)
-        # and 43 (lower) times the coordinates on this cloud; a sweep of
-        # both sets holds no more than the two alone
+        # and 43 (lower) times the coordinates on this cloud.  The sweep
+        # holds one grid at a time: the points' plane and one grid's
+        # int64 cells, each the coordinates' size, and an occupancy mask
+        # with its int32 running sum, five bytes a key of at most
+        # DENSE_SPAN keys a point, five times the coordinates.  The peaks
+        # read 9.4, 9.1 and 9.5 times the coordinates (numpy 2, x86-64),
+        # so 12 leaves a quarter of headroom, and a sweep of both sets
+        # holds no more than one alone
         cloud = gr.sample_limit_set(gr.builtin_group("apollonian"), target_resolution=1e-3)
         assouad, lower = (None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))
-        for sets, bound in (([assouad], 30), ([lower], 40), ([assouad, lower], 30 + 40)):
+        for sets in ([assouad], [lower], [assouad, lower]):
             peak, _ = traced_peak(ed.window_sweep, cloud, sets, 64, 0)
-            assert peak <= bound * cloud.coords.nbytes
+            assert peak <= 12 * cloud.coords.nbytes
 
     def test_identical_ratios_raise(self):
         with pytest.raises(ValueError):

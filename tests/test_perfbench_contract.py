@@ -16,6 +16,11 @@ import sys
 
 import pytest
 
+from kleindim import cli, predict
+from kleindim import estdim as ed
+from kleindim import group as gr
+from kleindim.pipeline import Pipeline
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -42,14 +47,20 @@ def test_traced_operation_runs_through_the_wrapped_layers(args, tmp_path):
         assert out["trace"][key]["calls"] >= 1, key
 
 
-def test_gasket_rows_pass_the_benchmark_check(tmp_path):
-    # the gasket-verify answer at seed 0, held to reference.json by the
-    # benchmark's own check: seeded rows such as inf_lower_loc read atoms
-    # by index, so a change of atom order fails here
+def perfbench_run():
+    """``perfbench/run.py`` as a module, for its reference and check."""
     path = os.path.join(ROOT, "perfbench", "run.py")
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_gasket_rows_pass_the_benchmark_check(tmp_path):
+    # the gasket-verify answer at seed 0, held to reference.json by the
+    # benchmark's own check: seeded rows such as inf_lower_loc read atoms
+    # by index, so a change of atom order fails here
+    run = perfbench_run()
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "op.py"), "--kind", "verify"]
     cmd += ["--group", "apollonian", "--budget-dist", "9.5", "--seed", "0", "--trace", "0"]
     cmd += ["--workdir", str(tmp_path), "--result", str(tmp_path / "result.json")]
@@ -60,3 +71,36 @@ def test_gasket_rows_pass_the_benchmark_check(tmp_path):
     rows = run.read_report(str(tmp_path / "apollonian_verify.txt"))
     assert rows is not None, proc.stderr
     assert run.check_rows(rows, run.load_reference()["seeds"]["0"]) == []
+
+
+def test_gasket_window_extremes_pass_the_benchmark_check_at_every_seed():
+    # gasket-verify may run at any seed of reference.json, and the seed
+    # picks the window sweep's centres: at each, dim_A and dim_L of the
+    # distance-9.5 cloud stay within their row tolerances of the
+    # reference, by the benchmark's own check, and dim_A still passes
+    run = perfbench_run()
+    p = Pipeline(gr.builtin_group("apollonian"), 9.5)
+    profile = predict.GroupProfile(
+        delta=p.delta,
+        k_min=p.cusps.k_min or 0,
+        k_max=p.cusps.k_max or 0,
+        d=p.group.d,
+        parabolic_free=not p.cusps.has_cusps,
+    )
+    predicted = vars(predict.predict_dims(profile))
+    sets = [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))]
+    bad = {}
+    for seed, ref in run.load_reference()["seeds"].items():
+        assouad, lower = ed.window_sweep(p.cloud, sets, seed=int(seed))
+        rows = {}
+        for name, windows, method in (("dim_A", assouad, "assouad"), ("dim_L", lower, "lower")):
+            value = windows.extreme(method).value
+            row = cli.ReportRow(name, predicted[name], value, cli.DEFAULT_TOLERANCES[name])
+            rows[name] = (row.estimated, row.tolerance, row.status)
+        problems = run.check_rows(rows, {name: ref[name] for name in rows})
+        if rows["dim_A"][2] != "pass":
+            problems.append(f"dim_A {rows['dim_A'][2]}")
+        if problems:
+            bad[seed] = problems
+    assert len(run.load_reference()["seeds"]) == 16
+    assert bad == {}
