@@ -449,6 +449,20 @@ def _add_rows(report, names, predicted, tol, estimate, direction="abs"):
         )
 
 
+def _read_now(read):
+    """Call ``read`` now and return a thunk that gives its value, or
+    raises its ``ValueError`` again, where the caller reads the stage."""
+    try:
+        value = read()
+    except ValueError as e:
+
+        def fail(err=e):
+            raise err
+
+        return fail
+    return lambda: value
+
+
 def _verify_geometrically_finite(p, tol, seed, report):
     delta_hat, cusps = p.delta, p.cusps
     profile = predict.GroupProfile(
@@ -461,10 +475,23 @@ def _verify_geometrically_finite(p, tol, seed, report):
     report.profile = profile
     predicted = vars(predict.predict_dims(profile))
 
+    # the stages are built in the order that keeps the peak low: the
+    # family only to order the cusps, then the cloud and the measure from
+    # the orbit.  Neither the family nor the orbit is read after, so the
+    # sweeps and probes reuse their memory.  A failed stage errors its
+    # rows where they read it, as if it were built there
+    if cusps.has_cusps:
+        get_cusp_points = _read_now(lambda: p.cusp_points)
+        vars(p).pop("unsqueezed", None)
+    get_cloud = _read_now(lambda: p.cloud)
+    get_measure = _read_now(lambda: p.measure)
+    t_valid = p.orbit.t_valid
+    del p.orbit
+
     # the cloud is read inside each row, so a failed sample errors only
     # these three rows
     def box():
-        cloud = p.cloud
+        cloud = get_cloud()
         extent = cloud.extent()
         if extent <= 0.0:
             raise ValueError(
@@ -478,7 +505,7 @@ def _verify_geometrically_finite(p, tol, seed, report):
     # thin cusp horns, where the lower dimension is attained, are seen;
     # the wide default window never leaves the typical part
     windows = functools.cache(
-        lambda: ed.window_sweep(p.cloud, [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))], seed=seed)
+        lambda: ed.window_sweep(get_cloud(), [(None, (8.0, 64.0)), (None, (4.0, 8.0, 16.0))], seed=seed)
     )
     _add_rows(report, ["dim_H"], predicted, tol, box)
     _add_rows(report, ["dim_A"], predicted, tol, lambda: [windows()[0].extreme("assouad").value])
@@ -487,7 +514,7 @@ def _verify_geometrically_finite(p, tol, seed, report):
     # measure stages: deep-band empirical measure, regularity sweep in
     # the window the finite budget actually supports, local dimensions
     try:
-        mu = p.measure
+        mu = get_measure()
     except ValueError as e:
         names = ("upper_reg", "lower_reg", "sup_upper_loc", "inf_lower_loc")
         report.rows.extend(_error_row(name, e) for name in names)
@@ -497,12 +524,12 @@ def _verify_geometrically_finite(p, tol, seed, report):
     wall_t = None
     if cusps.has_cusps:
         try:
-            cusp_rows = p.cusp_points
+            cusp_rows = get_cusp_points()
         except gr.CuspDetectionError as e:
             report.rows.append(_error_row("horoballs", e))
         # below e^-wall_t the truncated orbit undersupplies the cusp
         # neighbourhoods and mass ratios there read too steep
-        wall_t = (p.orbit.t_valid - p.band) / 2.0
+        wall_t = (t_valid - p.band) / 2.0
 
     def regularity():
         r_floor = 2.0 * mu.resolution

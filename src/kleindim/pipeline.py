@@ -1,10 +1,15 @@
 """The orbit -> fit -> cusps -> horoballs -> cloud -> measure chain.
 
 A :class:`Pipeline` holds one group in its bounded chart and builds
-each stage on first read, from the stages before it, then keeps it.
-Callers read only the stages they need, in the order they need them,
-so a run that fails at the growth fit never builds a cloud, and the
-horoball family is not held in memory before something reads it.
+each stage on first read, from the stages before it, and keeps it
+until a caller deletes it (``del p.orbit``).  Callers read only the
+stages they need, in the order they need them, so a run that fails at
+the growth fit never builds a cloud, and the horoball family is not
+held in memory before something reads it.  ``verify`` reads the fit
+and the cusps, then the cusp order, and deletes the family; then the
+cloud and the measure, and deletes the orbit.  Its sweeps and probes
+then reuse what the family and the orbit held, so its peak is the
+walk's or the family build's.
 
 The horoballs come in two stages: the family before its dyadic
 squeeze, and the squeezed, disjoint family on top of it.  The cusps'

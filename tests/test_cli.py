@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ import kleindim.estdim as ed
 import kleindim.group as gr
 import kleindim.predict as predict
 import kleindim.psmeasure as ps
+from kleindim.pipeline import ORBIT_SLACK
 
 
 def cantor_cloud(depth: int) -> ed.PointCloud:
@@ -817,6 +819,91 @@ class TestVerify:
         # without cusp points both local rows read the typical point
         local = [line.split(",")[2] for line in open(out) if "_loc," in line]
         assert local[0] == local[1]
+
+    def test_family_value_error_is_the_pipeline_row(self, tmp_path, monkeypatch):
+        # the cusp order is built first, but a plain ValueError of its
+        # family ends the report where the order is read: after the cloud
+        # rows and the measure
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(gr, "unsqueezed_horoballs", fail)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        assert report_rows(out) == [
+            ("poincare", "pass"),
+            ("dim_H", "fail"),
+            ("dim_A", "fail"),
+            ("dim_L", "fail"),
+            ("pipeline", "error (boom)"),
+        ]
+
+    def test_measure_failure_hides_the_family_failure(self, tmp_path, monkeypatch):
+        # the family is built before the measure, yet a failed measure
+        # ends the report before the cusp order would have been read
+        def fail_family(*args, **kwargs):
+            raise gr.CuspDetectionError("no family")
+
+        def fail_measure(*args, **kwargs):
+            raise ValueError("no measure")
+
+        monkeypatch.setattr(gr, "unsqueezed_horoballs", fail_family)
+        monkeypatch.setattr(ps, "patterson_measure", fail_measure)
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "7"]) == 2
+        failed = "error (no measure)"
+        assert report_rows(out) == [
+            ("poincare", "pass"),
+            ("dim_H", "fail"),
+            ("dim_A", "fail"),
+            ("dim_L", "fail"),
+            ("upper_reg", failed),
+            ("lower_reg", failed),
+            ("sup_upper_loc", failed),
+            ("inf_lower_loc", failed),
+        ]
+
+    def test_orbit_and_family_are_built_once_and_dropped_before_the_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        # the walk and the family are each built once, and neither is
+        # alive when the window sweep starts: nothing walks the orbit
+        # again after verify drops it
+        built, alive_at_sweep = [], []
+
+        def tracked(fn):
+            def call(*args, **kwargs):
+                value = fn(*args, **kwargs)
+                built.append((fn.__name__, weakref.ref(value)))
+                return value
+
+            return call
+
+        def sweep(*args, **kwargs):
+            alive_at_sweep.extend(name for name, ref in built if ref() is not None)
+            return window_sweep(*args, **kwargs)
+
+        window_sweep = ed.window_sweep
+        for name in ("enumerate_orbit", "unsqueezed_horoballs"):
+            monkeypatch.setattr(gr, name, tracked(getattr(gr, name)))
+        monkeypatch.setattr(ed, "window_sweep", sweep)
+        out = str(tmp_path / "report.txt")
+        cli.main(["verify", "apollonian", "--out", out, "--budget-dist", "8"])
+        assert sorted(name for name, _ in built) == ["enumerate_orbit", "unsqueezed_horoballs"]
+        assert alive_at_sweep == []
+        assert "horoballs" not in dict(report_rows(out))
+
+    @pytest.mark.memory
+    def test_verify_peaks_at_its_walk(self, tmp_path, traced_peak):
+        # the family, the cloud, the measure and the sweeps each fit in
+        # what the walk held: at 9.5 building the family beside the cloud
+        # and the measure, and keeping the orbit to the end, peaked at
+        # 1.07 times the walk
+        g = gr.bounded_model(gr.builtin_group("apollonian"))[0]
+        walk, _ = traced_peak(gr.enumerate_orbit, g, 9.5, slack=ORBIT_SLACK)
+        argv = ["verify", "apollonian", "--budget-dist", "9.5", "--out", str(tmp_path / "r.txt")]
+        peak, _ = traced_peak(cli.main, argv)
+        assert peak < 1.03 * walk
 
     def test_pipeline_failure_is_one_row(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
