@@ -49,8 +49,8 @@ R, so no rounding drops the cell of a point the ball's own test
 admits.  A d = 1 cloud is a single grid row of the same code.
 
 The package's fixed-radius pair searches, the horoball family's overlap
-scan and deepest-member lookups and the k-th-neighbour bracket, are one
-pair join (:func:`_grid_pairs`): the points are sorted once by their
+scan and its deepest-member lookups, are one pair join
+(:func:`_grid_pairs`): the points are sorted once by their
 :func:`_grid_keys` cells (:func:`_sorted_grid`), each query reads the key
 ranges of its block of cells, one range a row, and :func:`_block_pairs`
 expands the ranges into candidate pairs in bounded runs.

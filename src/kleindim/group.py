@@ -1419,7 +1419,6 @@ def sample_limit_set(
         if max_dist is None:
             max_dist = t_cut + math.log(4.0)
         orbit = enumerate_orbit(group, max_dist, max_elements=max_elements)
-    include_fixed_points = bool(group.metadata.get("fixed_point_sampling", False))
 
     proj, finite = orbit.boundary_projections()
     t_sel = min(t_cut, orbit.t_valid)
@@ -1440,7 +1439,7 @@ def sample_limit_set(
     n_dropped_inf = int((deep & ~finite).sum())
 
     n_fixed = 0
-    if include_fixed_points:
+    if group.metadata.get("fixed_point_sampling", False):
         # the loxodromic elements' fixed points, then the generators' finite
         # fixed points in generator order
         gen_fps = hg.fixed_points(np.stack([g.matrix for g in group.generators]), group.d)[1]
@@ -1456,7 +1455,7 @@ def sample_limit_set(
         )
 
     resolution = target_resolution
-    if orbit.t_valid < t_cut and not include_fixed_points:
+    if orbit.t_valid < t_cut:
         resolution = max(resolution, 2.0 * math.exp(-orbit.t_valid))
     floor = group.metadata.get("resolution_floor")
     if floor is not None:

@@ -6,8 +6,9 @@ exp(-s d(o, g(o))) for the exponent s = (1 + S_MARGIN) delta just above
 the critical exponent, normalizing, and placing each weight at the
 boundary projection of g(o).  The weak limit s -> delta is replaced by
 that fixed margin.  The measure's declared resolution reads the median
-distance from an atom to its eighth-nearest other atom, found exactly
-on grids in numpy (``_kth_neighbour_median``).
+distance from an atom to its eighth-nearest other atom over a strided
+sample of the atoms, each solved exactly on grids in numpy
+(``_kth_neighbour_median``).
 
 The second half of the module is the measure-formula machinery: the
 escape depth rho(z, t) and cusp rank k(z, t) of geodesic ray points
@@ -40,9 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import hypgeom as hg
-from .estdim import _block_pairs, _farthest_point_sample, _grid_cells, _grid_keys, _grid_pairs
-from .estdim import _linear_fit, _plane, _sorted_grid
-from .estdim import _sq_dists, poincare_exponent
+from .estdim import _block_pairs, _farthest_point_sample, _grid_cells, _grid_keys
+from .estdim import _linear_fit, _plane, _sq_dists, poincare_exponent
 from .group import (
     Cusp,
     GroupPresentation,
@@ -70,10 +70,8 @@ SQUEEZE_THETAS = (1.0, 0.5, 0.25, 0.125)
 # to its KNN_K-th nearest atom, itself included
 KNN_K = 9
 # the k-th neighbour median (see _kth_neighbour_median) solves about this
-# many sampled atoms to bracket the median, this many standard deviations
-# of a sample median's rank wide on either side
+# many sampled atoms
 KNN_SAMPLE = 2048
-KNN_BRACKET = 5.0
 # the (row, column) offsets of a cell's 3x3 block
 _BLOCK = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]).T
 
@@ -146,15 +144,10 @@ def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
         # by real cell, then imaginary with non-negative first: verify draws atoms by index
         c1[c1 < 0] += int(c1.max()) - int(c1.min()) + 1
     keys = _grid_keys(c0, c1)[0]
-    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    k = len(counts)
-    w = np.zeros(k)
-    np.add.at(w, inverse, weights)
-    merged = np.zeros((k, coords.shape[1]))
-    for j in range(coords.shape[1]):
-        np.add.at(merged[:, j], inverse, weights * coords[:, j])
-    merged /= w[:, None]
-    return merged, w
+    inverse = np.unique(keys, return_inverse=True)[1]
+    w = np.bincount(inverse, weights=weights)
+    merged = np.column_stack([np.bincount(inverse, weights=weights * c) for c in coords.T])
+    return merged / w[:, None], w
 
 
 def _spread_bits(v: np.ndarray) -> np.ndarray:
@@ -245,65 +238,26 @@ def _exact_kth_sq(plane: np.ndarray, rows: np.ndarray, k: int, fine: float) -> n
 
 
 def _kth_neighbour_median(coords: np.ndarray, k: int) -> float:
-    """Median over the points of the distance to the k-th nearest point,
-    itself included: ``np.median(cKDTree(coords).query(coords, k)[0][:,
-    -1])`` bit for bit.  Fewer than k points, or a non-finite
-    coordinate, raise ``ValueError``.
+    """Median over sampled points of the distance to the k-th nearest
+    point, itself included: ``np.median(cKDTree(coords).query(
+    coords[rows], k)[0][:, -1])`` bit for bit.  ``rows`` is every point
+    up to ``2 KNN_SAMPLE`` points, and above that every (n //
+    KNN_SAMPLE)-th one, about ``KNN_SAMPLE`` to ``2 KNN_SAMPLE`` of them.
+    Fewer than k points, or a non-finite coordinate, raise
+    ``ValueError``.
 
-    Distances are compared squared, summed in coordinate order as
-    cKDTree sums them; only the one or two middle values are rooted.
-    Up to ``2 KNN_SAMPLE`` points are solved one by one
-    (:func:`_exact_kth_sq`).  Above that, a strided sample of about
-    ``KNN_SAMPLE`` points is solved, and its order statistics lo and hi,
-    ``KNN_BRACKET`` standard deviations of a sample median's rank either
-    side of the middle, most likely bracket the median.  One pass over a
-    grid of side sqrt(hi) (:func:`_bracket_pass`) puts every point's
-    squared k-th distance below lo, above hi or in [lo, hi], by counting
-    the points of its 3x3 block within each bound, and reads the values
-    in [lo, hi] off the block.  When the middle ranks fall among those,
-    the median is read off their sorted values; when the bracket missed,
-    every point is solved one by one."""
+    The sampled rows are solved exactly against every point
+    (:func:`_exact_kth_sq`).  Distances are compared squared, summed in
+    coordinate order as cKDTree sums them, and rooted last."""
     plane = _plane(coords)
     n = plane.shape[1]
     if n < k or not np.isfinite(plane).all():
         raise ValueError(f"a k-th neighbour median needs {k} or more finite points")
     extent = float((plane.max(axis=1) - plane.min(axis=1)).max())
-    # the finest grid either pass uses, so that keys fit 64 bits
+    # the finest grid of the climb, so that keys fit 64 bits
     fine = extent * 2.0**-24 if extent > 0 else 1.0
-    middle = [(n - 1) // 2, n // 2]
-    kth = None
-    if n > 2 * KNN_SAMPLE:
-        sample = _exact_kth_sq(plane, np.arange(0, n, n // KNN_SAMPLE), k, fine)
-        m = len(sample)
-        half = KNN_BRACKET * math.sqrt(m) / 2.0
-        lo = sample[max(int(m / 2.0 - half), 0)]
-        hi = sample[min(math.ceil(m / 2.0 + half), m - 1)]
-        n_below, inside = _bracket_pass(plane, k, lo, hi, max(math.sqrt(hi) * (1.0 + 1e-5), fine))
-        if n_below <= middle[0] and middle[1] < n_below + len(inside):
-            kth = np.sort(inside)[[r - n_below for r in middle]]
-    if kth is None:
-        kth = _exact_kth_sq(plane, np.arange(n), k, fine)[middle]
-    return float(np.median(np.sqrt(kth)))
-
-
-def _bracket_pass(plane: np.ndarray, k: int, lo: float, hi: float, side: float) -> tuple:
-    """(the number of points whose squared k-th distance lies below
-    ``lo``, the squared k-th distances that lie in [lo, hi]), read off
-    the 3x3 blocks of a grid of ``side`` a whisker above sqrt(hi), which
-    hold every point within sqrt(hi): a pair join of the points with
-    themselves (:func:`estdim._grid_pairs`)."""
-    # the grid sorts its points in place; the caller still reads plane
-    grid = _sorted_grid(plane.copy(), side)
-    n_below, inside = 0, []
-    for a, b, q, _, d2 in _grid_pairs(grid, math.sqrt(hi), grid.xy):
-        near = d2 <= hi
-        q, d2 = q[near], d2[near]
-        below = np.bincount(q[d2 < lo], minlength=b - a) >= k
-        n_below += int(below.sum())
-        between = ~below & (np.bincount(q, minlength=b - a) >= k)
-        near = between[q]
-        inside.append(_kth_smallest(q[near], d2[near], k)[1])
-    return n_below, np.concatenate(inside)
+    stride = n // KNN_SAMPLE if n > 2 * KNN_SAMPLE else 1
+    return float(np.median(np.sqrt(_exact_kth_sq(plane, np.arange(0, n, stride), k, fine))))
 
 
 def patterson_measure(

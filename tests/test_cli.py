@@ -673,6 +673,18 @@ class TestVerify:
         assert [ln.rsplit(",", 1)[1] for ln in lines[10:13]] == ["pass"] * 3
         assert capsys.readouterr().out.startswith("# kleindim verification report")
 
+    def test_truncated_infinite_group_is_an_error(self, tmp_path):
+        # one element walks only the identity: the cloud of the
+        # generators' fixed points declares that walk's resolution, too
+        # coarse for any row to read
+        out = str(tmp_path / "report.txt")
+        code = cli.main(["verify", "infinite_fuchsian", "--budget-words", "1", "--out", out])
+        assert code == 2
+        rows = report_rows(out)
+        assert [name for name, _ in rows] == ["box", "lower", "assouad"]
+        assert rows[0][1].endswith("got 1 (resolution 2))")
+        assert all(status.startswith("error (no sample window resolves") for _, status in rows[1:])
+
     def test_tight_tolerance_fails_cleanly(self, tmp_path):
         out = str(tmp_path / "report.txt")
         code = cli.main(

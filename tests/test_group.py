@@ -491,14 +491,22 @@ _PARENT_DIGESTS = {
 # and .measure's (coords, weights, resolution) for the _PARENT_DIGESTS
 # cases, recorded while group kept its own copies of the radial
 # projection and fixed-point arithmetic (numpy 2.4, x86-64); apollonian
-# at 6.0 holds no orbit point deep enough to sample
+# at 6.0 holds no orbit point deep enough to sample.  A measure of more
+# than 2 * psmeasure.KNN_SAMPLE atoms declares the resolution of a strided
+# sample of its atoms' k-th-neighbour distances: its entry is the digest
+# of (coords, weights), recorded as above, and the resolution by value,
+# with the value that the median over every atom read in the comment
 _PARENT_CLOUD_DIGESTS = {
     ("apollonian", 6.0): (None, "3224e9899677c32c"),
     ("apollonian", 7.0): ("6a9c3ddab2327ff4", "e764da28f5e1ca52"),
-    ("apollonian", 8.0): ("2fb4c884f1db4809", "91da1b828c196955"),
-    ("apollonian", 9.5): ("c08eccbf30c01768", "7605b82357db0d9e"),
-    ("apollonian", 10.5): ("ffe2e94181869e5a", "605e6f1769bca1ec"),
-    ("rank2_cusp", 8.0): ("8f5cc474035f48c9", "c9955fc419d67b3c"),
+    # 0.023667396108409965
+    ("apollonian", 8.0): ("2fb4c884f1db4809", ("55742b9b3681433a", 0.023501430087520148)),
+    # 0.005258528544517628
+    ("apollonian", 9.5): ("c08eccbf30c01768", ("df7a4906b4c718f0", 0.005328754431068424)),
+    # 0.0019463062283891326
+    ("apollonian", 10.5): ("ffe2e94181869e5a", ("1f06a62454290a57", 0.0019170860988687141)),
+    # 0.0019046851992754964
+    ("rank2_cusp", 8.0): ("8f5cc474035f48c9", ("64a8fceffd6d46ee", 0.0019124541380167465)),
     ("parabolic_cusp_fuchsian", 8.0): ("68116a0cacf89a53", "7ce5d1ca8ee48c10"),
 }
 
@@ -1907,7 +1915,10 @@ class TestSampling:
         if want_cloud is not None:
             assert _sha(p.cloud.coords, p.cloud.resolution) == want_cloud
         m = p.measure
-        assert _sha(m.coords, m.weights, m.resolution) == want_measure
+        if isinstance(want_measure, tuple):
+            assert (_sha(m.coords, m.weights), m.resolution) == want_measure
+        else:
+            assert _sha(m.coords, m.weights, m.resolution) == want_measure
 
     @pytest.mark.parametrize(
         "params, resolution", list(_PARENT_FIXED_POINT_CLOUD_DIGESTS), ids=str
@@ -2022,6 +2033,14 @@ class TestSampling:
         assert len(cloud.coords) > 0
         assert cloud.meta["t_valid"] == orb.t_valid
         assert cloud.resolution == 2.0 * math.exp(-orb.t_valid)
+
+    def test_truncated_fixed_point_cloud_degrades_resolution(self):
+        # the walk at one element holds only the identity; the generators'
+        # fixed points it samples are no finer than that walk's horizon
+        g = gr.builtin_group("infinite_fuchsian")
+        cloud = gr.sample_limit_set(g, 1e-3, max_elements=1)
+        assert cloud.meta["orbit_truncated"] and cloud.meta["n_fixed_points"] > 0
+        assert cloud.resolution >= 2.0 * math.exp(-cloud.meta["t_valid"])
 
     def test_default_budget_completes_the_gasket_to_10(self):
         # the walk's one default budget is verify's 4,000,000; the

@@ -10,6 +10,7 @@ machine precision, which pins the regularity and local-dimension code
 to a constant instead of a tolerance band.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -438,16 +439,24 @@ class TestPattersonMeasure:
             ps.patterson_measure(g, gr.enumerate_orbit(g, 6.0), band=1e-12)
 
 
-def kdtree_kth_median(coords, k=9):
-    """The declared-resolution statistic as first written, on scipy's
-    KD tree: the median distance to the k-th nearest atom."""
-    return float(np.median(cKDTree(coords).query(coords, k=k)[0][:, -1]))
+def sampled_rows(n: int) -> np.ndarray:
+    """The rows the declared-resolution statistic reads: every one up to
+    twice ``ps.KNN_SAMPLE`` rows, else every (n // KNN_SAMPLE)-th."""
+    return np.arange(0, n, n // ps.KNN_SAMPLE if n > 2 * ps.KNN_SAMPLE else 1)
+
+
+def kdtree_kth_median(coords, k=9, rows=None):
+    """The declared-resolution statistic on scipy's KD tree: the median
+    distance from each of ``rows`` (default every row) to its k-th
+    nearest atom."""
+    rows = np.arange(len(coords)) if rows is None else rows
+    return float(np.median(cKDTree(coords).query(coords[rows], k=k)[0][:, -1]))
 
 
 def two_clusters(n_each: int) -> np.ndarray:
     """A tight cluster at the origin on the even rows and a loose one a
     hundred units away on the odd rows: a sample of even stride sees only
-    the tight one, so the median lies outside its bracket."""
+    the tight one."""
     rng = np.random.default_rng(3)
     coords = np.empty((2 * n_each, 2))
     coords[0::2] = rng.uniform(0.0, 1e-3, (n_each, 2))
@@ -455,15 +464,34 @@ def two_clusters(n_each: int) -> np.ndarray:
     return coords
 
 
+@functools.cache
+def measure_coords(name: str, dist: float) -> np.ndarray:
+    return Pipeline(gr.builtin_group(name), dist).measure.coords
+
+
 class TestKthNeighbourMedian:
-    """``_kth_neighbour_median`` against the KD-tree statistic, bit for bit."""
+    """``_kth_neighbour_median`` against the KD-tree statistic on the
+    same sampled rows, bit for bit."""
 
     @pytest.mark.parametrize(
         "name, dist", [("apollonian", 8.0), ("rank2_cusp", 8.0), ("parabolic_cusp_fuchsian", 11.0)]
     )
     def test_builtin_measures(self, name, dist):
-        coords = Pipeline(gr.builtin_group(name), dist).measure.coords
-        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
+        coords = measure_coords(name, dist)
+        rows = sampled_rows(len(coords))
+        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords, rows=rows)
+
+    @pytest.mark.parametrize(
+        "name, dist",
+        [("apollonian", 8.0), ("apollonian", 9.5), ("apollonian", 10.5), ("rank2_cusp", 8.0)],
+    )
+    def test_sample_reads_the_median_of_every_atom(self, name, dist):
+        # 6,851 to 176,584 atoms: the sample's median lies within 2% of
+        # the median over every atom on each
+        coords = measure_coords(name, dist)
+        assert len(coords) > 2 * ps.KNN_SAMPLE
+        full = kdtree_kth_median(coords)
+        assert ps._kth_neighbour_median(coords, 9) == pytest.approx(full, rel=0.03)
 
     @pytest.mark.parametrize(
         "coords",
@@ -477,26 +505,22 @@ class TestKthNeighbourMedian:
             np.stack(np.meshgrid(np.arange(70.0), np.arange(70.0)), axis=-1).reshape(-1, 2) * 0.1,
             # d = 2 on one line of cells: the grid's rows hold one column
             np.column_stack([np.random.default_rng(4).uniform(0.0, 1.0, 5_000), np.zeros(5_000)]),
+            # the stride aliases with the input order
+            two_clusters(2 * ps.KNN_SAMPLE + 1),
         ],
-        ids=["n16", "n16_d1", "d1_wide", "lattice", "lattice_tenths", "one_column"],
+        ids=["n16", "n16_d1", "d1_wide", "lattice", "lattice_tenths", "one_column", "two_clusters"],
     )
     def test_synthetic_points(self, monkeypatch, coords):
         solved = self._spy(monkeypatch)
-        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
-        # one solve: every point up to twice the sample size, else the
-        # sample, whose bracket then holds the median
-        assert len(solved) == 1
+        rows = sampled_rows(len(coords))
+        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords, rows=rows)
+        # one solve: every point up to twice the sample size, else the sample
+        assert solved == [len(rows)]
 
     @pytest.mark.parametrize("coords", [np.zeros((8, 2)), np.array([[0.0, np.nan]] * 16)])
     def test_too_few_or_non_finite_points_are_an_error(self, coords):
         with pytest.raises(ValueError, match="9 or more finite points"):
             ps._kth_neighbour_median(coords, 9)
-
-    def test_missed_bracket_solves_every_point(self, monkeypatch):
-        coords = two_clusters(2 * ps.KNN_SAMPLE + 1)
-        solved = self._spy(monkeypatch)
-        assert ps._kth_neighbour_median(coords, 9) == kdtree_kth_median(coords)
-        assert solved == [ps.KNN_SAMPLE + 1, len(coords)]
 
     @staticmethod
     def _spy(monkeypatch) -> list:

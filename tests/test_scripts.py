@@ -49,3 +49,12 @@ def test_phase_figures(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "phase_k1_1_d2.csv").exists()
     assert (tmp_path / "phase_k1_1_d2.svg").exists()
+
+
+def test_report_matrix_quick(tmp_path):
+    proc = run_script("report_matrix.py", str(tmp_path), "--quick")
+    assert proc.returncode == 0, proc.stderr
+    text = (tmp_path / "apollonian_7_seed0.txt").read_text()
+    assert text.startswith("# kleindim verification report\n")
+    assert "wrote " not in text
+    assert text.splitlines()[-1].startswith("exit=")
