@@ -722,7 +722,8 @@ _FLAGS = {
     ),
     "--budget-dist": dict(
         type=_checked(float, "a number", lambda v: v > 0, "must be positive"),
-        help="orbit enumeration distance budget",
+        help="orbit enumeration distance budget; verify reads it for geometrically finite "
+        "groups only, since on a geometrically infinite one the sampler picks its own depth",
     ),
     "--resolution": dict(
         type=_checked(float, "a number", lambda v: 0 < v < 1, "must lie in (0, 1)"),

@@ -1539,6 +1539,8 @@ def _schottky(n_pairs: int = 2, separation: float = 3.0, radius: float = 1.0) ->
     """
     if n_pairs < 1:
         raise ValueError("need at least one circle pair")
+    if not (0 < radius < math.inf):
+        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
     if separation <= 2 * radius:
         raise ValueError("circles must be disjoint: separation > 2 radius")
     centers = [(-(2 * n_pairs - 1) / 2.0 + k) * separation for k in range(2 * n_pairs)]

@@ -22,20 +22,19 @@ All Euclidean ball masses are planar halfspace-model masses; groups
 whose limit set is unbounded should be conjugated into a bounded chart
 first (see ``group.bounded_model``).  Every point the module reads, the
 centre of a ball, the endpoint of a ray or the centre of a horoball
-sum, is a finite point of that chart (``_point_coords``).  Every one of them is read by
-``_ball_masses``: per centre, one pass of ``estdim._sq_dists`` over the
-atoms (the membership test of the window sweep), the atoms of the
-largest ball kept in atom-index order, and each radius's mass summed
-over them in that order.  No index list outlives its centre, so memory
-stays O(atoms) however many centres a sweep reads.  ``gmf_drift``, which
-reads one small ball per sample, applies the same test and sum to the
-atoms of the ball's strip in the first coordinate only.
+sum, is a finite point of that chart (``_point_coords``).  Every ball
+mass comes from the one kernel ``_ball_masses``: per centre, the window
+sweep's membership test ``estdim._sq_dists`` over the one run of atoms
+that can reach its largest ball, and each radius's mass summed over the
+members in atom-index order.  No index list outlives its centre, so
+memory stays O(atoms) however many centres a sweep reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,12 +135,23 @@ class EmpiricalMeasure:
         span = self.coords.max(axis=0) - self.coords.min(axis=0)
         return float(np.linalg.norm(span))
 
+    @cached_property
+    def _x_runs(self) -> tuple:
+        """The running maximum of the atoms' first coordinates from the
+        front and their running minimum, filled in place, from the back."""
+        x = self.coords[:, 0]
+        run_min = np.empty_like(x)
+        np.fmin.accumulate(x[::-1], out=run_min[::-1])
+        return np.fmax.accumulate(x), run_min
+
 
 def _aggregate_atoms(coords: np.ndarray, weights: np.ndarray, cell: float):
-    """Merge atoms sharing a grid cell into their centre of mass."""
+    """Merge atoms sharing a grid cell into their centre of mass, by real
+    cell, then imaginary cell with non-negative ones first: the atoms a
+    ball reaches form one short run (``_ball_masses``), and ``verify``
+    draws its typical atom by index, so the order must not change."""
     c0, c1 = _grid_cells(_plane(coords), cell)
     if coords.shape[1] == 2:
-        # by real cell, then imaginary with non-negative first: verify draws atoms by index
         c1[c1 < 0] += int(c1.max()) - int(c1.min()) + 1
     keys = _grid_keys(c0, c1)[0]
     inverse = np.unique(keys, return_inverse=True)[1]
@@ -366,23 +376,24 @@ def ball_mass(measure: EmpiricalMeasure, x, r: float) -> float:
 
 def _ball_masses(measure: EmpiricalMeasure, centers: np.ndarray, radii) -> np.ndarray:
     """Masses of the closed balls B(c, r), one row per centre c and one
-    column per radius r.
-
-    Each mass is the sum of the member atoms' weights in atom-index
-    order, so it equals the sum over a sorted ``query_ball_point`` index
-    list bit for bit.
-    """
-    sq_radii = np.asarray(radii, dtype=float) ** 2
-    masses = np.zeros((len(centers), len(sq_radii)))
-    if len(sq_radii) == 0:
-        return masses
-    cols = measure.coords.T
-    for i, center in enumerate(centers):
-        d2 = _sq_dists(cols, center)
-        near = np.flatnonzero(d2 <= sq_radii.max())
-        d2 = d2[near]
-        weights = measure.weights[near]
-        for j, sq in enumerate(sq_radii):
+    column per radius r (one row of radii, or one row per centre).  Each
+    centre reads the run of atoms outside which every atom lies farther
+    than its largest radius in the first coordinate, and sums the
+    members' weights in atom-index order: the sum over a sorted
+    ``query_ball_point`` index list, bit for bit."""
+    radii = np.asarray(radii, dtype=float)
+    radii = np.broadcast_to(radii, (len(centers), radii.shape[-1]))
+    sq_radii, masses = radii**2, np.zeros(radii.shape)
+    x, r = centers[:, 0], radii.max(axis=1, initial=0.0)
+    # the widening dwarfs the rounding of x - x_c and of the run's ends
+    pad = r + 1e-9 * (r + np.abs(x))
+    starts = np.searchsorted(measure._x_runs[0], x - pad).tolist()
+    ends = np.searchsorted(measure._x_runs[1], x + pad, "right").tolist()
+    for i, (center, a, b) in enumerate(zip(centers, starts, ends)):
+        d2 = _sq_dists(measure.coords[a:b].T, center)
+        near = np.flatnonzero(d2 <= r[i] * r[i])
+        d2, weights = d2[near], measure.weights[a:b][near]
+        for j, sq in enumerate(sq_radii[i]):
             masses[i, j] = weights[d2 <= sq].sum()
     return masses
 
@@ -481,21 +492,7 @@ def gmf_drift(
     rng = np.random.default_rng(seed)
     idx = rng.choice(measure.n, size=n_samples, p=measure.weights)
     ts = rng.uniform(t_range[0], t_range[1], size=n_samples)
-    # each ball tests only the atoms of its strip in the first coordinate,
-    # in atom-index order: the members and the sum of ``ball_mass``
-    cols = measure.coords.T
-    by_x = np.argsort(cols[0], kind="stable")
-    xs = cols[0][by_x]
-    masses = np.zeros(n_samples)
-    for s, (i, t) in enumerate(zip(idx, ts)):
-        row = measure.coords[i]
-        r = math.exp(-t)
-        # the widening dwarfs the rounding of x - x_c and of the strip ends
-        pad = r + 1e-9 * (r + abs(row[0]))
-        lo, hi = np.searchsorted(xs, row[0] - pad), np.searchsorted(xs, row[0] + pad, "right")
-        strip = np.sort(by_x[lo:hi])
-        near = _sq_dists(cols[:, strip], row) <= r * r
-        masses[s] = measure.weights[strip][near].sum()
+    masses = _ball_masses(measure, measure.coords[idx], [[math.exp(-t)] for t in ts])[:, 0]
     used = masses > 0.0
     centers = measure.coords[idx[used]]
     zs = centers[:, 0] + 1j * (centers[:, 1] if measure.d == 2 else 0.0)
@@ -506,10 +503,9 @@ def gmf_drift(
         rows.append((z, t, k, rho, mass, g, math.log(mass / g)))
     if len(rows) < 8:
         raise ValueError("too few usable samples; enlarge the measure budget")
-    ts_used = np.array([r[1] for r in rows])
-    logr = np.array([r[6] for r in rows])
+    logr = np.array([row[6] for row in rows])
     return GMFReport(
-        slope=_linear_fit(ts_used, logr)[0],
+        slope=_linear_fit(ts[used], logr)[0],
         spread=float(logr.max() - logr.min()),
         rows=tuple(rows),
         n_zero_mass=int((~used).sum()),

@@ -190,6 +190,15 @@ class TestParsing:
         with pytest.raises(cli.UsageError, match="disjoint"):
             cli.load_group(path)
 
+    @pytest.mark.parametrize("radius", [-1, 0, float("nan")])
+    def test_schottky_radius_must_be_positive(self, tmp_path, capsys, radius):
+        # the disjointness check alone let radius -1 verify as radius 1
+        path = write_config(tmp_path, {"group": "schottky", "params": {"radius": radius}})
+        out = str(tmp_path / "report.txt")
+        assert cli.main(["verify", "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"radius must be a positive finite number, got {radius!r}" in err
+
 
 class TestCloudIO:
     def test_round_trip_is_exact(self, tmp_path):

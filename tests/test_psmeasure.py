@@ -274,42 +274,73 @@ class TestBallMassKernel:
 
     @pytest.fixture(scope="class")
     def sweep(self, gasket):
+        """(measure, centres, radii) cases: the gasket measure, its atoms
+        in an order ``_aggregate_atoms`` never produces, the d = 1 Cantor
+        measure, and the gasket with one NaN coordinate."""
         mu = gasket[4]
         rng = np.random.default_rng(11)
         lo, hi = mu.coords.min(axis=0), mu.coords.max(axis=0)
+        x = mu.coords[:, 0]
         centers = np.vstack([
             mu.coords[ed._farthest_point_sample(mu.coords, 64, 0)],
             rng.uniform(lo, hi, size=(32, 2)),
+            mu.coords[[np.argmin(x), np.argmax(x)]],  # the extremes of the first coordinate
             [[50.0, 50.0]],  # beyond every radius from every atom
+        ])
+        perm = rng.permutation(mu.n)
+        shuffled = ps.EmpiricalMeasure(mu.coords[perm], mu.weights[perm], 2, mu.resolution)
+        nan_coords = mu.coords.copy()
+        nan_coords[mu.n // 2, 0] = np.nan
+        with_nan = ps.EmpiricalMeasure(nan_coords, mu.weights, 2, mu.resolution)
+        cantor = cantor_measure(9)
+        x = cantor.coords[:, 0]
+        cantor_centers = np.vstack([
+            cantor.coords[ed._farthest_point_sample(cantor.coords, 64, 0)],
+            rng.uniform(x.min(), x.max(), size=(32, 1)),
+            [[x.min()], [x.max()], [50.0]],
         ])
         # radii that catch no atom, one atom, some and every atom
         radii = np.concatenate([[1e-12], np.geomspace(1e-4, 10.0, 30)])
-        return mu, centers, radii
+        cases = ((mu, centers), (shuffled, centers), (cantor, cantor_centers), (with_nan, centers))
+        return [(m, c, radii) for m, c in cases]
+
+    @staticmethod
+    def oracle(mu, centers, r):
+        """The KD-tree sweep, or, where cKDTree refuses non-finite atoms,
+        the full pass over every atom that ``_ball_masses`` made before."""
+        if np.isfinite(mu.coords).all():
+            return kdtree_ball_masses(mu, centers, r)
+        cols = mu.coords.T
+        return np.array([mu.weights[ed._sq_dists(cols, c) <= r * r].sum() for c in centers])
 
     def test_multi_centre_masses_equal_the_kdtree_sweep(self, sweep):
-        mu, centers, radii = sweep
-        got = ps._ball_masses(mu, centers, radii)
-        assert got.shape == (len(centers), len(radii))
-        for j, r in enumerate(radii):
-            assert np.array_equal(got[:, j], kdtree_ball_masses(mu, centers, r))
-        assert np.all(got[-1] == 0.0)
-        assert np.all(got[:-1, -1] == mu.weights.sum())
+        for mu, centers, radii in sweep:
+            got = ps._ball_masses(mu, centers, radii)
+            assert got.shape == (len(centers), len(radii))
+            for j, r in enumerate(radii):
+                assert np.array_equal(got[:, j], self.oracle(mu, centers, r))
+            assert np.all(got[-1] == 0.0)
+            finite = np.isfinite(mu.coords).all(axis=1)
+            assert np.all(got[:-1, -1] == mu.weights[finite].sum())
 
     def test_single_centre_masses_differ_only_in_summation_order(self, sweep):
         # a single-point query returns its index list unsorted; the kernel
         # sums the same members in atom-index order
-        mu, centers, radii = sweep
-        tree = cKDTree(mu.coords)
-        cols = mu.coords.T
-        for c in centers[::3]:
-            d2 = ed._sq_dists(cols, c)
-            for r in radii[::2]:
-                idx = tree.query_ball_point(c, float(r))
-                assert sorted(idx) == np.flatnonzero(d2 <= r * r).tolist()
-                got = ps.ball_mass(mu, c, r)
-                want = kdtree_ball_mass(mu, c, r)
-                assert got == float(mu.weights[sorted(idx)].sum())
-                assert abs(got - want) <= 1e-15 * want
+        for mu, centers, radii in sweep:
+            finite = np.isfinite(mu.coords).all()
+            tree = cKDTree(mu.coords) if finite else None
+            cols = mu.coords.T
+            for c in centers[::3]:
+                d2 = ed._sq_dists(cols, c)
+                for r in radii[::2]:
+                    members = np.flatnonzero(d2 <= r * r)
+                    got = ps.ball_mass(mu, c, r)
+                    assert got == float(mu.weights[members].sum())
+                    if finite:
+                        idx = tree.query_ball_point(c, float(r))
+                        assert sorted(idx) == members.tolist()
+                        want = kdtree_ball_mass(mu, c, r)
+                        assert abs(got - want) <= 1e-15 * want
 
     def test_regularity_equals_the_kdtree_sweep(self, gasket):
         mu = gasket[4]
@@ -651,7 +682,8 @@ class TestGMFDrift:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_masses_are_ball_mass(self, gasket, d):
-        # the strip scan reads ball_mass's members and sum, bit for bit
+        # gmf_drift reads its masses off ball_mass's kernel: the same
+        # members and sum, bit for bit
         if d == 1:
             mu = cantor_measure(9)
             ctx = ps.GMFContext(delta=LOG2_LOG3, family=empty_family(d=1))
